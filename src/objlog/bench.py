@@ -7,6 +7,10 @@ Each case is a counted loop written in logic, so the numbers measure
 calling methods *from* logic code.  An empty counting loop is timed the
 same way and subtracted as harness overhead.
 
+Every batch runs all cases in ten slices each, round-robin, so a change in
+machine load hits every case alike; a case's time is the median over the
+batches of its batch time minus the empty loop's time in the same batch.
+
 Absolute times are hardware-bound and only informational; the quantities
 that matter are the ratios between cases.
 """
@@ -20,6 +24,8 @@ from dataclasses import dataclass, field
 from .terms import Atom, ObjRef, Struct
 
 CASE_ORDER = ("normalise", "x", "noarg", "intarg", "termarg")
+
+_SLICES = 10
 
 _CASE_PREDS = {
     "normalise": "bench_normalise",
@@ -53,8 +59,10 @@ class BenchReport:
     def table(self) -> str:
         lines = [
             f"iterations per batch: {self.iterations}",
-            f"batches: {self.batches} (plus {self.warmup_batches} warm-up, discarded)",
-            f"empty-loop overhead: {self.empty_us:.3f} us/iteration (subtracted)",
+            f"batches: {self.batches}, cases round-robin "
+            f"(plus {self.warmup_batches} warm-up, discarded)",
+            f"empty-loop overhead: {self.empty_us:.3f} us/iteration "
+            "(subtracted per batch)",
             "",
             f"{'case':<12} {'class':<8} {'us/call':>10} {'vs normalise':>14}",
         ]
@@ -67,8 +75,8 @@ class BenchReport:
 
 def run_benchmarks(rt, iterations: int = 20_000, batches: int = 5,
                    warmup_batches: int = 1) -> BenchReport:
-    """Median-of-batches timing for every case; loads the bench program and
-    creates the target objects in the given runtime."""
+    """Paired per-batch timing for every case, run round-robin; loads the
+    bench program and creates the target objects in the given runtime."""
     if iterations <= 0:
         raise ValueError("iterations must be positive")
     if batches <= 0:
@@ -94,27 +102,31 @@ def run_benchmarks(rt, iterations: int = 20_000, batches: int = 5,
             q.close()
         return time.perf_counter() - t0
 
-    def time_case(goal) -> list:
-        for _ in range(warmup_batches):
-            run_goal(goal)
-        return [run_goal(goal) for _ in range(batches)]
+    slices = min(_SLICES, iterations)
+    sizes = [iterations // slices + (1 if k < iterations % slices else 0)
+             for k in range(slices)]
+    labels = ("empty",) + CASE_ORDER
+    raw: dict = {label: [] for label in labels}
+    for batch in range(warmup_batches + batches):
+        spent = dict.fromkeys(labels, 0.0)
+        for size in sizes:
+            for label in labels:
+                if label == "empty":
+                    goal = Struct("bench_empty", (size,))
+                else:
+                    obj = objs[_CASE_OBJ[label]]
+                    goal = Struct(_CASE_PREDS[label], (size, ObjRef(obj.oid)))
+                spent[label] += run_goal(goal)
+        if batch >= warmup_batches:
+            for label in labels:
+                raw[label].append(spent[label])
 
     out = BenchReport(iterations, batches, warmup_batches, 0.0)
-
-    empty_goal = Struct("bench_empty", (iterations,))
-    empty_batches = time_case(empty_goal)
-    empty_med = statistics.median(empty_batches)
-    out.empty_us = empty_med / iterations * 1e6
-    out.raw_seconds["empty"] = empty_batches
-
+    out.raw_seconds = raw
+    out.empty_us = statistics.median(raw["empty"]) / iterations * 1e6
     for label in CASE_ORDER:
-        obj = objs[_CASE_OBJ[label]]
-        goal = Struct(_CASE_PREDS[label], (iterations, ObjRef(obj.oid)))
-        case_batches = time_case(goal)
-        out.raw_seconds[label] = case_batches
-        med = statistics.median(case_batches)
-        us = max((med - empty_med) / iterations * 1e6, 0.0)
-        out.per_call_us[label] = us
+        paired = [c - e for c, e in zip(raw[label], raw["empty"])]
+        out.per_call_us[label] = max(statistics.median(paired) / iterations * 1e6, 0.0)
 
     rt.call(f"free(@{area.oid})")
     rt.call(f"free(@{bench_obj.oid})")

@@ -90,12 +90,8 @@ class ClassCompiler:
         self.region = (name.name, super_.name)
         engine = self.rt.engine
         # reconsulting a class refreshes its fact set
-        engine.retract_all_clauses("pce_principal", "pce_class", 2,
-                                   keep=lambda c: c.head.args[0] is not name)
-        engine.retract_all_clauses("pce_principal", "pce_slot", 5,
-                                   keep=lambda c: c.head.args[0] is not name)
-        engine.retract_all_clauses("pce_principal", "pce_pure", 2,
-                                   keep=lambda c: c.head.args[0] is not name)
+        for pred, arity in (("pce_class", 2), ("pce_slot", 5), ("pce_pure", 2)):
+            engine.retract_all_clauses("pce_principal", pred, arity, first=name)
         engine.assert_term(Struct("pce_class", (name, super_)), "pce_principal")
         return True
 
@@ -259,15 +255,12 @@ class ClassCompiler:
 
     def _remove_method(self, cls: str, selector: str, kind: str, method_id: str) -> None:
         engine = self.rt.engine
-        ca, sa, ka = Atom(cls), Atom(selector), Atom(kind)
+        sa, ka = Atom(selector), Atom(kind)
         engine.retract_all_clauses(
-            "pce_principal", "pce_method", 6,
-            keep=lambda c: not (c.head.args[0] is ca and c.head.args[1] is sa
-                                and c.head.args[2] is ka))
+            "pce_principal", "pce_method", 6, first=Atom(cls),
+            keep=lambda c: not (deref(c.head.args[1]) is sa and deref(c.head.args[2]) is ka))
         pred, arity = ("send_implementation", 3) if kind == "send" else ("get_implementation", 4)
-        mid = Atom(method_id)
-        engine.retract_all_clauses("pce_principal", pred, arity,
-                                   keep=lambda c: c.head.args[0] is not mid)
+        engine.retract_all_clauses("pce_principal", pred, arity, first=Atom(method_id))
 
     def _has_pure_fact(self, cls: str, selector: str) -> bool:
         rows = self.rt.engine.findall_bindings(

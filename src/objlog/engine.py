@@ -1,11 +1,18 @@
 """Clause database and the resolution machine.
 
-The solver is a tree-walking SLD machine with an explicit goal continuation
-and choice-point stack, so deterministic tail calls run in constant frame
-depth and deep conjunctions never touch the Python stack.  Cut is handled
-through per-call barriers, if-then-else through a commit entry on the
-continuation, and nondeterministic native predicates through generator
-choice points.
+Clauses are compiled when they are asserted (see `clausecode`).  A try of a
+clause runs its head program against the goal's arguments: the first
+occurrence of a variable stores the goal's argument in its frame slot (no
+variable is made and nothing is trailed), a later occurrence unifies with
+it, a constant is tested or bound, and a compound either matches the goal's
+structure argument by argument (read mode) or is built from the frame and
+bound to an unbound goal argument (write mode).  The body's goals then run
+from a continuation of (goals, pc, frame, cut barrier) nodes and a
+choice-point stack, so deterministic tail calls run in constant depth and
+deep conjunctions never touch the Python stack.  Cut prunes to the barrier
+of its node, if-then-else commits by a cut to the height before its
+condition, and nondeterministic native predicates are generator choice
+points.
 
 Two namespaces exist, `user` and `pce_principal`; a goal `M:G` resolves G
 in namespace M and nothing more.  Clause lists are copy-on-write so running
@@ -25,23 +32,42 @@ from .balls import (
     type_error,
     unknown_procedure,
 )
+from .clausecode import (
+    ALT,
+    BUILTIN,
+    CALL,
+    CALLN,
+    COMMIT,
+    COMMIT_FAIL,
+    CUT,
+    FAIL,
+    ITE,
+    META,
+    NAMESPACES,
+    Goal,
+    compile_body,
+    instantiate,
+    is_control,
+    late_goal,
+    new_struct,
+    program,
+)
 from .errors import LogicError, ReaderError
 from .reader import read_terms
 from .terms import (
-    FAIL,
     TRUE,
     Atom,
     Struct,
     Term,
     Trail,
     Var,
+    bind,
     deref,
+    occurs_in,
     rename_term,
     resolve_copy,
     unify,
 )
-
-NAMESPACES = ("user", "pce_principal")
 
 
 class PushGoal:
@@ -57,163 +83,49 @@ class PushGoal:
         self.ns = ns
 
 
-class _Slot:
-    """A variable position in a compiled clause skeleton."""
-
-    __slots__ = ("i",)
-
-    def __init__(self, i: int):
-        self.i = i
-
-
-class _SkelStruct:
-    """A compound skeleton node containing at least one variable slot."""
-
-    __slots__ = ("name", "args")
-
-    def __init__(self, name, args):
-        self.name = name
-        self.args = args
-
-
-def _compile_skel(t: Term, slots: dict, depths: dict):
-    """Compile a term into a skeleton: ground subterms are kept as-is,
-    variables become slots, and only the variable-carrying spine is rebuilt."""
-    root = [None]
-    stack = [("c", t, root, 0)]
-    while stack:
-        op, a, dest, di = stack.pop()
-        if op == "f":
-            orig, args = a
-            if any(x is not o for x, o in zip(args, orig.args)):
-                node = _SkelStruct(orig.name, tuple(args))
-                depths[id(node)] = 1 + max(depths.get(id(x), 0) for x in args)
-                dest[di] = node
-            else:
-                dest[di] = orig
-            continue
-        a = deref(a)
-        ta = type(a)
-        if ta is Var:
-            s = slots.get(id(a))
-            if s is None:
-                s = _Slot(len(slots))
-                slots[id(a)] = s
-                depths[id(s)] = 1
-            dest[di] = s
-        elif ta is Struct:
-            args = list(a.args)
-            stack.append(("f", (a, args), dest, di))
-            for i, sub in enumerate(a.args):
-                stack.append(("c", sub, args, i))
-        else:
-            dest[di] = a
-    return root[0]
-
-
-def _compile_builder(skel):
-    """Turn a skeleton into a closure `vs -> term` instantiating it."""
-    c = skel.__class__
-    if c is _Slot:
-        i = skel.i
-
-        def slot(vs):
-            return vs[i]
-
-        return slot
-    if c is not _SkelStruct:
-        def ground(vs):
-            return skel
-
-        return ground
-    name = skel.name
-    builders = tuple(_compile_builder(a) for a in skel.args)
-    n = len(builders)
-    if n == 1:
-        b0 = builders[0]
-
-        def mk1(vs):
-            s = Struct.__new__(Struct)
-            s.name = name
-            s.args = (b0(vs),)
-            return s
-
-        return mk1
-    if n == 2:
-        b0, b1 = builders
-
-        def mk2(vs):
-            s = Struct.__new__(Struct)
-            s.name = name
-            s.args = (b0(vs), b1(vs))
-            return s
-
-        return mk2
-
-    def mkn(vs):
-        s = Struct.__new__(Struct)
-        s.name = name
-        s.args = tuple(b(vs) for b in builders)
-        return s
-
-    return mkn
-
-
-# Above this skeleton depth clause compilation falls back to the iterative
-# copier so pathological asserted terms cannot blow the Python stack.
-_DEEP_SKEL = 400
-
-_TRUE_BODY = None
-
-
 class Clause:
-    __slots__ = ("head", "body", "key", "nvars", "deep", "head_arg_builders", "body_builder")
+    """A clause as asserted (`head`, `body`) plus its compiled form: the
+    head match program `hcode` (None for an atom head), the body goals
+    `code`, the frame size `nvars` and the body-only slots `fresh`."""
 
-    def __init__(self, head: Term, body: Term):
+    __slots__ = ("head", "body", "key", "nvars", "hcode", "code", "fresh")
+
+    def __init__(self, head: Term, body: Term, ns: str, builtins: dict):
         self.head = head
         self.body = body
+        slots: dict = {}
         if type(head) is Struct:
             self.key = index_key(head.args[0])
+            self.hcode = (head.name, *(program(a, slots, None) for a in head.args))
         else:
             self.key = None
-        slots: dict = {}
-        depths: dict = {}
-        head_skel = _compile_skel(head, slots, depths)
-        body_skel = _compile_skel(body, slots, depths)
+            self.hcode = None
+        fresh: list = []
+        self.code = compile_body(body, ns, builtins, slots, fresh)
+        self.fresh = tuple(fresh)
         self.nvars = len(slots)
-        self.deep = max(depths.values(), default=0) > _DEEP_SKEL
-        if self.deep:
-            self.head_arg_builders = ()
-            self.body_builder = _TRUE_BODY
-            return
-        if type(head_skel) in (_SkelStruct, Struct):
-            self.head_arg_builders = tuple(_compile_builder(a) for a in head_skel.args)
-        else:
-            self.head_arg_builders = ()
-        if body is TRUE:
-            self.body_builder = _TRUE_BODY
-        else:
-            self.body_builder = _compile_builder(body_skel)
 
 
 def index_key(t: Term):
     """First-argument index key; None matches everything (variables)."""
     t = deref(t)
     ty = type(t)
+    if ty is Struct:
+        return (t.name, len(t.args))
     if ty is Var:
         return None
-    if ty is Atom:
-        return ("a", t.name)
-    if ty is int:
-        return ("i", t)
     if ty is float:
-        return ("f", t)
-    if ty is Struct:
-        return ("s", t.name, len(t.args))
-    return ("o", t.ref)
+        return (t,)
+    return t  # atoms are interned; ints and object references compare by value
 
 
 class PredicateEntry:
+    """The clauses of one predicate and their first-argument index.
+
+    A bucket holds, in clause order, the clauses whose key is its key and
+    those whose first argument is a variable.  `add` keeps the index up to
+    date; a bulk removal marks it dirty and the next `select` rebuilds it."""
+
     __slots__ = ("ns", "name", "arity", "clauses", "dynamic", "_buckets", "_varonly", "_dirty")
 
     def __init__(self, ns: str, name: str, arity: int):
@@ -227,32 +139,63 @@ class PredicateEntry:
         self._dirty = False
 
     def add(self, clause: Clause, front: bool = False) -> None:
-        if front:
-            self.clauses = (clause,) + self.clauses
+        one = (clause,)
+        self.clauses = one + self.clauses if front else self.clauses + one
+        if self._dirty:
+            return
+        buckets = self._buckets
+        key = clause.key
+        if key is None:
+            for k, b in buckets.items():
+                buckets[k] = one + b if front else b + one
+            b = self._varonly
+            self._varonly = one + b if front else b + one
         else:
-            self.clauses = self.clauses + (clause,)
-        self._dirty = True
+            b = buckets.get(key, self._varonly)
+            buckets[key] = one + b if front else b + one
 
     def remove(self, clause: Clause) -> None:
         self.clauses = tuple(c for c in self.clauses if c is not clause)
         self._dirty = True
 
+    def retract_all(self, key=None, keep: Optional[Callable] = None) -> int:
+        """Remove the clauses whose first-argument key is `key` (every
+        clause when None) and that `keep` does not keep; returns how many."""
+        if key is None:
+            cands = self.clauses
+        elif self._dirty:
+            cands = tuple(c for c in self.clauses if c.key == key)
+        else:
+            cands = tuple(c for c in self._buckets.get(key, ()) if c.key == key)
+        gone = {id(c) for c in cands if keep is None or not keep(c)}
+        if gone:
+            self.clauses = tuple(c for c in self.clauses if id(c) not in gone)
+            self._dirty = True
+        return len(gone)
+
     def _build_index(self) -> None:
-        buckets: dict = {}
+        lists: dict = {}
+        varonly: list = []
         for c in self.clauses:
-            if c.key is not None:
-                buckets.setdefault(c.key, None)
-        for key in buckets:
-            buckets[key] = tuple(c for c in self.clauses if c.key is None or c.key == key)
-        self._buckets = buckets
-        self._varonly = tuple(c for c in self.clauses if c.key is None)
+            key = c.key
+            if key is None:
+                varonly.append(c)
+                for got in lists.values():
+                    got.append(c)
+            else:
+                got = lists.get(key)
+                if got is None:
+                    got = lists[key] = list(varonly)
+                got.append(c)
+        self._buckets = {k: tuple(got) for k, got in lists.items()}
+        self._varonly = tuple(varonly)
         self._dirty = False
 
-    def select(self, goal: Term, indexing: bool) -> tuple:
+    def select(self, args: tuple, indexing: bool) -> tuple:
         clauses = self.clauses
         if not indexing or self.arity == 0 or len(clauses) < 2:
             return clauses
-        key = index_key(goal.args[0])
+        key = index_key(args[0])
         if key is None:
             return clauses
         if self._dirty:
@@ -284,11 +227,10 @@ class LoadReport:
 
 
 class _ClauseCP:
-    __slots__ = ("goal", "ns", "clauses", "i", "cont", "depth", "mark", "bodybar")
+    __slots__ = ("args", "clauses", "i", "cont", "depth", "mark", "bodybar")
 
-    def __init__(self, goal, ns, clauses, i, cont, depth, mark, bodybar):
-        self.goal = goal
-        self.ns = ns
+    def __init__(self, args, clauses, i, cont, depth, mark, bodybar):
+        self.args = args
         self.clauses = clauses
         self.i = i
         self.cont = cont
@@ -298,11 +240,11 @@ class _ClauseCP:
 
 
 class _AltCP:
-    __slots__ = ("term", "ns", "barrier", "cont", "depth", "mark")
+    __slots__ = ("code", "vs", "barrier", "cont", "depth", "mark")
 
-    def __init__(self, term, ns, barrier, cont, depth, mark):
-        self.term = term
-        self.ns = ns
+    def __init__(self, code, vs, barrier, cont, depth, mark):
+        self.code = code
+        self.vs = vs
         self.barrier = barrier
         self.cont = cont
         self.depth = depth
@@ -319,14 +261,23 @@ class _IterCP:
         self.mark = mark
 
 
-class Machine:
-    """One resolution run: goal continuation, choice points, cut barriers."""
+def _goal_term(name: str, args: tuple) -> Term:
+    return Struct(name, args) if args else Atom(name)
 
-    __slots__ = ("engine", "cont", "depth", "peak_depth", "peak_cps", "cps")
+
+class Machine:
+    """One resolution run: goal continuation, choice points, cut barriers.
+
+    `cont` is a linked list of (goals, pc, frame, barrier, next) nodes and
+    `frame` is the frame of the goal being executed."""
+
+    __slots__ = ("engine", "cont", "frame", "depth", "peak_depth", "peak_cps", "cps")
 
     def __init__(self, engine: "Engine", goal: Term, ns: str = "user"):
         self.engine = engine
-        self.cont = (("g", goal, ns, 0), None)
+        # the query is compiled when it first runs, so its errors surface there
+        self.cont = ((late_goal(goal, ns),), 0, None, 0, None)
+        self.frame = None
         self.depth = 1
         self.peak_depth = 1
         self.peak_cps = 0
@@ -334,11 +285,12 @@ class Machine:
 
     # -- continuation helpers -------------------------------------------
 
-    def push(self, item) -> None:
-        self.cont = (item, self.cont)
-        self.depth += 1
-        if self.depth > self.peak_depth:
-            self.peak_depth = self.depth
+    def push(self, code: tuple, vs, barrier: int) -> None:
+        if code:
+            self.cont = (code, 0, vs, barrier, self.cont)
+            self.depth += 1
+            if self.depth > self.peak_depth:
+                self.peak_depth = self.depth
 
     def prune_to(self, h: int) -> None:
         cps = self.cps
@@ -366,18 +318,21 @@ class Machine:
         try:
             while True:
                 if forward:
-                    if self.cont is None:
+                    cont = self.cont
+                    if cont is None:
                         yield None
                         forward = False
                         continue
-                    item, self.cont = self.cont
-                    self.depth -= 1
-                    if item[0] == "g":
-                        forward = self.exec_goal(item[1], item[2], item[3])
-                    else:  # "then": if-then-else commit point
-                        _, h, term, ns, barrier = item
-                        self.prune_to(h)
-                        self.push(("g", term, ns, barrier))
+                    code, pc, vs, bar, nxt = cont
+                    goal = code[pc]
+                    pc += 1
+                    if pc < len(code):
+                        self.cont = (code, pc, vs, bar, nxt)
+                    else:
+                        self.cont = nxt
+                        self.depth -= 1
+                    self.frame = vs
+                    forward = self.exec_goal(goal, goal.ns, bar)
                 else:
                     cps = self.cps
                     if not cps:
@@ -392,7 +347,7 @@ class Machine:
                             continue
                         clause = cp.clauses[cp.i]
                         cp.i += 1
-                        if self.try_clause(clause, cp.goal, cp.ns, cp.bodybar, cp.cont, cp.depth):
+                        if self.try_clause(clause, cp.args, cp.bodybar, cp.cont, cp.depth):
                             forward = True
                     elif tcp is _AltCP:
                         cps.pop()
@@ -400,7 +355,7 @@ class Machine:
                         trail.undo_to(cp.mark)
                         self.cont = cp.cont
                         self.depth = cp.depth
-                        self.push(("g", cp.term, cp.ns, cp.barrier))
+                        self.push(cp.code, cp.vs, cp.barrier)
                         forward = True
                     else:  # _IterCP
                         trail.undo_to(cp.mark)
@@ -419,91 +374,84 @@ class Machine:
 
     # -- goal execution ---------------------------------------------------
 
-    def exec_goal(self, goal: Term, ns: str, barrier: int) -> bool:
-        engine = self.engine
-        goal = deref(goal)
-        tg = type(goal)
-        if tg is Struct:
-            name = goal.name
-            args = goal.args
-            n = len(args)
-            if name == "," and n == 2:
-                self.push(("g", args[1], ns, barrier))
-                self.push(("g", args[0], ns, barrier))
+    def exec_goal(self, goal: Goal, ns: str, barrier: int) -> bool:
+        op = goal.op
+        if op < CUT:
+            get = goal.get
+            if get is not None:
+                args = get(self.frame)
+            elif goal.prog is not None:
+                args = instantiate(goal.prog, self.frame)
+            else:
+                args = goal.args
+            if op == CALL:
+                engine = self.engine
+                entry = goal.entry
+                if entry is None:
+                    entry = engine.preds.get(goal.key)
+                    if entry is None:
+                        if engine.unknown == "error":
+                            raise unknown_procedure(ns, goal.name, len(args))
+                        return False
+                    goal.entry = entry
+                if engine.trace:
+                    engine.trace_port("call", _goal_term(goal.name, args), ns)
+                clauses = entry.select(args, engine.indexing)
+                if not clauses:
+                    return False
+                bodybar = len(self.cps)
+                if len(clauses) > 1:
+                    self._push_cp(_ClauseCP(args, clauses, 1, self.cont, self.depth,
+                                            engine.trail.mark(), bodybar))
+                return self.try_clause(clauses[0], args, bodybar, self.cont, self.depth)
+            if op == BUILTIN:
+                return self.run_builtin(goal, args, ns)
+            if op == CALLN:
+                self.push(self.engine.compile_goal(build_call(args), ns), None, len(self.cps))
                 return True
-            if name == ";" and n == 2:
-                left = deref(args[0])
-                if type(left) is Struct and left.name == "->" and len(left.args) == 2:
-                    self.ite(left.args[0], left.args[1], args[1], ns, barrier)
-                    return True
-                self._push_cp(_AltCP(args[1], ns, barrier, self.cont, self.depth,
-                                     engine.trail.mark()))
-                self.push(("g", args[0], ns, barrier))
+            if op == META:  # transparent to cut, like the goal written in place
+                self.push(self.engine.compile_goal(args[0], ns), None, barrier)
                 return True
-            if name == "->" and n == 2:
-                self.ite(args[0], args[1], FAIL, ns, barrier)
-                return True
-            if name == "\\+" and n == 1:
-                self.ite(args[0], FAIL, TRUE, ns, barrier)
-                return True
-            if name == "once" and n == 1:
-                self.ite(args[0], TRUE, FAIL, ns, barrier)
-                return True
-            if name == ":" and n == 2:
-                m = deref(args[0])
-                if type(m) is Var:
-                    raise instantiation_error("namespace qualifier")
-                if type(m) is not Atom or m.name not in NAMESPACES:
-                    raise domain_error("namespace", m)
-                self.push(("g", args[1], m.name, barrier))
-                return True
-            if name == "call":
-                self.push(("g", build_call(args), ns, len(self.cps)))
-                return True
-            if name == "throw" and n == 1:
-                ball = deref(args[0])
-                if type(ball) is Var:
-                    raise instantiation_error("throw/1")
-                raise LogicError(resolve_copy(ball))
-            fn = engine.builtins.get((name, n))
-            if fn is not None:
-                return self.run_builtin(fn, args, ns, goal)
-            return self.call_user(goal, name, n, ns)
-        if tg is Atom:
-            name = goal.name
-            if name == "true":
-                return True
-            if name == "fail" or name == "false":
-                return False
-            if name == "!":
-                self.prune_to(barrier)
-                return True
-            fn = engine.builtins.get((name, 0))
-            if fn is not None:
-                return self.run_builtin(fn, (), ns, goal)
-            return self.call_user(goal, name, 0, ns)
-        if tg is Var:
-            raise instantiation_error("goal")
-        raise type_error("callable", goal)
-
-    def ite(self, cond, then, els, ns: str, barrier: int) -> None:
+            ball = deref(args[0])  # throw/1
+            if type(ball) is Var:
+                raise instantiation_error("throw/1")
+            raise LogicError(resolve_copy(ball))
+        if op == CUT:
+            self.prune_to(barrier)
+            return True
+        if op == FAIL:
+            return False
+        vs = self.frame
+        mark = self.engine.trail.mark()
+        if op == ALT:
+            self._push_cp(_AltCP(goal.b, vs, barrier, self.cont, self.depth, mark))
+            self.push(goal.a, vs, barrier)
+            return True
+        # if-then-else, once/1 (no else) and \+: the condition runs with a
+        # local cut barrier, then a cut to `pre` commits to its first solution
         pre = len(self.cps)
-        self._push_cp(_AltCP(els, ns, barrier, self.cont, self.depth, self.engine.trail.mark()))
-        self.push(("then", pre, then, ns, barrier))
-        # a cut inside the condition is local: it may not discard the else branch
-        self.push(("g", cond, ns, len(self.cps)))
+        if op == ITE:
+            if goal.c is not None:
+                self._push_cp(_AltCP(goal.c, vs, barrier, self.cont, self.depth, mark))
+            self.push(goal.b, vs, barrier)
+            self.push(COMMIT, None, pre)
+        else:  # \+
+            self._push_cp(_AltCP((), None, barrier, self.cont, self.depth, mark))
+            self.push(COMMIT_FAIL, None, pre)
+        self.push(goal.a, vs, len(self.cps))
+        return True
 
-    def run_builtin(self, fn, args, ns: str, goal: Term) -> bool:
+    def run_builtin(self, goal: Goal, args: tuple, ns: str) -> bool:
         engine = self.engine
         if engine.trace:
-            engine.trace_port("call", goal, ns)
-        res = fn(self, args, ns)
+            engine.trace_port("call", _goal_term(goal.name, args), ns)
+        res = goal.fn(self, args, ns)
         if res is True:
             return True
         if res is False or res is None:
             return False
         if type(res) is PushGoal:
-            self.push(("g", res.term, res.ns, len(self.cps)))
+            self.push(engine.compile_goal(res.term, res.ns), None, len(self.cps))
             return True
         # a generator: one solution per next(); it undoes its own bindings
         trail = engine.trail
@@ -522,55 +470,78 @@ class Machine:
             self.peak_cps = len(self.cps)
         return True
 
-    def call_user(self, goal: Term, name: str, arity: int, ns: str) -> bool:
-        engine = self.engine
-        entry = engine.preds.get((ns, name, arity))
-        if entry is None:
-            if engine.unknown == "error":
-                raise unknown_procedure(ns, name, arity)
-            return False
-        if engine.trace:
-            engine.trace_port("call", goal, ns)
-        clauses = entry.select(goal, engine.indexing)
-        if not clauses:
-            return False
-        bodybar = len(self.cps)
-        if len(clauses) > 1:
-            self._push_cp(_ClauseCP(goal, ns, clauses, 1, self.cont, self.depth,
-                                    engine.trail.mark(), bodybar))
-        return self.try_clause(clauses[0], goal, ns, bodybar, self.cont, self.depth)
-
-    def try_clause(self, clause: Clause, goal: Term, ns: str, bodybar: int,
-                   cont, depth: int) -> bool:
+    def try_clause(self, clause: Clause, args: tuple, bodybar: int, cont, depth: int) -> bool:
+        """Match the clause head against the goal's arguments and, on
+        success, continue with its body in a new frame."""
         engine = self.engine
         engine.clause_attempts += 1
-        trail = engine.trail
-        mark = trail.mark()
-        occurs = engine.occurs_check
-        if clause.deep:
-            mapping: dict = {}
-            head = rename_term(clause.head, mapping)
-            if type(head) is Struct:
-                for ga, ha in zip(goal.args, head.args):
-                    if not unify(ga, ha, trail, occurs):
-                        trail.undo_to(mark)
-                        return False
-            self.cont = cont
-            self.depth = depth
-            if clause.body is not TRUE:
-                self.push(("g", rename_term(clause.body, mapping), ns, bodybar))
-            return True
-        vs = [Var() for _ in range(clause.nvars)] if clause.nvars else ()
-        if clause.head_arg_builders:
-            for ga, build in zip(goal.args, clause.head_arg_builders):
-                if not unify(ga, build(vs), trail, occurs):
-                    trail.undo_to(mark)
-                    return False
+        vs = [None] * clause.nvars
+        prog = clause.hcode
+        if prog is not None:
+            trail = engine.trail
+            mark = len(trail.entries)
+            occurs = engine.occurs_check
+            # under --trace a goal variable is bound to a fresh one, as a
+            # copied head would bind it, so trace lines name variables alike
+            tracing = engine.trace
+            terms = args
+            i = 1
+            n = len(prog)
+            stack = None
+            while True:
+                if i == n:
+                    if stack is None:
+                        break
+                    prog, terms, i, n, stack = stack
+                    continue
+                p = prog[i]
+                a = terms[i - 1]
+                i += 1
+                tp = type(p)
+                if tp is int:
+                    if p >= 0:
+                        if unify(a, vs[p], trail, occurs):
+                            continue
+                    else:
+                        if tracing and type(deref(a)) is Var:
+                            a = deref(a)
+                            bind(a, Var(), trail)
+                        vs[~p] = a
+                        continue
+                elif tp is not tuple:  # a ground term
+                    if a is p or unify(a, p, trail, occurs):
+                        continue
+                elif len(p) == 1:  # an integer
+                    if unify(a, p[0], trail, occurs):
+                        continue
+                else:
+                    a = deref(a)
+                    if type(a) is Struct:  # read mode
+                        if a.name is p[0] and len(a.args) == len(p) - 1:
+                            if i < n:
+                                stack = (prog, terms, i, n, stack)
+                            prog = p
+                            terms = a.args
+                            i = 1
+                            n = len(p)
+                            continue
+                    elif type(a) is Var:  # write mode
+                        s = new_struct(p[0], instantiate(p, vs))
+                        if not (occurs and occurs_in(a, s)):
+                            bind(a, s, trail)
+                            continue
+                trail.undo_to(mark)
+                return False
         self.cont = cont
         self.depth = depth
-        body_builder = clause.body_builder
-        if body_builder is not None:
-            self.push(("g", body_builder(vs), ns, bodybar))
+        code = clause.code
+        if code:
+            for i in clause.fresh:
+                vs[i] = Var()
+            self.cont = (code, 0, vs, bodybar, cont)
+            self.depth = depth = depth + 1
+            if depth > self.peak_depth:
+                self.peak_depth = depth
         return True
 
 
@@ -686,11 +657,11 @@ class Engine:
             name, arity = head.name, len(head.args)
         else:
             raise type_error("callable", head)
-        if (name, arity) in self.builtins or name in ("," , ";", "->", "!", ":"):
+        if (name, arity) in self.builtins or is_control(name, arity):
             raise permission_error("modify", Struct("/", (Atom(name), arity)))
         entry = self.entry(ns, name, arity, create=True)
         entry.dynamic = True
-        entry.add(Clause(head, body), front=front)
+        entry.add(Clause(head, body, ns, self.builtins), front=front)
 
     def retract_term(self, pattern: Term, ns: str = "user") -> bool:
         head, ns = strip_namespace(pattern, ns)
@@ -723,21 +694,14 @@ class Engine:
             trail.undo_to(mark)
         return False
 
-    def retract_all_clauses(self, ns: str, name: str, arity: int,
+    def retract_all_clauses(self, ns: str, name: str, arity: int, first: Term = None,
                             keep: Optional[Callable] = None) -> int:
+        """Remove the clauses of a predicate, only those whose first argument
+        is `first` when it is given, except those `keep` keeps."""
         entry = self.preds.get((ns, name, arity))
         if entry is None:
             return 0
-        if keep is None:
-            removed = len(entry.clauses)
-            entry.clauses = ()
-            entry._dirty = True
-            return removed
-        kept = tuple(c for c in entry.clauses if keep(c))
-        removed = len(entry.clauses) - len(kept)
-        entry.clauses = kept
-        entry._dirty = True
-        return removed
+        return entry.retract_all(None if first is None else index_key(first), keep)
 
     def clauses_of(self, ns: str, name: str, arity: int) -> list:
         entry = self.preds.get((ns, name, arity))
@@ -746,6 +710,25 @@ class Engine:
         return [(c.head, c.body) for c in entry.clauses]
 
     # -- execution ---------------------------------------------------------
+
+    def compile_goal(self, goal: Term, ns: str) -> tuple:
+        """Compile a goal term met at run time; its variables stay as they
+        are.  Errors of the goal itself (unbound, not callable, a bad
+        namespace) are raised here."""
+        g = deref(goal)
+        while type(g) is Struct and g.name == ":" and len(g.args) == 2:
+            m = deref(g.args[0])
+            if type(m) is Var:
+                raise instantiation_error("namespace qualifier")
+            if type(m) is not Atom or m.name not in NAMESPACES:
+                raise domain_error("namespace", m)
+            ns = m.name
+            g = deref(g.args[1])
+        if type(g) is Var:
+            raise instantiation_error("goal")
+        if type(g) is not Struct and type(g) is not Atom:
+            raise type_error("callable", g)
+        return compile_body(g, ns, self.builtins)
 
     def solve(self, goal: Term, ns: str = "user", protect: bool = False) -> Query:
         return Query(self, goal, ns, protect)

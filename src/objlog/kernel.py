@@ -232,7 +232,6 @@ class Kernel:
         self.live_count = 0
         self.created_total = 0
         self.destroyed_total = 0
-        self.epoch = 0
         # hooks installed by the bridge / class compiler
         self.realizer: Optional[Callable] = None
         self.logic_send: Optional[Callable] = None
@@ -276,7 +275,6 @@ class Kernel:
         elif super_ is not None:
             cls.factory = super_.factory
         self.classes[name] = cls
-        self.epoch += 1
         return cls
 
     def find_class(self, name: str, realize: bool = True) -> Optional[KClass]:
@@ -297,7 +295,6 @@ class Kernel:
             self.define_method(kclass, KMethod(sdef.name, "get", (),
                                                returns=sdef.spec,
                                                impl=SlotImpl(sdef.name), doc=sdef.doc))
-        self.epoch += 1
 
     def define_method(self, kclass: KClass, method: KMethod, replace: bool = False) -> None:
         table = kclass.send_methods if method.kind == "send" else kclass.get_methods
@@ -306,7 +303,6 @@ class Kernel:
                 "redefine_method",
                 Struct("/", (Atom(kclass.name), Atom(method.selector))))
         table[method.selector] = method
-        self.epoch += 1
 
     def resolve_method(self, kclass: KClass, selector: str, kind: str) -> Optional[KMethod]:
         for c in kclass.chain():

@@ -2,6 +2,9 @@
 
 The unifier here composes substitutions functionally and never mutates a
 term, so it shares no code path with the destructive trail-based unifier.
+The solver on top of it resolves by substitution with Python generators,
+one per goal, and cuts by exception; it shares no code with the engine's
+compiled clauses, continuation or choice points.
 """
 
 from __future__ import annotations
@@ -23,8 +26,22 @@ def oracle_walk(t, subst):
     return t
 
 
-def oracle_unify(a, b, subst=None):
-    """Substitution-based unification; returns the substitution or None."""
+def oracle_occurs(v, t, subst) -> bool:
+    stack = [t]
+    while stack:
+        t = oracle_walk(stack.pop(), subst)
+        if t is v:
+            return True
+        if type(t) is Struct:
+            stack.extend(t.args)
+    return False
+
+
+def oracle_unify(a, b, subst=None, occurs_check=False, events=None):
+    """Substitution-based unification; returns the substitution or None.
+
+    With `occurs_check` a binding that would make a cyclic term fails, and
+    is counted in `events["occurs"]` when `events` is a dict."""
     subst = dict(subst or {})
     stack = [(a, b)]
     while stack:
@@ -33,11 +50,14 @@ def oracle_unify(a, b, subst=None):
         y = oracle_walk(y, subst)
         if x is y:
             continue
+        if type(x) is not Var and type(y) is Var:
+            x, y = y, x
         if type(x) is Var:
+            if occurs_check and oracle_occurs(x, y, subst):
+                if events is not None:
+                    events["occurs"] = events.get("occurs", 0) + 1
+                return None
             subst[id(x)] = y
-            continue
-        if type(y) is Var:
-            subst[id(y)] = x
             continue
         if type(x) is not type(y):
             return None
@@ -63,6 +83,109 @@ def oracle_resolve(t, subst):
     if type(t) is Struct:
         return Struct(t.name, tuple(oracle_resolve(a, subst) for a in t.args))
     return t
+
+
+def oracle_rename(t, mapping: dict):
+    """A copy of a program term with fresh variables."""
+    t = deref(t)
+    if type(t) is Var:
+        got = mapping.get(id(t))
+        if got is None:
+            got = mapping[id(t)] = Var()
+        return got
+    if type(t) is Struct:
+        return Struct(t.name, tuple(oracle_rename(a, mapping) for a in t.args))
+    return t
+
+
+class _Cut(Exception):
+    def __init__(self, level):
+        super().__init__()
+        self.level = level
+
+
+def oracle_solve(program, goal, occurs_check=False, events=None):
+    """The answers of `goal` against `program`, a list of (head, body)
+    terms, as substitutions in the order of SLD resolution.
+
+    Covers Horn clauses, `=`/2, `true`, `fail`, `,`, `;`, `->`, `\\+` and
+    cut.  Each goal list is a linked list of (goal, cut level) pairs; a cut
+    runs its continuation and then raises `_Cut` up to the call that owns
+    its level, which tries no more clauses."""
+    table: dict = {}
+    for head, body in program:
+        head = deref(head)
+        n = len(head.args) if type(head) is Struct else 0
+        table.setdefault((head.name, n), []).append((head, body))
+
+    def solve(goals, subst):
+        if goals is None:
+            yield subst
+            return
+        (t, level), rest = goals
+        t = oracle_walk(t, subst)
+        name = t.name
+        args = t.args if type(t) is Struct else ()
+        key = (name, len(args))
+        if key == (",", 2):
+            yield from solve(((args[0], level), ((args[1], level), rest)), subst)
+        elif key == ("true", 0):
+            yield from solve(rest, subst)
+        elif key == ("fail", 0):
+            return
+        elif key == ("!", 0):
+            yield from solve(rest, subst)
+            raise _Cut(level)
+        elif key == ("=", 2):
+            got = oracle_unify(args[0], args[1], subst, occurs_check, events)
+            if got is not None:
+                yield from solve(rest, got)
+        elif key == (";", 2):
+            left = oracle_walk(args[0], subst)
+            if type(left) is Struct and left.name == "->" and len(left.args) == 2:
+                yield from ite(left.args[0], left.args[1], args[1], level, rest, subst)
+            else:
+                yield from solve(((args[0], level), rest), subst)
+                yield from solve(((args[1], level), rest), subst)
+        elif key == ("->", 2):
+            yield from ite(args[0], args[1], Atom("fail"), level, rest, subst)
+        elif key == ("\\+", 1):
+            yield from ite(args[0], Atom("fail"), Atom("true"), level, rest, subst)
+        else:
+            own = object()
+            try:
+                for head, body in table.get(key, ()):
+                    mapping: dict = {}
+                    h = oracle_rename(head, mapping)
+                    got = oracle_unify(t, h, subst, occurs_check, events)
+                    if got is not None:
+                        yield from solve(((oracle_rename(body, mapping), own), rest), got)
+            except _Cut as cut:
+                if cut.level is not own:
+                    raise
+
+    def ite(cond, then, els, level, rest, subst):
+        own = object()
+        found = None
+        inner = solve(((cond, own), None), subst)
+        try:
+            found = next(inner, None)
+        except _Cut as cut:
+            if cut.level is not own:
+                raise
+        finally:
+            inner.close()
+        if found is not None:
+            yield from solve(((then, level), rest), found)
+        else:
+            yield from solve(((els, level), rest), subst)
+
+    top = object()
+    try:
+        yield from solve(((goal, top), None), {})
+    except _Cut as cut:
+        if cut.level is not top:
+            raise
 
 
 def var_position_partition(t):

@@ -1,0 +1,339 @@
+"""The compiled clause form: control constructs that cannot be asserted,
+deep clauses, late-defined callees, the --trace text, the first-argument
+index kept up to date in place, and answer sequences checked against the
+substitution-based reference solver."""
+
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from objlog import builtins as _builtins
+from objlog.cli import main
+from objlog.engine import Engine
+from objlog.errors import LogicError
+from objlog.reader import parse_term
+from objlog.terms import Atom, Struct, Var, deref, is_variant, resolve_copy
+from objlog.writer import term_text
+from oracles import oracle_resolve, oracle_solve
+
+
+def solutions(rt, text):
+    goal, vm = parse_term(text)
+    return [{k: term_text(resolve_copy(v)) for k, v in vm.items()}
+            for _ in rt.engine.solve(goal)]
+
+
+# -- control constructs cannot be asserted ---------------------------------------
+
+
+@pytest.mark.parametrize("clause, indicator", [
+    ("once(x)", "once/1"),
+    ("call(a)", "call/1"),
+    ("call(a, b)", "call/2"),
+    ("\\+ a", "\\+/1"),
+    ("throw(a)", "throw/1"),
+    ("true", "true/0"),
+    ("fail", "fail/0"),
+    ("false", "false/0"),
+    ("!", "!/0"),
+    ("(a, b)", "','/2"),
+    ("(a ; b)", ";/2"),
+    ("(a -> b)", "->/2"),
+])
+def test_asserting_a_control_construct_is_a_permission_error(rt, clause, indicator):
+    with pytest.raises(LogicError) as err:
+        solutions(rt, f"assertz(({clause}))")
+    assert term_text(err.value.term) == f"permission_error(modify, {indicator})"
+
+
+def test_control_constructs_still_run(rt):
+    rt.consult_text("p(1). p(2).")
+    assert solutions(rt, "once(p(X)), call(p, Y), \\+ fail, true") == [
+        {"X": "1", "Y": "1"}, {"X": "1", "Y": "2"}]
+
+
+# -- deep clauses ------------------------------------------------------------------
+
+
+def nest(depth, leaf):
+    t = leaf
+    for _ in range(depth):
+        t = Struct("f", (t,))
+    return t
+
+
+def test_deep_clause_asserts_runs_and_retracts(rt):
+    depth = 10_000
+    x = Var("X")
+    head = Struct("deep", (nest(depth, x),))
+    body = Struct("=", (x, nest(depth, Atom("end"))))
+    rt.engine.assert_term(Struct(":-", (head, body)))
+    got = Var("G")
+    assert rt.engine.solve_once(Struct("deep", (got,)))
+    t = deref(got)
+    for _ in range(2 * depth):
+        assert type(t) is Struct and t.name == "f"
+        t = deref(t.args[0])
+    assert t is Atom("end")
+    # a goal that matches the head in read mode all the way down
+    assert rt.engine.solve_once(Struct("deep", (nest(depth, Var("Y")),)))
+    pattern = Struct(":-", (Struct("deep", (Var(),)), Var()))
+    assert rt.engine.retract_term(pattern)
+    assert rt.engine.clauses_of("user", "deep", 1) == []
+
+
+def test_long_conjunction_compiles_iteratively(rt):
+    goals = Atom("true")
+    for i in range(10_000):
+        goals = Struct(",", (Struct("=", (Var(), i)), goals))
+    rt.engine.assert_term(Struct(":-", (Atom("long"), goals)))
+    assert solutions(rt, "long") == [{}]
+
+
+# -- head matching ------------------------------------------------------------------
+
+
+def test_head_matching_keeps_the_occurs_check():
+    import io as _io
+    from objlog.runtime import Runtime
+
+    for occurs_check, expected in ((True, []), (False, [{}])):
+        rt = Runtime(out=_io.StringIO(), occurs_check=occurs_check)
+        rt.consult_text("same(X, X). wrap(X, f(X)). deep(g(X), X).")
+        # a later occurrence, write mode and a later occurrence in read mode
+        for goal in ("same(A, f(A))", "wrap(A, A)", "deep(g(A), f(A))"):
+            goal_term, _ = parse_term(goal)
+            got = [{} for _ in rt.engine.solve(goal_term)]
+            assert got == expected, (occurs_check, goal)
+
+
+def test_first_occurrences_share_the_goal_term(rt):
+    rt.consult_text("pair(X, Y, p(X, Y)). twice(X, X).")
+    assert solutions(rt, "pair(A, B, P), A = 1") == [{"A": "1", "B": "B", "P": "p(1, B)"}]
+    assert solutions(rt, "twice(A, B), B = 2") == [{"A": "2", "B": "2"}]
+    assert solutions(rt, "twice(f(A), f(2))") == [{"A": "2"}]
+    assert solutions(rt, "twice(1, 1.0)") == []
+
+
+# -- callees resolved at run time ---------------------------------------------------
+
+
+def test_caller_compiled_before_callee_sees_its_later_clauses(rt):
+    rt.consult_text("caller(X) :- callee(X).")
+    with pytest.raises(LogicError):
+        solutions(rt, "caller(X)")
+    rt.consult_text("callee(1).")
+    assert solutions(rt, "caller(X)") == [{"X": "1"}]
+    rt.engine.assert_term(parse_term("callee(2)")[0])
+    assert solutions(rt, "caller(X)") == [{"X": "1"}, {"X": "2"}]
+
+
+def test_undefined_callee_raises_and_creates_no_entry(rt):
+    rt.consult_text("lonely :- nowhere(1).")
+    for _ in range(2):
+        with pytest.raises(LogicError) as err:
+            solutions(rt, "lonely")
+        assert term_text(err.value.term) == \
+            "existence_error(procedure, user:(nowhere/1))"
+    assert rt.engine.entry("user", "nowhere", 1) is None
+
+
+# -- the --trace text ------------------------------------------------------------------
+
+TRACE_PROGRAM = """
+app([], L, L).
+app([H|T], L, [H|R]) :- app(T, L, R).
+pick(X) :- member(X, [a, b, c]), X \\== a, !.
+test(R) :- app([1], [2], L), pick(P),
+    ( P == b -> Q = yes ; Q = no ),
+    \\+ app([q], _, [x|_]),
+    once(member(M, L)),
+    call(app, [M], [], Y),
+    pce_principal:dynamic(tmp/1),
+    catch(throw(oops), E, true),
+    forall(member(Z, Y), Z > 0),
+    R = r(Q, Y, E).
+"""
+
+# the output of the engine before clauses were compiled
+TRACE_GOLDEN = """\
+CALL test(R)
+CALL app([1], [2], _G1)
+CALL app([], [2], _G1)
+CALL pick(_G1)
+CALL member(_G1, [a, b, c])
+CALL a \\== a
+CALL member(_G1, [b, c])
+CALL b \\== a
+CALL b == b
+CALL _G1 = yes
+CALL app([q], _G1, [x|_G2])
+CALL member(_G1, [1, 2])
+CALL app([1], [], _G1)
+CALL app([], [], _G1)
+CALL pce_principal:dynamic(tmp/1)
+CALL catch(throw(oops), _G1, true)
+CALL forall(member(_G1, [1]), _G1 > 0)
+CALL member(_G1, [1])
+CALL 1 > 0
+CALL member(_G1, [])
+CALL _G1 = r(yes, [1], oops)
+R = r(yes, [1], oops)
+"""
+
+
+def test_trace_call_lines_are_unchanged(tmp_path, capsys):
+    path = tmp_path / "prog.pl"
+    path.write_text(TRACE_PROGRAM)
+    assert main(["--trace", "--consult", str(path), "--goal", "test(R)"]) == 0
+    assert capsys.readouterr().out == TRACE_GOLDEN
+
+
+# -- the first-argument index ------------------------------------------------------------
+
+
+def test_index_built_in_place_matches_a_rebuild(rt):
+    rt.consult_text("k(a, 1). k(X, 2). k(b, 3). k(f(1), 4). k(a, 5). k(1, 6). k(1.0, 7).")
+    rt.engine.assert_term(parse_term("k(b, 0)")[0], front=True)
+    rt.engine.assert_term(parse_term("k(_, 8)")[0])
+    entry = rt.engine.entry("user", "k", 2)
+    in_place = dict(entry._buckets), entry._varonly
+    entry._build_index()
+    assert (entry._buckets, entry._varonly) == in_place
+    assert solutions(rt, "k(1, N)") == [{"N": "2"}, {"N": "6"}, {"N": "8"}]
+
+
+def test_retract_all_by_first_argument_leaves_other_clauses(rt):
+    rt.consult_text("m(a, 1). m(b, 2). m(X, 3). m(a, 4).")
+    entry = rt.engine.entry("user", "m", 2)
+    before = entry.clauses
+    assert rt.engine.retract_all_clauses("user", "m", 2, first=Atom("zz")) == 0
+    assert entry.clauses is before and not entry._dirty
+    assert rt.engine.retract_all_clauses("user", "m", 2, first=Atom("a")) == 2
+    assert solutions(rt, "m(K, N)") == [{"K": "b", "N": "2"}, {"K": "K", "N": "3"}]
+
+
+# -- answers against the reference solver ---------------------------------------------
+
+VARS = ("X", "Y")
+PREDS = 3
+
+
+_leaf = st.one_of(st.sampled_from([("var", v) for v in VARS]),
+                  st.sampled_from([("atom", "a"), ("atom", "b"), ("int", 0), ("int", 1)]))
+_term = st.recursive(_leaf, lambda sub: st.one_of(
+    st.tuples(st.just("f"), sub), st.tuples(st.just("g"), sub, sub)), max_leaves=3)
+
+
+def _goal(level):
+    # calls are listed twice to draw them more often than the other goals
+    calls = [st.tuples(st.just("call"), st.just(j), st.lists(_term, min_size=2, max_size=2))
+             for j in range(level)] * 2
+    simple = st.one_of(
+        st.tuples(st.just("="), _term, _term),
+        st.sampled_from([("!",), ("true",), ("fail",)]),
+        *calls)
+    inner = st.one_of(simple, st.tuples(st.just(","), simple, simple))
+    return st.one_of(
+        simple, *calls,
+        st.tuples(st.just("ite"), inner, inner, inner),
+        st.tuples(st.just("alt"), inner, inner),
+        st.tuples(st.just("not"), inner))
+
+
+def _program():
+    def pred(level):
+        clause = st.tuples(st.lists(_term, min_size=2, max_size=2),
+                           st.lists(_goal(level), max_size=3 if level else 0))
+        return st.lists(clause, min_size=2, max_size=4)
+
+    return st.tuples(*(pred(level) for level in range(PREDS)))
+
+
+def _build(sym, env):
+    kind = sym[0]
+    if kind == "var":
+        return env.setdefault(sym[1], Var(sym[1]))
+    if kind == "atom":
+        return Atom(sym[1])
+    if kind == "int":
+        return sym[1]
+    if kind == "call":
+        return Struct(f"p{sym[1]}", tuple(_build(a, env) for a in sym[2]))
+    if kind == "ite":
+        cond, then, els = (_build(g, env) for g in sym[1:])
+        return Struct(";", (Struct("->", (cond, then)), els))
+    if kind == "alt":
+        return Struct(";", tuple(_build(g, env) for g in sym[1:]))
+    if kind == "not":
+        return Struct("\\+", (_build(sym[1], env),))
+    if len(sym) == 1:
+        return Atom(sym[0])
+    return Struct(sym[0], tuple(_build(a, env) for a in sym[1:]))
+
+
+def _clauses(program):
+    out = []
+    for level, clauses in enumerate(program):
+        for args, goals in clauses:
+            env: dict = {}
+            head = Struct(f"p{level}", tuple(_build(a, env) for a in args))
+            body = Atom("true")
+            for g in reversed(goals):
+                body = _build(g, env) if body is Atom("true") else \
+                    Struct(",", (_build(g, env), body))
+            out.append((head, body))
+    return out
+
+
+MAX_ANSWERS = 40
+
+
+def _query():
+    return Struct(f"p{PREDS - 1}", (Var("A"), Var("B")))
+
+
+def _engine_answers(clauses, indexing, occurs_check):
+    query = _query()
+    engine = Engine(indexing=indexing, occurs_check=occurs_check, out=io.StringIO())
+    _builtins.install(engine)
+    for head, body in clauses:
+        engine.assert_term(Struct(":-", (head, body)))
+    out = []
+    q = engine.solve(query)
+    for _ in q:
+        out.append(resolve_copy(query))
+        if len(out) == MAX_ANSWERS:
+            break
+    q.close()
+    return out
+
+
+def _same(ours, ref):
+    return len(ours) == len(ref) and all(is_variant(a, b) for a, b in zip(ours, ref))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_program())
+def test_answers_match_the_reference_solver(program):
+    clauses = _clauses(program)
+    query = _query()
+    events: dict = {}
+    ref = []
+    for subst in oracle_solve(clauses, query, occurs_check=True, events=events):
+        ref.append(oracle_resolve(query, subst))
+        if len(ref) == MAX_ANSWERS:
+            break
+    modes = [True]
+    if not events:
+        # no unification met the occurs check, so without it no cyclic term
+        # is made and the answers are the same
+        modes.append(False)
+    for occurs_check in modes:
+        for indexing in (True, False):
+            ours = _engine_answers(clauses, indexing, occurs_check)
+            assert _same(ours, ref), (indexing, occurs_check,
+                                      [term_text(a) for a in ours],
+                                      [term_text(a) for a in ref])
