@@ -11,16 +11,20 @@ twice yields the same `@N`.
 
 Methods implemented by logic clauses are dispatched through
 `pce_principal:send_implementation/3` (or `get_implementation/4`), keyed by
-the indexable method-id atom.  The classic path runs the clause in a nested
-solve and commits to its first solution; methods flagged pure-logic are
-pushed into the calling machine instead, skipping conversion entirely, so
-their choice points stay live and tail calls stay flat.
+the indexable method-id atom.  A classic send or get from logic code runs
+that goal in the calling machine, inside a scope frame that holds the
+call's host-data scope: the goal commits to its first solution, and the
+scope closes on exit, on failure or on an exception.  Methods flagged
+pure-logic are pushed into the calling machine with no scope and no
+conversion, so their choice points stay live.  A call from native code (an
+`initialise` run by new/2, an event, a message) runs the goal in a nested
+solve, since a Python frame is waiting for its answer.
 """
 
 from __future__ import annotations
 
 from .balls import bridge_error
-from .engine import PushGoal
+from .engine import PushGoal, Scope
 from .hostdata import HostTermObject
 from .kernel import (
     ANY_T,
@@ -31,6 +35,7 @@ from .kernel import (
     InstanceOf,
     KMethod,
     KObject,
+    LogicImpl,
     NilOr,
     TypeSpec,
     type_spec_term,
@@ -42,9 +47,39 @@ class _ConvFail(Exception):
     """A compound argument's initialise failed: the bridge call fails."""
 
 
+class _CallScope(Scope):
+    """The host-data scope of one classic send, or get when `result` is
+    set, run in the calling machine (see `Bridge._call_in_machine`)."""
+
+    __slots__ = ("bridge", "method", "result", "answer", "fid", "ledger")
+
+    def __init__(self, bridge, method: KMethod, result):
+        self.bridge = bridge
+        self.method = method
+        self.result = result
+        self.fid, self.ledger = bridge.rt.hostdata.open_scope()
+
+    def exit(self, m) -> bool:
+        if self.result is None:
+            return True
+        # the result joins this call's ledger, so the post-call protocol
+        # judges a fresh wrapper made for it
+        bridge = self.bridge
+        method = self.method
+        value = bridge.term_to_value(self.answer, method.returns, method.selector, -1)
+        return unify(self.result, bridge.value_to_term(value),
+                     m.engine.trail, m.engine.occurs_check)
+
+    def close(self) -> None:
+        self.bridge.rt.hostdata.close_scope(self.fid, self.ledger)
+
+
 class Bridge:
     def __init__(self, runtime):
         self.rt = runtime
+        # set while `_call_in_machine` dispatches through the kernel: the
+        # logic hooks then hand the implementation goal back to it
+        self._to_machine = False
         kernel = runtime.kernel
         kernel.logic_send = self.logic_send
         kernel.logic_get = self.logic_get
@@ -194,12 +229,25 @@ class Bridge:
         return Struct("get_implementation", (mid, msg, ObjRef(obj.oid), result))
 
     def logic_send(self, method: KMethod, obj: KObject, values) -> bool:
+        """The kernel's hook for a send to a logic-implemented method.  From
+        `_call_in_machine` it returns the implementation goal for the calling
+        machine to run; from native code it runs the goal in a nested solve
+        and commits to its first solution."""
+        if self._to_machine:
+            return self._implementation_goal(method, obj,
+                                             [self.value_to_term(v) for v in values])
         with self.rt.hostdata.bridge_call():
             terms = [self.value_to_term(v) for v in values]
             goal = self._implementation_goal(method, obj, terms)
             return self.rt.engine.solve_once(goal, "pce_principal")
 
     def logic_get(self, method: KMethod, obj: KObject, values):
+        """As `logic_send`; the nested solve returns the result value, or
+        None on failure."""
+        if self._to_machine:
+            return self._implementation_goal(method, obj,
+                                             [self.value_to_term(v) for v in values],
+                                             Var("Result"))
         with self.rt.hostdata.bridge_call():
             terms = [self.value_to_term(v) for v in values]
             result = Var("Result")
@@ -221,8 +269,39 @@ class Bridge:
 
     # -- send/get/new/free --------------------------------------------------------
 
-    def _dispatch_send(self, obj: KObject, method: KMethod, arg_terms,
+    def _call_in_machine(self, m, obj: KObject, method: KMethod, arg_terms,
+                         selector: str, result: Term = None) -> bool:
+        """A classic send, or get when `result` is given, of a
+        logic-implemented method, run in the calling machine `m`: open the
+        call's scope, convert and type-check the arguments, dispatch through
+        the kernel (whose logic hook hands back the implementation goal) and
+        let `m` run the goal in the scope.  The scope then closes on the
+        goal's exit, on its failure or on an exception."""
+        scope = _CallScope(self, method, result)
+        kernel = self.rt.kernel
+        try:
+            vals = self.convert_args(method, arg_terms, selector)
+            self._to_machine = True
+            if result is None:
+                goal = kernel.invoke_send(obj, method, vals)
+            else:
+                goal = kernel.invoke_get(obj, method, vals)
+                scope.answer = goal.args[3]  # the implementation's result variable
+        except _ConvFail:
+            scope.close()
+            return False
+        except BaseException:
+            scope.close()
+            raise
+        finally:
+            self._to_machine = False
+        m.call_scoped(goal, "pce_principal", scope)
+        return True
+
+    def _dispatch_send(self, m, obj: KObject, method: KMethod, arg_terms,
                        selector: str) -> bool:
+        if type(method.impl) is LogicImpl:
+            return self._call_in_machine(m, obj, method, arg_terms, selector)
         with self.rt.hostdata.bridge_call():
             try:
                 vals = self.convert_args(method, arg_terms, selector)
@@ -252,7 +331,7 @@ class Bridge:
             goal = Struct("send_implementation",
                           (Atom(method.impl.method_id), msg, ObjRef(obj.oid)))
             return PushGoal(goal, "pce_principal")
-        return self._dispatch_send(obj, method, arg_terms, selector)
+        return self._dispatch_send(m, obj, method, arg_terms, selector)
 
     def _bi_send_class(self, m, args, ns):
         obj = self.deref_obj(args[0], "send_class")
@@ -264,7 +343,7 @@ class Bridge:
         kernel = self.rt.kernel
         kernel.check_live(obj, selector)
         method = kernel.resolve_from(obj, cname.name, selector, "send")
-        return self._dispatch_send(obj, method, arg_terms, selector)
+        return self._dispatch_send(m, obj, method, arg_terms, selector)
 
     def _bi_get(self, m, args, ns):
         ref = args[0]
@@ -283,6 +362,8 @@ class Bridge:
         if method is None:
             raise bridge_error("unknown_method",
                                Struct("context", (Atom(obj.kclass.name), Atom(selector))))
+        if type(method.impl) is LogicImpl:
+            return self._call_in_machine(m, obj, method, arg_terms, selector, result)
         with self.rt.hostdata.bridge_call():
             try:
                 vals = self.convert_args(method, arg_terms, selector)

@@ -9,7 +9,6 @@ from .balls import (
     permission_error,
     type_error,
 )
-from .errors import LogicError
 from .terms import Atom, Struct, Var, deref, resolve_copy, structural_eq, unify
 from .writer import term_text
 
@@ -240,18 +239,5 @@ def _noop1(m, args, ns):
 
 
 def _catch(m, args, ns):
-    goal, catcher, recovery = args
-    engine = m.engine
-
-    def gen():
-        trail = engine.trail
-        mark = trail.mark()
-        try:
-            yield from engine.solve(goal, ns, protect=True)
-        except LogicError as err:
-            trail.undo_to(mark)
-            if not unify(catcher, err.term, trail, engine.occurs_check):
-                raise
-            yield from engine.solve(recovery, ns, protect=True)
-
-    return gen()
+    m.catch(args[0], args[1], args[2], ns)
+    return True

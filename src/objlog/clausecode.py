@@ -123,8 +123,9 @@ def instantiate(prog: tuple, vs: list) -> tuple:
 
 # -- compiled goals ------------------------------------------------------------
 
-# Goal operations.  Those below CUT take arguments, built per call.
-CALL, BUILTIN, CALLN, THROW, META, CUT, FAIL, ALT, ITE, NOT = range(10)
+# Goal operations.  Those below CUT take arguments, built per call; EXIT
+# ends the goal of a catch/3 frame or of a scope run in the calling machine.
+CALL, BUILTIN, CALLN, THROW, META, CUT, FAIL, ALT, ITE, NOT, EXIT = range(11)
 
 
 class Goal:
@@ -155,6 +156,8 @@ _CUT_GOAL = Goal(CUT)
 _FAIL_GOAL = Goal(FAIL)
 COMMIT = (_CUT_GOAL,)
 COMMIT_FAIL = (_CUT_GOAL, _FAIL_GOAL)
+EXIT_GOAL = Goal(EXIT)
+COMMIT_EXIT = (_CUT_GOAL, EXIT_GOAL)
 
 # The control constructs the body compiler resolves, by name and arity;
 # `call` takes any arity from 1 up.  No clause may be asserted for one.
@@ -170,10 +173,12 @@ def is_control(name: str, arity: int) -> bool:
 def arg_goal(op: int, t: Term, ns: str, slots: Optional[dict], fresh) -> Goal:
     """A goal whose arguments are those of `t`: held as they are at run
     time (`slots` None), else compiled to a program over the clause's
-    slots."""
-    if type(t) is Atom:
-        return Goal(op, ns, t.name)
+    slots.  A user goal (`CALL`) gets its predicate key."""
     g = Goal(op, ns, t.name)
+    if op == CALL:
+        g.key = (ns, t.name, len(t.args) if type(t) is Struct else 0)
+    if type(t) is Atom:
+        return g
     if slots is None:
         g.args = t.args
         return g
@@ -222,7 +227,6 @@ def compile_body(term: Term, ns: str, builtins: dict,
             fn = builtins.get((name, n))
             if fn is None:
                 g = arg_goal(CALL, t, ns, slots, fresh)
-                g.key = (ns, name, n)
             else:
                 g = arg_goal(BUILTIN, t, ns, slots, fresh)
                 g.fn = fn

@@ -12,7 +12,9 @@ choice-point stack, so deterministic tail calls run in constant depth and
 deep conjunctions never touch the Python stack.  Cut prunes to the barrier
 of its node, if-then-else commits by a cut to the height before its
 condition, and nondeterministic native predicates are generator choice
-points.
+points.  `catch/3` is a catch frame on the same stack, and a call the
+bridge runs in the calling machine is a `Scope` frame there, so neither
+nests a solve.
 
 Two namespaces exist, `user` and `pce_principal`; a goal `M:G` resolves G
 in namespace M and nothing more.  Clause lists are copy-on-write so running
@@ -38,13 +40,17 @@ from .clausecode import (
     CALL,
     CALLN,
     COMMIT,
+    COMMIT_EXIT,
     COMMIT_FAIL,
     CUT,
+    EXIT,
+    EXIT_GOAL,
     FAIL,
     ITE,
     META,
     NAMESPACES,
     Goal,
+    arg_goal,
     compile_body,
     instantiate,
     is_control,
@@ -261,6 +267,41 @@ class _IterCP:
         self.mark = mark
 
 
+class _CatchCP:
+    """A catch/3 frame.  `height` is its index on the choice-point stack;
+    the continuation node of its goal carries the frame itself, which is how
+    `Machine._unwind` tells an active frame from one whose goal has exited."""
+
+    __slots__ = ("catcher", "recovery", "ns", "cont", "depth", "mark", "height")
+
+    def __init__(self, catcher, recovery, ns, cont, depth, mark, height):
+        self.catcher = catcher
+        self.recovery = recovery
+        self.ns = ns
+        self.cont = cont
+        self.depth = depth
+        self.mark = mark
+        self.height = height
+
+
+class Scope:
+    """A frame on the choice-point stack around a goal that
+    `Machine.call_scoped` runs to its first solution in the calling machine.
+
+    When the goal exits, the frame is popped and `exit` decides whether the
+    call succeeds.  The machine calls `close` exactly once: right after
+    `exit`, when backtracking reaches the frame (its bindings undone first),
+    or when an exception prunes past it."""
+
+    __slots__ = ("cont", "depth", "mark")
+
+    def exit(self, m: "Machine") -> bool:
+        return True
+
+    def close(self) -> None:
+        pass
+
+
 def _goal_term(name: str, args: tuple) -> Term:
     return Struct(name, args) if args else Atom(name)
 
@@ -300,15 +341,91 @@ class Machine:
             trail.guards -= 1
             if type(cp) is _IterCP:
                 cp.it.close()
+            elif isinstance(cp, Scope):
+                cp.close()
 
     def close(self) -> None:
-        self.prune_to(0)
+        """Drop every choice point.  Each scope among them is closed even if
+        closing another one fails; the last failure is raised, as nested
+        `with` blocks would raise it."""
+        failure = None
+        while self.cps:
+            try:
+                self.prune_to(0)
+            except Exception as exc:
+                failure = exc
+        if failure is not None:
+            raise failure
 
     def _push_cp(self, cp) -> None:
         self.cps.append(cp)
         self.engine.trail.guards += 1
         if len(self.cps) > self.peak_cps:
             self.peak_cps = len(self.cps)
+
+    def _pop_frame(self) -> None:
+        """Pop the frame on top of the stack.  With no guard left nothing can
+        undo past here, so the trail is dead weight and is dropped."""
+        self.cps.pop()
+        trail = self.engine.trail
+        trail.guards -= 1
+        if trail.guards == 0:
+            trail.entries.clear()
+
+    # -- frames run in this machine -----------------------------------------
+
+    def catch(self, goal: Term, catcher: Term, recovery: Term, ns: str) -> None:
+        """catch/3: run `goal` under a catch frame, opaque to cut, as call/1
+        runs it; see `_unwind` for what a ball does."""
+        cp = _CatchCP(catcher, recovery, ns, self.cont, self.depth,
+                      self.engine.trail.mark(), len(self.cps))
+        self._push_cp(cp)
+        self.push((late_goal(goal, ns), EXIT_GOAL), cp, len(self.cps))
+
+    def call_scoped(self, goal: Struct, ns: str, scope: Scope) -> None:
+        """Run `goal`, a call of a user predicate of namespace `ns`, to its
+        first solution inside `scope`: the frame goes on the choice-point
+        stack, a cut to the height before the goal commits to its first
+        solution, as once/1 does, and the exit step follows."""
+        scope.cont = self.cont
+        scope.depth = self.depth
+        scope.mark = self.engine.trail.mark()
+        self._push_cp(scope)
+        self.push((arg_goal(CALL, goal, ns, None, None), *COMMIT_EXIT), scope, len(self.cps))
+
+    def _unwind(self, err: LogicError) -> None:
+        """A ball raised in the main loop (ISO/IEC 13211-1, 7.8.9).  The
+        innermost active catch frame is the first one met along the
+        continuation, since a frame's goal node leaves it when the goal
+        exits.  Everything above the frame is pruned, closing the scopes on
+        the way, and its bindings are undone; if its catcher unifies with the
+        ball, the recovery runs in the place of catch/3, else the search goes
+        on outward from there.  Re-raises the ball when no frame catches it."""
+        engine = self.engine
+        trail = engine.trail
+        while True:
+            node = self.cont
+            while node is not None and type(node[2]) is not _CatchCP:
+                node = node[4]
+            if node is None:
+                raise err
+            cp = node[2]
+            while True:
+                try:
+                    self.prune_to(cp.height + 1)
+                    break
+                except LogicError as exc:  # a scope failed to close: its ball goes on
+                    err = exc
+            trail.undo_to(cp.mark)
+            caught = unify(cp.catcher, err.term, trail, engine.occurs_check)
+            if not caught:
+                trail.undo_to(cp.mark)
+            self._pop_frame()
+            self.cont = cp.cont
+            self.depth = cp.depth
+            if caught:
+                self.push((late_goal(cp.recovery, cp.ns),), None, len(self.cps))
+                return
 
     # -- main loop -------------------------------------------------------
 
@@ -317,58 +434,71 @@ class Machine:
         forward = True
         try:
             while True:
-                if forward:
-                    cont = self.cont
-                    if cont is None:
-                        yield None
-                        forward = False
-                        continue
-                    code, pc, vs, bar, nxt = cont
-                    goal = code[pc]
-                    pc += 1
-                    if pc < len(code):
-                        self.cont = (code, pc, vs, bar, nxt)
+                try:
+                    if forward:
+                        cont = self.cont
+                        if cont is None:
+                            yield None
+                            forward = False
+                            continue
+                        code, pc, vs, bar, nxt = cont
+                        goal = code[pc]
+                        pc += 1
+                        if pc < len(code):
+                            self.cont = (code, pc, vs, bar, nxt)
+                        else:
+                            self.cont = nxt
+                            self.depth -= 1
+                        self.frame = vs
+                        forward = self.exec_goal(goal, goal.ns, bar)
                     else:
-                        self.cont = nxt
-                        self.depth -= 1
-                    self.frame = vs
-                    forward = self.exec_goal(goal, goal.ns, bar)
-                else:
-                    cps = self.cps
-                    if not cps:
-                        return
-                    cp = cps[-1]
-                    tcp = type(cp)
-                    if tcp is _ClauseCP:
-                        trail.undo_to(cp.mark)
-                        if cp.i >= len(cp.clauses):
+                        cps = self.cps
+                        if not cps:
+                            return
+                        cp = cps[-1]
+                        tcp = type(cp)
+                        if tcp is _ClauseCP:
+                            trail.undo_to(cp.mark)
+                            if cp.i >= len(cp.clauses):
+                                cps.pop()
+                                trail.guards -= 1
+                                continue
+                            clause = cp.clauses[cp.i]
+                            cp.i += 1
+                            if self.try_clause(clause, cp.args, cp.bodybar, cp.cont, cp.depth):
+                                forward = True
+                        elif tcp is _AltCP:
                             cps.pop()
                             trail.guards -= 1
-                            continue
-                        clause = cp.clauses[cp.i]
-                        cp.i += 1
-                        if self.try_clause(clause, cp.args, cp.bodybar, cp.cont, cp.depth):
+                            trail.undo_to(cp.mark)
+                            self.cont = cp.cont
+                            self.depth = cp.depth
+                            self.push(cp.code, cp.vs, cp.barrier)
                             forward = True
-                    elif tcp is _AltCP:
-                        cps.pop()
-                        trail.guards -= 1
-                        trail.undo_to(cp.mark)
-                        self.cont = cp.cont
-                        self.depth = cp.depth
-                        self.push(cp.code, cp.vs, cp.barrier)
-                        forward = True
-                    else:  # _IterCP
-                        trail.undo_to(cp.mark)
-                        try:
-                            next(cp.it)
-                        except StopIteration:
+                        elif tcp is _IterCP:
+                            trail.undo_to(cp.mark)
+                            # a ball from the generator is raised where its goal ran
+                            self.cont = cp.cont
+                            self.depth = cp.depth
+                            try:
+                                next(cp.it)
+                            except StopIteration:
+                                cps.pop()
+                                trail.guards -= 1
+                                continue
+                            cp.mark = trail.mark()
+                            forward = True
+                        else:  # a catch frame or a scope: its goal has no more solutions
                             cps.pop()
                             trail.guards -= 1
-                            continue
-                        cp.mark = trail.mark()
-                        self.cont = cp.cont
-                        self.depth = cp.depth
-                        forward = True
+                            trail.undo_to(cp.mark)
+                            if tcp is not _CatchCP:
+                                self.cont = cp.cont
+                                self.depth = cp.depth
+                                cp.close()
+                except LogicError as err:
+                    self._unwind(err)
+                    forward = True
         finally:
             self.close()
 
@@ -421,6 +551,16 @@ class Machine:
             return True
         if op == FAIL:
             return False
+        if op == EXIT:  # the goal of a catch frame or a scope has exited
+            frame = self.frame
+            if self.cps[-1] is frame:  # always so for a scope, after its commit
+                self._pop_frame()
+            if type(frame) is _CatchCP:
+                return True
+            try:
+                return frame.exit(self)
+            finally:
+                frame.close()
         vs = self.frame
         mark = self.engine.trail.mark()
         if op == ALT:
@@ -565,7 +705,11 @@ class Query:
 
     `close()` before exhaustion commits: choice points are dropped but the
     bindings of the last solution stay.  When `protect` is set, exhausting
-    the query restores all bindings made since it started.
+    the query restores all bindings made since it started.  Without it, an
+    exhausted query leaves its goal term's bindings unspecified: those made
+    while no choice point was live were never trailed and stay, the others
+    are lost.  To solve the same goal term again, pass `protect=True` or
+    parse a fresh goal.
     """
 
     def __init__(self, engine: "Engine", goal: Term, ns: str, protect: bool):
@@ -731,6 +875,9 @@ class Engine:
         return compile_body(g, ns, self.builtins)
 
     def solve(self, goal: Term, ns: str = "user", protect: bool = False) -> Query:
+        """An iterator over the solutions of `goal`.  Exhausted without
+        `protect`, it leaves the goal term partly bound (see `Query`): pass
+        `protect=True`, or parse a fresh goal, to solve it again."""
         return Query(self, goal, ns, protect)
 
     def solve_once(self, goal: Term, ns: str = "user") -> bool:

@@ -68,22 +68,32 @@ class HostData:
 
     # -- call scoping ------------------------------------------------------
 
-    @contextmanager
-    def bridge_call(self):
-        """Scope of one kernel/logic crossing: a term frame plus a transient
-        ledger; the post-call protocol runs on exit, errors included."""
-        store = self.rt.store
-        fid = store.open_frame()
+    def open_scope(self) -> tuple:
+        """Open the scope of one kernel/logic crossing: a term frame plus a
+        transient ledger, returned as `(frame id, ledger)`.  Scopes nest
+        strictly; `close_scope` must end each one exactly once, errors
+        included."""
         ledger: list = []
         self.ledgers.append(ledger)
+        return self.rt.store.open_frame(), ledger
+
+    def close_scope(self, fid: int, ledger: list) -> None:
+        """End the innermost scope: the post-call protocol, then its frame."""
+        self.ledgers.pop()
+        try:
+            self._post_call(ledger)
+        finally:
+            self.rt.store.close_frame(fid)
+
+    @contextmanager
+    def bridge_call(self):
+        """One crossing as a `with` block; the post-call protocol runs on
+        exit, errors included."""
+        fid, ledger = self.open_scope()
         try:
             yield ledger
         finally:
-            self.ledgers.pop()
-            try:
-                self._post_call(ledger)
-            finally:
-                store.close_frame(fid)
+            self.close_scope(fid, ledger)
 
     def _ledger(self) -> list:
         if not self.ledgers:

@@ -7,8 +7,10 @@ accessors, or identifiers of logic-side clauses dispatched through hooks
 the bridge installs.  Instances are reference counted: the count covers
 incoming slot references, explicit locks and transient bridge holds, and
 an object whose count falls to zero with no locks is destroyed, releasing
-its own references in turn.  `destroy` can also be forced, leaving a
-tombstone that turns any further use into a freed-object error.
+its own references in turn.  `destroy` can also be forced.  A destroyed
+object leaves the instance table; since oids only grow, a reference to an
+oid that was handed out and is no longer in the table is a freed-object
+error, and anyone holding the object itself sees `KObject.freed`.
 
 Values stored in slots are ints, floats, interned atoms or kernel objects
 (including the well-known `@nil`).  The well-known objects are permanent:
@@ -368,9 +370,9 @@ class Kernel:
         else:
             obj = self.objects.get(oid)
         if obj is None:
+            if type(oid) is int and 0 < oid < self._next_oid:
+                raise bridge_error("freed_object", ObjRef(oid), context)
             raise bridge_error("stale_reference", ObjRef(oid), context)
-        if obj.freed:
-            raise bridge_error("freed_object", ObjRef(oid), context)
         return obj
 
     # -- dispatch ----------------------------------------------------------
@@ -536,7 +538,7 @@ class Kernel:
             self._destroy_cascade(obj)
 
     def destroy(self, obj: KObject) -> None:
-        """Force destruction regardless of count; leaves a tombstone."""
+        """Force destruction regardless of count."""
         if obj.permanent:
             raise permission_error("free", ObjRef(obj.oid))
         if obj.freed:
@@ -550,6 +552,7 @@ class Kernel:
             if obj.freed:
                 continue
             obj.freed = True
+            del self.objects[obj.oid]
             self.live_count -= 1
             self.destroyed_total += 1
             refs = [v for v in obj.slots.values() if isinstance(v, KObject)]
@@ -568,7 +571,7 @@ class Kernel:
     # -- auditing ----------------------------------------------------------------
 
     def live_objects(self) -> list:
-        return [o for o in self.objects.values() if not o.freed]
+        return list(self.objects.values())
 
     def live_count_of(self, class_name: str) -> int:
         return sum(1 for o in self.live_objects() if o.kclass.name == class_name)

@@ -42,9 +42,14 @@ def solution_snapshot(varmap: dict) -> dict:
         raise LogicError(Struct("representation_error", (Atom("cyclic_term"),)))
 
 
-# Bridge re-entrancy (logic -> kernel -> logic) consumes Python stack; a
-# modest limit raise buys several hundred nesting levels while staying well
-# inside the interpreter's C stack.
+# Logic sends, gets and catch/3 do not use the Python stack, but some code
+# recurses once per level of nesting: the reader and `term_text`
+# per level of a compound term, `eval_arith` per level of an expression,
+# and each native -> logic call (an `initialise` run by new/2, an event, a
+# message to @prolog) runs a nested solve.  At the interpreter's default
+# limit of 1000, reading or writing f(f(...)) 900 deep, or `is/2` on a sum
+# of 3000 terms, raises RecursionError; this raise lets them run about 16
+# times deeper, well inside the interpreter's C stack.
 _RECURSION_LIMIT = 16_000
 
 
@@ -89,6 +94,9 @@ class Runtime:
     # -- running goals ---------------------------------------------------------
 
     def solve(self, goal, ns: str = "user", protect: bool = False) -> Query:
+        """Solutions of a goal term or text (see `Engine.solve`).  A goal
+        term solved to exhaustion without `protect` is left partly bound:
+        pass `protect=True`, or parse a fresh goal, to solve it again."""
         if isinstance(goal, str):
             goal, _ = parse_term(goal)
         return self.engine.solve(goal, ns, protect)

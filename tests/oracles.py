@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from objlog.balls import instantiation_error
 from objlog.terms import Atom, ObjRef, Struct, Var, deref
 
 
@@ -104,14 +105,26 @@ class _Cut(Exception):
         self.level = level
 
 
+class OracleThrow(Exception):
+    """A ball thrown by `oracle_solve`'s throw/1, as a plain tree."""
+
+    def __init__(self, ball):
+        super().__init__(ball)
+        self.ball = ball
+
+
 def oracle_solve(program, goal, occurs_check=False, events=None):
     """The answers of `goal` against `program`, a list of (head, body)
     terms, as substitutions in the order of SLD resolution.
 
-    Covers Horn clauses, `=`/2, `true`, `fail`, `,`, `;`, `->`, `\\+` and
-    cut.  Each goal list is a linked list of (goal, cut level) pairs; a cut
-    runs its continuation and then raises `_Cut` up to the call that owns
-    its level, which tries no more clauses."""
+    Covers Horn clauses, `=`/2, `true`, `fail`, `,`, `;`, `->`, `\\+`, cut,
+    `catch/3` and `throw/1`.  Each goal list is a linked list of (goal, cut
+    level) pairs; a cut runs its continuation and then raises `_Cut` up to
+    the call that owns its level, which tries no more clauses.  A ball is a
+    renamed copy of the thrown term, raised as `OracleThrow`; catch/3 runs
+    its goal on its own, so only balls from the goal reach it, and runs the
+    recovery from the substitution it started with.  A variable ball is
+    thrown as `instantiation_error("throw/1")`."""
     table: dict = {}
     for head, body in program:
         head = deref(head)
@@ -151,6 +164,30 @@ def oracle_solve(program, goal, occurs_check=False, events=None):
             yield from ite(args[0], args[1], Atom("fail"), level, rest, subst)
         elif key == ("\\+", 1):
             yield from ite(args[0], Atom("fail"), Atom("true"), level, rest, subst)
+        elif key == ("throw", 1):
+            ball = oracle_resolve(args[0], subst)
+            if type(ball) is Var:
+                raise OracleThrow(instantiation_error("throw/1").term)
+            raise OracleThrow(oracle_rename(ball, {}))
+        elif key == ("catch", 3):
+            own = object()
+            inner = solve(((args[0], own), None), subst)
+            while True:
+                try:
+                    got = next(inner)
+                except StopIteration:
+                    return
+                except _Cut as cut:
+                    if cut.level is not own:
+                        raise
+                    return
+                except OracleThrow as thrown:
+                    caught = oracle_unify(args[1], thrown.ball, subst, occurs_check, events)
+                    if caught is None:
+                        raise
+                    yield from solve(((args[2], object()), rest), caught)
+                    return
+                yield from solve(rest, got)
         else:
             own = object()
             try:

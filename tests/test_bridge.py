@@ -334,3 +334,73 @@ def test_nondet_dispatch_keeps_last_call_optimization(rt):
         assert sum(1 for _ in q) == 1
         peaks.append(q.machine.peak_depth)
     assert peaks[0] == peaks[1]
+
+
+# -- classic calls run in the calling machine ------------------------------------------
+
+SCOPED = """
+:- pce_begin_class(scoped, object).
+variable(data, prolog, both, "the last term stored").
+fails(O, _B:box, T:prolog) :-> send(O, data, T), fail.
+throws(O, _B:box, T:prolog) :-> send(O, data, T), throw(oops).
+picks(O, _B:box, T:prolog) :-> member(_, [1, 2, 3]), send(O, data, T).
+:- pce_end_class(scoped).
+"""
+
+
+@pytest.mark.parametrize("in_catch", [False, True])
+@pytest.mark.parametrize("method", ["fails", "throws", "picks"])
+def test_scope_closes_on_failure_exception_and_backtracking(rt, method, in_catch):
+    # `picks` succeeds, then its caller backtracks into the committed call
+    rt.consult_text(SCOPED)
+    ref = term_text(once(rt, "new(O, scoped)")["O"])
+    goal = f"send({ref}, {method}(box(1, 1), t(a))), fail"
+    if in_catch:
+        goal = f"catch(({goal}), E, true)"
+    if method == "throws" and not in_catch:
+        with pytest.raises(LogicError) as err:
+            rt.once(goal)
+        assert term_text(err.value.term) == "oops"
+    elif method == "throws":
+        assert term_text(rt.once(goal)["E"]) == "oops"
+    else:
+        assert rt.once(goal) is None
+    assert rt.hostdata.ledgers == [] and rt.audit_refcounts() == []
+    assert rt.kernel.live_count_of("box") == 0
+    assert rt.store.records_live == 1 and rt.hostdata.wrappers_live == 1
+    assert term_text(once(rt, f"get({ref}, data, D)")["D"]) == "t(a)"
+    assert rt.call(f"free({ref})")
+    assert rt.kernel.live_count == rt.baseline_live
+    assert rt.store.records_live == 0 and rt.engine.trail.guards == 0
+
+
+DEEP = 100_000
+
+RECURSIVE = """
+:- pce_begin_class(recursive, object).
+down(O, N:int) :-> ( N > 0 -> N1 is N - 1, send(O, down(N1)) ; true ).
+depth(O, N:int, D) :<- ( N > 0 -> N1 is N - 1, get(O, depth(N1), D0), D is D0 + 1 ; D = 0 ).
+bind(_O) :-> X = f(Y), Y = 1, X = f(_).
+:- pce_end_class(recursive).
+
+spin(0, _) :- !.
+spin(N, O) :- send(O, bind), N1 is N - 1, spin(N1, O).
+"""
+
+
+def test_send_and_get_recursion_is_limited_by_the_heap(rt):
+    rt.consult_text(RECURSIVE)
+    ref = term_text(once(rt, "new(O, recursive)")["O"])
+    assert rt.call(f"send({ref}, down({DEEP}))")
+    assert once(rt, f"get({ref}, depth({DEEP}), D)")["D"] == DEEP
+    assert rt.hostdata.ledgers == [] and rt.engine.trail.guards == 0
+
+
+def test_loop_of_classic_sends_keeps_the_trail_short(rt):
+    rt.consult_text(RECURSIVE)
+    ref = term_text(once(rt, "new(O, recursive)")["O"])
+    goal, _ = parse_term(f"spin({DEEP}, {ref})")
+    q = rt.engine.solve(goal)
+    next(q)
+    assert len(rt.engine.trail.entries) < 10
+    q.close()

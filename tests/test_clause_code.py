@@ -16,7 +16,7 @@ from objlog.errors import LogicError
 from objlog.reader import parse_term
 from objlog.terms import Atom, Struct, Var, deref, is_variant, resolve_copy
 from objlog.writer import term_text
-from oracles import oracle_resolve, oracle_solve
+from oracles import OracleThrow, oracle_resolve, oracle_solve
 
 
 def solutions(rt, text):
@@ -191,6 +191,85 @@ def test_trace_call_lines_are_unchanged(tmp_path, capsys):
     assert capsys.readouterr().out == TRACE_GOLDEN
 
 
+# classic sends and gets: an int argument, a prolog argument, a logic get,
+# send_class/3 and catch/3 around a failing send
+METHOD_TRACE_PROGRAM = """
+:- pce_begin_class(counter, object).
+variable(count, int, both, "the count").
+initialise(O) :-> send(O, count, 0).
+bump(O, N:int) :-> get(O, count, C), C1 is C + N, send(O, count, C1).
+note(_O, T:prolog) :-> T = noted(_).
+total(O, Extra:int, T) :<- get(O, count, C), T is C + Extra.
+refuse(_O) :-> fail.
+:- pce_end_class(counter).
+
+:- pce_begin_class(sub_counter, counter).
+bump(O, N:int) :-> send_class(O, counter, bump(N)), send(O, note(_)).
+:- pce_end_class(sub_counter).
+
+test(R) :- new(O, sub_counter), send(O, bump(2)), send(O, note(X)),
+    get(O, total(1), T), send_class(O, counter, bump(3)),
+    ( catch(send(O, refuse), _, true) -> F = yes ; F = no ),
+    free(O), R = r(X, T, F).
+"""
+
+# the output of the engine that ran each classic method in a nested solve
+METHOD_TRACE_GOLDEN = """\
+CALL pce_begin_class(counter, object)
+CALL pce_end_class(counter)
+CALL pce_begin_class(sub_counter, counter)
+CALL pce_end_class(sub_counter)
+CALL test(R)
+CALL new(_G1, sub_counter)
+CALL pce_principal:pce_class(sub_counter, Super)
+CALL pce_principal:pce_class(counter, Super)
+CALL pce_principal:pce_slot(counter, _G1, _G2, _G3, _G4)
+CALL pce_principal:pce_pure(counter, _G1)
+CALL pce_principal:pce_method(counter, _G1, _G2, _G3, _G4, _G5)
+CALL pce_principal:pce_slot(sub_counter, _G1, _G2, _G3, _G4)
+CALL pce_principal:pce_pure(sub_counter, _G1)
+CALL pce_principal:pce_method(sub_counter, _G1, _G2, _G3, _G4, _G5)
+CALL pce_principal:send_implementation('counter->initialise', initialise, @3)
+CALL send(@3, count(0))
+CALL send(@3, bump(2))
+CALL pce_principal:send_implementation('sub_counter->bump', bump(2), @3)
+CALL send_class(@3, counter, bump(2))
+CALL pce_principal:send_implementation('counter->bump', bump(2), @3)
+CALL get(@3, count, _G1)
+CALL _G1 is 0+2
+CALL send(@3, count(2))
+CALL send(@3, note(_G1))
+CALL pce_principal:send_implementation('counter->note', note(_G1), @3)
+CALL _G1 = noted(_G2)
+CALL send(@3, note(_G1))
+CALL pce_principal:send_implementation('counter->note', note(_G1), @3)
+CALL _G1 = noted(_G2)
+CALL get(@3, total(1), _G1)
+CALL pce_principal:get_implementation('counter<-total', total(1), @3, Result)
+CALL get(@3, count, _G1)
+CALL _G1 is 2+1
+CALL send_class(@3, counter, bump(3))
+CALL pce_principal:send_implementation('counter->bump', bump(3), @3)
+CALL get(@3, count, _G1)
+CALL _G1 is 2+3
+CALL send(@3, count(5))
+CALL catch(send(@3, refuse), _G1, true)
+CALL send(@3, refuse)
+CALL pce_principal:send_implementation('counter->refuse', refuse, @3)
+CALL _G1 = no
+CALL free(@3)
+CALL _G1 = r(noted(_G2), 3, no)
+R = r(noted(_G1), 3, no)
+"""
+
+
+def test_trace_of_classic_method_calls_is_unchanged(tmp_path, capsys):
+    path = tmp_path / "prog.pl"
+    path.write_text(METHOD_TRACE_PROGRAM)
+    assert main(["--trace", "--consult", str(path), "--goal", "test(R)"]) == 0
+    assert capsys.readouterr().out == METHOD_TRACE_GOLDEN
+
+
 # -- the first-argument index ------------------------------------------------------------
 
 
@@ -234,13 +313,15 @@ def _goal(level):
     simple = st.one_of(
         st.tuples(st.just("="), _term, _term),
         st.sampled_from([("!",), ("true",), ("fail",)]),
+        st.tuples(st.just("throw"), _term),
         *calls)
     inner = st.one_of(simple, st.tuples(st.just(","), simple, simple))
     return st.one_of(
         simple, *calls,
         st.tuples(st.just("ite"), inner, inner, inner),
         st.tuples(st.just("alt"), inner, inner),
-        st.tuples(st.just("not"), inner))
+        st.tuples(st.just("not"), inner),
+        st.tuples(st.just("catch"), inner, _term, inner))
 
 
 def _program():
@@ -303,11 +384,27 @@ def _engine_answers(clauses, indexing, occurs_check):
         engine.assert_term(Struct(":-", (head, body)))
     out = []
     q = engine.solve(query)
-    for _ in q:
-        out.append(resolve_copy(query))
-        if len(out) == MAX_ANSWERS:
-            break
+    try:
+        for _ in q:
+            out.append(resolve_copy(query))
+            if len(out) == MAX_ANSWERS:
+                break
+    except LogicError as err:
+        out.append(Struct("uncaught", (err.term,)))
     q.close()
+    return out
+
+
+def _reference_answers(clauses, occurs_check, events):
+    query = _query()
+    out = []
+    try:
+        for subst in oracle_solve(clauses, query, occurs_check, events):
+            out.append(oracle_resolve(query, subst))
+            if len(out) == MAX_ANSWERS:
+                break
+    except OracleThrow as thrown:
+        out.append(Struct("uncaught", (thrown.ball,)))
     return out
 
 
@@ -319,13 +416,8 @@ def _same(ours, ref):
 @given(_program())
 def test_answers_match_the_reference_solver(program):
     clauses = _clauses(program)
-    query = _query()
     events: dict = {}
-    ref = []
-    for subst in oracle_solve(clauses, query, occurs_check=True, events=events):
-        ref.append(oracle_resolve(query, subst))
-        if len(ref) == MAX_ANSWERS:
-            break
+    ref = _reference_answers(clauses, True, events)
     modes = [True]
     if not events:
         # no unification met the occurs check, so without it no cyclic term

@@ -1,7 +1,10 @@
+import io
+
 import pytest
 
 from objlog.errors import LogicError
 from objlog.reader import parse_term
+from objlog.runtime import Runtime
 from objlog.terms import Atom, Struct, resolve_copy
 from objlog.writer import term_text
 
@@ -152,6 +155,56 @@ def test_catch_is_transparent_to_backtracking(rt):
 def test_catch_restores_bindings_on_error(rt):
     got = solutions(rt, "catch((X = 1, throw(oop)), E, true)")
     assert got == [{"X": "X", "E": "oop"}]
+
+
+def test_catch_is_active_only_while_its_goal_runs(rt):
+    consult(rt, "p(1). p(2). p(3).")
+    # a ball from the continuation passes a catch whose goal has exited
+    with pytest.raises(LogicError) as err:
+        solutions(rt, "catch(p(X), _, true), X >= 2, throw(late(X))")
+    assert term_text(err.value.term) == "late(2)"
+    # backtracking into the goal after it exited makes the frame active again
+    assert solutions(rt, "catch((p(X), (X == 2 -> throw(two) ; true)), E, "
+                         "(R = caught(E), X = 9)), X >= 2") == [
+        {"X": "9", "E": "two", "R": "caught(two)"}]
+    assert solutions(rt, "catch(p(X), _, true), X >= 2") == [{"X": "2"}, {"X": "3"}]
+
+
+def test_catch_unwinds_outward_and_its_recovery_runs_outside(rt):
+    assert solutions(rt, "catch(catch(throw(a), b, R = inner), a, R = outer)") == [
+        {"R": "outer"}]
+    assert solutions(rt, "catch(catch(throw(a), a, throw(b)), E, true)") == [{"E": "b"}]
+    # the goal is called as call/1: cut is local, a bad goal is its own error
+    assert solutions(rt, "catch((member(X, [1, 2]), !), _, true)") == [{"X": "1"}]
+    got = solutions(rt, "catch(G, instantiation_error(W), true)")
+    assert [s["W"] for s in got] == ["goal"]
+    assert rt.engine.trail.guards == 0
+
+
+def test_catch_recursion_is_limited_by_the_heap(rt):
+    consult(rt, """
+    c(0) :- !.
+    c(N) :- N1 is N - 1, catch(c(N1), _, true).
+    t(0) :- !, throw(bottom).
+    t(N) :- N1 is N - 1, catch(t(N1), other, true).
+    """)
+    assert solutions(rt, "c(100000)") == [{}]
+    assert solutions(rt, "catch(t(100000), B, true)") == [{"B": "bottom"}]
+    assert rt.engine.trail.guards == 0
+
+
+def test_exhausted_query_without_protect_leaves_bindings_unspecified(rt):
+    program = "q(x). q(y). p2(A, B) :- q(A), !, B = a."
+    consult(rt, program)
+    goal, _ = parse_term("p2(A, B)")
+    assert [term_text(resolve_copy(goal)) for _ in rt.engine.solve(goal, protect=True)] == [
+        "p2(x, a)"]
+    assert term_text(resolve_copy(goal)) == "p2(A, B)"
+    # the same term then gives the same answers in a second engine
+    again = Runtime(out=io.StringIO())
+    consult(again, program)
+    assert [term_text(resolve_copy(goal)) for _ in again.engine.solve(goal, protect=True)] == [
+        "p2(x, a)"]
 
 
 def test_unknown_predicate_raises(rt):

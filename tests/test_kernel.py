@@ -221,6 +221,22 @@ def test_destroy_then_use_is_freed_error(rt):
         k.destroy(obj)  # double free
 
 
+def test_freed_objects_leave_the_table(rt):
+    before = len(rt.kernel.objects)
+    for _ in range(20_000):
+        assert rt.call("new(B, box(1, 1)), free(B)")
+    assert len(rt.kernel.objects) == before
+    ref = rt.once("new(B, box(1, 1))")["B"]
+    assert rt.call(f"free(@{ref.ref})")
+    with pytest.raises(LogicError) as err:
+        rt.kernel.fetch(ref.ref)
+    assert bridge_kind(err.value) == "freed_object"
+    for oid in (0, -1, 999_999):
+        with pytest.raises(LogicError) as err:
+            rt.kernel.fetch(oid)
+        assert bridge_kind(err.value) == "stale_reference"
+
+
 def test_lock_prevents_collection(rt):
     k = rt.kernel
     obj = k.instantiate(k.find_class("point"), [0, 0])
