@@ -42,6 +42,10 @@ def evaluation_error(what: str) -> LogicError:
     return LogicError(Struct("evaluation_error", (Atom(what),)))
 
 
+def representation_error(what: str) -> LogicError:
+    return LogicError(Struct("representation_error", (Atom(what),)))
+
+
 def declaration_error(what: Term) -> LogicError:
     return LogicError(Struct("declaration_error", (what,)))
 

@@ -3,10 +3,13 @@ clause store updates and catch/3.  Bridge predicates live in `bridge`."""
 
 from __future__ import annotations
 
+import operator
+
 from .balls import (
     evaluation_error,
     instantiation_error,
     permission_error,
+    representation_error,
     type_error,
 )
 from .terms import Atom, Struct, Var, deref, resolve_copy, structural_eq, unify
@@ -32,12 +35,8 @@ def install(engine) -> None:
     reg("callable", 1, lambda m, a, ns: type(deref(a[0])) in (Atom, Struct))
 
     reg("is", 2, _is2)
-    reg("<", 2, _cmp(lambda x, y: x < y))
-    reg(">", 2, _cmp(lambda x, y: x > y))
-    reg("=<", 2, _cmp(lambda x, y: x <= y))
-    reg(">=", 2, _cmp(lambda x, y: x >= y))
-    reg("=:=", 2, _cmp(lambda x, y: x == y))
-    reg("=\\=", 2, _cmp(lambda x, y: x != y))
+    for name, _op, fn in _COMPARISONS:
+        reg(name, 2, fn)
 
     reg("between", 3, _between)
     reg("copy_term", 2, _copy_term)
@@ -65,12 +64,18 @@ def _unify2(m, args, ns):
 
 
 def _not_unify2(m, args, ns):
+    # the bindings are undone either way, so they are recorded even when no
+    # choice point is live: a unification that fails part way undoes its own
     trail = m.engine.trail
     mark = trail.mark()
-    if unify(args[0], args[1], trail, m.engine.occurs_check):
-        trail.undo_to(mark)
-        return False
-    return True
+    trail.guards += 1
+    try:
+        if unify(args[0], args[1], trail, m.engine.occurs_check):
+            trail.undo_to(mark)
+            return False
+        return True
+    finally:
+        trail.guards -= 1
 
 
 def _copy_term(m, args, ns):
@@ -80,56 +85,100 @@ def _copy_term(m, args, ns):
 # -- arithmetic --------------------------------------------------------------
 
 
+class ArithOp:
+    """An evaluable functor: its name, its arity (1 or 2) and the Python
+    function that computes it from the values of its arguments."""
+
+    __slots__ = ("name", "arity", "fn")
+
+    def __init__(self, name: str, arity: int, fn):
+        self.name = name
+        self.arity = arity
+        self.fn = fn
+
+
+def _divide(a, b):
+    if b == 0:
+        raise evaluation_error("zero_divisor")
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return a / b
+
+
+def _int_args(a, b):
+    if type(a) is not int or type(b) is not int:
+        raise type_error("integer", a if type(a) is not int else b)
+    if b == 0:
+        raise evaluation_error("zero_divisor")
+
+
+def _int_divide(a, b):
+    _int_args(a, b)
+    return a // b
+
+
+def _mod(a, b):
+    _int_args(a, b)
+    return a % b
+
+
+# The evaluable functors by (name, arity): the one place their semantics
+# are written, for `eval_arith` and for the expression code `clausecode`
+# compiles clause-body arithmetic into.
+ARITH_OPS = {(op.name, op.arity): op for op in (
+    ArithOp("+", 2, operator.add),
+    ArithOp("-", 2, operator.sub),
+    ArithOp("*", 2, operator.mul),
+    ArithOp("/", 2, _divide),
+    ArithOp("//", 2, _int_divide),
+    ArithOp("mod", 2, _mod),
+    ArithOp("min", 2, min),
+    ArithOp("max", 2, max),
+    ArithOp("-", 1, operator.neg),
+    ArithOp("+", 1, operator.pos),
+    ArithOp("abs", 1, abs),
+)}
+
+
 def eval_arith(t):
-    t = deref(t)
-    ty = type(t)
-    if ty is int or ty is float:
-        return t
-    if ty is Var:
-        raise instantiation_error("arithmetic")
-    if ty is Struct:
-        name = t.name
-        n = len(t.args)
-        if n == 2:
-            a = eval_arith(t.args[0])
-            b = eval_arith(t.args[1])
-            if name == "+":
-                return a + b
-            if name == "-":
-                return a - b
-            if name == "*":
-                return a * b
-            if name == "/":
-                if b == 0:
-                    raise evaluation_error("zero_divisor")
-                if type(a) is int and type(b) is int and a % b == 0:
-                    return a // b
-                return a / b
-            if name == "//":
-                if type(a) is not int or type(b) is not int:
-                    raise type_error("integer", a if type(a) is not int else b)
-                if b == 0:
-                    raise evaluation_error("zero_divisor")
-                return a // b
-            if name == "mod":
-                if type(a) is not int or type(b) is not int:
-                    raise type_error("integer", a if type(a) is not int else b)
-                if b == 0:
-                    raise evaluation_error("zero_divisor")
-                return a % b
-            if name == "min":
-                return min(a, b)
-            if name == "max":
-                return max(a, b)
-        elif n == 1:
-            a = eval_arith(t.args[0])
-            if name == "-":
-                return -a
-            if name == "+":
-                return a
-            if name == "abs":
-                return abs(a)
-    raise type_error("evaluable", t)
+    """The value of an arithmetic expression.  Iterative, so an expression
+    of any depth evaluates.  Arguments are evaluated left to right before
+    their functor is looked up, so a compound of arity 1 or 2 that is not
+    evaluable raises its type error only after its arguments evaluated.  A
+    cyclic term (made with the occurs check off) is a representation
+    error."""
+    vals: list = []
+    todo = [t]
+    path: set = set()  # the compounds whose arguments are being evaluated
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:  # (compound,): its argument values are on `vals`
+            t = t[0]
+            path.discard(id(t))
+            op = ARITH_OPS.get((t.name, len(t.args)))
+            if op is None:
+                raise type_error("evaluable", t)
+            if op.arity == 2:
+                b = vals.pop()
+                vals[-1] = op.fn(vals[-1], b)
+            else:
+                vals[-1] = op.fn(vals[-1])
+            continue
+        t = deref(t)
+        ty = type(t)
+        if ty is int or ty is float:
+            vals.append(t)
+        elif ty is Var:
+            raise instantiation_error("arithmetic")
+        elif ty is Struct and len(t.args) <= 2:
+            if id(t) in path:
+                raise representation_error("cyclic_term")
+            path.add(id(t))
+            todo.append((t,))
+            todo.extend(reversed(t.args))
+        else:
+            raise type_error("evaluable", t)
+    return vals[0]
 
 
 def _is2(m, args, ns):
@@ -141,6 +190,17 @@ def _cmp(op):
         return op(eval_arith(args[0]), eval_arith(args[1]))
 
     return fn
+
+
+# The comparison builtins: name, comparison, registered function.
+_COMPARISONS = tuple((name, op, _cmp(op)) for name, op in (
+    ("<", operator.lt), (">", operator.gt), ("=<", operator.le),
+    (">=", operator.ge), ("=:=", operator.eq), ("=\\=", operator.ne)))
+
+# The arithmetic builtins by their registered function, with what
+# `clausecode` compiles a clause-body call of one into: None for is/2, else
+# its comparison.
+ARITH_BUILTINS = {_is2: None, **{fn: op for _name, op, fn in _COMPARISONS}}
 
 
 def _between(m, args, ns):

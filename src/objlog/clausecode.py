@@ -18,6 +18,19 @@ goal carries its predicate key and caches the entry on its first successful
 lookup.  Only argument terms are built per call.  Goals met at run time (a
 query, `call/N`, a variable goal) compile the same way with their variables
 held as they are.
+
+A clause-body `is/2` or comparison (`<` `>` `=<` `>=` `=:=` `=\\=`) compiles
+each of its expressions to expression code: a flat postfix tuple whose
+entries are an int i, the number in slot i; `(n,)`, the number n; and an
+`ArithOp`, applied to the values its arity takes off the stack.  `eval_code`
+runs it in one loop, so a call builds no term and nothing recurses.  An
+`is/2` at the top level of a body (outside `;`, `->`, `\\+` and `once`)
+whose left side is a variable first met there, and not in its expression,
+writes the number straight into that variable's slot: no variable is made,
+bound or trailed.  Only the goals after it read that slot, and backtracking
+to a point before it runs it again.  An expression with a part that is not
+evaluable as written (an atom, an unknown functor) stays a builtin call,
+and `eval_arith` raises its error when the goal runs.
 """
 
 from __future__ import annotations
@@ -25,6 +38,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Optional
 
+from .builtins import ARITH_BUILTINS, ARITH_OPS, ArithOp, eval_arith
 from .terms import TRUE, Atom, Struct, Term, Var, deref
 
 NAMESPACES = ("user", "pce_principal")
@@ -121,11 +135,70 @@ def instantiate(prog: tuple, vs: list) -> tuple:
         out.append(s)
 
 
+# -- expression code -------------------------------------------------------------
+
+
+def expr_code(p) -> Optional[tuple]:
+    """The expression code of term program `p`, or None when a part of it
+    is not evaluable as written."""
+    out: list = []
+    todo = [p]
+    while todo:
+        p = todo.pop()
+        tp = type(p)
+        if tp is int or tp is ArithOp:  # a slot, or an operator after its arguments
+            out.append(p)
+        elif tp is float:
+            out.append((p,))
+        elif tp is tuple and len(p) == 1:  # an integer
+            out.append(p)
+        else:
+            if tp is tuple:
+                name, args = p[0], p[1:]
+            elif tp is Struct:  # a ground compound: its integers are plain ints
+                name = p.name
+                args = tuple((a,) if type(a) is int else a for a in p.args)
+            else:
+                return None
+            op = ARITH_OPS.get((name, len(args)))
+            if op is None:
+                return None
+            todo.append(op)
+            todo.extend(reversed(args))
+    return tuple(out)
+
+
+def eval_code(code: tuple, vs: list):
+    """The value of expression code against frame `vs`.  A slot that holds
+    anything but a number goes to `eval_arith`, which evaluates a compound
+    and raises the error an unbound variable or an atom calls for."""
+    stack: list = []
+    for p in code:
+        tp = type(p)
+        if tp is int:
+            x = vs[p]
+            if type(x) is Var:
+                x = deref(x)
+            if type(x) is not int and type(x) is not float:
+                x = eval_arith(x)
+            stack.append(x)
+        elif tp is tuple:
+            stack.append(p[0])
+        elif p.arity == 2:
+            b = stack.pop()
+            stack[-1] = p.fn(stack[-1], b)
+        else:
+            stack[-1] = p.fn(stack[-1])
+    return stack[0]
+
+
 # -- compiled goals ------------------------------------------------------------
 
 # Goal operations.  Those below CUT take arguments, built per call; EXIT
-# ends the goal of a catch/3 frame or of a scope run in the calling machine.
-CALL, BUILTIN, CALLN, THROW, META, CUT, FAIL, ALT, ITE, NOT, EXIT = range(11)
+# ends the goal of a catch/3 frame or of a scope run in the calling machine;
+# those above EXIT are arithmetic and run from expression code: IS and SET
+# (is/2 into a fresh slot) and COMPARE.
+CALL, BUILTIN, CALLN, THROW, META, CUT, FAIL, ALT, ITE, NOT, EXIT, IS, SET, COMPARE = range(14)
 
 
 class Goal:
@@ -134,7 +207,11 @@ class Goal:
     `args` holds fixed arguments; otherwise `prog` (or the faster `get`, when
     every argument is a slot) builds them from the frame.  A user goal
     caches its predicate entry in `entry`; a builtin's function is `fn`;
-    control goals keep their sub-bodies in `a`, `b` and `c`."""
+    control goals keep their sub-bodies in `a`, `b` and `c`.  An arithmetic
+    goal keeps its expression code in `a` (and `b`, a comparison's right
+    side), its comparison in `fn`, the slot of an `is/2`'s left side in
+    `key` (None when that side is not a variable), and in `prog` the
+    program of the whole goal, built only for the trace."""
 
     __slots__ = ("op", "ns", "name", "key", "args", "prog", "get", "fn", "entry",
                  "a", "b", "c")
@@ -192,6 +269,42 @@ def arg_goal(op: int, t: Term, ns: str, slots: Optional[dict], fresh) -> Goal:
     return g
 
 
+def arith_goal(t: Struct, ns: str, compare, slots: dict, fresh: list, top: bool
+               ) -> Optional[Goal]:
+    """A clause-body is/2 (`compare` None) or comparison compiled to
+    expression code, or None when an expression is not evaluable as
+    written.  `top` says the goal is at the top level of the body."""
+    left, right = t.args
+    if compare is not None:
+        lp = program(left, slots, fresh)
+        rp = program(right, slots, fresh)
+        a = expr_code(lp)
+        b = expr_code(rp)
+        if a is None or b is None:
+            return None
+        g = Goal(COMPARE, ns, t.name)
+        g.b = b
+        g.fn = compare
+    else:
+        rp = program(right, slots, fresh)
+        a = expr_code(rp)
+        if a is None:
+            return None
+        left = deref(left)
+        if top and type(left) is Var and id(left) not in slots:
+            g = Goal(SET, ns, t.name)
+            g.key = slots[id(left)] = len(slots)
+            lp = ~g.key
+        else:
+            g = Goal(IS, ns, t.name)
+            lp = program(left, slots, fresh)
+            if type(lp) is int:
+                g.key = lp
+    g.a = a
+    g.prog = (t.name, lp, rp)
+    return g
+
+
 def late_goal(t: Term, ns: str, slots: Optional[dict] = None, fresh=None) -> Goal:
     """A goal compiled only when it runs, transparent to cut: a variable, a
     term that is not callable, or a goal under an unknown namespace."""
@@ -225,9 +338,12 @@ def compile_body(term: Term, ns: str, builtins: dict,
             continue
         if not is_control(name, n):
             fn = builtins.get((name, n))
+            g = None
             if fn is None:
                 g = arg_goal(CALL, t, ns, slots, fresh)
-            else:
+            elif slots is not None and fn in ARITH_BUILTINS:
+                g = arith_goal(t, ns, ARITH_BUILTINS[fn], slots, fresh, out is root)
+            if g is None:
                 g = arg_goal(BUILTIN, t, ns, slots, fresh)
                 g.fn = fn
             out.append(g)

@@ -42,16 +42,20 @@ from .clausecode import (
     COMMIT,
     COMMIT_EXIT,
     COMMIT_FAIL,
+    COMPARE,
     CUT,
     EXIT,
     EXIT_GOAL,
     FAIL,
+    IS,
     ITE,
     META,
     NAMESPACES,
+    SET,
     Goal,
     arg_goal,
     compile_body,
+    eval_code,
     instantiate,
     is_control,
     late_goal,
@@ -92,7 +96,8 @@ class PushGoal:
 class Clause:
     """A clause as asserted (`head`, `body`) plus its compiled form: the
     head match program `hcode` (None for an atom head), the body goals
-    `code`, the frame size `nvars` and the body-only slots `fresh`."""
+    `code`, the frame size `nvars` and `fresh`, the slots of the body's
+    variables that get a fresh variable before the body runs."""
 
     __slots__ = ("head", "body", "key", "nvars", "hcode", "code", "fresh")
 
@@ -459,12 +464,11 @@ class Machine:
                         tcp = type(cp)
                         if tcp is _ClauseCP:
                             trail.undo_to(cp.mark)
-                            if cp.i >= len(cp.clauses):
-                                cps.pop()
-                                trail.guards -= 1
-                                continue
                             clause = cp.clauses[cp.i]
                             cp.i += 1
+                            if cp.i == len(cp.clauses):  # the last clause: pop first (trust_me)
+                                cps.pop()
+                                trail.guards -= 1
                             if self.try_clause(clause, cp.args, cp.bodybar, cp.cont, cp.depth):
                                 forward = True
                         elif tcp is _AltCP:
@@ -546,6 +550,23 @@ class Machine:
             if type(ball) is Var:
                 raise instantiation_error("throw/1")
             raise LogicError(resolve_copy(ball))
+        if op > EXIT:  # arithmetic: runs from expression code, builds no term
+            vs = self.frame
+            engine = self.engine
+            if engine.trace:
+                engine.trace_port("call", new_struct(goal.name, instantiate(goal.prog, vs)), ns)
+            if op == COMPARE:
+                return goal.fn(eval_code(goal.a, vs), eval_code(goal.b, vs))
+            x = eval_code(goal.a, vs)
+            k = goal.key
+            if op == SET:
+                vs[k] = x
+                return True
+            lhs = deref(vs[k] if k is not None else instantiate(goal.prog, vs)[0])
+            if type(lhs) is Var:
+                bind(lhs, x, engine.trail)
+                return True
+            return unify(lhs, x, engine.trail, engine.occurs_check)
         if op == CUT:
             self.prune_to(barrier)
             return True
@@ -825,18 +846,26 @@ class Engine:
         entry = self.preds.get((ns, name, arity))
         if entry is None:
             return False
+        # a clause that does not match must leave no binding behind, so the
+        # tries are recorded even when no choice point is live
         trail = self.trail
-        for clause in entry.clauses:
-            mark = trail.mark()
-            mapping: dict = {}
-            h = rename_term(clause.head, mapping)
-            b = rename_term(clause.body, mapping)
-            if unify(head, h, trail, self.occurs_check) and unify(body, b, trail,
-                                                                  self.occurs_check):
-                entry.remove(clause)
-                return True
-            trail.undo_to(mark)
-        return False
+        trail.guards += 1
+        try:
+            for clause in entry.clauses:
+                mark = trail.mark()
+                mapping: dict = {}
+                h = rename_term(clause.head, mapping)
+                b = rename_term(clause.body, mapping)
+                if unify(head, h, trail, self.occurs_check) and unify(body, b, trail,
+                                                                      self.occurs_check):
+                    entry.remove(clause)
+                    return True
+                trail.undo_to(mark)
+            return False
+        finally:
+            trail.guards -= 1
+            if trail.guards == 0:
+                trail.entries.clear()
 
     def retract_all_clauses(self, ns: str, name: str, arity: int, first: Term = None,
                             keep: Optional[Callable] = None) -> int:

@@ -13,14 +13,15 @@ from typing import Iterator, Optional
 
 from . import builtins as _builtins
 from . import toolkit
+from .balls import representation_error
 from .bridge import Bridge
 from .compiler import ClassCompiler
 from .engine import Engine, LoadReport, Query
-from .errors import CyclicTermError, LogicError
+from .errors import CyclicTermError
 from .hostdata import HostData
 from .kernel import Kernel
 from .reader import parse_term
-from .terms import Atom, Struct, TermStore, resolve_copy
+from .terms import TermStore, resolve_copy
 
 PRELUDE = """
 member(X, [X|_]).
@@ -39,17 +40,16 @@ def solution_snapshot(varmap: dict) -> dict:
     try:
         return {name: resolve_copy(v) for name, v in varmap.items()}
     except CyclicTermError:
-        raise LogicError(Struct("representation_error", (Atom("cyclic_term"),)))
+        raise representation_error("cyclic_term")
 
 
-# Logic sends, gets and catch/3 do not use the Python stack, but some code
-# recurses once per level of nesting: the reader and `term_text`
-# per level of a compound term, `eval_arith` per level of an expression,
-# and each native -> logic call (an `initialise` run by new/2, an event, a
-# message to @prolog) runs a nested solve.  At the interpreter's default
-# limit of 1000, reading or writing f(f(...)) 900 deep, or `is/2` on a sum
-# of 3000 terms, raises RecursionError; this raise lets them run about 16
-# times deeper, well inside the interpreter's C stack.
+# Logic sends, gets, catch/3 and arithmetic do not use the Python stack,
+# but some code recurses once per level of nesting: the reader and
+# `term_text` per level of a compound term, and each native -> logic call
+# (an `initialise` run by new/2, an event, a message to @prolog) runs a
+# nested solve.  At the interpreter's default limit of 1000, reading or
+# writing f(f(...)) 900 deep raises RecursionError; this raise lets them run
+# about 16 times deeper, well inside the interpreter's C stack.
 _RECURSION_LIMIT = 16_000
 
 

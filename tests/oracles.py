@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from objlog.balls import instantiation_error
+from objlog.balls import evaluation_error, instantiation_error, type_error
 from objlog.terms import Atom, ObjRef, Struct, Var, deref
 
 
@@ -99,6 +99,48 @@ def oracle_rename(t, mapping: dict):
     return t
 
 
+def _floor_divide(a, b):
+    if b == 0:
+        raise OracleThrow(evaluation_error("zero_divisor").term)
+    return a // b
+
+
+_ORACLE_OPS = {
+    ("+", 2): lambda a, b: a + b,
+    ("-", 2): lambda a, b: a - b,
+    ("*", 2): lambda a, b: a * b,
+    ("//", 2): _floor_divide,
+    ("-", 1): lambda a: -a,
+}
+
+_ORACLE_COMPARE = {
+    "<": lambda a, b: a < b,
+    ">": lambda a, b: a > b,
+    "=<": lambda a, b: a <= b,
+    ">=": lambda a, b: a >= b,
+    "=:=": lambda a, b: a == b,
+    "=\\=": lambda a, b: a != b,
+}
+
+
+def oracle_eval(t, subst):
+    """The value of an integer expression under a substitution, by
+    recursion: a compound of arity 1 or 2 evaluates its arguments left to
+    right before its functor is looked up.  Errors are raised as the
+    engine's balls."""
+    t = oracle_walk(t, subst)
+    if type(t) is int:
+        return t
+    if type(t) is Var:
+        raise OracleThrow(instantiation_error("arithmetic").term)
+    if type(t) is Struct and len(t.args) <= 2:
+        vals = [oracle_eval(a, subst) for a in t.args]
+        op = _ORACLE_OPS.get((t.name, len(t.args)))
+        if op is not None:
+            return op(*vals)
+    raise OracleThrow(type_error("evaluable", oracle_resolve(t, subst)).term)
+
+
 class _Cut(Exception):
     def __init__(self, level):
         super().__init__()
@@ -117,14 +159,15 @@ def oracle_solve(program, goal, occurs_check=False, events=None):
     """The answers of `goal` against `program`, a list of (head, body)
     terms, as substitutions in the order of SLD resolution.
 
-    Covers Horn clauses, `=`/2, `true`, `fail`, `,`, `;`, `->`, `\\+`, cut,
-    `catch/3` and `throw/1`.  Each goal list is a linked list of (goal, cut
-    level) pairs; a cut runs its continuation and then raises `_Cut` up to
-    the call that owns its level, which tries no more clauses.  A ball is a
-    renamed copy of the thrown term, raised as `OracleThrow`; catch/3 runs
-    its goal on its own, so only balls from the goal reach it, and runs the
-    recovery from the substitution it started with.  A variable ball is
-    thrown as `instantiation_error("throw/1")`."""
+    Covers Horn clauses, `=`/2, `\\=`/2, `true`, `fail`, `,`, `;`, `->`,
+    `\\+`, cut, `catch/3`, `throw/1`, and `is/2` and the six comparisons
+    over integers (see `oracle_eval`).  Each goal list is a linked list of
+    (goal, cut level) pairs; a cut runs its continuation and then raises
+    `_Cut` up to the call that owns its level, which tries no more clauses.
+    A ball is a renamed copy of the thrown term, raised as `OracleThrow`;
+    catch/3 runs its goal on its own, so only balls from the goal reach it,
+    and runs the recovery from the substitution it started with.  A
+    variable ball is thrown as `instantiation_error("throw/1")`."""
     table: dict = {}
     for head, body in program:
         head = deref(head)
@@ -153,6 +196,16 @@ def oracle_solve(program, goal, occurs_check=False, events=None):
             got = oracle_unify(args[0], args[1], subst, occurs_check, events)
             if got is not None:
                 yield from solve(rest, got)
+        elif key == ("\\=", 2):
+            if oracle_unify(args[0], args[1], subst, occurs_check, events) is None:
+                yield from solve(rest, subst)
+        elif key == ("is", 2):
+            got = oracle_unify(args[0], oracle_eval(args[1], subst), subst, occurs_check, events)
+            if got is not None:
+                yield from solve(rest, got)
+        elif len(args) == 2 and name in _ORACLE_COMPARE:
+            if _ORACLE_COMPARE[name](oracle_eval(args[0], subst), oracle_eval(args[1], subst)):
+                yield from solve(rest, subst)
         elif key == (";", 2):
             left = oracle_walk(args[0], subst)
             if type(left) is Struct and left.name == "->" and len(left.args) == 2:

@@ -1,7 +1,7 @@
 """The compiled clause form: control constructs that cannot be asserted,
-deep clauses, late-defined callees, the --trace text, the first-argument
-index kept up to date in place, and answer sequences checked against the
-substitution-based reference solver."""
+deep clauses, late-defined callees, the --trace text, arithmetic compiled
+with the clause, the first-argument index kept up to date in place, and
+answer sequences checked against the substitution-based reference solver."""
 
 import io
 
@@ -270,6 +270,73 @@ def test_trace_of_classic_method_calls_is_unchanged(tmp_path, capsys):
     assert capsys.readouterr().out == METHOD_TRACE_GOLDEN
 
 
+# -- arithmetic compiled with the clause -------------------------------------------------
+
+@pytest.mark.parametrize("head, body, expected", [
+    ("undone", "( X is 1, fail ; true ), var(X)", [{}]),
+    ("tens(X)", "member(A, [1, 2]), B is A * 10, X = B", [{"X": "10"}, {"X": "20"}]),
+    ("self_ref(X)", "X is X + 1", "instantiation_error(arithmetic)"),
+    ("unknown(X)", "X is foo + 1", "type_error(evaluable, foo)"),
+    ("by_zero(X)", "X is 1 / 0", "evaluation_error(zero_divisor)"),
+    ("checks", "3 is 1 + 2, 1 + 1 =:= 2.0", [{}]),
+    ("held(Y)", "X = 1 + 2, Y is X", [{"Y": "3"}]),
+])
+def test_compiled_arithmetic_answers_as_the_query_does(rt, head, body, expected):
+    # the clause body is compiled to expression code; the same goals run as
+    # a query are compiled at run time and evaluated by eval_arith
+    report = rt.consult_text(f"{head} :- {body}.")
+    assert report.ok, report.errors
+    names = set(parse_term(head)[1])
+
+    def answers(text):
+        try:
+            return [{k: v for k, v in a.items() if k in names} for a in solutions(rt, text)]
+        except LogicError as err:
+            return term_text(err.term)
+
+    assert answers(head) == expected
+    assert answers(body) == expected
+
+
+def test_new_is_variable_gets_no_fresh_variable(rt):
+    rt.consult_text("top(Y) :- X is 1, Y = X. nested(Y) :- ( X is 1 ; true ), Y = X.")
+    assert rt.engine.entry("user", "top", 1).clauses[0].fresh == ()
+    assert rt.engine.entry("user", "nested", 1).clauses[0].fresh == (1,)
+    assert solutions(rt, "top(Y)") == [{"Y": "1"}]
+    assert solutions(rt, "nested(Y)") == [{"Y": "1"}, {"Y": "_G1"}]
+
+
+def test_cyclic_expression_is_a_representation_error(rt):
+    rt.consult_text("cyc(Y) :- X = X + 1, Y is X.")
+    for goal in ("cyc(Y)", "X = X + 1, Y is X", "X = X + 1, X > 0"):
+        with pytest.raises(LogicError) as err:
+            solutions(rt, goal)
+        assert term_text(err.value.term) == "representation_error(cyclic_term)"
+    # a term shared within an expression is not a cycle
+    assert solutions(rt, "X = 1 + 1, Y = X * X, Z is Y") == [
+        {"X": "1+1", "Y": "(1+1) * (1+1)", "Z": "4"}]
+
+
+def test_deep_expressions_evaluate_without_recursion(rt):
+    depth = 100_000
+    total = Struct("+", (0, 1))
+    for i in range(2, depth + 1):
+        total = Struct("+", (total, i))
+    x = Var("X")
+    assert rt.engine.solve_once(Struct("is", (x, total)))
+    assert deref(x) == depth * (depth + 1) // 2
+    # the same expression over a frame slot, compiled with its clause
+    y = Var("Y")
+    deep = Struct("+", (y, 1))
+    for _ in range(depth):
+        deep = Struct("+", (deep, 1))
+    r = Var("R")
+    rt.engine.assert_term(Struct(":-", (Struct("deep_sum", (y, r)), Struct("is", (r, deep)))))
+    got = Var("G")
+    assert rt.engine.solve_once(Struct("deep_sum", (5, got)))
+    assert deref(got) == 5 + depth + 1
+
+
 # -- the first-argument index ------------------------------------------------------------
 
 
@@ -297,6 +364,7 @@ def test_retract_all_by_first_argument_leaves_other_clauses(rt):
 # -- answers against the reference solver ---------------------------------------------
 
 VARS = ("X", "Y")
+NUM = "Z"  # only ever the left side of is/2 or a use after it, so its is/2 can be its first
 PREDS = 3
 
 
@@ -305,23 +373,52 @@ _leaf = st.one_of(st.sampled_from([("var", v) for v in VARS]),
 _term = st.recursive(_leaf, lambda sub: st.one_of(
     st.tuples(st.just("f"), sub), st.tuples(st.just("g"), sub, sub)), max_leaves=3)
 
+# integer expressions; `a` and f/1 are not evaluable, `//` can divide by zero
+_expr = st.recursive(
+    st.sampled_from([("var", "X"), ("var", "Y"), ("var", NUM), ("int", 0), ("int", 1),
+                     ("int", 2), ("int", 3), ("atom", "a")]),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*", "+", "-", "*", "//"]), sub, sub),
+        st.tuples(st.sampled_from(["-", "f"]), sub)),
+    max_leaves=3)
+_compare = st.tuples(st.sampled_from(["<", ">", "=<", ">=", "=:=", "=\\="]), _expr, _expr)
+_is = st.tuples(st.just("is"), st.one_of(st.just(("var", NUM)), _leaf), _expr)
+
 
 def _goal(level):
     # calls are listed twice to draw them more often than the other goals
     calls = [st.tuples(st.just("call"), st.just(j), st.lists(_term, min_size=2, max_size=2))
              for j in range(level)] * 2
     simple = st.one_of(
-        st.tuples(st.just("="), _term, _term),
+        st.tuples(st.sampled_from(["=", "=", "\\="]), _term, _term),
         st.sampled_from([("!",), ("true",), ("fail",)]),
         st.tuples(st.just("throw"), _term),
+        _is, _compare,
         *calls)
     inner = st.one_of(simple, st.tuples(st.just(","), simple, simple))
+    # a use of NUM after the is/2 that may have set it
+    use = st.one_of(
+        st.tuples(st.just("="), st.just(("var", NUM)), _term),
+        st.tuples(st.sampled_from(["<", "=:="]), st.just(("var", NUM)), _expr),
+        *[st.tuples(st.just("call"), st.just(j), st.tuples(st.just(("var", NUM)), _term))
+          for j in range(level)])
+    new_is = st.tuples(st.just("is"), st.just(("var", NUM)), _expr)
+    arith = [
+        # a top-level is/2 on a new variable after a call that leaves choice points
+        *[st.tuples(st.just("seq"), call, new_is, use) for call in calls[:level]],
+        # an is/2 inside ; or -> whose variable is used after the construct
+        st.tuples(st.just("seq"), st.tuples(st.just("alt"), st.tuples(st.just(","), new_is, inner),
+                                            inner), use),
+        st.tuples(st.just("seq"), st.tuples(st.just("ite"), inner, new_is, inner), use),
+        st.tuples(st.just("seq"), st.tuples(st.just("ite"), new_is, inner, inner), use),
+    ]
     return st.one_of(
         simple, *calls,
         st.tuples(st.just("ite"), inner, inner, inner),
         st.tuples(st.just("alt"), inner, inner),
         st.tuples(st.just("not"), inner),
-        st.tuples(st.just("catch"), inner, _term, inner))
+        st.tuples(st.just("catch"), inner, _term, inner),
+        *arith)
 
 
 def _program():
@@ -350,6 +447,11 @@ def _build(sym, env):
         return Struct(";", tuple(_build(g, env) for g in sym[1:]))
     if kind == "not":
         return Struct("\\+", (_build(sym[1], env),))
+    if kind == "seq":
+        body = _build(sym[-1], env)
+        for g in reversed(sym[1:-1]):
+            body = Struct(",", (_build(g, env), body))
+        return body
     if len(sym) == 1:
         return Atom(sym[0])
     return Struct(sym[0], tuple(_build(a, env) for a in sym[1:]))

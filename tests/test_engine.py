@@ -407,6 +407,38 @@ def test_trail_does_not_grow_without_choice_points(rt):
     q.close()
 
 
+def test_last_clause_pops_its_choice_point(rt):
+    # first-argument indexing cannot tell these clauses apart, so every
+    # call pushes a clause choice point; it goes before the last clause runs
+    consult(rt, "loop(_, 0) :- !. loop(X, N) :- N1 is N - 1, loop(X, N1).")
+    goal, _ = parse_term("loop(a, 20000)")
+    q = rt.engine.solve(goal)
+    next(q)
+    assert len(q.machine.cps) == 0
+    assert len(rt.engine.trail.entries) == 0
+    q.close()
+    # a cut in the last clause still cuts to the call's own height
+    consult(rt, "c(1). c(2). d(X, Y) :- c(X), e(Y). e(1). e(2) :- !. e(3).")
+    assert solutions(rt, "d(X, Y)") == [{"X": "1", "Y": "1"}, {"X": "1", "Y": "2"},
+                                        {"X": "2", "Y": "1"}, {"X": "2", "Y": "2"}]
+
+
+def test_partial_unification_leaves_no_binding_without_choice_points(rt):
+    # unify binds X before it meets b against c; with no choice point live
+    # those bindings must still be undone where the goal goes on
+    consult(rt, """
+    stored(2, a). stored(1, b).
+    differ(X) :- f(b, X) \\= f(c, a), var(X).
+    last(_, 0) :- fail.
+    last(X, _) :- f(b, X) \\= f(c, a), var(X).
+    """)
+    assert solutions(rt, "f(b, X) \\= f(c, a), var(X)") == [{"X": "X"}]
+    assert solutions(rt, "differ(X)") == [{"X": "X"}]
+    assert solutions(rt, "last(X, 1)") == [{"X": "X"}]
+    assert solutions(rt, "retract(stored(1, X))") == [{"X": "b"}]
+    assert rt.engine.trail.guards == 0 and not rt.engine.trail.entries
+
+
 def test_trail_guards_balanced_after_mixed_work(rt):
     consult(rt, """
     p(1). p(2). p(3).
