@@ -1,15 +1,21 @@
 """The logic/kernel bridge: new/2, send/2..8, get/3..9, free/1 and friends.
 
-Data conversion is directed by the target parameter's type specifier.
-Atomic terms become primitive values, `@N` terms resolve to objects, and a
-compound argument creates a fresh instance of the class named by its
-functor, held transiently for the duration of the call.  Terms headed for
-a `prolog`-typed parameter are not converted at all: primitives pass as
-primitives, everything else travels inside an opaque wrapper (see
-`hostdata`).  Results convert the other way; converting the same object
-twice yields the same `@N`.
+Data conversion is directed by the target parameter's type specifier, and
+every argument, from logic or from native code, passes the kernel's one
+soft-type check, `Kernel.type_check_value`, under its one arity rule,
+`Kernel.check_each`: these decide what fits, coerce an int to a float and
+build the type_mismatch ball.  Before the check the bridge does only what
+a term needs: an unbound argument is an instantiation error; a term headed
+for a `prolog`-typed parameter is not converted at all (primitives pass as
+primitives, everything else travels inside an opaque wrapper, see
+`hostdata`); and where the type admits an object, an `@N` term resolves
+to its object and a compound argument creates a fresh instance of the
+class named by its functor, held transiently for the duration of the
+call.  Results convert the other way; converting the same object twice
+yields the same `@N`.
 
-Methods implemented by logic clauses are dispatched through
+send/2..8, send_class/3 and get/3..9 share one message parser and one
+dispatch path.  Methods implemented by logic clauses are dispatched through
 `pce_principal:send_implementation/3` (or `get_implementation/4`), keyed by
 the indexable method-id atom.  A classic send or get from logic code runs
 that goal in the calling machine, inside a scope frame that holds the
@@ -26,20 +32,7 @@ from __future__ import annotations
 from .balls import bridge_error
 from .engine import PushGoal, Scope
 from .hostdata import HostTermObject
-from .kernel import (
-    ANY_T,
-    ATOM_T,
-    FLOAT_T,
-    INT_T,
-    PROLOG_T,
-    InstanceOf,
-    KMethod,
-    KObject,
-    LogicImpl,
-    NilOr,
-    TypeSpec,
-    type_spec_term,
-)
+from .kernel import PROLOG_T, KMethod, KObject, LogicImpl, TypeSpec
 from .terms import Atom, ObjRef, Struct, Term, Var, deref, unify
 
 
@@ -99,23 +92,28 @@ class Bridge:
     def deref_obj(self, term: Term, context: str) -> KObject:
         t = deref(term)
         if type(t) is ObjRef:
-            return self.rt.kernel.fetch(t.ref, Atom(context))
+            return self.rt.kernel.fetch(t.ref, context)
         if type(t) is Var:
             raise bridge_error("instantiation", Atom(context))
         raise bridge_error("type_mismatch",
                            Struct("context", (Atom(context), Atom("object_reference"), t)))
 
     @staticmethod
-    def parse_message(term: Term, extra=()) -> tuple:
-        """Normalize `sel(A...)` / `sel` / spread arguments to (selector, args)."""
-        t = deref(term)
+    def parse_message(what: str, terms) -> tuple:
+        """The message of a `what` call (send, send_class or get) from the
+        terms after its receiver and before a get's result: one `sel(A...)`
+        or `sel` term, or a selector atom and spread arguments.  Returns
+        (selector, argument terms)."""
+        t = deref(terms[0])
         tt = type(t)
-        if tt is Atom:
-            return t.name, tuple(extra)
-        if tt is Struct:
-            if extra:
+        if len(terms) > 1:
+            if tt is not Atom:
                 raise bridge_error("type_mismatch",
-                                   Struct("context", (Atom("message"), t)))
+                                   Struct("context", (Atom(what), Atom("selector"), t)))
+            return t.name, terms[1:]
+        if tt is Atom:
+            return t.name, ()
+        if tt is Struct:
             return t.name, t.args
         if tt is Var:
             raise bridge_error("instantiation", Atom("message"))
@@ -124,62 +122,26 @@ class Bridge:
     # -- conversion: logic -> kernel ----------------------------------------
 
     def term_to_value(self, t: Term, spec: TypeSpec, selector: str, pos: int):
-        rt = self.rt
+        """Convert one argument term and pass it to the kernel's check."""
+        kernel = self.rt.kernel
         t = deref(t)
         tt = type(t)
         if spec is PROLOG_T:
             # primitives pass as themselves; anything else rides in a wrapper
-            if tt is int or tt is float or tt is Atom:
-                return t
-            return rt.hostdata.wrap_term(t)
-        if tt is Var:
+            v = t if tt is int or tt is float or tt is Atom else self.rt.hostdata.wrap_term(t)
+        elif tt is Var:
             raise bridge_error("instantiation",
                                Struct("context", (Atom(selector), pos + 1)))
-        if spec is INT_T:
-            if tt is int:
-                return t
-        elif spec is FLOAT_T:
-            if tt is float:
-                return t
-            if tt is int:
-                return float(t)
-        elif spec is ATOM_T:
-            if tt is Atom:
-                return t
-        elif spec is ANY_T:
-            if tt is int or tt is float or tt is Atom:
-                return t
-            if tt is ObjRef:
-                return rt.kernel.fetch(t.ref, Atom(selector))
-            if tt is Struct:
-                return self.instantiate_from_struct(t)
-        elif type(spec) is NilOr:
-            if tt is ObjRef and t.ref == "nil":
-                return rt.kernel.nil
-            return self.term_to_value(t, spec.inner, selector, pos)
-        elif type(spec) is InstanceOf:
-            obj = None
-            if tt is ObjRef:
-                obj = rt.kernel.fetch(t.ref, Atom(selector))
-            elif tt is Struct:
-                obj = self.instantiate_from_struct(t)
-            if obj is not None and obj.kclass.is_a(spec.cname):
-                return obj
-        raise bridge_error("type_mismatch",
-                           Struct("context", (Atom(selector), pos + 1,
-                                              type_spec_term(spec), t)))
-
-    def convert_args(self, method: KMethod, terms, selector: str) -> list:
-        n = len(terms)
-        specs = method.argspecs
-        if n < method.required or (n > len(specs) and method.vararg is None):
-            raise bridge_error("type_mismatch",
-                               Struct("arity", (Atom(selector), len(specs), n)))
-        out = []
-        for i, t in enumerate(terms):
-            spec = specs[i] if i < len(specs) else method.vararg
-            out.append(self.term_to_value(t, spec, selector, i))
-        return out
+        elif tt is ObjRef:
+            # `@nil` and `@prolog` resolve for any spec, so nil_or(int) takes
+            # `@nil`; other references only where an object can fit
+            v = (kernel.fetch(t.ref, selector) if spec.objects
+                 else kernel.wellknown.get(t.ref, t))
+        elif tt is Struct and spec.objects:
+            v = self.instantiate_from_struct(t)
+        else:
+            v = t
+        return kernel.type_check_value(v, spec, selector, pos, t)
 
     def instantiate_from_struct(self, t: Struct) -> KObject:
         """A compound argument: instantiate the class named by its functor,
@@ -198,7 +160,7 @@ class Bridge:
         if cls is None:
             raise bridge_error("unknown_class", Atom(class_name))
         init = kernel.resolve_method(cls, "initialise", "send")
-        vals = self.convert_args(init, arg_terms, class_name)
+        vals = kernel.check_each(init, arg_terms, class_name, self.term_to_value)
         return kernel.instantiate(cls, vals)
 
     # -- conversion: kernel -> logic ----------------------------------------
@@ -210,18 +172,16 @@ class Bridge:
             return self.rt.hostdata.read_back(v)
         if isinstance(v, KObject):
             kernel = self.rt.kernel
-            if v is kernel.nil:
-                return ObjRef("nil")
-            if v is kernel.prolog_proxy:
-                return ObjRef("prolog")
             kernel.check_live(v, "result")
-            return ObjRef(v.oid)
+            return kernel.ref_term(v)
         raise bridge_error("type_mismatch", Struct("context", (Atom("result"), Atom(str(v)))))
 
     # -- logic-implemented methods ----------------------------------------------
 
     def _implementation_goal(self, method: KMethod, obj: KObject, arg_terms,
                              result: Term = None) -> Struct:
+        """The goal that runs a logic-implemented method: a get when
+        `result` is given, else a send."""
         mid = Atom(method.impl.method_id)
         msg = Struct(method.selector, tuple(arg_terms)) if arg_terms else Atom(method.selector)
         if result is None:
@@ -233,26 +193,25 @@ class Bridge:
         `_call_in_machine` it returns the implementation goal for the calling
         machine to run; from native code it runs the goal in a nested solve
         and commits to its first solution."""
-        if self._to_machine:
-            return self._implementation_goal(method, obj,
-                                             [self.value_to_term(v) for v in values])
-        with self.rt.hostdata.bridge_call():
-            terms = [self.value_to_term(v) for v in values]
-            goal = self._implementation_goal(method, obj, terms)
-            return self.rt.engine.solve_once(goal, "pce_principal")
+        return self._logic_call(method, obj, values, None)
 
     def logic_get(self, method: KMethod, obj: KObject, values):
         """As `logic_send`; the nested solve returns the result value, or
         None on failure."""
+        return self._logic_call(method, obj, values, Var("Result"))
+
+    def _logic_call(self, method: KMethod, obj: KObject, values, result):
+        """The body of both logic hooks: a get when `result` is given."""
         if self._to_machine:
             return self._implementation_goal(method, obj,
-                                             [self.value_to_term(v) for v in values],
-                                             Var("Result"))
+                                             [self.value_to_term(v) for v in values], result)
         with self.rt.hostdata.bridge_call():
             terms = [self.value_to_term(v) for v in values]
-            result = Var("Result")
             goal = self._implementation_goal(method, obj, terms, result)
-            if not self.rt.engine.solve_once(goal, "pce_principal"):
+            ok = self.rt.engine.solve_once(goal, "pce_principal")
+            if result is None:
+                return ok
+            if not ok:
                 return None
             rterm = deref(result)
         # the result value joins the enclosing call: a fresh wrapper must
@@ -269,8 +228,32 @@ class Bridge:
 
     # -- send/get/new/free --------------------------------------------------------
 
+    def _dispatch(self, m, obj: KObject, method: KMethod, arg_terms, result: Term = None):
+        """The one dispatch path of send/2..8, send_class/3 and, when
+        `result` is given, get/3..9, called from machine `m`."""
+        if method.nondet:
+            # pure-logic dispatch: stay in this machine, no conversion
+            return PushGoal(self._implementation_goal(method, obj, arg_terms, result),
+                            "pce_principal")
+        if type(method.impl) is LogicImpl:
+            return self._call_in_machine(m, obj, method, arg_terms, result)
+        kernel = self.rt.kernel
+        with self.rt.hostdata.bridge_call():
+            try:
+                vals = kernel.check_each(method, arg_terms, method.selector,
+                                         self.term_to_value)
+            except _ConvFail:
+                return False
+            if result is None:
+                return kernel.invoke_send(obj, method, vals)
+            value = kernel.invoke_get(obj, method, vals)
+            if value is None:
+                return False
+            return unify(result, self.value_to_term(value), m.engine.trail,
+                         m.engine.occurs_check)
+
     def _call_in_machine(self, m, obj: KObject, method: KMethod, arg_terms,
-                         selector: str, result: Term = None) -> bool:
+                         result: Term = None) -> bool:
         """A classic send, or get when `result` is given, of a
         logic-implemented method, run in the calling machine `m`: open the
         call's scope, convert and type-check the arguments, dispatch through
@@ -280,7 +263,7 @@ class Bridge:
         scope = _CallScope(self, method, result)
         kernel = self.rt.kernel
         try:
-            vals = self.convert_args(method, arg_terms, selector)
+            vals = kernel.check_each(method, arg_terms, method.selector, self.term_to_value)
             self._to_machine = True
             if result is None:
                 goal = kernel.invoke_send(obj, method, vals)
@@ -298,40 +281,11 @@ class Bridge:
         m.call_scoped(goal, "pce_principal", scope)
         return True
 
-    def _dispatch_send(self, m, obj: KObject, method: KMethod, arg_terms,
-                       selector: str) -> bool:
-        if type(method.impl) is LogicImpl:
-            return self._call_in_machine(m, obj, method, arg_terms, selector)
-        with self.rt.hostdata.bridge_call():
-            try:
-                vals = self.convert_args(method, arg_terms, selector)
-            except _ConvFail:
-                return False
-            return self.rt.kernel.invoke_send(obj, method, vals)
-
     def _bi_send(self, m, args, ns):
-        ref = args[0]
-        if len(args) == 2:
-            selector, arg_terms = self.parse_message(args[1])
-        else:
-            sel = deref(args[1])
-            if type(sel) is not Atom:
-                raise bridge_error("type_mismatch",
-                                   Struct("context", (Atom("send"), Atom("selector"), sel)))
-            selector, arg_terms = sel.name, args[2:]
-        obj = self.deref_obj(ref, selector)
-        kernel = self.rt.kernel
-        method = kernel.resolve_method(obj.kclass, selector, "send")
-        if method is None:
-            raise bridge_error("unknown_method",
-                               Struct("context", (Atom(obj.kclass.name), Atom(selector))))
-        if method.nondet:
-            # pure-logic dispatch: stay in this machine, no conversion
-            msg = Struct(selector, tuple(arg_terms)) if arg_terms else Atom(selector)
-            goal = Struct("send_implementation",
-                          (Atom(method.impl.method_id), msg, ObjRef(obj.oid)))
-            return PushGoal(goal, "pce_principal")
-        return self._dispatch_send(m, obj, method, arg_terms, selector)
+        selector, arg_terms = self.parse_message("send", args[1:])
+        obj = self.deref_obj(args[0], selector)
+        return self._dispatch(m, obj, self.rt.kernel.method_of(obj, selector, "send"),
+                              arg_terms)
 
     def _bi_send_class(self, m, args, ns):
         obj = self.deref_obj(args[0], "send_class")
@@ -339,41 +293,15 @@ class Bridge:
         if type(cname) is not Atom:
             raise bridge_error("type_mismatch",
                                Struct("context", (Atom("send_class"), cname)))
-        selector, arg_terms = self.parse_message(args[2])
-        kernel = self.rt.kernel
-        kernel.check_live(obj, selector)
-        method = kernel.resolve_from(obj, cname.name, selector, "send")
-        return self._dispatch_send(m, obj, method, arg_terms, selector)
+        selector, arg_terms = self.parse_message("send_class", args[2:])
+        method = self.rt.kernel.resolve_from(obj, cname.name, selector, "send")
+        return self._dispatch(m, obj, method, arg_terms)
 
     def _bi_get(self, m, args, ns):
-        ref = args[0]
-        result = args[-1]
-        if len(args) == 3:
-            selector, arg_terms = self.parse_message(args[1])
-        else:
-            sel = deref(args[1])
-            if type(sel) is not Atom:
-                raise bridge_error("type_mismatch",
-                                   Struct("context", (Atom("get"), Atom("selector"), sel)))
-            selector, arg_terms = sel.name, args[2:-1]
-        obj = self.deref_obj(ref, selector)
-        kernel = self.rt.kernel
-        method = kernel.resolve_method(obj.kclass, selector, "get")
-        if method is None:
-            raise bridge_error("unknown_method",
-                               Struct("context", (Atom(obj.kclass.name), Atom(selector))))
-        if type(method.impl) is LogicImpl:
-            return self._call_in_machine(m, obj, method, arg_terms, selector, result)
-        with self.rt.hostdata.bridge_call():
-            try:
-                vals = self.convert_args(method, arg_terms, selector)
-            except _ConvFail:
-                return False
-            value = kernel.invoke_get(obj, method, vals)
-            if value is None:
-                return False
-            rterm = self.value_to_term(value)
-            return unify(result, rterm, m.engine.trail, m.engine.occurs_check)
+        selector, arg_terms = self.parse_message("get", args[1:-1])
+        obj = self.deref_obj(args[0], selector)
+        return self._dispatch(m, obj, self.rt.kernel.method_of(obj, selector, "get"),
+                              arg_terms, args[-1])
 
     def new_from_spec(self, spec: Term):
         """The object-creation core of new/2: returns the object (locked, so
@@ -419,6 +347,6 @@ class Bridge:
             raise bridge_error("instantiation", Atom("free"))
         if type(t) is not ObjRef:
             raise bridge_error("type_mismatch", Struct("context", (Atom("free"), t)))
-        obj = self.rt.kernel.fetch(t.ref, Atom("free"))
+        obj = self.rt.kernel.fetch(t.ref, "free")
         self.rt.kernel.destroy(obj)
         return True

@@ -29,14 +29,19 @@ from .terms import Atom, ObjRef, Struct, Term
 
 
 class TypeSpec:
+    """A parameter's type.  `objects` tells whether an object other than
+    `@nil` can fit it: only then does the bridge resolve an `@N` argument or
+    instantiate a compound one before the check (`Kernel.type_check_value`)."""
+
     __slots__ = ()
 
 
 class _Prim(TypeSpec):
-    __slots__ = ("name",)
+    __slots__ = ("name", "objects")
 
     def __init__(self, name: str):
         self.name = name
+        self.objects = name == "any"
 
     def __repr__(self):
         return self.name
@@ -51,6 +56,7 @@ PROLOG_T = _Prim("prolog")
 
 class InstanceOf(TypeSpec):
     __slots__ = ("cname",)
+    objects = True
 
     def __init__(self, cname: str):
         self.cname = cname
@@ -60,10 +66,11 @@ class InstanceOf(TypeSpec):
 
 
 class NilOr(TypeSpec):
-    __slots__ = ("inner",)
+    __slots__ = ("inner", "objects")
 
     def __init__(self, inner: TypeSpec):
         self.inner = inner
+        self.objects = inner.objects
 
     def __repr__(self):
         return f"nil_or({self.inner!r})"
@@ -148,7 +155,7 @@ class SlotDef:
 
 class KClass:
     __slots__ = ("name", "super", "slots", "send_methods", "get_methods",
-                 "catch_all", "realized", "factory")
+                 "catch_all", "factory")
 
     def __init__(self, name: str, super_: Optional["KClass"]):
         self.name = name
@@ -157,7 +164,6 @@ class KClass:
         self.send_methods: dict = {}
         self.get_methods: dict = {}
         self.catch_all = False
-        self.realized = True
         self.factory = KObject
 
     def chain(self):
@@ -212,17 +218,6 @@ class KObject:
         return f"<@{self.oid} {self.kclass.name}{state}>"
 
 
-def obj_term(obj: KObject) -> Term:
-    return ObjRef(obj.oid)
-
-
-def value_term_form(v) -> Term:
-    """A term standing for a kernel value inside error contexts."""
-    if isinstance(v, KObject):
-        return ObjRef(v.oid)
-    return v
-
-
 class Kernel:
     """Class table, instance table and the dispatch/lifetime machinery."""
 
@@ -240,6 +235,8 @@ class Kernel:
         self.logic_get: Optional[Callable] = None
         self.callback: Optional[Callable] = None
         self.nil: Optional[KObject] = None  # set once bootstrap classes exist
+        self.wellknown: dict = {}  # name -> object
+        self._wellknown_refs: dict = {}  # oid -> `@name`
 
         root = self.define_class("object", None)
         self.define_method(root, KMethod("initialise", "send",
@@ -252,13 +249,19 @@ class Kernel:
         self.nil = self._make_wellknown(const_cls, "nil")
         self.nil.slots["name"] = Atom("nil")
         self.prolog_proxy = self._make_wellknown(proxy_cls, "prolog")
-        self.wellknown = {"nil": self.nil, "prolog": self.prolog_proxy}
 
     def _make_wellknown(self, kclass: KClass, name: str) -> KObject:
         obj = self.allocate(kclass)
         obj.permanent = True
         obj.locks = 1
+        self.wellknown[name] = obj
+        self._wellknown_refs[obj.oid] = ObjRef(name)
         return obj
+
+    def ref_term(self, obj: KObject) -> ObjRef:
+        """The reference term naming an object: a well-known one by its name
+        (`@nil`, `@prolog`), any other by its oid."""
+        return self._wellknown_refs.get(obj.oid) or ObjRef(obj.oid)
 
     # -- classes --------------------------------------------------------
 
@@ -364,15 +367,17 @@ class Kernel:
             return None
         return obj
 
-    def fetch(self, oid, context: Term = Atom("none")) -> KObject:
+    def fetch(self, oid, context: str = "none") -> KObject:
+        """The live object `@oid` names; `context` names the call in the
+        ball when there is none."""
         if isinstance(oid, str):
             obj = self.wellknown.get(oid)
         else:
             obj = self.objects.get(oid)
         if obj is None:
             if type(oid) is int and 0 < oid < self._next_oid:
-                raise bridge_error("freed_object", ObjRef(oid), context)
-            raise bridge_error("stale_reference", ObjRef(oid), context)
+                raise bridge_error("freed_object", ObjRef(oid), Atom(context))
+            raise bridge_error("stale_reference", ObjRef(oid), Atom(context))
         return obj
 
     # -- dispatch ----------------------------------------------------------
@@ -405,22 +410,25 @@ class Kernel:
             raise RuntimeBugError("no logic dispatch hook installed")
         return self.logic_get(method, obj, vals)
 
-    def send_value(self, obj: KObject, selector: str, values) -> bool:
-        self.check_live(obj, selector)
-        method = self.resolve_method(obj.kclass, selector, "send")
+    def method_of(self, obj: KObject, selector: str, kind: str) -> KMethod:
+        """The method `obj` runs for a send or get of `selector`."""
+        method = self.resolve_method(obj.kclass, selector, kind)
         if method is None:
             raise bridge_error("unknown_method",
                                Struct("context", (Atom(obj.kclass.name), Atom(selector))))
-        return self.invoke_send(obj, method, self.check_args(method, values))
+        return method
 
-    def get_value(self, obj: KObject, selector: str, values):
-        """Run a get-method; returns a kernel value or None for failure."""
+    def send_value(self, obj: KObject, selector: str, values,
+                   start: Optional[str] = None) -> bool:
+        """Send to `obj` from kernel values, type-checked first.  The method
+        is looked up from the object's class, or from its ancestor class
+        `start` (a super call)."""
         self.check_live(obj, selector)
-        method = self.resolve_method(obj.kclass, selector, "get")
-        if method is None:
-            raise bridge_error("unknown_method",
-                               Struct("context", (Atom(obj.kclass.name), Atom(selector))))
-        return self.invoke_get(obj, method, self.check_args(method, values))
+        if start is None:
+            method = self.method_of(obj, selector, "send")
+        else:
+            method = self.resolve_from(obj, start, selector, "send")
+        return self.invoke_send(obj, method, self.check_args(method, values))
 
     def resolve_from(self, obj: KObject, class_name: str, selector: str,
                      kind: str) -> KMethod:
@@ -438,56 +446,64 @@ class Kernel:
                                Struct("context", (Atom(class_name), Atom(selector))))
         return method
 
-    def send_from(self, obj: KObject, class_name: str, selector: str, values) -> bool:
-        self.check_live(obj, selector)
-        method = self.resolve_from(obj, class_name, selector, "send")
-        return self.invoke_send(obj, method, self.check_args(method, values))
-
-    # -- soft typing -------------------------------------------------------
+    # -- soft typing: the one check, for kernel and bridge calls alike -------
 
     def check_args(self, method: KMethod, values) -> list:
-        n = len(values)
+        """Type-check the values of a call made from the kernel side."""
+        return self.check_each(method, values, method.selector, self.type_check_value)
+
+    def check_each(self, method: KMethod, args, selector: str, check) -> list:
+        """The arity rule, then `check(arg, spec, selector, pos)` on each
+        argument, trailing ones taking the method's vararg spec.  The kernel
+        passes `type_check_value`; the bridge passes its term conversion,
+        which ends in that same check."""
+        n = len(args)
         specs = method.argspecs
         if n < method.required or (n > len(specs) and method.vararg is None):
-            raise bridge_error(
-                "type_mismatch",
-                Struct("arity", (Atom(method.selector), len(specs), n)))
+            raise bridge_error("type_mismatch",
+                               Struct("arity", (Atom(selector), len(specs), n)))
         out = []
-        for i, v in enumerate(values):
-            spec = specs[i] if i < len(specs) else method.vararg
-            out.append(self.type_check_value(v, spec, method.selector, i))
+        for i, a in enumerate(args):
+            out.append(check(a, specs[i] if i < len(specs) else method.vararg, selector, i))
         return out
 
-    def type_check_value(self, v, spec: TypeSpec, selector: str = "?", pos: int = 0):
-        if spec is ANY_T or spec is PROLOG_T:
+    def type_check_value(self, v, spec: TypeSpec, selector: str = "?", pos: int = 0,
+                         term: Term = None):
+        """Return `v` if it fits `spec` (an int made a float for a float
+        parameter), else raise type_mismatch at argument `pos` of
+        `selector`.  The ball shows `term`, the argument as the caller wrote
+        it, when given, else the value itself.  A freed object is a
+        freed_object error where an object can fit."""
+        tv = type(v)
+        if spec is INT_T:
+            if tv is int:
+                return v
+        elif spec is FLOAT_T:
+            if tv is float:
+                return v
+            if tv is int:
+                return float(v)
+        elif spec is ATOM_T:
+            if tv is Atom:
+                return v
+        elif spec is ANY_T or spec is PROLOG_T:
             if isinstance(v, KObject) and v.freed:
                 raise bridge_error("freed_object", ObjRef(v.oid), Atom(selector))
             return v
-        if spec is INT_T:
-            if type(v) is int:
-                return v
-        elif spec is FLOAT_T:
-            if type(v) is float:
-                return v
-            if type(v) is int:
-                return float(v)
-        elif spec is ATOM_T:
-            if type(v) is Atom:
-                return v
         elif type(spec) is NilOr:
             if v is self.nil:
                 return v
-            return self.type_check_value(v, spec.inner, selector, pos)
-        elif type(spec) is InstanceOf:
-            if isinstance(v, KObject):
-                if v.freed:
-                    raise bridge_error("freed_object", ObjRef(v.oid), Atom(selector))
-                if v.kclass.is_a(spec.cname):
-                    return v
+            return self.type_check_value(v, spec.inner, selector, pos, term)
+        elif type(spec) is InstanceOf and isinstance(v, KObject):
+            if v.freed:
+                raise bridge_error("freed_object", ObjRef(v.oid), Atom(selector))
+            if v.kclass.is_a(spec.cname):
+                return v
+        if term is None:
+            term = self.ref_term(v) if isinstance(v, KObject) else v
         raise bridge_error(
             "type_mismatch",
-            Struct("context", (Atom(selector), pos + 1, type_spec_term(spec),
-                               value_term_form(v))))
+            Struct("context", (Atom(selector), pos + 1, type_spec_term(spec), term)))
 
     # -- slots ---------------------------------------------------------------
 
@@ -498,9 +514,6 @@ class Kernel:
             self.retain(value)
         if isinstance(old, KObject):
             self.release(old)
-
-    def slot_get(self, obj: KObject, name: str):
-        return obj.slots[name]
 
     # -- lifetime --------------------------------------------------------------
 
@@ -540,7 +553,7 @@ class Kernel:
     def destroy(self, obj: KObject) -> None:
         """Force destruction regardless of count."""
         if obj.permanent:
-            raise permission_error("free", ObjRef(obj.oid))
+            raise permission_error("free", self.ref_term(obj))
         if obj.freed:
             raise bridge_error("freed_object", ObjRef(obj.oid), Atom("free"))
         self._destroy_cascade(obj)

@@ -345,8 +345,7 @@ def pump_event(rt, target: Union[ObjRef, KObject], kind: str, x: int = 0,
     if kind not in EVENT_PARENT:
         raise domain_error("event_kind", Atom(kind))
     kernel = rt.kernel
-    obj = target if isinstance(target, KObject) else kernel.fetch(target.ref,
-                                                                  Atom("pump_event"))
+    obj = target if isinstance(target, KObject) else kernel.fetch(target.ref, "pump_event")
     with rt.hostdata.bridge_call():
         ev = kernel.instantiate(kernel.find_class("event"), [Atom(kind), x, y])
         rt.hostdata.register_transient(ev)
@@ -380,8 +379,7 @@ class EventPump:
 def scene_dump(rt, picture: Union[ObjRef, KObject]) -> str:
     """One line per displayed graphical: `class@id pos=(x,y) fill=<name|nil>`."""
     kernel = rt.kernel
-    pic = picture if isinstance(picture, KObject) else kernel.fetch(picture.ref,
-                                                                    Atom("scene"))
+    pic = picture if isinstance(picture, KObject) else kernel.fetch(picture.ref, "scene")
     lines = []
     for g in pic.slots["contents"].elements:
         pos = g.slots.get("position")

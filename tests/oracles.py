@@ -166,7 +166,8 @@ def oracle_solve(program, goal, occurs_check=False, events=None):
     `_Cut` up to the call that owns its level, which tries no more clauses.
     A ball is a renamed copy of the thrown term, raised as `OracleThrow`;
     catch/3 runs its goal on its own, so only balls from the goal reach it,
-    and runs the recovery from the substitution it started with.  A
+    and runs the recovery, opaque to cut, from the substitution it started
+    with.  A
     variable ball is thrown as `instantiation_error("throw/1")`."""
     table: dict = {}
     for head, body in program:
@@ -238,9 +239,15 @@ def oracle_solve(program, goal, occurs_check=False, events=None):
                     caught = oracle_unify(args[1], thrown.ball, subst, occurs_check, events)
                     if caught is None:
                         raise
-                    yield from solve(((args[2], object()), rest), caught)
-                    return
+                    break
                 yield from solve(rest, got)
+            # the recovery runs as call/1 does: a cut in it is local to it
+            recovery = object()
+            try:
+                yield from solve(((args[2], recovery), rest), caught)
+            except _Cut as cut:
+                if cut.level is not recovery:
+                    raise
         else:
             own = object()
             try:

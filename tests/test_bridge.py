@@ -29,6 +29,12 @@ def err_kind(rt, text):
     return bridge_kind(err.value) or term_text(err.value.term)
 
 
+def err_text(rt, text):
+    with pytest.raises(LogicError) as err:
+        rt.once(text)
+    return term_text(err.value.term)
+
+
 # -- new/2 ------------------------------------------------------------------------
 
 
@@ -220,6 +226,104 @@ def test_nil_and_prolog_named_references(rt):
     assert rt.bridge.value_to_term(rt.kernel.prolog_proxy) == ObjRef("prolog")
 
 
+def test_kernel_balls_name_well_known_objects_as_the_bridge_does(rt):
+    # a message's stored arguments reach the kernel as values, not terms
+    for ref in ("@nil", "@prolog"):
+        assert err_text(rt, f"new(B, box(1, 1)), new(M, message(B, width, {ref})), "
+                            "send(M, execute)") == \
+            f"bridge_error(type_mismatch, context(width, 1, int, {ref}))"
+        assert err_text(rt, f"new(B, box(1, 1)), send(B, width({ref}))") == \
+            f"bridge_error(type_mismatch, context(width, 1, int, {ref}))"
+        assert err_text(rt, f"free({ref})") == f"permission_error(free, {ref})"
+
+
+# One soft-type check: each spec against each kind of argument, sent from
+# logic (send/2, the bridge converts the term) and from native code
+# (Kernel.send_value, the value is already converted).  Per argument in
+# ARG_TEXTS: o = passes as written, f = passes as a float, x = type_mismatch,
+# i = instantiation error.
+TYPED = """
+:- dynamic(took/1).
+note(X) :- ( var(X) -> T = var ; T = X ), assertz(took(T)).
+:- pce_begin_class(typed, object).
+t_int(_O, X:int) :-> note(X).
+t_float(_O, X:float) :-> note(X).
+t_atom(_O, X:atom) :-> note(X).
+t_any(_O, X:any) :-> note(X).
+t_prolog(_O, X:prolog) :-> note(X).
+t_box(_O, X:box) :-> note(X).
+t_nil_or(_O, X:nil_or(box)) :-> note(X).
+:- pce_end_class(typed).
+"""
+ARG_TEXTS = ("1", "1.5", "a", "@nil", "@prolog", "Box", "Point", "_")
+SPEC_TABLE = [
+    # method, spec as a mismatch ball shows it, outcome per argument
+    ("t_int", "int", "oxxxxxxi"),
+    ("t_float", "float", "foxxxxxi"),
+    ("t_atom", "atom", "xxoxxxxi"),
+    ("t_any", "any", "oooooooi"),
+    ("t_prolog", "prolog", "oooooooo"),
+    ("t_box", "box", "xxxxxoxi"),
+    ("t_nil_or", "box", "xxxoxoxi"),  # nil_or(box) reports its inner spec
+]
+
+
+def _typed_outcome(rt, run):
+    try:
+        run()
+    except LogicError as err:
+        return "ball", term_text(err.term)
+    sol = rt.once("retract(took(T))")
+    return "took", term_text(sol["T"])
+
+
+@pytest.mark.parametrize("selector, shown, outcomes", SPEC_TABLE)
+def test_one_type_check_for_logic_and_native_calls(rt, selector, shown, outcomes):
+    rt.consult_text(TYPED)
+    sol = once(rt, "new(T, typed), new(B, box(1, 1)), new(P, point(1, 2))")
+    k = rt.kernel
+    receiver = k.fetch(sol["T"].ref)
+    refs = {"Box": term_text(sol["B"]), "Point": term_text(sol["P"])}
+    values = (1, 1.5, Atom("a"), k.nil, k.prolog_proxy,
+              k.fetch(sol["B"].ref), k.fetch(sol["P"].ref), None)
+    for text, value, outcome in zip(ARG_TEXTS, values, outcomes):
+        written = refs.get(text, text)
+        want = {"o": ("took", "var" if text == "_" else written),
+                "f": ("took", "1.0"),
+                "x": ("ball", f"bridge_error(type_mismatch, "
+                              f"context({selector}, 1, {shown}, {written}))"),
+                "i": ("ball", f"bridge_error(instantiation, context({selector}, 1))"),
+                }[outcome]
+        got = _typed_outcome(rt, lambda: rt.once(
+            f"send({term_text(sol['T'])}, {selector}({written}))"))
+        assert got == want, (selector, text)
+        if value is not None:  # native code has no unbound argument
+            got = _typed_outcome(rt, lambda: k.send_value(receiver, selector, [value]))
+            assert got == want, (selector, text, "native")
+    assert rt.hostdata.ledgers == [] and rt.audit_refcounts() == []
+
+
+# Balls whose form is part of the interface, pinned as they stand:
+# (set-up, call, ball), `{V}` standing for the reference set-up bound to V.
+PINNED_BALLS = [
+    ("new(P, picture)", "send(P, display(colour(red)))",
+     "bridge_error(type_mismatch, context(display, 1, graphical, colour(red)))"),
+    ("new(B, box(1, 1)), new(C, box(1, 1)), free(C)", "send(B, width(C))",
+     "bridge_error(type_mismatch, context(width, 1, int, {C}))"),
+    ("true", "new(_, box(1, 2, 3))", "bridge_error(type_mismatch, arity(box, 2, 3))"),
+    ("true", "new(_, box(a, 1))", "bridge_error(type_mismatch, context(box, 1, int, a))"),
+    ("new(C, chain)", "send(C, append(_))",
+     "bridge_error(instantiation, context(append, 1))"),
+]
+
+
+@pytest.mark.parametrize("setup, call, ball", PINNED_BALLS)
+def test_pinned_balls(rt, setup, call, ball):
+    sol = once(rt, f"{setup}, catch({call}, E, true)")
+    names = {k: term_text(v) for k, v in sol.items() if k != "E"}
+    assert term_text(sol["E"]) == ball.format(**names)
+
+
 def test_slot_send_get_symmetry_over_value_kinds(rt):
     rt.consult_text("""
     :- pce_begin_class(bag, object).
@@ -300,6 +404,27 @@ def test_send_class_non_ancestor_is_error(rt):
 def test_send_class_unknown_class(rt):
     assert err_kind(rt, "new(B, box(1, 1)), send_class(B, zzz, event(x))") \
         == "unknown_class"
+
+
+PURE_PICK = """
+:- pce_begin_class(pk, object).
+:- pce_pure_prolog(pick).
+pick(_O, X) :-> member(X, [a, b, c]).
+:- pce_end_class(pk).
+:- pce_begin_class(pk_sub, pk).
+:- pce_pure_prolog(pick).
+pick(O, X) :-> send_super(O, pick(X)).
+:- pce_end_class(pk_sub).
+"""
+
+
+@pytest.mark.parametrize("goal", ["send(O, pick(X))", "send_class(O, pk, pick(X))",
+                                  "send(S, pick(X))"])
+def test_send_class_and_send_super_keep_pure_logic_dispatch(rt, goal):
+    rt.consult_text(PURE_PICK)
+    refs = once(rt, "new(O, pk), new(S, pk_sub)")
+    goal = goal.replace("O", term_text(refs["O"])).replace("S", term_text(refs["S"]))
+    assert [term_text(s["X"]) for s in rt.query(goal)] == ["a", "b", "c"]
 
 
 # -- re-entrancy -----------------------------------------------------------------------------

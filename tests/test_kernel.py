@@ -109,7 +109,7 @@ def test_shadowing_three_level_chain(rt):
     # super dispatch from the shadowing class reaches the shadowed one
     obj = k.instantiate(c, [])
     log.clear()
-    assert k.send_from(obj, "lvl_b", "speak", [])
+    assert k.send_value(obj, "speak", [], "lvl_b")
     assert log == ["a"]
 
 
