@@ -20,7 +20,10 @@ dispatch path.  Methods implemented by logic clauses are dispatched through
 the indexable method-id atom.  A classic send or get from logic code runs
 that goal in the calling machine, inside a scope frame that holds the
 call's host-data scope: the goal commits to its first solution, and the
-scope closes on exit, on failure or on an exception.  Methods flagged
+scope closes on exit, on failure or on an exception.  Every host-data
+scope starts unopened and makes its term frame and ledger only when the
+call wraps a term or holds a transient object (see `hostdata`), so a
+crossing that converts nothing pays for no frame.  Methods flagged
 pure-logic are pushed into the calling machine with no scope and no
 conversion, so their choice points stay live.  A call from native code (an
 `initialise` run by new/2, an event, a message) runs the goal in a nested
@@ -44,13 +47,13 @@ class _CallScope(Scope):
     """The host-data scope of one classic send, or get when `result` is
     set, run in the calling machine (see `Bridge._call_in_machine`)."""
 
-    __slots__ = ("bridge", "method", "result", "answer", "fid", "ledger")
+    __slots__ = ("bridge", "method", "result", "answer")
 
     def __init__(self, bridge, method: KMethod, result):
         self.bridge = bridge
         self.method = method
         self.result = result
-        self.fid, self.ledger = bridge.rt.hostdata.open_scope()
+        bridge.rt.hostdata.open_scope()
 
     def exit(self, m) -> bool:
         if self.result is None:
@@ -64,7 +67,7 @@ class _CallScope(Scope):
                      m.engine.trail, m.engine.occurs_check)
 
     def close(self) -> None:
-        self.bridge.rt.hostdata.close_scope(self.fid, self.ledger)
+        self.bridge.rt.hostdata.close_scope()
 
 
 class Bridge:
@@ -238,7 +241,10 @@ class Bridge:
         if type(method.impl) is LogicImpl:
             return self._call_in_machine(m, obj, method, arg_terms, result)
         kernel = self.rt.kernel
-        with self.rt.hostdata.bridge_call():
+        hostdata = self.rt.hostdata
+        # the scope as a plain pair, not `bridge_call`: this is the hot path
+        hostdata.open_scope()
+        try:
             try:
                 vals = kernel.check_each(method, arg_terms, method.selector,
                                          self.term_to_value)
@@ -251,6 +257,8 @@ class Bridge:
                 return False
             return unify(result, self.value_to_term(value), m.engine.trail,
                          m.engine.occurs_check)
+        finally:
+            hostdata.close_scope()
 
     def _call_in_machine(self, m, obj: KObject, method: KMethod, arg_terms,
                          result: Term = None) -> bool:

@@ -13,6 +13,12 @@ die with the object that owns them.
 The same ledger also carries plain transient objects (instances built from
 compound arguments); those are simply released after the call so unused
 ones are collected immediately.
+
+Each crossing opens a scope, but the scope's term frame and ledger are made
+on first need: when the call wraps a term or holds a transient object.  A
+call that converts nothing (a no-argument or int-argument send) opens no
+frame and has no post-call protocol to run.  A scope is only ever made
+while it is the innermost one, so frames still close strictly LIFO.
 """
 
 from __future__ import annotations
@@ -21,13 +27,14 @@ from contextlib import contextmanager
 
 from .errors import (
     CyclicTermError,
+    DeadRecordError,
     LogicError,
     RuntimeBugError,
     StaleTermRefError,
     TermSizeLimitError,
 )
 from .kernel import KObject
-from .terms import Atom, Struct, Term
+from .terms import Atom, Struct, Term, resolve_copy
 
 
 class HostTermObject(KObject):
@@ -36,7 +43,15 @@ class HostTermObject(KObject):
     __slots__ = ("state", "term_ref", "record")
 
     def __init__(self, oid, kclass):
-        super().__init__(oid, kclass)
+        # KObject.__init__ inlined, so keep the two in step: one wrapper is
+        # made per compound `prolog` argument
+        self.oid = oid
+        self.kclass = kclass
+        self.slots = {}
+        self.refcount = 0
+        self.locks = 0
+        self.freed = False
+        self.permanent = False
         self.state = "live"
         self.term_ref = None
         self.record = None
@@ -56,6 +71,8 @@ class HostData:
 
     def __init__(self, runtime):
         self.rt = runtime
+        # one entry per open scope, innermost last: None while the scope is
+        # unopened, then its (frame id, ledger)
         self.ledgers: list = []
         self.wrappers_live = 0
         self.wrappers_made = 0
@@ -68,37 +85,43 @@ class HostData:
 
     # -- call scoping ------------------------------------------------------
 
-    def open_scope(self) -> tuple:
-        """Open the scope of one kernel/logic crossing: a term frame plus a
-        transient ledger, returned as `(frame id, ledger)`.  Scopes nest
-        strictly; `close_scope` must end each one exactly once, errors
-        included."""
-        ledger: list = []
-        self.ledgers.append(ledger)
-        return self.rt.store.open_frame(), ledger
+    def open_scope(self) -> None:
+        """Push the scope of one kernel/logic crossing, not yet opened:
+        `_ledger` makes its term frame and transient ledger on first need.
+        Scopes nest strictly; `close_scope` must end each one exactly once,
+        errors included."""
+        self.ledgers.append(None)
 
-    def close_scope(self, fid: int, ledger: list) -> None:
-        """End the innermost scope: the post-call protocol, then its frame."""
-        self.ledgers.pop()
-        try:
-            self._post_call(ledger)
-        finally:
-            self.rt.store.close_frame(fid)
+    def close_scope(self) -> None:
+        """End the innermost scope: if it was opened, the post-call
+        protocol, then its frame."""
+        scope = self.ledgers.pop()
+        if scope is not None:
+            try:
+                self._post_call(scope[1])
+            finally:
+                self.rt.store.close_frame(scope[0])
 
     @contextmanager
     def bridge_call(self):
         """One crossing as a `with` block; the post-call protocol runs on
         exit, errors included."""
-        fid, ledger = self.open_scope()
+        self.open_scope()
         try:
-            yield ledger
+            yield
         finally:
-            self.close_scope(fid, ledger)
+            self.close_scope()
 
     def _ledger(self) -> list:
-        if not self.ledgers:
+        """The innermost scope's ledger, making its frame and ledger if it
+        is still unopened."""
+        ledgers = self.ledgers
+        if not ledgers:
             raise RuntimeBugError("transient object created outside a bridge call")
-        return self.ledgers[-1]
+        scope = ledgers[-1]
+        if scope is None:
+            scope = ledgers[-1] = (self.rt.store.open_frame(), [])
+        return scope[1]
 
     def register_transient(self, obj: KObject) -> None:
         """Hand an object's creation hold to the current call's ledger."""
@@ -107,13 +130,13 @@ class HostData:
     # -- wrappers ------------------------------------------------------------
 
     def wrap_term(self, term: Term) -> HostTermObject:
-        kernel = self.rt.kernel
-        w = kernel.allocate(self.wrapper_class)
-        kernel.retain(w)
+        ledger = self._ledger()  # before `put`: it may open the frame
+        w = self.rt.kernel.allocate(self.wrapper_class)
+        w.refcount = 1  # the ledger's transient hold
         w.term_ref = self.rt.store.put(term)
         self.wrappers_live += 1
         self.wrappers_made += 1
-        self._ledger().append(w)
+        ledger.append(w)
         return w
 
     def read_back(self, w: HostTermObject) -> Term:
@@ -127,8 +150,10 @@ class HostData:
             except StaleTermRefError as exc:
                 # a live wrapper must never outlive its frame
                 raise RuntimeBugError("live wrapper survived its frame") from exc
-        ref = self.rt.store.record_to_term(w.record)
-        return self.rt.store.fetch(ref)
+        rec = w.record
+        if not rec.alive:
+            raise DeadRecordError(f"record {rec.rid} was already destroyed")
+        return resolve_copy(rec.payload)
 
     def _record_now(self, w: HostTermObject) -> None:
         term = self.rt.store.fetch(w.term_ref)
@@ -168,8 +193,10 @@ class HostData:
 
     def transient_holds(self) -> dict:
         holds: dict = {}
-        for ledger in self.ledgers:
-            for obj in ledger:
+        for scope in self.ledgers:
+            if scope is None:
+                continue
+            for obj in scope[1]:
                 holds[obj.oid] = holds.get(obj.oid, 0) + 1
         return holds
 

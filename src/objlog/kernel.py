@@ -224,6 +224,9 @@ class Kernel:
     def __init__(self, runtime=None):
         self.rt = runtime
         self.classes: dict = {}
+        # class -> tuple of its slot names, ancestors' first (`allocate`);
+        # `define_slot` clears it, since a slot reaches every subclass
+        self._layouts: dict = {}
         self.objects: dict = {}
         self._next_oid = 1
         self.live_count = 0
@@ -293,6 +296,7 @@ class Kernel:
             raise permission_error("redefine_slot",
                                    Struct("/", (Atom(kclass.name), Atom(sdef.name))))
         kclass.slots.append(sdef)
+        self._layouts.clear()
         if sdef.access in ("both", "send"):
             self.define_method(kclass, KMethod(sdef.name, "send", (sdef.spec,),
                                                impl=SlotImpl(sdef.name), doc=sdef.doc))
@@ -342,9 +346,11 @@ class Kernel:
     def allocate(self, kclass: KClass) -> KObject:
         obj = kclass.factory(self._next_oid, kclass)
         self._next_oid += 1
-        if self.nil is not None:  # None only while bootstrapping @nil itself
-            for sdef in kclass.all_slots():
-                obj.slots[sdef.name] = self.nil
+        layout = self._layouts.get(kclass)
+        if layout is None:
+            layout = self._layouts[kclass] = tuple(s.name for s in kclass.all_slots())
+        if layout and self.nil is not None:  # None only while bootstrapping @nil
+            obj.slots = dict.fromkeys(layout, self.nil)
         self.objects[obj.oid] = obj
         self.live_count += 1
         self.created_total += 1
@@ -472,8 +478,14 @@ class Kernel:
         """Return `v` if it fits `spec` (an int made a float for a float
         parameter), else raise type_mismatch at argument `pos` of
         `selector`.  The ball shows `term`, the argument as the caller wrote
-        it, when given, else the value itself.  A freed object is a
+        it, when given, else the value itself, and names `spec` whole: a
+        `nil_or(T)` ball names `nil_or(T)`.  A freed object is a
         freed_object error where an object can fit."""
+        shown = spec
+        while type(spec) is NilOr:
+            if v is self.nil:
+                return v
+            spec = spec.inner
         tv = type(v)
         if spec is INT_T:
             if tv is int:
@@ -490,10 +502,6 @@ class Kernel:
             if isinstance(v, KObject) and v.freed:
                 raise bridge_error("freed_object", ObjRef(v.oid), Atom(selector))
             return v
-        elif type(spec) is NilOr:
-            if v is self.nil:
-                return v
-            return self.type_check_value(v, spec.inner, selector, pos, term)
         elif type(spec) is InstanceOf and isinstance(v, KObject):
             if v.freed:
                 raise bridge_error("freed_object", ObjRef(v.oid), Atom(selector))
@@ -503,7 +511,7 @@ class Kernel:
             term = self.ref_term(v) if isinstance(v, KObject) else v
         raise bridge_error(
             "type_mismatch",
-            Struct("context", (Atom(selector), pos + 1, type_spec_term(spec), term)))
+            Struct("context", (Atom(selector), pos + 1, type_spec_term(shown), term)))
 
     # -- slots ---------------------------------------------------------------
 
@@ -559,6 +567,14 @@ class Kernel:
         self._destroy_cascade(obj)
 
     def _destroy_cascade(self, first: KObject) -> None:
+        if not first.slots and type(first).extra_refs is KObject.extra_refs:
+            # nothing to release in turn: the common end of a term wrapper
+            first.freed = True
+            del self.objects[first.oid]
+            self.live_count -= 1
+            self.destroyed_total += 1
+            first.on_destroy(self)
+            return
         pending = [first]
         while pending:
             obj = pending.pop()

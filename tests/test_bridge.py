@@ -264,7 +264,7 @@ SPEC_TABLE = [
     ("t_any", "any", "oooooooi"),
     ("t_prolog", "prolog", "oooooooo"),
     ("t_box", "box", "xxxxxoxi"),
-    ("t_nil_or", "box", "xxxoxoxi"),  # nil_or(box) reports its inner spec
+    ("t_nil_or", "nil_or(box)", "xxxoxoxi"),
 ]
 
 

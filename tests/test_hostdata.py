@@ -1,7 +1,7 @@
 import pytest
 
 from objlog.balls import bridge_kind
-from objlog.errors import LogicError
+from objlog.errors import LogicError, RuntimeBugError
 from objlog.hostdata import HostTermObject
 from objlog.reader import parse_term
 from objlog.terms import Atom, deref, is_variant, structural_eq
@@ -218,3 +218,138 @@ def test_shared_wrapper_survives_one_owner(rt):
                              t("shared(x)"))
     k.destroy(b)
     assert w.freed and rt.store.records_live == 0
+
+
+# -- lazy scopes: a crossing makes its frame and ledger only when it needs them ---
+
+LAZY = """
+:- pce_begin_class(lazy, object).
+variable(data, prolog, both, "payload").
+noarg(_O) :-> true.
+intarg(_O, _V:int) :-> true.
+termarg(_O, _V:prolog) :-> true.
+stash(O, X:prolog) :-> send(O, data, X).
+fetch(O, X:prolog) :<- get(O, data, X).
+fresh(_O, X:prolog) :<- X = made(_).
+boom(_O, _X:prolog) :-> throw(kaboom).
+:- pce_end_class(lazy).
+"""
+
+
+def count_frames(rt, monkeypatch) -> list:
+    """The ids of the term frames opened from now on."""
+    opened = []
+    open_frame = rt.store.open_frame
+
+    def counting():
+        opened.append(open_frame())
+        return opened[-1]
+
+    monkeypatch.setattr(rt.store, "open_frame", counting)
+    return opened
+
+
+def assert_quiet(rt):
+    assert rt.hostdata.ledgers == []
+    assert rt.store.current_frame() is None
+    assert rt.audit_refcounts() == []
+
+
+def stats_delta(rt, before: dict) -> dict:
+    return {k: v - before[k] for k, v in rt.stats().items() if v != before[k]}
+
+
+@pytest.mark.parametrize("setup, call, frames", [
+    ("new(O, area(0, 0, -2, 3))", "send({O}, normalise)", 0),
+    ("new(O, area)", "send({O}, x(1))", 0),
+    ("new(O, lazy)", "send({O}, noarg)", 0),
+    ("new(O, lazy)", "send({O}, intarg(1))", 0),
+    ("new(O, lazy)", "send({O}, termarg(hello(world)))", 1),
+])
+def test_a_crossing_opens_a_frame_only_to_wrap(rt, monkeypatch, setup, call, frames):
+    rt.consult_text(LAZY)
+    ref = term_text(rt.once(setup)["O"])
+    made = rt.hostdata.wrappers_made
+    opened = count_frames(rt, monkeypatch)
+    assert rt.call(call.format(O=ref))
+    assert len(opened) == frames
+    assert rt.hostdata.wrappers_made == made + frames
+    assert_quiet(rt)
+
+
+def test_nested_store_from_a_logic_method(rt, monkeypatch):
+    # the classic send wraps its argument; the slot send in its body wraps
+    # the term again and keeps that wrapper, which is recorded
+    rt.consult_text(LAZY)
+    ref = term_text(rt.once("new(O, lazy)")["O"])
+    before = rt.stats()
+    opened = count_frames(rt, monkeypatch)
+    assert rt.call(f"send({ref}, stash(f(g(1), X)))")
+    assert len(opened) == 2
+    assert stats_delta(rt, before) == {
+        "records-live": 1, "records-made": 1, "wrappers-live": 1,
+        "wrappers-recorded-total": 1, "objects-live": 1, "objects-created": 2,
+        "objects-destroyed": 1}
+    assert_quiet(rt)
+
+
+def test_classic_get_returns_a_recorded_wrapper(rt, monkeypatch):
+    # the slot get reads the record back with no frame; the get's own
+    # result is wrapped at its exit and discarded when its scope closes
+    rt.consult_text(LAZY)
+    ref = term_text(rt.once("new(O, lazy)")["O"])
+    assert rt.call(f"send({ref}, stash(f(g(1), X)))")
+    before = rt.stats()
+    opened = count_frames(rt, monkeypatch)
+    sol = rt.once(f"get({ref}, fetch, D)")
+    assert is_variant(sol["D"], t("f(g(1), X)"))
+    assert len(opened) == 1
+    assert stats_delta(rt, before) == {"objects-created": 1, "objects-destroyed": 1}
+    assert_quiet(rt)
+
+
+def test_nested_logic_get_joins_the_enclosing_call(rt, monkeypatch):
+    # native code runs a logic get in a nested solve; the fresh wrapper made
+    # for its result joins the enclosing scope, opened only then
+    rt.consult_text(LAZY)
+    k = rt.kernel
+    obj = k.fetch(rt.once("new(O, lazy)")["O"].ref)
+    method = k.method_of(obj, "fresh", "get")
+    before = rt.stats()
+    opened = count_frames(rt, monkeypatch)
+    with rt.hostdata.bridge_call():
+        w = k.invoke_get(obj, method, [])
+        assert isinstance(w, HostTermObject) and w.state == "live"
+        assert is_variant(rt.hostdata.read_back(w), t("made(_)"))
+        assert rt.hostdata.ledgers == [(opened[0], [w])]
+    assert len(opened) == 1 and w.freed
+    assert stats_delta(rt, before) == {"objects-created": 1, "objects-destroyed": 1}
+    assert_quiet(rt)
+
+
+def test_ball_after_a_scope_opened_is_caught(rt, monkeypatch):
+    rt.consult_text(LAZY)
+    ref = term_text(rt.once("new(O, lazy)")["O"])
+    before = rt.stats()
+    opened = count_frames(rt, monkeypatch)
+    sol = rt.once(f"catch(send({ref}, boom(f(1))), E, true)")
+    assert term_text(sol["E"]) == "kaboom"
+    assert len(opened) == 1
+    assert stats_delta(rt, before) == {"objects-created": 1, "objects-destroyed": 1}
+    assert_quiet(rt)
+
+
+def test_transients_outside_any_scope_are_a_bug(rt):
+    # a scope that was never opened lends no ledger
+    with pytest.raises(RuntimeBugError):
+        rt.hostdata.wrap_term(t("f(x)"))
+    with rt.hostdata.bridge_call():
+        assert rt.hostdata.transient_holds() == {}
+        w = rt.hostdata.wrap_term(t("f(x)"))
+        assert rt.hostdata.transient_holds() == {w.oid: 1}
+        with rt.hostdata.bridge_call():
+            assert rt.hostdata.ledgers[-1] is None
+            assert rt.hostdata.transient_holds() == {w.oid: 1}
+    assert_quiet(rt)
+    with pytest.raises(RuntimeBugError):
+        rt.hostdata.register_transient(w)

@@ -79,6 +79,22 @@ def test_duplicate_slot_anywhere_on_chain(rt):
         k.define_slot(d, SlotDef("v", INT_T))
 
 
+def test_slot_defined_on_an_ancestor_reaches_later_instances(rt):
+    k = rt.kernel
+    base = k.define_class("lay_base", "object")
+    k.define_slot(base, SlotDef("a", INT_T))
+    sub = k.define_class("lay_sub", "lay_base")
+    k.define_slot(sub, SlotDef("b", INT_T))
+    old = k.instantiate(sub, [])
+    assert list(old.slots) == ["a", "b"]
+    k.define_slot(base, SlotDef("c", ANY_T))
+    new = k.instantiate(sub, [])
+    assert list(new.slots) == [s.name for s in sub.all_slots()] == ["a", "c", "b"]
+    assert all(v is k.nil for v in new.slots.values())
+    assert list(old.slots) == ["a", "b"]
+    assert list(k.instantiate(base, []).slots) == ["a", "c"]
+
+
 def test_method_resolution_walks_up(rt):
     k = rt.kernel
     box = k.find_class("box")
