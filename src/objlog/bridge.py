@@ -17,22 +17,27 @@ yields the same `@N`.
 send/2..8, send_class/3 and get/3..9 share one message parser and one
 dispatch path.  Methods implemented by logic clauses are dispatched through
 `pce_principal:send_implementation/3` (or `get_implementation/4`), keyed by
-the indexable method-id atom.  A classic send or get from logic code runs
-that goal in the calling machine, inside a scope frame that holds the
-call's host-data scope: the goal commits to its first solution, and the
-scope closes on exit, on failure or on an exception.  Every host-data
-scope starts unopened and makes its term frame and ledger only when the
-call wraps a term or holds a transient object (see `hostdata`), so a
-crossing that converts nothing pays for no frame.  Methods flagged
-pure-logic are pushed into the calling machine with no scope and no
-conversion, so their choice points stay live.  A call from native code (an
-`initialise` run by new/2, an event, a message) runs the goal in a nested
-solve, since a Python frame is waiting for its answer.
+the indexable method-id atom.  That call is built already compiled: one
+`CALL` goal whose arguments are the method-id atom, the message and the
+receiver (and a get's result), and whose predicate entry is pinned when
+the bridge is made, so a send or get from logic builds no goal term and
+compiles nothing.  A classic send or get from logic code runs that goal in the
+calling machine, inside a scope frame that holds the call's host-data
+scope: the goal commits to its first solution, and the scope closes on
+exit, on failure or on an exception.  Every host-data scope starts
+unopened and makes its term frame and ledger only when the call wraps a
+term or holds a transient object (see `hostdata`), so a crossing that
+converts nothing pays for no frame.  Methods flagged pure-logic are
+pushed into the calling machine with no scope and no conversion, so their
+choice points stay live.  A call from native code (an `initialise` run by
+new/2, an event, a message) runs the goal in a nested solve, since a
+Python frame is waiting for its answer.
 """
 
 from __future__ import annotations
 
 from .balls import bridge_error
+from .clausecode import Goal, call_goal, new_struct
 from .engine import PushGoal, Scope
 from .hostdata import HostTermObject
 from .kernel import PROLOG_T, KMethod, KObject, LogicImpl, TypeSpec
@@ -40,7 +45,8 @@ from .terms import Atom, ObjRef, Struct, Term, Var, deref, unify
 
 
 class _ConvFail(Exception):
-    """A compound argument's initialise failed: the bridge call fails."""
+    """A compound argument's or result's initialise failed: the bridge call
+    fails."""
 
 
 class _CallScope(Scope):
@@ -62,7 +68,10 @@ class _CallScope(Scope):
         # judges a fresh wrapper made for it
         bridge = self.bridge
         method = self.method
-        value = bridge.term_to_value(self.answer, method.returns, method.selector, -1)
+        try:
+            value = bridge.term_to_value(self.answer, method.returns, method.selector, -1)
+        except _ConvFail:
+            return False
         return unify(self.result, bridge.value_to_term(value),
                      m.engine.trail, m.engine.occurs_check)
 
@@ -82,6 +91,9 @@ class Bridge:
         kernel.callback = self.callback_call
 
         engine = runtime.engine
+        # the implementation predicates, pinned for `_implementation_goal`
+        self._send_entry = engine.entry("pce_principal", "send_implementation", 3, create=True)
+        self._get_entry = engine.entry("pce_principal", "get_implementation", 4, create=True)
         engine.register_builtin("new", 2, self._bi_new)
         engine.register_builtin("free", 1, self._bi_free)
         engine.register_builtin("send_class", 3, self._bi_send_class)
@@ -182,14 +194,17 @@ class Bridge:
     # -- logic-implemented methods ----------------------------------------------
 
     def _implementation_goal(self, method: KMethod, obj: KObject, arg_terms,
-                             result: Term = None) -> Struct:
-        """The goal that runs a logic-implemented method: a get when
-        `result` is given, else a send."""
-        mid = Atom(method.impl.method_id)
-        msg = Struct(method.selector, tuple(arg_terms)) if arg_terms else Atom(method.selector)
+                             result: Term = None) -> Goal:
+        """The call that runs a logic-implemented method, a get when
+        `result` is given, else a send: one compiled `CALL` goal of
+        `send_implementation(Mid, Msg, @Oid)` or `get_implementation(Mid,
+        Msg, @Oid, Result)` whose entry is already resolved, ready to run
+        with no goal term built and nothing compiled."""
+        impl = method.impl
+        msg = new_struct(impl.sel.name, tuple(arg_terms)) if arg_terms else impl.sel
         if result is None:
-            return Struct("send_implementation", (mid, msg, ObjRef(obj.oid)))
-        return Struct("get_implementation", (mid, msg, ObjRef(obj.oid), result))
+            return call_goal(self._send_entry, (impl.mid, msg, ObjRef(obj.oid)))
+        return call_goal(self._get_entry, (impl.mid, msg, ObjRef(obj.oid), result))
 
     def logic_send(self, method: KMethod, obj: KObject, values) -> bool:
         """The kernel's hook for a send to a logic-implemented method.  From
@@ -211,7 +226,7 @@ class Bridge:
         with self.rt.hostdata.bridge_call():
             terms = [self.value_to_term(v) for v in values]
             goal = self._implementation_goal(method, obj, terms, result)
-            ok = self.rt.engine.solve_once(goal, "pce_principal")
+            ok = self.rt.engine.solve_once(new_struct(goal.name, goal.args), goal.ns)
             if result is None:
                 return ok
             if not ok:
@@ -219,7 +234,10 @@ class Bridge:
             rterm = deref(result)
         # the result value joins the enclosing call: a fresh wrapper must
         # outlive this dispatch so the outer post-call protocol can judge it
-        return self.term_to_value(rterm, method.returns, method.selector, -1)
+        try:
+            return self.term_to_value(rterm, method.returns, method.selector, -1)
+        except _ConvFail:
+            return None
 
     def callback_call(self, pred_name: str, values) -> bool:
         """Run a predicate in `user` from kernel-side values; commits to the
@@ -236,8 +254,7 @@ class Bridge:
         `result` is given, get/3..9, called from machine `m`."""
         if method.nondet:
             # pure-logic dispatch: stay in this machine, no conversion
-            return PushGoal(self._implementation_goal(method, obj, arg_terms, result),
-                            "pce_principal")
+            return PushGoal((self._implementation_goal(method, obj, arg_terms, result),))
         if type(method.impl) is LogicImpl:
             return self._call_in_machine(m, obj, method, arg_terms, result)
         kernel = self.rt.kernel
@@ -265,9 +282,9 @@ class Bridge:
         """A classic send, or get when `result` is given, of a
         logic-implemented method, run in the calling machine `m`: open the
         call's scope, convert and type-check the arguments, dispatch through
-        the kernel (whose logic hook hands back the implementation goal) and
-        let `m` run the goal in the scope.  The scope then closes on the
-        goal's exit, on its failure or on an exception."""
+        the kernel (whose logic hook hands back the compiled implementation
+        goal) and let `m` run the goal in the scope.  The scope then closes
+        on the goal's exit, on its failure or on an exception."""
         scope = _CallScope(self, method, result)
         kernel = self.rt.kernel
         try:
@@ -286,7 +303,7 @@ class Bridge:
             raise
         finally:
             self._to_machine = False
-        m.call_scoped(goal, "pce_principal", scope)
+        m.call_scoped(goal, scope)
         return True
 
     def _bi_send(self, m, args, ns):

@@ -17,7 +17,11 @@ into goals of their own, builtins are bound to their functions, and a user
 goal carries its predicate key and caches the entry on its first successful
 lookup.  Only argument terms are built per call.  Goals met at run time (a
 query, `call/N`, a variable goal) compile the same way with their variables
-held as they are.
+held as they are; nothing else is compiled at run time.  The call that
+runs a logic-defined method, made for a send or get from logic, is built
+already compiled by `call_goal`: one `CALL` goal with fixed arguments and
+its predicate entry resolved, so it builds no goal term and looks nothing
+up.
 
 A clause-body `is/2` or comparison (`<` `>` `=<` `>=` `=:=` `=\\=`) compiles
 each of its expressions to expression code: a flat postfix tuple whose
@@ -266,6 +270,18 @@ def arg_goal(op: int, t: Term, ns: str, slots: Optional[dict], fresh) -> Goal:
     g.prog = p
     if len(p) > 2 and all(type(x) is int for x in p[1:]):
         g.get = itemgetter(*p[1:])
+    return g
+
+
+def call_goal(entry, args: tuple) -> Goal:
+    """A call of predicate `entry` (a `PredicateEntry`) with the fixed
+    arguments `args`: built already compiled and resolved, so running it
+    looks nothing up and compiles nothing.  Entries are never removed and
+    their clause lists are copy-on-write, so the pinned entry stays valid;
+    with it set, the goal needs no `key`."""
+    g = Goal(CALL, entry.ns, entry.name)
+    g.args = args
+    g.entry = entry
     return g
 
 

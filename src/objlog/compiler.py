@@ -271,7 +271,7 @@ class ClassCompiler:
                        method_id: str, nondet: bool) -> KMethod:
         argspecs = [parse_type_term(t) for t in type_terms]
         returns = parse_type_term(ret_term)
-        return KMethod(selector, kind, argspecs, impl=LogicImpl(method_id),
+        return KMethod(selector, kind, argspecs, impl=LogicImpl(method_id, selector),
                        returns=returns, nondet=nondet)
 
     # -- just-in-time realization ----------------------------------------------

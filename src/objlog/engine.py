@@ -53,7 +53,6 @@ from .clausecode import (
     NAMESPACES,
     SET,
     Goal,
-    arg_goal,
     compile_body,
     eval_code,
     instantiate,
@@ -81,16 +80,18 @@ from .terms import (
 
 
 class PushGoal:
-    """Returned by a builtin to continue with a goal in the current machine.
+    """Returned by a builtin to continue with compiled goals in the current
+    machine: `code` is a tuple of `Goal`s, built already compiled (the
+    bridge's pure-logic dispatch builds one `CALL` goal with its predicate
+    entry resolved), so nothing is compiled when it is pushed.
 
-    The pushed goal gets a fresh cut barrier, so a cut inside it stays local.
+    The pushed code gets a fresh cut barrier, so a cut inside it stays local.
     """
 
-    __slots__ = ("term", "ns")
+    __slots__ = ("code",)
 
-    def __init__(self, term: Term, ns: str = "user"):
-        self.term = term
-        self.ns = ns
+    def __init__(self, code: tuple):
+        self.code = code
 
 
 class Clause:
@@ -387,16 +388,17 @@ class Machine:
         self._push_cp(cp)
         self.push((late_goal(goal, ns), EXIT_GOAL), cp, len(self.cps))
 
-    def call_scoped(self, goal: Struct, ns: str, scope: Scope) -> None:
-        """Run `goal`, a call of a user predicate of namespace `ns`, to its
-        first solution inside `scope`: the frame goes on the choice-point
-        stack, a cut to the height before the goal commits to its first
-        solution, as once/1 does, and the exit step follows."""
+    def call_scoped(self, goal: Goal, scope: Scope) -> None:
+        """Run `goal`, a compiled call of a user predicate (built with
+        `clausecode.call_goal`, so nothing is compiled here), to its first
+        solution inside `scope`: the frame goes on the choice-point stack, a
+        cut to the height before the goal commits to its first solution, as
+        once/1 does, and the exit step follows."""
         scope.cont = self.cont
         scope.depth = self.depth
         scope.mark = self.engine.trail.mark()
         self._push_cp(scope)
-        self.push((arg_goal(CALL, goal, ns, None, None), *COMMIT_EXIT), scope, len(self.cps))
+        self.push((goal, *COMMIT_EXIT), scope, len(self.cps))
 
     def _unwind(self, err: LogicError) -> None:
         """A ball raised in the main loop (ISO/IEC 13211-1, 7.8.9).  The
@@ -612,7 +614,7 @@ class Machine:
         if res is False or res is None:
             return False
         if type(res) is PushGoal:
-            self.push(engine.compile_goal(res.term, res.ns), None, len(self.cps))
+            self.push(res.code, None, len(self.cps))
             return True
         # a generator: one solution per next(); it undoes its own bindings
         trail = engine.trail
@@ -886,8 +888,10 @@ class Engine:
 
     def compile_goal(self, goal: Term, ns: str) -> tuple:
         """Compile a goal term met at run time; its variables stay as they
-        are.  Errors of the goal itself (unbound, not callable, a bad
-        namespace) are raised here."""
+        are.  This serves queries, call/N, catch/3 and variable goals; a
+        send or get the bridge makes from logic arrives already compiled.
+        Errors of the goal itself (unbound, not callable, a bad namespace)
+        are raised here."""
         g = deref(goal)
         while type(g) is Struct and g.name == ":" and len(g.args) == 2:
             m = deref(g.args[0])

@@ -106,10 +106,15 @@ class NativeImpl:
 
 
 class LogicImpl:
-    __slots__ = ("method_id",)
+    """A method implemented by logic clauses, keyed by its method id: the
+    interned method-id atom `mid` and selector atom `sel` are made once,
+    here, for every call the bridge builds."""
 
-    def __init__(self, method_id: str):
-        self.method_id = method_id
+    __slots__ = ("mid", "sel")
+
+    def __init__(self, method_id: str, selector: str):
+        self.mid = Atom(method_id)
+        self.sel = Atom(selector)
 
 
 class SlotImpl:

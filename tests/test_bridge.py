@@ -1,6 +1,7 @@
 import pytest
 
 from objlog.balls import bridge_kind
+from objlog.engine import Engine, Machine
 from objlog.errors import LogicError
 from objlog.reader import parse_term
 from objlog.terms import Atom, ObjRef, resolve_copy, structural_eq
@@ -175,6 +176,33 @@ def test_get_spread_form(rt):
     assert sol["R"] == 5
     sol = once(rt, "new(A, adder), get(A, plus(4, 5), R)")
     assert sol["R"] == 9
+
+
+FAILER = """
+:- pce_begin_class(failer, object).
+initialise(_O, _X:int) :-> fail.
+:- pce_end_class(failer).
+:- pce_begin_class(maker, object).
+make(_O, R) :<- R = failer(1).
+:- pce_end_class(maker).
+"""
+
+
+@pytest.mark.parametrize("caller", ["logic", "native"])
+def test_get_whose_result_initialise_fails_fails(rt, caller):
+    # an `any` result that names a class is instantiated, as an argument
+    # is; when its initialise fails the get fails, as a call whose
+    # argument's initialise fails does
+    rt.consult_text(FAILER)
+    if caller == "logic":
+        assert rt.once("new(O, maker), catch(get(O, make, R), E, true)") is None
+    else:
+        k = rt.kernel
+        obj = k.fetch(once(rt, "new(O, maker)")["O"].ref)
+        with rt.hostdata.bridge_call():
+            assert k.invoke_get(obj, k.method_of(obj, "make", "get"), []) is None
+    assert rt.audit_refcounts() == [] and rt.hostdata.ledgers == []
+    assert rt.kernel.live_count_of("failer") == 0
 
 
 # -- free/1 --------------------------------------------------------------------------
@@ -497,6 +525,58 @@ def test_scope_closes_on_failure_exception_and_backtracking(rt, method, in_catch
     assert rt.call(f"free({ref})")
     assert rt.kernel.live_count == rt.baseline_live
     assert rt.store.records_live == 0 and rt.engine.trail.guards == 0
+
+
+# sub_callee's noarg fails, so send_class/3 succeeding shows it ran callee's
+CALLEE = """
+:- pce_begin_class(callee, object).
+noarg(_O) :-> true.
+intarg(_O, _N:int) :-> true.
+termarg(_O, _T:prolog) :-> true.
+answer(_O, R:int) :<- R = 7.
+:- pce_pure_prolog(pick).
+pick(_O, X) :-> member(X, [a, b, c]).
+:- pce_end_class(callee).
+:- pce_begin_class(sub_callee, callee).
+noarg(_O) :-> fail.
+:- pce_end_class(sub_callee).
+"""
+
+
+@pytest.mark.parametrize("call, answers", [
+    ("send({o}, noarg)", 0),
+    ("send({o}, intarg(1))", 1),
+    ("send({o}, termarg(t(a, _)))", 1),
+    ("get({o}, answer, R)", 1),
+    ("send_class({o}, callee, noarg)", 1),
+    ("send({o}, pick(X))", 3),
+], ids=["noarg", "intarg", "termarg", "get", "send_class", "pure"])
+def test_sends_and_gets_from_logic_compile_nothing(rt, monkeypatch, call, answers):
+    # the implementation call arrives compiled, its predicate resolved:
+    # the query is the only goal compiled at run time
+    rt.consult_text(CALLEE)
+    ref = term_text(once(rt, "new(O, sub_callee)")["O"])
+    goal, _ = parse_term(call.format(o=ref))
+    compiled = []
+    compile_goal = Engine.compile_goal
+
+    def counting(engine, g, ns):
+        compiled.append(g)
+        return compile_goal(engine, g, ns)
+
+    resolved = []
+    exec_goal = Machine.exec_goal
+
+    def watching(m, g, ns, barrier):
+        if g.name.endswith("_implementation"):
+            resolved.append(g.entry is not None)
+        return exec_goal(m, g, ns, barrier)
+
+    monkeypatch.setattr(Engine, "compile_goal", counting)
+    monkeypatch.setattr(Machine, "exec_goal", watching)
+    assert sum(1 for _ in rt.engine.solve(goal)) == answers
+    assert [g for g in compiled if g is not goal] == []
+    assert resolved == [True]
 
 
 DEEP = 100_000

@@ -197,21 +197,31 @@ def test_eager_equals_lazy_realization():
     assert shapes[0] == shapes[1]
 
 
-def test_reconsult_replaces_method(rt):
-    rt.consult_text("""
+# each method answers with its version N; the query binds R to the answer
+RECONSULTED = {
+    "classic_get": ("answer(_O, R:int) :<- R = {n}.", "get(V, answer, R)",
+                    ("get_implementation", 4)),
+    "classic_send": ("answer(_O, R:int) :-> R =:= {n}.",
+                     "( send(V, answer(1)) -> R = 1 ; R = 2 )", ("send_implementation", 3)),
+    "pure_send": (":- pce_pure_prolog(answer).\n    answer(_O, R) :-> R = {n}.",
+                  "send(V, answer(R))", ("send_implementation", 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECONSULTED))
+def test_reconsult_replaces_method(rt, case):
+    # the same call made before and after a redefinition: an atom, a goal or
+    # a predicate entry kept from the first call must not answer the second
+    method, query, (pred, arity) = RECONSULTED[case]
+    for n in (1, 2):
+        # once realized, the class's method table is patched in place
+        rt.consult_text(f"""
     :- pce_begin_class(versioned, object).
-    answer(_O, R:int) :<- R = 1.
+    {method.format(n=n)}
     :- pce_end_class(versioned).
     """)
-    assert rt.once("new(V, versioned), get(V, answer, R)")["R"] == 1
-    # class realized; recompile patches the method table in place
-    rt.consult_text("""
-    :- pce_begin_class(versioned, object).
-    answer(_O, R:int) :<- R = 2.
-    :- pce_end_class(versioned).
-    """)
-    assert rt.once("new(V, versioned), get(V, answer, R)")["R"] == 2
-    clauses = rt.engine.clauses_of("pce_principal", "get_implementation", 4)
+        assert rt.once(f"new(V, versioned), {query}")["R"] == n
+    clauses = rt.engine.clauses_of("pce_principal", pred, arity)
     assert len(clauses) == 1  # the old clause was replaced, not shadowed
 
 
