@@ -225,8 +225,7 @@ class Bridge:
                                              [self.value_to_term(v) for v in values], result)
         with self.rt.hostdata.bridge_call():
             terms = [self.value_to_term(v) for v in values]
-            goal = self._implementation_goal(method, obj, terms, result)
-            ok = self.rt.engine.solve_once(new_struct(goal.name, goal.args), goal.ns)
+            ok = self.rt.engine.solve_once(self._implementation_goal(method, obj, terms, result))
             if result is None:
                 return ok
             if not ok:

@@ -35,11 +35,34 @@ bound or trailed.  Only the goals after it read that slot, and backtracking
 to a point before it runs it again.  An expression with a part that is not
 evaluable as written (an atom, an unknown functor) stays a builtin call,
 and `eval_arith` raises its error when the goal runs.
+
+Clause code is then turned into Python code, as wamcc turns WAM code into C
+(Codognet and Diaz, ICLP 1995): a head's match program becomes a matcher,
+the argument program of a body goal a builder, and expression code an
+evaluator, each a straight-line function that does what the interpreter
+(`engine.match_args`, `instantiate`, `eval_code`) does, step for step, so
+bindings, trail entries, `unify` calls and error balls are the same.  A
+function is generated per shape, not per clause: the shape key is the
+program with each constant (an atom, a number, a functor name, a ground
+term) replaced by a kind tag, and the constants reach the function as a
+tuple that the clause or goal holds.  Generated source is written from the
+key alone, that is from slot numbers, arities and kind tags, so no term
+text is ever pasted into it.  Functions live in an LRU cache of
+SHAPE_CACHE shapes; a clause or goal keeps its function after the cache
+drops it.  The interpreters stay for what is not generated, so that the
+source of one function stays small: a compound nested deeper than
+MAX_DEPTH (a 10 000-deep head would give a function as deep), which the
+generated code hands to `engine.match_args` or `instantiate`; a head or a
+goal's arguments of more than MAX_NODES nodes (a head of arity 10 000
+took 0.8 s to generate), matched by `engine.match_head` or built by
+`instantiate`; and expression code longer than MAX_NODES entries (a
+100 000-node sum would take seconds to compile), which `eval_code` runs.
+Each is decided from the program when it is compiled.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from functools import lru_cache
 from typing import Optional
 
 from .builtins import ARITH_BUILTINS, ARITH_OPS, ArithOp, eval_arith
@@ -196,6 +219,291 @@ def eval_code(code: tuple, vs: list):
     return stack[0]
 
 
+# -- generated code ------------------------------------------------------------
+
+# A compound sub-program nested deeper than MAX_DEPTH (a head or goal
+# argument is at depth 1) stays interpreted, and so does a head, a goal's
+# arguments or expression code of more than MAX_NODES nodes (slots,
+# constants and compounds; expression code has one node per entry).
+MAX_DEPTH = 5
+MAX_NODES = 64
+# The generated functions kept, least recently used dropped first.
+SHAPE_CACHE = 512
+
+
+def _shape(p, depth: int, consts: list):
+    """The shape key of term program `p` at nesting `depth`: the program
+    with each constant moved to `consts`, in the order the generated code
+    reads it, and a kind tag left in its place.  A compound becomes the
+    tuple of its arguments' keys (its functor name is a constant); one too
+    deep to generate becomes "deep", with the one-argument program that
+    `engine.match_args` and `instantiate` run as its constant."""
+    tp = type(p)
+    if tp is int:
+        return p
+    if tp is tuple:
+        if len(p) == 1:
+            consts.append(p[0])
+            return "int"
+        if depth > MAX_DEPTH:
+            consts.append(("", p))
+            return "deep"
+        consts.append(p[0])
+        return tuple([_shape(s, depth + 1, consts) for s in p[1:]])
+    consts.append(p)  # an atom, a float, a ground compound or an object reference
+    return "const"
+
+
+def _nodes(shape) -> int:
+    """The number of nodes of a term program of shape `shape`."""
+    if type(shape) is not tuple:
+        return 1
+    return 1 + sum(map(_nodes, shape))
+
+
+def _expr_shape(code: tuple, consts: list) -> tuple:
+    """The shape key of expression code, its constants moved to `consts`."""
+    out = []
+    for e in code:
+        te = type(e)
+        if te is int:
+            out.append(e)
+        elif te is tuple:
+            consts.append(e[0])
+            out.append("num")
+        else:
+            consts.append(e.fn)
+            out.append("op2" if e.arity == 2 else "op1")
+    return tuple(out)
+
+
+class _Source:
+    """The source of one generated function, written from a shape key alone:
+    slot numbers, arities and kind tags.  Constants are read as `K[j]`."""
+
+    def __init__(self):
+        self.lines: list = []
+        self.k = 0            # the index of the next constant
+        self.n = 0            # temporaries made
+        self.held: set = set()  # slots held in a local `s<i>` as well as in `vs`
+        self.dirty = False    # a binding may be on the trail since the mark
+        self.uses: set = set()  # header names the body reads
+
+    def line(self, ind: int, text: str) -> None:
+        self.lines.append("    " * ind + text)
+
+    def const(self) -> str:
+        self.k += 1
+        return f"K[{self.k - 1}]"
+
+    def temp(self, prefix: str) -> str:
+        self.n += 1
+        return f"{prefix}{self.n}"
+
+    def slot(self, i: int) -> str:
+        return f"s{i}" if i in self.held else f"vs[{i}]"
+
+    def fail(self, ind: int) -> None:
+        if self.dirty:
+            self.uses.add("mark")
+            self.line(ind, "trail.undo_to(mark)")
+        self.line(ind, "return False")
+
+    def test(self, ind: int, cond: str) -> None:
+        """Fail unless `cond`; anything it binds it leaves bound."""
+        self.line(ind, f"if not {cond}:")
+        self.fail(ind + 1)
+        self.dirty = True
+
+    def match(self, s, x: str, ind: int) -> None:
+        """Match the term in local `x` against the program of shape `s`, as
+        the loop of `engine.match_args` does."""
+        uses = self.uses
+        uses.update(("trail", "occurs"))
+        if type(s) is int:
+            if s >= 0:
+                self.test(ind, f"unify({x}, {self.slot(s)}, trail, occurs)")
+                return
+            # under --trace a goal variable is bound to a fresh one, as a
+            # copied head would bind it, so trace lines name variables alike
+            uses.add("tracing")
+            self.line(ind, f"if tracing and type(deref({x})) is Var:")
+            self.line(ind + 1, f"{x} = deref({x})")
+            self.line(ind + 1, f"bind({x}, Var(), trail)")
+            self.line(ind, f"s{~s} = vs[{~s}] = {x}")
+            self.held.add(~s)
+            self.dirty = True
+        elif s == "int":
+            self.test(ind, f"unify({x}, {self.const()}, trail, occurs)")
+        elif s == "const":
+            c = self.const()
+            self.test(ind, f"({x} is {c} or unify({x}, {c}, trail, occurs))")
+        elif s == "deep":
+            uses.add("tracing")
+            self.dirty = True
+            self.test(ind, f"match_args({self.const()}, ({x},), vs, trail, occurs, tracing)")
+        else:  # a compound: read mode against a compound, write mode against a variable
+            k0, dirty = self.k, self.dirty
+            name = self.const()
+            self.line(ind, f"{x} = deref({x})")
+            self.line(ind, f"if type({x}) is Struct:")
+            self.line(ind + 1, f"if {x}.name is not {name} or len({x}.args) != {len(s)}:")
+            self.fail(ind + 2)
+            subs = [self.temp("c") for _ in s]
+            self.line(ind + 1, f"{', '.join(subs)}, = {x}.args")
+            for sub, t in zip(s, subs):
+                self.match(sub, t, ind + 1)
+            self.k, self.dirty = k0, dirty  # write mode reads the same constants
+            self.line(ind, f"elif type({x}) is Var:")
+            t = self.temp("t")
+            self.line(ind + 1, f"{t} = {self.build(s, ind + 1)}")
+            self.line(ind + 1, f"if occurs and occurs_in({x}, {t}):")
+            self.fail(ind + 2)
+            self.line(ind + 1, f"bind({x}, {t}, trail)")
+            self.line(ind, "else:")
+            self.fail(ind + 1)
+            self.dirty = True
+
+    def build(self, s, ind: int) -> str:
+        """An expression for the term of shape `s`, built as `instantiate`
+        builds it; a first occurrence gets its variable in a statement
+        first."""
+        if type(s) is int:
+            if s >= 0:
+                return self.slot(s)
+            self.line(ind, f"s{~s} = vs[{~s}] = Var()")
+            self.held.add(~s)
+            return f"s{~s}"
+        if s == "int" or s == "const":
+            return self.const()
+        if s == "deep":
+            return f"instantiate({self.const()}, vs)[0]"
+        name = self.const()
+        parts = [self.build(sub, ind) for sub in s]
+        return f"new_struct({name}, ({', '.join(parts)},))"
+
+    def expr(self, code: tuple) -> str:
+        """Statements computing expression code in `eval_code`'s order; the
+        local that holds the value."""
+        stack = []
+        for e in code:
+            if type(e) is int:
+                t = self.temp("x")
+                self.line(1, f"{t} = vs[{e}]")
+                self.line(1, f"if type({t}) is Var:")
+                self.line(2, f"{t} = deref({t})")
+                self.line(1, f"if type({t}) is not int and type({t}) is not float:")
+                self.line(2, f"{t} = eval_arith({t})")
+                stack.append(t)
+            elif e == "num":
+                stack.append(self.const())
+            else:
+                fn = self.const()
+                t = self.temp("x")
+                if e == "op2":
+                    b = stack.pop()
+                    self.line(1, f"{t} = {fn}({stack.pop()}, {b})")
+                else:
+                    self.line(1, f"{t} = {fn}({stack.pop()})")
+                stack.append(t)
+        return stack[0]
+
+
+_HEADER = (("trail", "trail = engine.trail"), ("occurs", "occurs = engine.occurs_check"),
+           ("tracing", "tracing = engine.trace"), ("mark", "mark = len(trail.entries)"))
+
+
+def _source(key: tuple) -> str:
+    kind = key[0]
+    g = _Source()
+    if kind == "head":
+        args = [g.temp("a") for _ in key[1:]]
+        for s, a in zip(key[1:], args):
+            g.match(s, a, 1)
+        head = ["def match(A, vs, engine, K):"]
+        head += ["    " + text for name, text in _HEADER if name in g.uses]
+        head.append(f"    {', '.join(args)}, = A")
+        return "\n".join(head + g.lines + ["    return True\n"])
+    if kind == "build":
+        parts = [g.build(s, 1) for s in key[1:]]
+        body = f"return ({', '.join(parts)},)"
+        return "\n".join(["def build(vs, K):", *g.lines, "    " + body + "\n"])
+    if kind == "compare":
+        fn = g.const()
+        body = f"return {fn}({g.expr(key[1])}, {g.expr(key[2])})"
+    else:
+        body = f"return {g.expr(key[1])}"
+    return "\n".join(["def evaluate(vs, K):", *g.lines, "    " + body + "\n"])
+
+
+@lru_cache(maxsize=SHAPE_CACHE)
+def _generated(key: tuple):
+    """The function of shape `key`, generated when the key is not cached.
+    A head matcher runs in the namespace of `objlog.engine`, so it looks up
+    `unify` there each time it calls it, as the interpreter does."""
+    if key[0] == "head":
+        from . import engine  # imported here: engine imports this module
+        scope = vars(engine)
+    else:
+        scope = globals()
+    local: dict = {}
+    exec(compile(_source(key), f"<clausecode {key[0]}>", "exec"), scope, local)
+    return local.popitem()[1]
+
+
+def head_matcher(hcode: tuple):
+    """The generated matcher of head program `hcode` and its constants, or
+    None when the head has more than MAX_NODES nodes.
+    `match(args, vs, engine, consts)` matches the goal's arguments into
+    frame `vs`; on failure it undoes the trail to where it started."""
+    consts: list = []
+    shapes = [_shape(p, 1, consts) for p in hcode[1:]]
+    if sum(map(_nodes, shapes)) > MAX_NODES:
+        return None
+    return _generated(("head", *shapes)), tuple(consts)
+
+
+def _instantiate(vs, K):
+    return instantiate(K[0], vs)
+
+
+def arg_builder(prog: tuple):
+    """The builder of compound program `prog` and its constants:
+    `build(vs, consts)` is `instantiate(prog, vs)`.  Generated, unless the
+    arguments have more than MAX_NODES nodes."""
+    consts: list = []
+    shapes = [_shape(p, 1, consts) for p in prog[1:]]
+    if sum(map(_nodes, shapes)) > MAX_NODES:
+        return _instantiate, (prog,)
+    return _generated(("build", *shapes)), tuple(consts)
+
+
+def _eval_value(vs, K):
+    return eval_code(K[0], vs)
+
+
+def _eval_compare(vs, K):
+    return K[0](eval_code(K[1], vs), eval_code(K[2], vs))
+
+
+def arith_evaluator(a: tuple, b: Optional[tuple] = None, compare=None):
+    """The evaluator of expression code `a` (with `compare`, of the
+    comparison of `a` and `b`) and its constants: `evaluate(vs, consts)`
+    is `eval_code(a, vs)`, or `compare(eval_code(a, vs), eval_code(b, vs))`.
+    Code longer than MAX_NODES runs through `eval_code`."""
+    if compare is None:
+        if len(a) > MAX_NODES:
+            return _eval_value, (a,)
+        consts: list = []
+        key = ("value", _expr_shape(a, consts))
+    else:
+        if len(a) > MAX_NODES or len(b) > MAX_NODES:
+            return _eval_compare, (compare, a, b)
+        consts = [compare]
+        key = ("compare", _expr_shape(a, consts), _expr_shape(b, consts))
+    return _generated(key), tuple(consts)
+
+
 # -- compiled goals ------------------------------------------------------------
 
 # Goal operations.  Those below CUT take arguments, built per call; EXIT
@@ -208,14 +516,15 @@ CALL, BUILTIN, CALLN, THROW, META, CUT, FAIL, ALT, ITE, NOT, EXIT, IS, SET, COMP
 class Goal:
     """One compiled body goal.
 
-    `args` holds fixed arguments; otherwise `prog` (or the faster `get`, when
-    every argument is a slot) builds them from the frame.  A user goal
-    caches its predicate entry in `entry`; a builtin's function is `fn`;
-    control goals keep their sub-bodies in `a`, `b` and `c`.  An arithmetic
-    goal keeps its expression code in `a` (and `b`, a comparison's right
-    side), its comparison in `fn`, the slot of an `is/2`'s left side in
-    `key` (None when that side is not a variable), and in `prog` the
-    program of the whole goal, built only for the trace."""
+    `args` holds fixed arguments; a goal whose arguments are built from the
+    frame has instead its builder in `get` (see `arg_builder`), and the
+    builder's constants in `args`.  A user goal caches its predicate entry
+    in `entry`; a builtin's function is `fn`; control goals keep their
+    sub-bodies in `a`, `b` and `c`.  An arithmetic goal has its evaluator
+    (see `arith_evaluator`) in `get` and its constants in `args`: it returns a
+    comparison's truth or an `is/2`'s value.  It keeps the slot of an
+    `is/2`'s left side in `key` (None when that side is not a variable), and
+    in `prog` the program of the whole goal, built only for the trace."""
 
     __slots__ = ("op", "ns", "name", "key", "args", "prog", "get", "fn", "entry",
                  "a", "b", "c")
@@ -267,9 +576,7 @@ def arg_goal(op: int, t: Term, ns: str, slots: Optional[dict], fresh) -> Goal:
     if type(p) is not tuple:
         g.args = p.args
         return g
-    g.prog = p
-    if len(p) > 2 and all(type(x) is int for x in p[1:]):
-        g.get = itemgetter(*p[1:])
+    g.get, g.args = arg_builder(p)
     return g
 
 
@@ -299,8 +606,7 @@ def arith_goal(t: Struct, ns: str, compare, slots: dict, fresh: list, top: bool
         if a is None or b is None:
             return None
         g = Goal(COMPARE, ns, t.name)
-        g.b = b
-        g.fn = compare
+        g.get, g.args = arith_evaluator(a, b, compare)
     else:
         rp = program(right, slots, fresh)
         a = expr_code(rp)
@@ -316,7 +622,7 @@ def arith_goal(t: Struct, ns: str, compare, slots: dict, fresh: list, top: bool
             lp = program(left, slots, fresh)
             if type(lp) is int:
                 g.key = lp
-    g.a = a
+        g.get, g.args = arith_evaluator(a)
     g.prog = (t.name, lp, rp)
     return g
 

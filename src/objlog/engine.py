@@ -1,15 +1,22 @@
 """Clause database and the resolution machine.
 
 Clauses are compiled when they are asserted (see `clausecode`).  A try of a
-clause runs its head program against the goal's arguments: the first
-occurrence of a variable stores the goal's argument in its frame slot (no
-variable is made and nothing is trailed), a later occurrence unifies with
-it, a constant is tested or bound, and a compound either matches the goal's
-structure argument by argument (read mode) or is built from the frame and
-bound to an unbound goal argument (write mode).  The body's goals then run
-from a continuation of (goals, pc, frame, cut barrier) nodes and a
-choice-point stack, so deterministic tail calls run in constant depth and
-deep conjunctions never touch the Python stack.  Cut prunes to the barrier
+clause calls its head matcher, Python code generated from the head's match
+program, on the goal's arguments: the first occurrence of a variable stores
+the goal's argument in its frame slot (no variable is made and nothing is
+trailed), a later occurrence unifies with it, a constant is tested or
+bound, and a compound either matches the goal's structure argument by
+argument (read mode) or is built from the frame and bound to an unbound
+goal argument (write mode).  A body goal's arguments come from its
+generated builder and arithmetic from its generated evaluator.  The
+matchers run in this module's namespace and look up `unify` here as they
+run, so a wrapper installed on `engine.unify` sees every call; `match_args`
+is the interpreter they hand a too-deep sub-program to, and `match_head`
+matches a head too big to generate with it.
+
+The body's goals run from a continuation of (goals, pc, frame, cut barrier)
+nodes and a choice-point stack, so deterministic tail calls run in constant
+depth and deep conjunctions never touch the Python stack.  Cut prunes to the barrier
 of its node, if-then-else commits by a cut to the height before its
 condition, and nondeterministic native predicates are generator choice
 points.  `catch/3` is a catch frame on the same stack, and a call the
@@ -54,7 +61,7 @@ from .clausecode import (
     SET,
     Goal,
     compile_body,
-    eval_code,
+    head_matcher,
     instantiate,
     is_control,
     late_goal,
@@ -96,11 +103,14 @@ class PushGoal:
 
 class Clause:
     """A clause as asserted (`head`, `body`) plus its compiled form: the
-    head match program `hcode` (None for an atom head), the body goals
-    `code`, the frame size `nvars` and `fresh`, the slots of the body's
-    variables that get a fresh variable before the body runs."""
+    head matcher `match` and its constants `consts` (None and () for an
+    atom head), the body goals `code`, the frame size `nvars` and `fresh`,
+    the slots of the body's variables that get a fresh variable before the
+    body runs.  The matcher is generated from the head's match program and
+    shared by every clause whose program has the same shape (see
+    `clausecode`); the clause holds only its constants."""
 
-    __slots__ = ("head", "body", "key", "nvars", "hcode", "code", "fresh")
+    __slots__ = ("head", "body", "key", "nvars", "match", "consts", "code", "fresh")
 
     def __init__(self, head: Term, body: Term, ns: str, builtins: dict):
         self.head = head
@@ -108,10 +118,12 @@ class Clause:
         slots: dict = {}
         if type(head) is Struct:
             self.key = index_key(head.args[0])
-            self.hcode = (head.name, *(program(a, slots, None) for a in head.args))
+            hcode = (head.name, *(program(a, slots, None) for a in head.args))
+            self.match, self.consts = head_matcher(hcode) or (match_head, (hcode,))
         else:
             self.key = None
-            self.hcode = None
+            self.match = None
+            self.consts = ()
         fresh: list = []
         self.code = compile_body(body, ns, builtins, slots, fresh)
         self.fresh = tuple(fresh)
@@ -320,10 +332,13 @@ class Machine:
 
     __slots__ = ("engine", "cont", "frame", "depth", "peak_depth", "peak_cps", "cps")
 
-    def __init__(self, engine: "Engine", goal: Term, ns: str = "user"):
+    def __init__(self, engine: "Engine", goal: Term | Goal, ns: str = "user"):
         self.engine = engine
-        # the query is compiled when it first runs, so its errors surface there
-        self.cont = ((late_goal(goal, ns),), 0, None, 0, None)
+        # a goal term is compiled when it first runs, so its errors surface
+        # there; a compiled goal carries its own namespace
+        if type(goal) is not Goal:
+            goal = late_goal(goal, ns)
+        self.cont = ((goal,), 0, None, 0, None)
         self.frame = None
         self.depth = 1
         self.peak_depth = 1
@@ -514,12 +529,7 @@ class Machine:
         op = goal.op
         if op < CUT:
             get = goal.get
-            if get is not None:
-                args = get(self.frame)
-            elif goal.prog is not None:
-                args = instantiate(goal.prog, self.frame)
-            else:
-                args = goal.args
+            args = goal.args if get is None else get(self.frame, goal.args)
             if op == CALL:
                 engine = self.engine
                 entry = goal.entry
@@ -557,9 +567,9 @@ class Machine:
             engine = self.engine
             if engine.trace:
                 engine.trace_port("call", new_struct(goal.name, instantiate(goal.prog, vs)), ns)
+            x = goal.get(vs, goal.args)
             if op == COMPARE:
-                return goal.fn(eval_code(goal.a, vs), eval_code(goal.b, vs))
-            x = eval_code(goal.a, vs)
+                return x
             k = goal.key
             if op == SET:
                 vs[k] = x
@@ -639,62 +649,9 @@ class Machine:
         engine = self.engine
         engine.clause_attempts += 1
         vs = [None] * clause.nvars
-        prog = clause.hcode
-        if prog is not None:
-            trail = engine.trail
-            mark = len(trail.entries)
-            occurs = engine.occurs_check
-            # under --trace a goal variable is bound to a fresh one, as a
-            # copied head would bind it, so trace lines name variables alike
-            tracing = engine.trace
-            terms = args
-            i = 1
-            n = len(prog)
-            stack = None
-            while True:
-                if i == n:
-                    if stack is None:
-                        break
-                    prog, terms, i, n, stack = stack
-                    continue
-                p = prog[i]
-                a = terms[i - 1]
-                i += 1
-                tp = type(p)
-                if tp is int:
-                    if p >= 0:
-                        if unify(a, vs[p], trail, occurs):
-                            continue
-                    else:
-                        if tracing and type(deref(a)) is Var:
-                            a = deref(a)
-                            bind(a, Var(), trail)
-                        vs[~p] = a
-                        continue
-                elif tp is not tuple:  # a ground term
-                    if a is p or unify(a, p, trail, occurs):
-                        continue
-                elif len(p) == 1:  # an integer
-                    if unify(a, p[0], trail, occurs):
-                        continue
-                else:
-                    a = deref(a)
-                    if type(a) is Struct:  # read mode
-                        if a.name is p[0] and len(a.args) == len(p) - 1:
-                            if i < n:
-                                stack = (prog, terms, i, n, stack)
-                            prog = p
-                            terms = a.args
-                            i = 1
-                            n = len(p)
-                            continue
-                    elif type(a) is Var:  # write mode
-                        s = new_struct(p[0], instantiate(p, vs))
-                        if not (occurs and occurs_in(a, s)):
-                            bind(a, s, trail)
-                            continue
-                trail.undo_to(mark)
-                return False
+        match = clause.match
+        if match is not None and not match(args, vs, engine, clause.consts):
+            return False
         self.cont = cont
         self.depth = depth
         code = clause.code
@@ -706,6 +663,76 @@ class Machine:
             if depth > self.peak_depth:
                 self.peak_depth = depth
         return True
+
+
+def match_head(args: tuple, vs: list, engine: "Engine", K: tuple) -> bool:
+    """The matcher of a head too big to generate: its one constant is the
+    head program, which `match_args` runs."""
+    trail = engine.trail
+    mark = len(trail.entries)
+    if match_args(K[0], args, vs, trail, engine.occurs_check, engine.trace):
+        return True
+    trail.undo_to(mark)
+    return False
+
+
+def match_args(prog: tuple, terms: tuple, vs: list, trail: Trail, occurs: bool,
+               tracing: bool) -> bool:
+    """Run the argument programs `prog[1:]` of a head against `terms`, into
+    frame `vs`; on failure the caller undoes the trail.  This is the
+    interpreter: `match_head` runs it for a head too big to generate, and a
+    generated matcher calls it for a sub-program nested too deep.  Generated
+    matchers run in this module's namespace, so every name their code reads
+    (`unify`, `bind`, `deref`, `occurs_in`, `Var`, `Struct`, `new_struct`,
+    `instantiate` and this function) is defined or imported here."""
+    i = 1
+    n = len(prog)
+    stack = None
+    while True:
+        if i == n:
+            if stack is None:
+                return True
+            prog, terms, i, n, stack = stack
+            continue
+        p = prog[i]
+        a = terms[i - 1]
+        i += 1
+        tp = type(p)
+        if tp is int:
+            if p >= 0:
+                if unify(a, vs[p], trail, occurs):
+                    continue
+            else:
+                # under --trace a goal variable is bound to a fresh one, as a
+                # copied head would bind it, so trace lines name variables alike
+                if tracing and type(deref(a)) is Var:
+                    a = deref(a)
+                    bind(a, Var(), trail)
+                vs[~p] = a
+                continue
+        elif tp is not tuple:  # a ground term
+            if a is p or unify(a, p, trail, occurs):
+                continue
+        elif len(p) == 1:  # an integer
+            if unify(a, p[0], trail, occurs):
+                continue
+        else:
+            a = deref(a)
+            if type(a) is Struct:  # read mode
+                if a.name is p[0] and len(a.args) == len(p) - 1:
+                    if i < n:
+                        stack = (prog, terms, i, n, stack)
+                    prog = p
+                    terms = a.args
+                    i = 1
+                    n = len(p)
+                    continue
+            elif type(a) is Var:  # write mode
+                s = new_struct(p[0], instantiate(p, vs))
+                if not (occurs and occurs_in(a, s)):
+                    bind(a, s, trail)
+                    continue
+        return False
 
 
 def build_call(args) -> Term:
@@ -735,7 +762,7 @@ class Query:
     parse a fresh goal.
     """
 
-    def __init__(self, engine: "Engine", goal: Term, ns: str, protect: bool):
+    def __init__(self, engine: "Engine", goal: Term | Goal, ns: str, protect: bool):
         self.machine = Machine(engine, goal, ns)
         self._gen = self._run(engine, protect)
 
@@ -907,14 +934,17 @@ class Engine:
             raise type_error("callable", g)
         return compile_body(g, ns, self.builtins)
 
-    def solve(self, goal: Term, ns: str = "user", protect: bool = False) -> Query:
-        """An iterator over the solutions of `goal`.  Exhausted without
+    def solve(self, goal: Term | Goal, ns: str = "user", protect: bool = False) -> Query:
+        """An iterator over the solutions of `goal`, a goal term or a
+        compiled `Goal` (built with `clausecode.call_goal`, which carries its
+        namespace and runs with nothing compiled).  Exhausted without
         `protect`, it leaves the goal term partly bound (see `Query`): pass
         `protect=True`, or parse a fresh goal, to solve it again."""
         return Query(self, goal, ns, protect)
 
-    def solve_once(self, goal: Term, ns: str = "user") -> bool:
-        """Run a goal, commit to its first solution; keeps its bindings."""
+    def solve_once(self, goal: Term | Goal, ns: str = "user") -> bool:
+        """Run a goal, a term or a compiled `Goal`, and commit to its first
+        solution; keeps its bindings."""
         q = self.solve(goal, ns, protect=True)
         try:
             next(q)

@@ -1,5 +1,6 @@
 import pytest
 
+from objlog import toolkit
 from objlog.balls import bridge_kind
 from objlog.engine import Engine, Machine
 from objlog.errors import LogicError
@@ -577,6 +578,47 @@ def test_sends_and_gets_from_logic_compile_nothing(rt, monkeypatch, call, answer
     assert sum(1 for _ in rt.engine.solve(goal)) == answers
     assert [g for g in compiled if g is not goal] == []
     assert resolved == [True]
+
+
+PINGED = """
+:- pce_begin_class(pinged, object).
+variable(count, int, both, "pings so far").
+initialise(O) :-> send(O, count, 0).
+ping(O, N:int) :-> get(O, count, C), C1 is C + N, send(O, count, C1).
+:- pce_end_class(pinged).
+"""
+
+
+@pytest.mark.parametrize("case", ["send_value", "new", "event"])
+def test_native_calls_of_logic_methods_compile_nothing(rt, monkeypatch, case):
+    # a call from native code runs the method's compiled call goal in a
+    # nested solve: only a query is compiled at run time
+    rt.consult_text(PINGED)
+    rt.consult_program("my_box")
+    ref = once(rt, "new(O, pinged)")["O"]
+    box = once(rt, "new(B, my_box(10, 10))")["B"]
+    compiled = []
+    compile_goal = Engine.compile_goal
+
+    def counting(engine, g, ns):
+        compiled.append(g)
+        return compile_goal(engine, g, ns)
+
+    monkeypatch.setattr(Engine, "compile_goal", counting)
+    if case == "send_value":
+        obj = rt.kernel.fetch(ref.ref)
+        for i in range(100):
+            assert rt.kernel.send_value(obj, "ping", [i])
+        assert obj.slots["count"] == sum(range(100))
+    elif case == "new":
+        assert once(rt, "new(P, pinged), get(P, count, C)")["C"] == 0
+        assert len(compiled) == 1  # the query
+        compiled.clear()
+    else:
+        assert toolkit.pump_event(rt, box, "area_enter", 1, 1)
+        fill = rt.kernel.fetch(box.ref).slots["fill_pattern"]
+        assert fill.slots["name"] is Atom("red")
+    assert compiled == []
 
 
 DEEP = 100_000
