@@ -37,7 +37,7 @@ Python frame is waiting for its answer.
 from __future__ import annotations
 
 from .balls import bridge_error
-from .clausecode import Goal, call_goal, new_struct
+from .clausecode import Goal, call_goal, is_control, new_struct
 from .engine import PushGoal, Scope
 from .hostdata import HostTermObject
 from .kernel import PROLOG_T, KMethod, KObject, LogicImpl, TypeSpec
@@ -240,11 +240,18 @@ class Bridge:
 
     def callback_call(self, pred_name: str, values) -> bool:
         """Run a predicate in `user` from kernel-side values; commits to the
-        first solution."""
+        first solution.  A user predicate is called through its entry, as
+        `_implementation_goal` calls a method, so nothing is compiled; a
+        builtin, a control construct or an unknown predicate is solved from
+        a goal term, which raises what calling it from logic raises."""
+        engine = self.rt.engine
         with self.rt.hostdata.bridge_call():
-            terms = [self.value_to_term(v) for v in values]
-            goal = Struct(pred_name, tuple(terms)) if terms else Atom(pred_name)
-            return self.rt.engine.solve_once(goal, "user")
+            terms = tuple(self.value_to_term(v) for v in values)
+            entry = engine.preds.get(("user", pred_name, len(terms)))
+            if entry is not None and not is_control(pred_name, len(terms)):
+                return engine.solve_once(call_goal(entry, terms))
+            goal = Struct(pred_name, terms) if terms else Atom(pred_name)
+            return engine.solve_once(goal, "user")
 
     # -- send/get/new/free --------------------------------------------------------
 

@@ -25,8 +25,10 @@ nests a solve.
 
 Two namespaces exist, `user` and `pce_principal`; a goal `M:G` resolves G
 in namespace M and nothing more.  Clause lists are copy-on-write so running
-queries keep the view they started with, and first-argument indexing is a
-pure optimization that can be disabled for testing.
+queries keep the view they started with.  Clause indexing is a pure
+optimization that can be disabled for testing: a call tries only the
+clauses that the leftmost argument able to tell them apart selects (see
+`PredicateEntry`), and `retract/1` tries the same clauses.
 """
 
 from __future__ import annotations
@@ -131,7 +133,8 @@ class Clause:
 
 
 def index_key(t: Term):
-    """First-argument index key; None matches everything (variables)."""
+    """Index key of a clause or call argument; None matches everything
+    (variables)."""
     t = deref(t)
     ty = type(t)
     if ty is Struct:
@@ -143,14 +146,35 @@ def index_key(t: Term):
     return t  # atoms are interned; ints and object references compare by value
 
 
+def _file(buckets: dict, varonly: tuple, key, one: tuple, front: bool) -> tuple:
+    """File the clause in `one` into an index under `key`, at the front or
+    the back of its buckets; returns the index's new variable-only tuple."""
+    if key is None:
+        for k, b in buckets.items():
+            buckets[k] = one + b if front else b + one
+        return one + varonly if front else varonly + one
+    b = buckets.get(key, varonly)
+    buckets[key] = one + b if front else b + one
+    return varonly
+
+
 class PredicateEntry:
-    """The clauses of one predicate and their first-argument index.
+    """The clauses of one predicate and their argument indexes.
 
-    A bucket holds, in clause order, the clauses whose key is its key and
-    those whose first argument is a variable.  `add` keeps the index up to
-    date; a bulk removal marks it dirty and the next `select` rebuilds it."""
+    A call selects its clauses by the leftmost argument that is bound in
+    the call and at which some clause head is not a variable.  The index on
+    an argument maps a key (see `index_key`) to a bucket holding, in clause
+    order, the clauses whose argument has that key and those whose argument
+    is a variable; a key no bucket has selects the variable-only clauses.
+    The first-argument index (`_buckets`, `_varonly`) is kept from the
+    start; the index on a later argument goes into `_later` the first time
+    a call needs it, built from the clause heads, so nothing is computed
+    per clause for it at assert time.  `add` updates every built index in
+    place; a removal marks them dirty, and the next `select` rebuilds the
+    first-argument index and drops the others."""
 
-    __slots__ = ("ns", "name", "arity", "clauses", "dynamic", "_buckets", "_varonly", "_dirty")
+    __slots__ = ("ns", "name", "arity", "clauses", "dynamic", "_buckets", "_varonly",
+                 "_later", "_dirty")
 
     def __init__(self, ns: str, name: str, arity: int):
         self.ns = ns
@@ -160,6 +184,7 @@ class PredicateEntry:
         self.dynamic = False
         self._buckets: dict = {}
         self._varonly: tuple = ()
+        self._later: Optional[dict] = None  # argument position -> [buckets, varonly]
         self._dirty = False
 
     def add(self, clause: Clause, front: bool = False) -> None:
@@ -167,16 +192,11 @@ class PredicateEntry:
         self.clauses = one + self.clauses if front else self.clauses + one
         if self._dirty:
             return
-        buckets = self._buckets
-        key = clause.key
-        if key is None:
-            for k, b in buckets.items():
-                buckets[k] = one + b if front else b + one
-            b = self._varonly
-            self._varonly = one + b if front else b + one
-        else:
-            b = buckets.get(key, self._varonly)
-            buckets[key] = one + b if front else b + one
+        self._varonly = _file(self._buckets, self._varonly, clause.key, one, front)
+        if self._later:
+            args = clause.head.args
+            for pos, ix in self._later.items():
+                ix[1] = _file(ix[0], ix[1], index_key(args[pos]), one, front)
 
     def remove(self, clause: Clause) -> None:
         self.clauses = tuple(c for c in self.clauses if c is not clause)
@@ -197,11 +217,13 @@ class PredicateEntry:
             self._dirty = True
         return len(gone)
 
-    def _build_index(self) -> None:
+    def _build_index(self, pos: int = 0) -> tuple:
+        """The buckets and variable-only clauses of the index on argument
+        `pos`, built from the clauses in one pass."""
         lists: dict = {}
         varonly: list = []
         for c in self.clauses:
-            key = c.key
+            key = c.key if pos == 0 else index_key(c.head.args[pos])
             if key is None:
                 varonly.append(c)
                 for got in lists.values():
@@ -211,21 +233,36 @@ class PredicateEntry:
                 if got is None:
                     got = lists[key] = list(varonly)
                 got.append(c)
-        self._buckets = {k: tuple(got) for k, got in lists.items()}
-        self._varonly = tuple(varonly)
-        self._dirty = False
+        return {k: tuple(got) for k, got in lists.items()}, tuple(varonly)
 
     def select(self, args: tuple, indexing: bool) -> tuple:
         clauses = self.clauses
         if not indexing or self.arity == 0 or len(clauses) < 2:
             return clauses
-        key = index_key(args[0])
-        if key is None:
-            return clauses
         if self._dirty:
-            self._build_index()
-        got = self._buckets.get(key)
-        return got if got is not None else self._varonly
+            self._buckets, self._varonly = self._build_index()
+            self._later = None
+            self._dirty = False
+        buckets = self._buckets
+        if buckets:  # some clause has a non-variable first argument
+            key = index_key(args[0])
+            if key is not None:
+                got = buckets.get(key)
+                return got if got is not None else self._varonly
+        later = self._later
+        for pos in range(1, self.arity):
+            key = index_key(args[pos])
+            if key is None:
+                continue
+            if later is None:
+                later = self._later = {}
+            ix = later.get(pos)
+            if ix is None:
+                ix = later[pos] = list(self._build_index(pos))
+            if ix[0]:
+                got = ix[0].get(key)
+                return got if got is not None else ix[1]
+        return clauses
 
 
 class LoadReport:
@@ -875,12 +912,14 @@ class Engine:
         entry = self.preds.get((ns, name, arity))
         if entry is None:
             return False
-        # a clause that does not match must leave no binding behind, so the
+        # the clauses a call with these arguments would try, in order; a
+        # clause that does not match must leave no binding behind, so the
         # tries are recorded even when no choice point is live
+        clauses = entry.select(head.args if th is Struct else (), self.indexing)
         trail = self.trail
         trail.guards += 1
         try:
-            for clause in entry.clauses:
+            for clause in clauses:
                 mark = trail.mark()
                 mapping: dict = {}
                 h = rename_term(clause.head, mapping)

@@ -20,7 +20,7 @@ def oracle_walk(t, subst):
         if t.ref is not None:
             t = t.ref
             continue
-        got = subst.get(id(t))
+        got = subst.get(t)
         if got is None:
             return t
         t = got
@@ -58,7 +58,9 @@ def oracle_unify(a, b, subst=None, occurs_check=False, events=None):
                 if events is not None:
                     events["occurs"] = events.get("occurs", 0) + 1
                 return None
-            subst[id(x)] = y
+            # keyed by the variable itself: its id() could be reused by a
+            # fresh variable once nothing else holds it
+            subst[x] = y
             continue
         if type(x) is not type(y):
             return None

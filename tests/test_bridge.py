@@ -589,14 +589,22 @@ ping(O, N:int) :-> get(O, count, C), C1 is C + N, send(O, count, C1).
 """
 
 
-@pytest.mark.parametrize("case", ["send_value", "new", "event"])
+CLICKED = """
+clicked(K) :- retract(click_count(K, N)), N1 is N + 1, assert(click_count(K, N1)).
+click_count(0, 0).
+"""
+
+
+@pytest.mark.parametrize("case", ["send_value", "new", "event", "callback"])
 def test_native_calls_of_logic_methods_compile_nothing(rt, monkeypatch, case):
     # a call from native code runs the method's compiled call goal in a
-    # nested solve: only a query is compiled at run time
-    rt.consult_text(PINGED)
+    # nested solve, and a message to @prolog calls its user predicate the
+    # same way: only a query is compiled at run time
+    rt.consult_text(PINGED + CLICKED)
     rt.consult_program("my_box")
     ref = once(rt, "new(O, pinged)")["O"]
     box = once(rt, "new(B, my_box(10, 10))")["B"]
+    button = once(rt, "new(B, button(b0, message(@prolog, clicked, 0)))")["B"]
     compiled = []
     compile_goal = Engine.compile_goal
 
@@ -614,10 +622,15 @@ def test_native_calls_of_logic_methods_compile_nothing(rt, monkeypatch, case):
         assert once(rt, "new(P, pinged), get(P, count, C)")["C"] == 0
         assert len(compiled) == 1  # the query
         compiled.clear()
-    else:
+    elif case == "event":
         assert toolkit.pump_event(rt, box, "area_enter", 1, 1)
         fill = rt.kernel.fetch(box.ref).slots["fill_pattern"]
         assert fill.slots["name"] is Atom("red")
+    else:
+        for _ in range(100):
+            assert toolkit.pump_event(rt, button, "button_down", 0, 0)
+        [(head, _body)] = rt.engine.clauses_of("user", "click_count", 2)
+        assert head.args == (0, 100)
     assert compiled == []
 
 

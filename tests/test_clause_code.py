@@ -1,6 +1,6 @@
 """The compiled clause form: control constructs that cannot be asserted,
 deep clauses, late-defined callees, the --trace text, arithmetic compiled
-with the clause, the first-argument index kept up to date in place, and
+with the clause, the argument indexes kept up to date in place, and
 answer sequences checked against the substitution-based reference solver."""
 
 import io
@@ -337,28 +337,46 @@ def test_deep_expressions_evaluate_without_recursion(rt):
     assert deref(got) == 5 + depth + 1
 
 
-# -- the first-argument index ------------------------------------------------------------
+# -- the argument indexes ----------------------------------------------------------------
+
+
+def _built_indexes(entry):
+    """Every index the entry has built, by argument position."""
+    built = {0: (entry._buckets, entry._varonly)}
+    built.update((pos, tuple(ix)) for pos, ix in (entry._later or {}).items())
+    return built
 
 
 def test_index_built_in_place_matches_a_rebuild(rt):
     rt.consult_text("k(a, 1). k(X, 2). k(b, 3). k(f(1), 4). k(a, 5). k(1, 6). k(1.0, 7).")
-    rt.engine.assert_term(parse_term("k(b, 0)")[0], front=True)
-    rt.engine.assert_term(parse_term("k(_, 8)")[0])
     entry = rt.engine.entry("user", "k", 2)
-    in_place = dict(entry._buckets), entry._varonly
-    entry._build_index()
-    assert (entry._buckets, entry._varonly) == in_place
-    assert solutions(rt, "k(1, N)") == [{"N": "2"}, {"N": "6"}, {"N": "8"}]
+    # a call whose first argument is unbound builds the index on the second
+    assert solutions(rt, "k(K, 6)") == [{"K": "1"}]
+    for text, front in (("k(b, 0)", True), ("k(_, 8)", False), ("k(c, _)", False),
+                        ("k(d, 6)", True), ("k(_, _)", True)):
+        rt.engine.assert_term(parse_term(text)[0], front=front)
+    built = _built_indexes(entry)
+    assert sorted(built) == [0, 1]
+    for pos, index in built.items():
+        assert index == entry._build_index(pos), pos
+    assert solutions(rt, "k(1, N)") == [{"N": "N"}, {"N": "2"}, {"N": "6"}, {"N": "8"}]
+    assert solutions(rt, "k(K, 6)") == [{"K": "K"}, {"K": "d"}, {"K": "1"}, {"K": "c"}]
 
 
 def test_retract_all_by_first_argument_leaves_other_clauses(rt):
     rt.consult_text("m(a, 1). m(b, 2). m(X, 3). m(a, 4).")
     entry = rt.engine.entry("user", "m", 2)
+    assert solutions(rt, "m(K, 2)") == [{"K": "b"}]
     before = entry.clauses
+    built = _built_indexes(entry)
     assert rt.engine.retract_all_clauses("user", "m", 2, first=Atom("zz")) == 0
     assert entry.clauses is before and not entry._dirty
+    assert _built_indexes(entry) == built
     assert rt.engine.retract_all_clauses("user", "m", 2, first=Atom("a")) == 2
     assert solutions(rt, "m(K, N)") == [{"K": "b", "N": "2"}, {"K": "K", "N": "3"}]
+    assert solutions(rt, "m(K, 3)") == [{"K": "K"}]
+    for pos, index in _built_indexes(entry).items():
+        assert index == entry._build_index(pos), pos
 
 
 # -- answers against the reference solver ---------------------------------------------

@@ -408,12 +408,13 @@ def test_trail_does_not_grow_without_choice_points(rt):
 
 
 def test_last_clause_pops_its_choice_point(rt):
-    # first-argument indexing cannot tell these clauses apart, so every
-    # call pushes a clause choice point; it goes before the last clause runs
-    consult(rt, "loop(_, 0) :- !. loop(X, N) :- N1 is N - 1, loop(X, N1).")
+    # no argument tells these clauses apart, so no index can: every call
+    # pushes a clause choice point, and it goes before the last clause runs
+    consult(rt, "loop(_, N) :- N =< 0, !. loop(X, N) :- N1 is N - 1, loop(X, N1).")
     goal, _ = parse_term("loop(a, 20000)")
     q = rt.engine.solve(goal)
     next(q)
+    assert q.machine.peak_cps == 1
     assert len(q.machine.cps) == 0
     assert len(rt.engine.trail.entries) == 0
     q.close()

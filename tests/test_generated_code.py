@@ -3,6 +3,7 @@ arithmetic evaluators checked against the interpreters they replace, at
 and past their bounds; the shape cache; and what the per-layer tracer
 relies on."""
 
+import functools
 import inspect
 import io
 import operator
@@ -85,6 +86,7 @@ _constant = st.sampled_from([("atom", "a"), ("atom", "b"), ("atom", "[]"), ("int
                              ("int", 1), ("float", 1.0), ("float", 0.5), ("ref", 1)])
 
 
+@functools.lru_cache(maxsize=None)  # one strategy per set of names, drawn from many times
 def _terms(names):
     leaf = st.one_of(st.sampled_from([("var", v) for v in names]), _constant)
     # g/1 and g/2 share a name, so the arity check counts
@@ -110,17 +112,20 @@ def build(sym, env):
     return Struct(kind, tuple(build(a, env) for a in sym[1:]))
 
 
+_goal_var = st.sampled_from([("var", v) for v in GOAL_VARS])
+# a goal variable often, so that write mode and the occurs check run
+_goal_replacement = st.one_of(_goal_var, _goal_var, _constant, _terms(GOAL_VARS))
+_one_in_5, _one_in_4 = st.integers(0, 4), st.integers(0, 3)
+
+
 def _goal_like(data, sym):
     """A goal argument: the head argument itself with its variables and some
     of its parts replaced (bound, unbound or partly bound), or any term."""
-    if data.draw(st.integers(0, 4)) == 0:
+    if data.draw(_one_in_5) == 0:
         return data.draw(_terms(GOAL_VARS))
     kind = sym[0]
-    if kind == "var" or data.draw(st.integers(0, 3)) == 0:
-        # a goal variable often, so that write mode and the occurs check run
-        return data.draw(st.one_of(st.sampled_from([("var", v) for v in GOAL_VARS]),
-                                   st.sampled_from([("var", v) for v in GOAL_VARS]),
-                                   _constant, _terms(GOAL_VARS)))
+    if kind == "var" or data.draw(_one_in_4) == 0:
+        return data.draw(_goal_replacement)
     if kind == "chain":
         return (kind, sym[1], _goal_like(data, sym[2]))
     if kind in ("f", "g"):
