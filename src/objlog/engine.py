@@ -27,8 +27,10 @@ Two namespaces exist, `user` and `pce_principal`; a goal `M:G` resolves G
 in namespace M and nothing more.  Clause lists are copy-on-write so running
 queries keep the view they started with.  Clause indexing is a pure
 optimization that can be disabled for testing: a call tries only the
-clauses that the leftmost argument able to tell them apart selects (see
-`PredicateEntry`), and `retract/1` tries the same clauses.
+clauses that the leftmost argument able to tell them apart selects, and
+`retract/1` tries the same clauses.  Each argument has one index of the
+same kind, built the first time a call needs it, kept up to date by
+assert and dropped by any removal (see `PredicateEntry`).
 """
 
 from __future__ import annotations
@@ -112,18 +114,16 @@ class Clause:
     shared by every clause whose program has the same shape (see
     `clausecode`); the clause holds only its constants."""
 
-    __slots__ = ("head", "body", "key", "nvars", "match", "consts", "code", "fresh")
+    __slots__ = ("head", "body", "nvars", "match", "consts", "code", "fresh")
 
     def __init__(self, head: Term, body: Term, ns: str, builtins: dict):
         self.head = head
         self.body = body
         slots: dict = {}
         if type(head) is Struct:
-            self.key = index_key(head.args[0])
             hcode = (head.name, *(program(a, slots, None) for a in head.args))
             self.match, self.consts = head_matcher(hcode) or (match_head, (hcode,))
         else:
-            self.key = None
             self.match = None
             self.consts = ()
         fresh: list = []
@@ -146,35 +146,21 @@ def index_key(t: Term):
     return t  # atoms are interned; ints and object references compare by value
 
 
-def _file(buckets: dict, varonly: tuple, key, one: tuple, front: bool) -> tuple:
-    """File the clause in `one` into an index under `key`, at the front or
-    the back of its buckets; returns the index's new variable-only tuple."""
-    if key is None:
-        for k, b in buckets.items():
-            buckets[k] = one + b if front else b + one
-        return one + varonly if front else varonly + one
-    b = buckets.get(key, varonly)
-    buckets[key] = one + b if front else b + one
-    return varonly
-
-
 class PredicateEntry:
     """The clauses of one predicate and their argument indexes.
 
     A call selects its clauses by the leftmost argument that is bound in
-    the call and at which some clause head is not a variable.  The index on
-    an argument maps a key (see `index_key`) to a bucket holding, in clause
-    order, the clauses whose argument has that key and those whose argument
-    is a variable; a key no bucket has selects the variable-only clauses.
-    The first-argument index (`_buckets`, `_varonly`) is kept from the
-    start; the index on a later argument goes into `_later` the first time
-    a call needs it, built from the clause heads, so nothing is computed
-    per clause for it at assert time.  `add` updates every built index in
-    place; a removal marks them dirty, and the next `select` rebuilds the
-    first-argument index and drops the others."""
+    the call and at which some clause head is not a variable.  `_index`
+    has one slot per argument: None until a call first needs the index on
+    that argument, then `[buckets, varonly]`, built from the clause heads
+    in one pass.  `buckets` maps a key (see `index_key`) to the clauses, in
+    clause order, whose argument has that key or is a variable; `varonly`
+    holds the clauses whose argument is a variable, and a key no bucket has
+    selects them.  An index with no buckets tells no clauses apart, so the
+    call looks further right.  `add` files a clause into every built index
+    in place; a removal resets every slot to None."""
 
-    __slots__ = ("ns", "name", "arity", "clauses", "dynamic", "_buckets", "_varonly",
-                 "_later", "_dirty")
+    __slots__ = ("ns", "name", "arity", "clauses", "dynamic", "_index")
 
     def __init__(self, ns: str, name: str, arity: int):
         self.ns = ns
@@ -182,48 +168,54 @@ class PredicateEntry:
         self.arity = arity
         self.clauses: tuple = ()
         self.dynamic = False
-        self._buckets: dict = {}
-        self._varonly: tuple = ()
-        self._later: Optional[dict] = None  # argument position -> [buckets, varonly]
-        self._dirty = False
+        self._index: list = [None] * arity
 
     def add(self, clause: Clause, front: bool = False) -> None:
         one = (clause,)
         self.clauses = one + self.clauses if front else self.clauses + one
-        if self._dirty:
-            return
-        self._varonly = _file(self._buckets, self._varonly, clause.key, one, front)
-        if self._later:
-            args = clause.head.args
-            for pos, ix in self._later.items():
-                ix[1] = _file(ix[0], ix[1], index_key(args[pos]), one, front)
+        for pos, ix in enumerate(self._index):
+            if ix is None:
+                continue
+            buckets = ix[0]
+            key = index_key(clause.head.args[pos])
+            if key is None:  # a variable argument joins every bucket
+                for k, b in buckets.items():
+                    buckets[k] = one + b if front else b + one
+                ix[1] = one + ix[1] if front else ix[1] + one
+            else:
+                b = buckets.get(key, ix[1])
+                buckets[key] = one + b if front else b + one
 
     def remove(self, clause: Clause) -> None:
         self.clauses = tuple(c for c in self.clauses if c is not clause)
-        self._dirty = True
+        self._index = [None] * self.arity
 
     def retract_all(self, key=None, keep: Optional[Callable] = None) -> int:
-        """Remove the clauses whose first-argument key is `key` (every
-        clause when None) and that `keep` does not keep; returns how many."""
+        """Remove the clauses whose first argument has the index key `key`
+        (every clause when None) and that `keep` does not keep; returns how
+        many.  The candidates come from the index on the first argument."""
         if key is None:
             cands = self.clauses
-        elif self._dirty:
-            cands = tuple(c for c in self.clauses if c.key == key)
+        elif not self.arity:
+            cands = ()
         else:
-            cands = tuple(c for c in self._buckets.get(key, ()) if c.key == key)
+            ix = self._index[0]
+            if ix is None:
+                ix = self._index[0] = self._build_index(0)
+            cands = tuple(c for c in ix[0].get(key, ()) if index_key(c.head.args[0]) == key)
         gone = {id(c) for c in cands if keep is None or not keep(c)}
         if gone:
             self.clauses = tuple(c for c in self.clauses if id(c) not in gone)
-            self._dirty = True
+            self._index = [None] * self.arity
         return len(gone)
 
-    def _build_index(self, pos: int = 0) -> tuple:
-        """The buckets and variable-only clauses of the index on argument
-        `pos`, built from the clauses in one pass."""
+    def _build_index(self, pos: int) -> list:
+        """The index on argument `pos`, `[buckets, varonly]`, built from the
+        clauses in one pass."""
         lists: dict = {}
         varonly: list = []
         for c in self.clauses:
-            key = c.key if pos == 0 else index_key(c.head.args[pos])
+            key = index_key(c.head.args[pos])
             if key is None:
                 varonly.append(c)
                 for got in lists.values():
@@ -233,35 +225,26 @@ class PredicateEntry:
                 if got is None:
                     got = lists[key] = list(varonly)
                 got.append(c)
-        return {k: tuple(got) for k, got in lists.items()}, tuple(varonly)
+        return [{k: tuple(got) for k, got in lists.items()}, tuple(varonly)]
 
     def select(self, args: tuple, indexing: bool) -> tuple:
+        """The clauses a call with arguments `args` tries, in order."""
         clauses = self.clauses
-        if not indexing or self.arity == 0 or len(clauses) < 2:
+        if not indexing or len(clauses) < 2:
             return clauses
-        if self._dirty:
-            self._buckets, self._varonly = self._build_index()
-            self._later = None
-            self._dirty = False
-        buckets = self._buckets
-        if buckets:  # some clause has a non-variable first argument
-            key = index_key(args[0])
-            if key is not None:
-                got = buckets.get(key)
-                return got if got is not None else self._varonly
-        later = self._later
-        for pos in range(1, self.arity):
-            key = index_key(args[pos])
-            if key is None:
-                continue
-            if later is None:
-                later = self._later = {}
-            ix = later.get(pos)
-            if ix is None:
-                ix = later[pos] = list(self._build_index(pos))
-            if ix[0]:
-                got = ix[0].get(key)
-                return got if got is not None else ix[1]
+        index = self._index
+        pos = 0
+        for ix in index:
+            if ix is None or ix[0]:  # not built yet, or able to tell clauses apart
+                key = index_key(args[pos])
+                if key is not None:
+                    if ix is None:
+                        ix = index[pos] = self._build_index(pos)
+                    buckets = ix[0]
+                    if buckets:
+                        got = buckets.get(key)
+                        return ix[1] if got is None else got
+            pos += 1
         return clauses
 
 
@@ -937,8 +920,12 @@ class Engine:
 
     def retract_all_clauses(self, ns: str, name: str, arity: int, first: Term = None,
                             keep: Optional[Callable] = None) -> int:
-        """Remove the clauses of a predicate, only those whose first argument
-        is `first` when it is given, except those `keep` keeps."""
+        """Remove the clauses of a predicate, except those `keep` keeps.
+        When `first` is given, remove only the clauses whose first argument
+        has its index key: the same atom, number (`1` and `1.0` differ) or
+        object reference, or a compound of the same name and arity (so
+        `f(a)` removes `f(b)` too); a clause whose first argument is a
+        variable stays."""
         entry = self.preds.get((ns, name, arity))
         if entry is None:
             return 0

@@ -381,17 +381,6 @@ def resolve_copy(
     return root[0]
 
 
-def term_size(t: Term) -> int:
-    n = 0
-    stack = [t]
-    while stack:
-        x = deref(stack.pop())
-        n += 1
-        if type(x) is Struct:
-            stack.extend(x.args)
-    return n
-
-
 class TermRef:
     """Frame-scoped handle to a term; valid only while its frame is open."""
 
@@ -473,9 +462,6 @@ class TermStore:
         if slots is None:
             raise StaleTermRefError(f"reference into closed frame {ref.frame_id}")
         return slots[ref.slot]
-
-    def frame_is_open(self, fid: int) -> bool:
-        return fid in self._open
 
     # -- records --------------------------------------------------------
 

@@ -341,24 +341,26 @@ def test_deep_expressions_evaluate_without_recursion(rt):
 
 
 def _built_indexes(entry):
-    """Every index the entry has built, by argument position."""
-    built = {0: (entry._buckets, entry._varonly)}
-    built.update((pos, tuple(ix)) for pos, ix in (entry._later or {}).items())
-    return built
+    """A copy of every index the entry has built, by argument position."""
+    return {pos: (dict(ix[0]), ix[1]) for pos, ix in enumerate(entry._index) if ix is not None}
 
 
 def test_index_built_in_place_matches_a_rebuild(rt):
     rt.consult_text("k(a, 1). k(X, 2). k(b, 3). k(f(1), 4). k(a, 5). k(1, 6). k(1.0, 7).")
     entry = rt.engine.entry("user", "k", 2)
+    assert _built_indexes(entry) == {}  # nothing is built before a call needs it
     # a call whose first argument is unbound builds the index on the second
     assert solutions(rt, "k(K, 6)") == [{"K": "1"}]
+    assert sorted(_built_indexes(entry)) == [1]
+    # one whose first argument is bound builds the index on the first
+    assert solutions(rt, "k(b, N)") == [{"N": "2"}, {"N": "3"}]
     for text, front in (("k(b, 0)", True), ("k(_, 8)", False), ("k(c, _)", False),
                         ("k(d, 6)", True), ("k(_, _)", True)):
         rt.engine.assert_term(parse_term(text)[0], front=front)
     built = _built_indexes(entry)
     assert sorted(built) == [0, 1]
     for pos, index in built.items():
-        assert index == entry._build_index(pos), pos
+        assert index == tuple(entry._build_index(pos)), pos
     assert solutions(rt, "k(1, N)") == [{"N": "N"}, {"N": "2"}, {"N": "6"}, {"N": "8"}]
     assert solutions(rt, "k(K, 6)") == [{"K": "K"}, {"K": "d"}, {"K": "1"}, {"K": "c"}]
 
@@ -368,15 +370,24 @@ def test_retract_all_by_first_argument_leaves_other_clauses(rt):
     entry = rt.engine.entry("user", "m", 2)
     assert solutions(rt, "m(K, 2)") == [{"K": "b"}]
     before = entry.clauses
+    second = entry._index[1]
     built = _built_indexes(entry)
+    assert sorted(built) == [1]
+    # removing nothing builds the first-argument index it reads and keeps the rest
     assert rt.engine.retract_all_clauses("user", "m", 2, first=Atom("zz")) == 0
-    assert entry.clauses is before and not entry._dirty
-    assert _built_indexes(entry) == built
+    assert entry.clauses is before and entry._index[1] is second
+    after = _built_indexes(entry)
+    assert sorted(after) == [0, 1] and after[1] == built[1]
+    assert after[0] == tuple(entry._build_index(0))
     assert rt.engine.retract_all_clauses("user", "m", 2, first=Atom("a")) == 2
+    assert _built_indexes(entry) == {}  # a removal resets every index
     assert solutions(rt, "m(K, N)") == [{"K": "b", "N": "2"}, {"K": "K", "N": "3"}]
     assert solutions(rt, "m(K, 3)") == [{"K": "K"}]
-    for pos, index in _built_indexes(entry).items():
-        assert index == entry._build_index(pos), pos
+    assert solutions(rt, "m(b, N)") == [{"N": "2"}, {"N": "3"}]
+    built = _built_indexes(entry)
+    assert sorted(built) == [0, 1]
+    for pos, index in built.items():
+        assert index == tuple(entry._build_index(pos)), pos
 
 
 # -- answers against the reference solver ---------------------------------------------

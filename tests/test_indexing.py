@@ -6,7 +6,7 @@ save pinned on the solver benchmark's predicates."""
 
 import io
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from objlog import builtins as _builtins
@@ -36,9 +36,11 @@ _clause = st.tuples(st.lists(_arg, min_size=ARITY, max_size=ARITY),
 # check and no cyclic term is made
 _query_arg = st.one_of(st.just(("var", "Q")), st.just(("var", "Q")), _arg)
 # what is done after `after` answers of the open query: assert a clause at
-# the front or the back, or retract the first clause that unifies with a
-# head; the head is drawn, or it is that of clause `copy` when `copy` >= 0
-_update = st.tuples(st.sampled_from(["asserta", "assertz", "retract", "retract"]),
+# the front or the back, retract the first clause that unifies with a head,
+# or retract all clauses by the first argument of a head; the head is drawn,
+# or it is that of clause `copy` when `copy` >= 0
+_update = st.tuples(st.sampled_from(["asserta", "assertz", "retract", "retract",
+                                     "retract_all"]),
                     st.lists(_arg, min_size=ARITY, max_size=ARITY),
                     st.integers(-2, 5))
 
@@ -77,15 +79,36 @@ def _reference(program, query_args):
     return out
 
 
+def _first_key(t):
+    """The index key rule, written out on its own: a compound by its name
+    and arity, anything else bound by its type and value; a variable has
+    none."""
+    ty = type(t)
+    if ty is Var:
+        return None
+    if ty is Struct:
+        return t.name, len(t.args)
+    if ty is Atom:
+        return ty, t.name
+    if ty is ObjRef:
+        return ty, t.ref
+    return ty, t
+
+
 def _reference_update(program, update):
     """The program after `update`: retract removes the first clause, in
-    order, whose renamed copy unifies with the head and a body `true`."""
+    order, whose renamed copy unifies with the head and a body `true`;
+    retract_all removes every clause whose first argument has the key of
+    the head's first argument."""
     action, args = update
     head = _head(args)
     if action == "asserta":
         return [(head, TRUE)] + program
     if action == "assertz":
         return program + [(head, TRUE)]
+    if action == "retract_all":
+        key = _first_key(head.args[0])
+        return [c for c in program if _first_key(c[0].args[0]) != key]
     for i, clause in enumerate(program):
         mapping: dict = {}
         h, b = oracle_rename(clause[0], mapping), oracle_rename(clause[1], mapping)
@@ -94,33 +117,38 @@ def _reference_update(program, update):
     return program
 
 
+def _apply(engine, update):
+    """Make `update`; returns whether retract removed a clause, or how
+    many clauses retract_all removed."""
+    action, args = update
+    if action == "retract":
+        return engine.retract_term(_head(args))
+    if action == "retract_all":
+        return engine.retract_all_clauses("user", "p", ARITY, first=_head(args).args[0])
+    engine.assert_term(_head(args), front=action == "asserta")
+    return None
+
+
 def _engine_run(clauses, query_args, after, update, indexing):
     """The answers of the query with `update` made after `after` answers,
-    whether retract removed a clause, and the answers of the same query
+    what retract or retract_all removed, and the answers of the same query
     asked again afterwards."""
     engine = Engine(indexing=indexing, occurs_check=True, out=io.StringIO())
     _builtins.install(engine)
     for head, body in _program(clauses):
         engine.assert_term(Struct(":-", (head, body)))
-    action, args = update
     query = _head(query_args)
     first, removed = [], None
     q = engine.solve(query)
     for _ in q:
         if len(first) == after:
-            if action == "retract":
-                removed = engine.retract_term(_head(args))
-            else:
-                engine.assert_term(_head(args), front=action == "asserta")
+            removed = _apply(engine, update)
         first.append(resolve_copy(query))
         if len(first) == MAX_ANSWERS:
             break
     q.close()
     if len(first) <= after:  # the query ended before the update
-        if action == "retract":
-            removed = engine.retract_term(_head(args))
-        else:
-            engine.assert_term(_head(args), front=action == "asserta")
+        removed = _apply(engine, update)
     again = _head(query_args)
     second = []
     for _ in engine.solve(again):
@@ -142,6 +170,8 @@ def test_indexed_answers_match_unindexed_and_reference(clauses, query_args, afte
     action, args, copy = update
     if copy >= 0:
         args = clauses[copy % len(clauses)][0]
+    # retract_all is by the key of a bound first argument
+    assume(action != "retract_all" or args[0][0] != "var")
     update = action, args
     program = _program(clauses)
     before = _reference(program, query_args)
@@ -152,8 +182,10 @@ def test_indexed_answers_match_unindexed_and_reference(clauses, query_args, afte
         # an open query keeps the clauses it started with (logical update view)
         assert _same(first, before), (indexing, [term_text(a) for a in first],
                                       [term_text(a) for a in before])
-        if update[0] == "retract":
+        if action == "retract":
             assert removed == (len(updated) < len(program)), indexing
+        elif action == "retract_all":
+            assert removed == len(program) - len(updated), indexing
         after_update = _reference(updated, query_args)
         assert _same(second, after_update), (indexing, [term_text(a) for a in second],
                                              [term_text(a) for a in after_update])
