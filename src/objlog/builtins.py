@@ -75,7 +75,7 @@ def _not_unify2(m, args, ns):
             return False
         return True
     finally:
-        trail.guards -= 1
+        trail.release()
 
 
 def _copy_term(m, args, ns):
@@ -288,7 +288,7 @@ def _declare_dynamic(m, t, ns):
     name, arity = _indicator(t)
     if (name, arity) in m.engine.builtins:
         raise permission_error("modify", t)
-    m.engine.entry(ns, name, arity, create=True).dynamic = True
+    m.engine.entry(ns, name, arity, create=True)
 
 
 def _noop1(m, args, ns):

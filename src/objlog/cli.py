@@ -168,12 +168,10 @@ def main(argv: Optional[list] = None) -> int:
 
     if args.goal is not None:
         try:
-            goal, varmap = parse_term(args.goal)
+            sol = rt.once(args.goal)
         except ReaderError as err:
             print(f"ERROR: syntax: {err}", file=sys.stderr)
             return 2
-        try:
-            sol = rt.once(args.goal)
         except LogicError as err:
             print(f"ERROR: {term_text(err.term)}", file=sys.stderr)
             return 2

@@ -47,7 +47,7 @@ class ClassCompiler:
         engine.register_builtin("pce_pure_prolog", 1, self._bi_pure)
         runtime.kernel.realizer = self.realize_class
         for name, arity in _FACT_PREDS:
-            engine.entry("pce_principal", name, arity, create=True).dynamic = True
+            engine.entry("pce_principal", name, arity, create=True)
 
     # -- consult-time expansion ---------------------------------------------
 

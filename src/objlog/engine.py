@@ -19,9 +19,11 @@ nodes and a choice-point stack, so deterministic tail calls run in constant
 depth and deep conjunctions never touch the Python stack.  Cut prunes to the barrier
 of its node, if-then-else commits by a cut to the height before its
 condition, and nondeterministic native predicates are generator choice
-points.  `catch/3` is a catch frame on the same stack, and a call the
-bridge runs in the calling machine is a `Scope` frame there, so neither
-nests a solve.
+points.  A call the bridge runs in the calling machine is a `Scope` frame
+on the same stack, and so is a catch/3 frame, so neither nests a solve.
+Each choice point and frame holds a guard on the trail while it is on the
+stack and releases it when popped (`Trail.release`), which drops the
+trail once no guard is left.
 
 Two namespaces exist, `user` and `pce_principal`; a goal `M:G` resolves G
 in namespace M and nothing more.  Clause lists are copy-on-write so running
@@ -160,14 +162,13 @@ class PredicateEntry:
     call looks further right.  `add` files a clause into every built index
     in place; a removal resets every slot to None."""
 
-    __slots__ = ("ns", "name", "arity", "clauses", "dynamic", "_index")
+    __slots__ = ("ns", "name", "arity", "clauses", "_index")
 
     def __init__(self, ns: str, name: str, arity: int):
         self.ns = ns
         self.name = name
         self.arity = arity
         self.clauses: tuple = ()
-        self.dynamic = False
         self._index: list = [None] * arity
 
     def add(self, clause: Clause, front: bool = False) -> None:
@@ -305,12 +306,34 @@ class _IterCP:
         self.mark = mark
 
 
-class _CatchCP:
-    """A catch/3 frame.  `height` is its index on the choice-point stack;
+class Scope:
+    """A frame on the choice-point stack around a goal that
+    `Machine.call_scoped` runs to its first solution in the calling machine,
+    or around the goal of a catch/3 (`_CatchCP`).
+
+    When the goal exits, the frame is popped if it is on top and `exit`
+    decides whether the call succeeds.  The machine calls `close` right
+    after `exit`, when backtracking reaches the frame (its bindings undone
+    first), or when an exception prunes past it.  A call's frame is always
+    on top at its exit, so its `close` runs exactly once; a catch frame
+    stays while its goal has choice points, and its `close` does nothing."""
+
+    __slots__ = ("cont", "depth", "mark")
+
+    def exit(self, m: "Machine") -> bool:
+        return True
+
+    def close(self) -> None:
+        pass
+
+
+class _CatchCP(Scope):
+    """A catch/3 frame: a scope that stays on the stack while its goal has
+    choice points left.  `height` is its index on the choice-point stack;
     the continuation node of its goal carries the frame itself, which is how
     `Machine._unwind` tells an active frame from one whose goal has exited."""
 
-    __slots__ = ("catcher", "recovery", "ns", "cont", "depth", "mark", "height")
+    __slots__ = ("catcher", "recovery", "ns", "height")
 
     def __init__(self, catcher, recovery, ns, cont, depth, mark, height):
         self.catcher = catcher
@@ -320,24 +343,6 @@ class _CatchCP:
         self.depth = depth
         self.mark = mark
         self.height = height
-
-
-class Scope:
-    """A frame on the choice-point stack around a goal that
-    `Machine.call_scoped` runs to its first solution in the calling machine.
-
-    When the goal exits, the frame is popped and `exit` decides whether the
-    call succeeds.  The machine calls `close` exactly once: right after
-    `exit`, when backtracking reaches the frame (its bindings undone first),
-    or when an exception prunes past it."""
-
-    __slots__ = ("cont", "depth", "mark")
-
-    def exit(self, m: "Machine") -> bool:
-        return True
-
-    def close(self) -> None:
-        pass
 
 
 def _goal_term(name: str, args: tuple) -> Term:
@@ -379,7 +384,7 @@ class Machine:
         trail = self.engine.trail
         while len(cps) > h:
             cp = cps.pop()
-            trail.guards -= 1
+            trail.release()
             if type(cp) is _IterCP:
                 cp.it.close()
             elif isinstance(cp, Scope):
@@ -405,13 +410,9 @@ class Machine:
             self.peak_cps = len(self.cps)
 
     def _pop_frame(self) -> None:
-        """Pop the frame on top of the stack.  With no guard left nothing can
-        undo past here, so the trail is dead weight and is dropped."""
+        """Pop the frame on top of the stack, keeping its bindings."""
         self.cps.pop()
-        trail = self.engine.trail
-        trail.guards -= 1
-        if trail.guards == 0:
-            trail.entries.clear()
+        self.engine.trail.release()
 
     # -- frames run in this machine -----------------------------------------
 
@@ -473,6 +474,7 @@ class Machine:
 
     def solutions(self):
         trail = self.engine.trail
+        release = trail.release
         forward = True
         try:
             while True:
@@ -505,13 +507,13 @@ class Machine:
                             cp.i += 1
                             if cp.i == len(cp.clauses):  # the last clause: pop first (trust_me)
                                 cps.pop()
-                                trail.guards -= 1
+                                release()
                             if self.try_clause(clause, cp.args, cp.bodybar, cp.cont, cp.depth):
                                 forward = True
                         elif tcp is _AltCP:
                             cps.pop()
-                            trail.guards -= 1
                             trail.undo_to(cp.mark)
+                            release()
                             self.cont = cp.cont
                             self.depth = cp.depth
                             self.push(cp.code, cp.vs, cp.barrier)
@@ -525,18 +527,17 @@ class Machine:
                                 next(cp.it)
                             except StopIteration:
                                 cps.pop()
-                                trail.guards -= 1
+                                release()
                                 continue
                             cp.mark = trail.mark()
                             forward = True
-                        else:  # a catch frame or a scope: its goal has no more solutions
+                        else:  # a scope: its goal has no more solutions
                             cps.pop()
-                            trail.guards -= 1
                             trail.undo_to(cp.mark)
-                            if tcp is not _CatchCP:
-                                self.cont = cp.cont
-                                self.depth = cp.depth
-                                cp.close()
+                            release()
+                            self.cont = cp.cont
+                            self.depth = cp.depth
+                            cp.close()
                 except LogicError as err:
                     self._unwind(err)
                     forward = True
@@ -604,12 +605,10 @@ class Machine:
             return True
         if op == FAIL:
             return False
-        if op == EXIT:  # the goal of a catch frame or a scope has exited
+        if op == EXIT:  # the goal of a scope has exited
             frame = self.frame
-            if self.cps[-1] is frame:  # always so for a scope, after its commit
+            if self.cps[-1] is frame:  # always so for a scope but a catch frame
                 self._pop_frame()
-            if type(frame) is _CatchCP:
-                return True
             try:
                 return frame.exit(self)
             finally:
@@ -646,16 +645,17 @@ class Machine:
         if type(res) is PushGoal:
             self.push(res.code, None, len(self.cps))
             return True
-        # a generator: one solution per next(); it undoes its own bindings
+        # a generator: one solution per next(); it undoes its own bindings.
+        # The guard taken here passes to its choice point.
         trail = engine.trail
         trail.guards += 1
         try:
             next(res)
         except StopIteration:
-            trail.guards -= 1
+            trail.release()
             return False
         except BaseException:
-            trail.guards -= 1
+            trail.release()
             raise
         cp = _IterCP(res, self.cont, self.depth, trail.mark())
         self.cps.append(cp)
@@ -784,24 +784,9 @@ class Query:
 
     def __init__(self, engine: "Engine", goal: Term | Goal, ns: str, protect: bool):
         self.machine = Machine(engine, goal, ns)
-        self._gen = self._run(engine, protect)
-
-    def _run(self, engine, protect):
-        trail = engine.trail
-        mark = trail.mark()
+        self._gen = self.machine.solutions()
         if protect:
-            trail.guards += 1
-        try:
-            yield from self.machine.solutions()
-            if protect:
-                trail.undo_to(mark)
-        finally:
-            if protect:
-                trail.guards -= 1
-            # with no resume points left, nothing can undo past here: the
-            # trail is dead weight and can be dropped
-            if trail.guards == 0:
-                trail.entries.clear()
+            self._gen = _protected(engine.trail, self._gen)
 
     def __iter__(self):
         return self
@@ -811,6 +796,18 @@ class Query:
 
     def close(self):
         self._gen.close()
+
+
+def _protected(trail: Trail, solutions):
+    """`solutions` under a guard of its own, undoing every binding made
+    since it started once they are exhausted."""
+    mark = trail.mark()
+    trail.guards += 1
+    try:
+        yield from solutions
+        trail.undo_to(mark)
+    finally:
+        trail.release()
 
 
 class Engine:
@@ -857,48 +854,41 @@ class Engine:
             self.preds[key] = e
         return e
 
-    def assert_term(self, term: Term, ns: str = "user", front: bool = False) -> None:
+    def _clause_parts(self, term: Term, ns: str, what: str, control: bool):
+        """The head, body, namespace, name and arity of a clause `term` to
+        assert or retract (`what`).  Modifying a builtin is a permission
+        error, and so is modifying a control construct when `control`."""
         # both M:(H :- B) and (M:H) :- B name the namespace
         head, ns = strip_namespace(term, ns)
         head, body = split_clause(head)
         head, ns = strip_namespace(head, ns)
         th = type(head)
         if th is Var:
-            raise instantiation_error("assert")
+            raise instantiation_error(what)
         if th is Atom:
             name, arity = head.name, 0
         elif th is Struct:
             name, arity = head.name, len(head.args)
         else:
             raise type_error("callable", head)
-        if (name, arity) in self.builtins or is_control(name, arity):
+        if (name, arity) in self.builtins or control and is_control(name, arity):
             raise permission_error("modify", Struct("/", (Atom(name), arity)))
+        return head, body, ns, name, arity
+
+    def assert_term(self, term: Term, ns: str = "user", front: bool = False) -> None:
+        head, body, ns, name, arity = self._clause_parts(term, ns, "assert", True)
         entry = self.entry(ns, name, arity, create=True)
-        entry.dynamic = True
         entry.add(Clause(head, body, ns, self.builtins), front=front)
 
     def retract_term(self, pattern: Term, ns: str = "user") -> bool:
-        head, ns = strip_namespace(pattern, ns)
-        head, body = split_clause(head)
-        head, ns = strip_namespace(head, ns)
-        th = type(head)
-        if th is Var:
-            raise instantiation_error("retract")
-        if th is Atom:
-            name, arity = head.name, 0
-        elif th is Struct:
-            name, arity = head.name, len(head.args)
-        else:
-            raise type_error("callable", head)
-        if (name, arity) in self.builtins:
-            raise permission_error("modify", Struct("/", (Atom(name), arity)))
+        head, body, ns, name, arity = self._clause_parts(pattern, ns, "retract", False)
         entry = self.preds.get((ns, name, arity))
         if entry is None:
             return False
         # the clauses a call with these arguments would try, in order; a
         # clause that does not match must leave no binding behind, so the
         # tries are recorded even when no choice point is live
-        clauses = entry.select(head.args if th is Struct else (), self.indexing)
+        clauses = entry.select(head.args if arity else (), self.indexing)
         trail = self.trail
         trail.guards += 1
         try:
@@ -914,9 +904,7 @@ class Engine:
                 trail.undo_to(mark)
             return False
         finally:
-            trail.guards -= 1
-            if trail.guards == 0:
-                trail.entries.clear()
+            trail.release()
 
     def retract_all_clauses(self, ns: str, name: str, arity: int, first: Term = None,
                             keep: Optional[Callable] = None) -> int:
@@ -1032,10 +1020,6 @@ class Engine:
                 except LogicError as err:
                     report.errors.append((line, f"bad clause: {err}"))
         return report
-
-    def consult_file(self, path: str) -> LoadReport:
-        with open(path, "r", encoding="utf-8") as fh:
-            return self.consult_text(fh.read(), origin=path)
 
 
 def split_clause(term: Term):

@@ -290,9 +290,9 @@ class Kernel:
         self.classes[name] = cls
         return cls
 
-    def find_class(self, name: str, realize: bool = True) -> Optional[KClass]:
+    def find_class(self, name: str) -> Optional[KClass]:
         cls = self.classes.get(name)
-        if cls is None and realize and self.realizer is not None:
+        if cls is None and self.realizer is not None:
             cls = self.realizer(name)
         return cls
 

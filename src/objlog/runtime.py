@@ -111,14 +111,7 @@ class Runtime:
     def once(self, text: str) -> Optional[dict]:
         """First solution of the query text, or None; commits."""
         goal, varmap = parse_term(text)
-        q = self.engine.solve(goal, protect=True)
-        try:
-            next(q)
-            return solution_snapshot(varmap)
-        except StopIteration:
-            return None
-        finally:
-            q.close()
+        return solution_snapshot(varmap) if self.engine.solve_once(goal) else None
 
     def call(self, text: str) -> bool:
         return self.once(text) is not None

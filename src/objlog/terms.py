@@ -142,10 +142,13 @@ def deref(t: Term) -> Term:
 class Trail:
     """Records variable bindings so backtracking can undo them.
 
-    A conditional trail only records while `guards > 0`; the engine bumps
-    the guard count for every live choice point or solve barrier, so
-    bindings that can never be undone are not retained.  Standalone trails
-    (the default) always record.
+    A conditional trail only records while `guards > 0`; the engine takes a
+    guard for every live choice point or frame, for a protected query and
+    for a goal whose bindings it undoes itself, so bindings that can never
+    be undone are not retained.  A guard is taken by `guards += 1` and
+    ended only by `release`, which drops the entries when no guard is left:
+    with no guard, no entries.  Standalone trails (the default) always
+    record.
     """
 
     __slots__ = ("entries", "guards")
@@ -156,6 +159,14 @@ class Trail:
 
     def mark(self) -> int:
         return len(self.entries)
+
+    def release(self) -> None:
+        """End a guard.  With none left nothing can undo past here, so the
+        entries are dead weight and are dropped; their variables stay
+        bound, so a caller that undoes does so first."""
+        self.guards -= 1
+        if not self.guards:
+            self.entries.clear()
 
     def record(self, var: Var) -> None:
         if self.guards:

@@ -8,8 +8,13 @@ from objlog.runtime import Runtime
 
 @pytest.fixture
 def rt():
-    """A fresh runtime whose output is captured."""
-    return Runtime(out=io.StringIO())
+    """A fresh runtime whose output is captured.  On teardown its trail
+    holds no entries unless a guard is live: with none, nothing can undo
+    them."""
+    runtime = Runtime(out=io.StringIO())
+    yield runtime
+    trail = runtime.engine.trail
+    assert trail.guards or not trail.entries
 
 
 @pytest.fixture

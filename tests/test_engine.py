@@ -407,6 +407,50 @@ def test_trail_does_not_grow_without_choice_points(rt):
     q.close()
 
 
+COMMITS = """
+p(X) :- X = f(_, _).
+p(g).
+cut(0) :- !.
+cut(N) :- p(_X), !, N1 is N - 1, cut(N1).
+ite(0) :- !.
+ite(N) :- ( p(_X) -> true ; true ), N1 is N - 1, ite(N1).
+once_loop(0) :- !.
+once_loop(N) :- once(p(_X)), N1 is N - 1, once_loop(N1).
+c(1). c(2).
+"""
+
+
+def test_cut_drops_the_trail_with_the_last_guard(rt):
+    # each cut prunes the last choice point, so nothing can undo the
+    # bindings it leaves: they are not kept
+    consult(rt, COMMITS)
+    goal, _ = parse_term("cut(50000)")
+    q = rt.engine.solve(goal)
+    next(q)
+    assert rt.engine.trail.guards == 0
+    assert rt.engine.trail.entries == []
+    q.close()
+
+
+@pytest.mark.parametrize("loop", ["ite", "once_loop"])
+def test_commit_loops_keep_the_trail_small(rt, loop):
+    consult(rt, COMMITS)
+    goal, _ = parse_term(f"{loop}(50000)")
+    q = rt.engine.solve(goal)
+    next(q)
+    assert len(rt.engine.trail.entries) < 100
+    q.close()
+
+
+@pytest.mark.parametrize("loop", ["cut", "ite", "once_loop"])
+def test_backtracking_after_a_commit_loop_undoes_bindings(rt, loop):
+    # V is bound after the choice point of c/1 and before the loop's
+    # commits: backtracking into c/1 must unbind it again
+    consult(rt, COMMITS)
+    text = f"c(C), var(V), once(p(V)), {loop}(1000)"
+    assert [sol["C"] for sol in solutions(rt, text)] == ["1", "2"]
+
+
 def test_last_clause_pops_its_choice_point(rt):
     # no argument tells these clauses apart, so no index can: every call
     # pushes a clause choice point, and it goes before the last clause runs
