@@ -36,6 +36,13 @@ to a point before it runs it again.  An expression with a part that is not
 evaluable as written (an atom, an unknown functor) stays a builtin call,
 and `eval_arith` raises its error when the goal runs.
 
+The leading run of a clause body's comparisons and new-variable `is/2`
+goals is its guard (`guard_code`): it runs as one function right after the
+head matches, so a test that fails costs a failed clause try and no trip
+through the machine's main loop, as in wamcc and Carlsson's shallow
+backtracking (ICLP 1989).  The body's code keeps the guard's goals, and a
+traced run executes them from there one by one.
+
 Clause code is then turned into Python code, as wamcc turns WAM code into C
 (Codognet and Diaz, ICLP 1995): a head's match program becomes a matcher,
 the argument program of a body goal a builder, and expression code an
@@ -56,8 +63,9 @@ generated code hands to `engine.match_args` or `instantiate`; a head or a
 goal's arguments of more than MAX_NODES nodes (a head of arity 10 000
 took 0.8 s to generate), matched by `engine.match_head` or built by
 `instantiate`; and expression code longer than MAX_NODES entries (a
-100 000-node sum would take seconds to compile), which `eval_code` runs.
-Each is decided from the program when it is compiled.
+100 000-node sum would take seconds to compile), which `eval_code` runs
+and which ends a guard.  Each is decided from the program when it is
+compiled.
 """
 
 from __future__ import annotations
@@ -428,6 +436,16 @@ def _source(key: tuple) -> str:
         parts = [g.build(s, 1) for s in key[1:]]
         body = f"return ({', '.join(parts)},)"
         return "\n".join(["def build(vs, K):", *g.lines, "    " + body + "\n"])
+    if kind == "guards":
+        for step in key[1:]:
+            if step[0] == "compare":
+                fn = g.const()
+                a, b = g.expr(step[1]), g.expr(step[2])
+                g.line(1, f"if not {fn}({a}, {b}):")
+                g.line(2, "return False")
+            else:
+                g.line(1, f"vs[{step[1]}] = {g.expr(step[2])}")
+        return "\n".join(["def guards(vs, K):", *g.lines, "    return True\n"])
     if kind == "compare":
         fn = g.const()
         body = f"return {fn}({g.expr(key[1])}, {g.expr(key[2])})"
@@ -502,6 +520,32 @@ def arith_evaluator(a: tuple, b: Optional[tuple] = None, compare=None):
         consts = [compare]
         key = ("compare", _expr_shape(a, consts), _expr_shape(b, consts))
     return _generated(key), tuple(consts)
+
+
+def guard_code(code: tuple) -> Optional[tuple]:
+    """The guard of clause body `code`: the generated function of its
+    leading run of `COMPARE` and `SET` goals, its constants and the length
+    of the run, or None when the body opens with no such goal.
+    `guards(vs, consts)` runs the goals of the run in order, as their
+    evaluators run them: it returns False at the first comparison that
+    fails, writes each `SET`'s value into its slot, and raises the balls
+    they raise.  The run ends at a goal of any other kind, and at one whose
+    expression code is longer than MAX_NODES."""
+    consts: list = []
+    steps: list = []
+    for g in code:
+        if g.op == COMPARE and g.get is not _eval_compare:
+            _name, lp, rp = g.prog
+            consts.append(g.args[0])
+            steps.append(("compare", _expr_shape(expr_code(lp), consts),
+                          _expr_shape(expr_code(rp), consts)))
+        elif g.op == SET and g.get is not _eval_value:
+            steps.append(("set", g.key, _expr_shape(expr_code(g.prog[2]), consts)))
+        else:
+            break
+    if not steps:
+        return None
+    return _generated(("guards", *steps)), tuple(consts), len(steps)
 
 
 # -- compiled goals ------------------------------------------------------------

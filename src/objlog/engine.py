@@ -14,6 +14,11 @@ run, so a wrapper installed on `engine.unify` sees every call; `match_args`
 is the interpreter they hand a too-deep sub-program to, and `match_head`
 matches a head too big to generate with it.
 
+A clause whose body opens with arithmetic tests and `is/2` into new
+variables runs them as its guard inside the try, right after the head
+matches, unless the engine traces; a guard that fails fails the try, and
+the body goes on after it.
+
 The body's goals run from a continuation of (goals, pc, frame, cut barrier)
 nodes and a choice-point stack, so deterministic tail calls run in constant
 depth and deep conjunctions never touch the Python stack.  Cut prunes to the barrier
@@ -67,6 +72,7 @@ from .clausecode import (
     SET,
     Goal,
     compile_body,
+    guard_code,
     head_matcher,
     instantiate,
     is_control,
@@ -114,9 +120,15 @@ class Clause:
     the slots of the body's variables that get a fresh variable before the
     body runs.  The matcher is generated from the head's match program and
     shared by every clause whose program has the same shape (see
-    `clausecode`); the clause holds only its constants."""
+    `clausecode`); the clause holds only its constants.
 
-    __slots__ = ("head", "body", "nvars", "match", "consts", "code", "fresh")
+    `guard` is None, or (function, constants, skip) when the body opens
+    with a run of `skip` arithmetic goals, comparisons and is/2 into a new
+    variable (see `clausecode.guard_code`): `Machine.try_clause` runs them
+    as one function right after the head matches.  `code` keeps them all,
+    and the trace runs them from there as goals."""
+
+    __slots__ = ("head", "body", "nvars", "match", "consts", "code", "fresh", "guard")
 
     def __init__(self, head: Term, body: Term, ns: str, builtins: dict):
         self.head = head
@@ -130,6 +142,7 @@ class Clause:
             self.consts = ()
         fresh: list = []
         self.code = compile_body(body, ns, builtins, slots, fresh)
+        self.guard = guard_code(self.code)
         self.fresh = tuple(fresh)
         self.nvars = len(slots)
 
@@ -665,7 +678,13 @@ class Machine:
 
     def try_clause(self, clause: Clause, args: tuple, bodybar: int, cont, depth: int) -> bool:
         """Match the clause head against the goal's arguments and, on
-        success, continue with its body in a new frame."""
+        success, continue with its body in a new frame.
+
+        Once the head matches, the machine is at the call's continuation
+        (so a ball goes to the catch frames of the call) and the clause's
+        guard runs, unless the engine traces: a guard that fails is a
+        failed try, and the body's node starts after the guard's goals, or
+        is not pushed when they are the whole body."""
         engine = self.engine
         engine.clause_attempts += 1
         vs = [None] * clause.nvars
@@ -678,7 +697,15 @@ class Machine:
         if code:
             for i in clause.fresh:
                 vs[i] = Var()
-            self.cont = (code, 0, vs, bodybar, cont)
+            pc = 0
+            guard = clause.guard
+            if guard is not None and not engine.trace:
+                run, consts, pc = guard
+                if not run(vs, consts):
+                    return False
+                if pc == len(code):
+                    return True
+            self.cont = (code, pc, vs, bodybar, cont)
             self.depth = depth = depth + 1
             if depth > self.peak_depth:
                 self.peak_depth = depth
@@ -992,12 +1019,16 @@ class Engine:
         return items
 
     def consult_text(self, text: str, origin: str = "<consult>") -> LoadReport:
+        """Load every clause of `text` and run its directives.  The report
+        names each syntax error and each clause, expansion or directive that
+        failed; every other clause is loaded."""
         report = LoadReport(origin)
+        clauses: list = []
         try:
-            clauses = list(read_terms(text))
+            for item in read_terms(text):
+                clauses.append(item)
         except ReaderError as err:
-            report.errors.append((err.line, str(err)))
-            return report
+            report.errors.extend((e.line, str(e)) for e in err.errors)
         for term, _varmap, line in clauses:
             try:
                 expanded = self.expand_term(term)

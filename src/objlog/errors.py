@@ -47,6 +47,8 @@ class ReaderError(Exception):
         # True when the input simply ended too early; the REPL uses this to
         # keep reading instead of reporting an error.
         self.incomplete = incomplete
+        # every syntax error of a text read by `reader.read_terms`, this one first
+        self.errors = [self]
 
     def __str__(self) -> str:
         if self.line:

@@ -363,13 +363,35 @@ class _Parser:
 
 
 def read_terms(text: str) -> Iterator[tuple]:
-    """Yield (term, varmap, line) for every clause in the text."""
+    """Yield (term, varmap, line) for every clause in the text that parses.
+
+    A clause with a syntax error is skipped up to its end token and the
+    read goes on with the next clause; once every clause is read, the first
+    such error is raised, holding in `errors` every one of them in order.
+    An error of the tokenizer (an unterminated quoted atom or block comment,
+    an unexpected character) ends the read: the text is tokenized before its
+    first clause is read, so that error is raised before any clause."""
     parser = _Parser(tokenize(text))
+    toks = parser.toks
+    errors: list = []
     while True:
-        got = parser.read_clause()
+        start = parser.pos
+        try:
+            got = parser.read_clause()
+        except ReaderError as err:
+            errors.append(err)
+            # a clause is never read past its end token
+            pos = start
+            while toks[pos].kind != "end" and toks[pos].kind != "eof":
+                pos += 1
+            parser.pos = pos + (toks[pos].kind == "end")
+            continue
         if got is None:
-            return
+            break
         yield got
+    if errors:
+        errors[0].errors = errors
+        raise errors[0]
 
 
 def parse_term(text: str):

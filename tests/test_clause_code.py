@@ -270,6 +270,48 @@ def test_trace_of_classic_method_calls_is_unchanged(tmp_path, capsys):
     assert capsys.readouterr().out == METHOD_TRACE_GOLDEN
 
 
+# a clause whose body opens with arithmetic: its guard, fused into the
+# clause try when untraced, prints its CALL lines under --trace
+GUARD_TRACE_PROGRAM = """
+count(0) :- !.
+count(N) :- N > 0, N1 is N - 1, count(N1).
+no_attack(_, [], _).
+no_attack(Q, [Q1|Qs], D) :-
+    Q =\\= Q1 + D,
+    Q =\\= Q1 - D,
+    D1 is D + 1,
+    no_attack(Q, Qs, D1).
+positive(X) :- X > 0.
+test(R) :- count(2), positive(3),
+    ( no_attack(2, [1], 1) -> R = safe ; R = attacked ).
+"""
+
+# the output of the engine that ran every guard as a goal of its own
+GUARD_TRACE_GOLDEN = """\
+CALL test(R)
+CALL count(2)
+CALL 2 > 0
+CALL _G1 is 2-1
+CALL count(1)
+CALL 1 > 0
+CALL _G1 is 1-1
+CALL count(0)
+CALL positive(3)
+CALL 3 > 0
+CALL no_attack(2, [1], 1)
+CALL 2 =\\= 1+1
+CALL _G1 = attacked
+R = attacked
+"""
+
+
+def test_trace_of_guarded_clauses_prints_each_guard_goal(tmp_path, capsys):
+    path = tmp_path / "prog.pl"
+    path.write_text(GUARD_TRACE_PROGRAM)
+    assert main(["--trace", "--consult", str(path), "--goal", "test(R)"]) == 0
+    assert capsys.readouterr().out == GUARD_TRACE_GOLDEN
+
+
 # -- arithmetic compiled with the clause -------------------------------------------------
 
 @pytest.mark.parametrize("head, body, expected", [
@@ -335,6 +377,51 @@ def test_deep_expressions_evaluate_without_recursion(rt):
     got = Var("G")
     assert rt.engine.solve_once(Struct("deep_sum", (5, got)))
     assert deref(got) == 5 + depth + 1
+
+
+# -- clause guards --------------------------------------------------------------------------
+
+
+def test_guard_is_the_leading_run_of_compiled_arithmetic(rt):
+    rt.consult_text(GUARD_TRACE_PROGRAM + """
+    late(X, Y) :- X > 0, Y = 1, Y < 2.
+    none(X) :- X = 1, X > 0.
+    atom_operand(X) :- X > a, X < 2.
+    """)
+
+    def guard_length(name, arity):
+        guard = rt.engine.entry("user", name, arity).clauses[-1].guard
+        return None if guard is None else guard[2]
+
+    assert guard_length("count", 1) == 2
+    assert guard_length("no_attack", 3) == 3
+    assert guard_length("positive", 1) == 1
+    assert guard_length("late", 2) == 1
+    assert guard_length("none", 1) is None
+    # `X > a` is not evaluable as written, so it is a builtin call
+    assert guard_length("atom_operand", 1) is None
+    assert solutions(rt, "count(5), positive(1), late(1, Y)") == [{"Y": "1"}]
+    assert solutions(rt, "late(0, Y)") == []
+
+
+def test_ball_from_a_guard_reaches_the_catch_around_the_call(rt):
+    rt.consult_text("""
+    p(_, a).
+    p(X, b) :- X > 0, true.
+    r(N) :- N > 0, N1 is N // 0, r(N1).
+    """ + GUARD_TRACE_PROGRAM)
+    # the second clause is tried on backtracking, from the clause choice point
+    assert solutions(rt, "catch((p(_, R), R == b), E, true)") == [
+        {"R": "R", "E": "instantiation_error(arithmetic)"}]
+    # and so it is after the catch has exited: the ball goes to the catch
+    # whose goal made the choice point, not to the goals after it
+    assert solutions(rt, "catch(p(_, R), E, true), R \\== a") == [
+        {"R": "R", "E": "instantiation_error(arithmetic)"}]
+    assert solutions(rt, "catch(r(1), E, true)") == [
+        {"E": "evaluation_error(zero_divisor)"}]
+    # a guard that fails leaves no guard and no binding on the trail
+    assert solutions(rt, "no_attack(2, [1], 1)") == []
+    assert rt.engine.trail.guards == 0 and rt.engine.trail.entries == []
 
 
 # -- the argument indexes ----------------------------------------------------------------
@@ -554,6 +641,54 @@ def test_answers_match_the_reference_solver(program):
         # no unification met the occurs check, so without it no cyclic term
         # is made and the answers are the same
         modes.append(False)
+    for occurs_check in modes:
+        for indexing in (True, False):
+            ours = _engine_answers(clauses, indexing, occurs_check)
+            assert _same(ours, ref), (indexing, occurs_check,
+                                      [term_text(a) for a in ours],
+                                      [term_text(a) for a in ref])
+
+
+# clause bodies that open with a run of comparisons and is/2 into a new
+# variable, with operands that raise (an atom, a compound, `//` by 0, an
+# unbound variable), followed by other goals and a use of the new variable.
+# Most of `_expr` has a head variable, unbound in most calls, so half the
+# run's goals take their numbers from constants and the new variable alone:
+# those pass and fail as well as raise.
+_num = st.recursive(
+    st.sampled_from([("int", 0), ("int", 1), ("int", 2), ("int", 3), ("var", NUM)]),
+    lambda sub: st.one_of(st.tuples(st.sampled_from(["+", "-", "*", "//"]), sub, sub),
+                          st.tuples(st.just("-"), sub)),
+    max_leaves=3)
+_guard = st.one_of(
+    _compare, st.tuples(st.just("is"), st.just(("var", NUM)), _expr),
+    st.tuples(st.sampled_from(["<", ">", "=<", ">=", "=:=", "=\\="]), _num, _num),
+    st.tuples(st.just("is"), st.just(("var", NUM)), _num))
+
+
+def _guarded_program():
+    def pred(level):
+        use = st.one_of(
+            st.tuples(st.just("="), st.just(("var", NUM)), _term),
+            st.tuples(st.sampled_from(["<", "=:="]), st.just(("var", NUM)), _expr),
+            *[st.tuples(st.just("call"), st.just(j), st.tuples(st.just(("var", NUM)), _term))
+              for j in range(level)])
+        body = st.tuples(st.lists(_guard, min_size=1, max_size=3),
+                         st.lists(_goal(level), max_size=2), use)
+        clause = st.tuples(st.lists(_term, min_size=2, max_size=2),
+                           body.map(lambda b: [*b[0], *b[1], b[2]]))
+        return st.lists(clause, min_size=2, max_size=4)
+
+    return st.tuples(*(pred(level) for level in range(PREDS)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_guarded_program())
+def test_guarded_clauses_answer_as_the_reference_solver(program):
+    clauses = _clauses(program)
+    events: dict = {}
+    ref = _reference_answers(clauses, True, events)
+    modes = [True] if events else [True, False]
     for occurs_check in modes:
         for indexing in (True, False):
             ours = _engine_answers(clauses, indexing, occurs_check)

@@ -90,6 +90,33 @@ def test_syntax_error_has_line():
     assert err.value.line == 2
 
 
+def test_read_goes_on_past_a_syntax_error():
+    got = []
+    with pytest.raises(ReaderError) as err:
+        for term, _varmap, line in read_terms("p(1).\nq(].\nr(2) :- .\ns(3).\n"):
+            got.append((term_text(term), line))
+    assert got == [("p(1)", 1), ("s(3)", 4)]
+    assert err.value.line == 2
+    assert [e.line for e in err.value.errors] == [2, 3]
+
+
+def test_consult_loads_every_clause_around_a_syntax_error(rt):
+    report = rt.consult_text("a(1). b(2) :- . c(3).")
+    assert (report.clauses, report.ok) == (2, False)
+    assert len(report.errors) == 1
+    line, message = report.errors[0]
+    assert line == 1 and "line 1" in message
+    assert [term_text(h) for h, _ in rt.engine.clauses_of("user", "a", 1)] == ["a(1)"]
+    assert [term_text(h) for h, _ in rt.engine.clauses_of("user", "c", 1)] == ["c(3)"]
+    assert rt.engine.clauses_of("user", "b", 1) == []
+
+
+def test_tokenizer_error_ends_the_consult(rt):
+    report = rt.consult_text("a(1).\nb('open).\nc(3).\n")
+    assert (report.clauses, len(report.errors)) == (0, 1)
+    assert "unterminated" in report.errors[0][1]
+
+
 def test_incomplete_input_flagged():
     with pytest.raises(ReaderError) as err:
         parse_term("f(a, ")
