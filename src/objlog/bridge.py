@@ -21,17 +21,18 @@ the indexable method-id atom.  That call is built already compiled: one
 `CALL` goal whose arguments are the method-id atom, the message and the
 receiver (and a get's result), and whose predicate entry is pinned when
 the bridge is made, so a send or get from logic builds no goal term and
-compiles nothing.  A classic send or get from logic code runs that goal in the
-calling machine, inside a scope frame that holds the call's host-data
-scope: the goal commits to its first solution, and the scope closes on
-exit, on failure or on an exception.  Every host-data scope starts
-unopened and makes its term frame and ledger only when the call wraps a
-term or holds a transient object (see `hostdata`), so a crossing that
-converts nothing pays for no frame.  Methods flagged pure-logic are
-pushed into the calling machine with no scope and no conversion, so their
-choice points stay live.  A call from native code (an `initialise` run by
-new/2, an event, a message) runs the goal in a nested solve, since a
-Python frame is waiting for its answer.
+compiles nothing.  A classic send or get from logic code builds that goal
+from its converted arguments and runs it in the calling machine, inside a
+scope frame that holds the call's host-data scope: the goal commits to its
+first solution, and the scope closes on exit, on failure or on an
+exception.  Every host-data scope starts unopened and makes its term frame
+and ledger only when the call wraps a term or holds a transient object
+(see `hostdata`), so a crossing that converts nothing pays for no frame.
+Methods flagged pure-logic are pushed into the calling machine with no
+scope and no conversion, so their choice points stay live.  A call from
+native code (an `initialise` run by new/2, `Kernel.send_value`, an event,
+a message) goes through the kernel's logic hooks and runs the goal in a
+nested solve, since a Python frame is waiting for its answer.
 """
 
 from __future__ import annotations
@@ -51,14 +52,16 @@ class _ConvFail(Exception):
 
 class _CallScope(Scope):
     """The host-data scope of one classic send, or get when `result` is
-    set, run in the calling machine (see `Bridge._call_in_machine`)."""
+    set, run in the calling machine (see `Bridge._call_in_machine`);
+    `answer` is the implementation goal's result variable."""
 
     __slots__ = ("bridge", "method", "result", "answer")
 
-    def __init__(self, bridge, method: KMethod, result):
+    def __init__(self, bridge, method: KMethod, result, answer):
         self.bridge = bridge
         self.method = method
         self.result = result
+        self.answer = answer
         bridge.rt.hostdata.open_scope()
 
     def exit(self, m) -> bool:
@@ -82,9 +85,6 @@ class _CallScope(Scope):
 class Bridge:
     def __init__(self, runtime):
         self.rt = runtime
-        # set while `_call_in_machine` dispatches through the kernel: the
-        # logic hooks then hand the implementation goal back to it
-        self._to_machine = False
         kernel = runtime.kernel
         kernel.logic_send = self.logic_send
         kernel.logic_get = self.logic_get
@@ -207,22 +207,20 @@ class Bridge:
         return call_goal(self._get_entry, (impl.mid, msg, ObjRef(obj.oid), result))
 
     def logic_send(self, method: KMethod, obj: KObject, values) -> bool:
-        """The kernel's hook for a send to a logic-implemented method.  From
-        `_call_in_machine` it returns the implementation goal for the calling
-        machine to run; from native code it runs the goal in a nested solve
+        """The kernel's hook for a send to a logic-implemented method from
+        native code (an `initialise` run by new/2, `Kernel.send_value`, an
+        event, a message): it runs the implementation goal in a nested solve
         and commits to its first solution."""
         return self._logic_call(method, obj, values, None)
 
     def logic_get(self, method: KMethod, obj: KObject, values):
-        """As `logic_send`; the nested solve returns the result value, or
-        None on failure."""
+        """As `logic_send`, for a get: returns the result value, or None on
+        failure."""
         return self._logic_call(method, obj, values, Var("Result"))
 
     def _logic_call(self, method: KMethod, obj: KObject, values, result):
-        """The body of both logic hooks: a get when `result` is given."""
-        if self._to_machine:
-            return self._implementation_goal(method, obj,
-                                             [self.value_to_term(v) for v in values], result)
+        """The body of both logic hooks, a nested solve in its own host-data
+        scope: a get when `result` is given."""
         with self.rt.hostdata.bridge_call():
             terms = [self.value_to_term(v) for v in values]
             ok = self.rt.engine.solve_once(self._implementation_goal(method, obj, terms, result))
@@ -287,28 +285,23 @@ class Bridge:
                          result: Term = None) -> bool:
         """A classic send, or get when `result` is given, of a
         logic-implemented method, run in the calling machine `m`: open the
-        call's scope, convert and type-check the arguments, dispatch through
-        the kernel (whose logic hook hands back the compiled implementation
-        goal) and let `m` run the goal in the scope.  The scope then closes
-        on the goal's exit, on its failure or on an exception."""
-        scope = _CallScope(self, method, result)
-        kernel = self.rt.kernel
+        call's scope, convert and type-check the arguments, build the
+        compiled implementation goal from them and let `m` run it in the
+        scope.  The scope then closes on the goal's exit, on its failure or
+        on an exception."""
+        answer = None if result is None else Var("Result")
+        scope = _CallScope(self, method, result, answer)
         try:
-            vals = kernel.check_each(method, arg_terms, method.selector, self.term_to_value)
-            self._to_machine = True
-            if result is None:
-                goal = kernel.invoke_send(obj, method, vals)
-            else:
-                goal = kernel.invoke_get(obj, method, vals)
-                scope.answer = goal.args[3]  # the implementation's result variable
+            vals = self.rt.kernel.check_each(method, arg_terms, method.selector,
+                                             self.term_to_value)
+            goal = self._implementation_goal(method, obj,
+                                             [self.value_to_term(v) for v in vals], answer)
         except _ConvFail:
             scope.close()
             return False
         except BaseException:
             scope.close()
             raise
-        finally:
-            self._to_machine = False
         m.call_scoped(goal, scope)
         return True
 

@@ -12,6 +12,7 @@ from .balls import (
     representation_error,
     type_error,
 )
+from .errors import CyclicTermError
 from .terms import Atom, Struct, Var, deref, resolve_copy, structural_eq, unify
 from .writer import term_text
 
@@ -78,8 +79,17 @@ def _not_unify2(m, args, ns):
         trail.release()
 
 
+def copy_acyclic(t):
+    """A fresh copy of `t`; a cyclic term (only possible with the occurs
+    check off) is a representation error."""
+    try:
+        return resolve_copy(t)
+    except CyclicTermError:
+        raise representation_error("cyclic_term") from None
+
+
 def _copy_term(m, args, ns):
-    return unify(resolve_copy(args[0]), args[1], m.engine.trail, m.engine.occurs_check)
+    return unify(copy_acyclic(args[0]), args[1], m.engine.trail, m.engine.occurs_check)
 
 
 # -- arithmetic --------------------------------------------------------------
@@ -245,12 +255,12 @@ def _nl(m, args, ns):
 
 
 def _assertz(m, args, ns):
-    m.engine.assert_term(resolve_copy(args[0]), ns)
+    m.engine.assert_term(copy_acyclic(args[0]), ns)
     return True
 
 
 def _asserta(m, args, ns):
-    m.engine.assert_term(resolve_copy(args[0]), ns, front=True)
+    m.engine.assert_term(copy_acyclic(args[0]), ns, front=True)
     return True
 
 

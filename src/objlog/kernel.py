@@ -3,8 +3,11 @@
 Classes form a single-inheritance tree rooted at `object`.  Methods are
 first-class descriptions (selector, kind, argument types, implementation
 handle); implementations are native Python handlers, generated slot
-accessors, or identifiers of logic-side clauses dispatched through hooks
-the bridge installs.  Instances are reference counted: the count covers
+accessors, or identifiers of logic-side clauses.  The logic hooks the
+bridge installs serve calls from native code (`send_value`, an
+`initialise` run by `instantiate`, events and messages); a call from logic
+code to a logic-side method runs in the calling machine and never reaches
+`invoke_send`/`invoke_get`.  Instances are reference counted: the count covers
 incoming slot references, explicit locks and transient bridge holds, and
 an object whose count falls to zero with no locks is destroyed, releasing
 its own references in turn.  `destroy` can also be forced.  A destroyed

@@ -13,15 +13,13 @@ from typing import Iterator, Optional
 
 from . import builtins as _builtins
 from . import toolkit
-from .balls import representation_error
 from .bridge import Bridge
 from .compiler import ClassCompiler
 from .engine import Engine, LoadReport, Query
-from .errors import CyclicTermError
 from .hostdata import HostData
 from .kernel import Kernel
 from .reader import parse_term
-from .terms import TermStore, resolve_copy
+from .terms import TermStore
 
 PRELUDE = """
 member(X, [X|_]).
@@ -37,10 +35,7 @@ forall(Cond, Action) :- \\+ (Cond, \\+ Action).
 def solution_snapshot(varmap: dict) -> dict:
     """Snapshot the bindings of a query's variables; cyclic bindings (only
     possible with the occurs check off) become a representation error."""
-    try:
-        return {name: resolve_copy(v) for name, v in varmap.items()}
-    except CyclicTermError:
-        raise representation_error("cyclic_term")
+    return {name: _builtins.copy_acyclic(v) for name, v in varmap.items()}
 
 
 # Logic sends, gets, catch/3 and arithmetic do not use the Python stack,

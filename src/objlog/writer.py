@@ -7,6 +7,7 @@ from .terms import Atom, ObjRef, Struct, Var, deref
 
 _PLAIN_FIRST = "abcdefghijklmnopqrstuvwxyz"
 _SYMBOLIC = set("+-*/\\^<>=~:.?@#&$")
+_GLUED = (":", "/", "-", "+")  # infix operators written with no spaces
 
 
 def atom_text(name: str, quoted: bool = True) -> str:
@@ -51,12 +52,21 @@ def term_text(t, quoted: bool = True) -> str:
             prec, typ = INFIX_OPS[t.name]
             lmax = prec if typ == "yfx" else prec - 1
             rmax = prec if typ == "xfy" else prec - 1
-            sep = t.name if t.name in (",", ":", "/", "-", "+") else f" {t.name} "
+            left = w(t.args[0], lmax)  # before the right: names `_G1`, `_G2` in order
+            right = w(t.args[1], rmax)
             if t.name == ",":
                 sep = ", "
-            body = f"{w(t.args[0], lmax)}{sep}{w(t.args[1], rmax)}"
+            elif t.name in _GLUED and right[:1] not in _SYMBOLIC:
+                sep = t.name
+            else:
+                # glued to a leading symbol char, `-` would read as part of
+                # one token (`1--1`, `1+- a`), so it gets spaces
+                sep = f" {t.name} "
+            body = f"{left}{sep}{right}"
             return f"({body})" if prec > maxp else body
-        if len(t.args) == 1 and t.name in PREFIX_OPS:
+        # `- 1` reads back as the integer -1, so `-(1)` keeps its functor form
+        if len(t.args) == 1 and t.name in PREFIX_OPS and not (
+                t.name in ("-", "+") and type(deref(t.args[0])) in (int, float)):
             prec, typ = PREFIX_OPS[t.name]
             body = f"{t.name} {w(t.args[0], prec if typ == 'fy' else prec - 1)}"
             return f"({body})" if prec > maxp else body

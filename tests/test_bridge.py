@@ -4,6 +4,7 @@ from objlog import toolkit
 from objlog.balls import bridge_kind
 from objlog.engine import Engine, Machine
 from objlog.errors import LogicError
+from objlog.kernel import Kernel, LogicImpl
 from objlog.reader import parse_term
 from objlog.terms import Atom, ObjRef, resolve_copy, structural_eq
 from objlog.writer import term_text
@@ -632,6 +633,78 @@ def test_native_calls_of_logic_methods_compile_nothing(rt, monkeypatch, case):
         [(head, _body)] = rt.engine.clauses_of("user", "click_count", 2)
         assert head.args == (0, 100)
     assert compiled == []
+
+
+NATIVE_CALL = ["invoke_send", "logic_send"]
+
+
+@pytest.mark.parametrize("call, seen", [
+    ("send({o}, noarg)", []),
+    ("send({o}, intarg(1))", []),
+    ("send({o}, termarg(t(a, _)))", []),
+    ("get({o}, answer, R)", []),
+    ("send_class({o}, callee, noarg)", []),
+    ("send_value", NATIVE_CALL),
+    ("new", NATIVE_CALL),
+], ids=["noarg", "intarg", "termarg", "get", "send_class", "send_value", "new"])
+def test_only_native_calls_reach_the_kernels_logic_hooks(rt, monkeypatch, call, seen):
+    # a classic send or get from logic builds its implementation goal in
+    # the bridge; the kernel's logic dispatch and hooks serve native callers
+    rt.consult_text(CALLEE + PINGED)
+    obj = rt.kernel.fetch(once(rt, "new(O, callee)")["O"].ref)
+    calls = []
+
+    def hook(name, inner):
+        def counting(*args):
+            calls.append(name)
+            return inner(*args)
+        return counting
+
+    def invoke(name, inner):
+        def logic_only(k, o, method, vals):
+            if type(method.impl) is LogicImpl:
+                calls.append(name)
+            return inner(k, o, method, vals)
+        return logic_only
+
+    for name in ("logic_send", "logic_get"):
+        monkeypatch.setattr(rt.kernel, name, hook(name, getattr(rt.kernel, name)))
+    for name in ("invoke_send", "invoke_get"):
+        monkeypatch.setattr(Kernel, name, invoke(name, getattr(Kernel, name)))
+    if call == "send_value":
+        assert rt.kernel.send_value(obj, "intarg", [1])
+    elif call == "new":
+        assert once(rt, "new(P, pinged)") is not None
+    else:
+        assert rt.once(call.format(o=f"@{obj.oid}")) is not None
+    assert calls == seen
+
+
+PAIRED = FAILER + """
+:- pce_begin_class(paired, object).
+pair(_O, _T:prolog, _N:int) :-> true.
+with_failer(_O, _T:prolog, _F:failer) :-> true.
+:- pce_end_class(paired).
+"""
+
+
+@pytest.mark.parametrize("call, ball", [
+    ("pair(t(a), x)", "type_mismatch"),
+    ("with_failer(t(a), failer(1))", None),
+], ids=["type_mismatch", "initialise_fails"])
+def test_scope_closes_when_a_later_argument_fails(rt, call, ball):
+    # the first argument is wrapped, which opens the call's frame; the
+    # second fails its check or its initialise, and the scope still closes
+    rt.consult_text(PAIRED)
+    ref = term_text(once(rt, "new(O, paired)")["O"])
+    live = rt.hostdata.wrappers_live
+    if ball is None:
+        assert rt.once(f"send({ref}, {call})") is None
+    else:
+        assert err_kind(rt, f"send({ref}, {call})") == ball
+    assert rt.hostdata.ledgers == [] and rt.store.current_frame() is None
+    assert rt.hostdata.wrappers_live == live and rt.audit_refcounts() == []
+    assert rt.kernel.live_count_of("failer") == 0
 
 
 DEEP = 100_000

@@ -261,6 +261,19 @@ def test_assert_on_builtin_is_permission_error(rt):
     assert "permission_error" in term_text(err.value.term)
 
 
+@pytest.mark.parametrize("goal", ["copy_term(X, _)", "assertz(p(X))", "asserta(p(X))"])
+def test_copying_a_cyclic_term_is_a_representation_error(rt, goal):
+    # with the occurs check off `X = f(X)` makes a cyclic term, which no
+    # copy can hold: the ball is one catch/3 sees, and nothing is asserted
+    consult(rt, ":- dynamic(p/1).")
+    query, vm = parse_term(f"X = f(X), catch({goal}, E, true)")
+    it = rt.engine.solve(query)
+    next(it)
+    assert term_text(vm["E"]) == "representation_error(cyclic_term)"
+    it.close()
+    assert rt.engine.clauses_of("user", "p", 1) == []
+
+
 # -- registration -----------------------------------------------------------------
 
 
@@ -296,6 +309,12 @@ def test_register_nondet_builtin(rt):
 def test_writeln_output(rt):
     solutions(rt, "writeln(hello)")
     assert rt.out.getvalue() == "hello\n"
+
+
+def test_write_of_an_empty_right_operand(rt):
+    # unquoted, '' has no text: the operator stays glued to nothing
+    solutions(rt, "write(a - ''), nl, catch(write(x : \"\"), E, true), nl")
+    assert rt.out.getvalue() == "a-\nx:\n"
 
 
 # -- expansion hooks -----------------------------------------------------------------

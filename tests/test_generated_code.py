@@ -4,16 +4,19 @@ and past their bounds; the shape cache; and what the per-layer tracer
 relies on."""
 
 import functools
+import importlib.util
 import inspect
 import io
 import operator
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from objlog import clausecode, engine as engine_mod
+from objlog.bridge import Bridge
 from objlog.builtins import ARITH_OPS
 from objlog.clausecode import (
     MAX_DEPTH,
@@ -489,3 +492,25 @@ def test_entry_points_the_tracer_wraps_keep_their_signatures():
     assert names(Machine.exec_goal) == ["self", "goal", "ns", "barrier"]
     assert names(Machine.try_clause) == ["self", "clause", "args", "bodybar", "cont", "depth"]
     assert names(Engine.solve) == ["self", "goal", "ns", "protect"]
+
+
+def test_the_benchmark_tracer_installs_and_uninstalls():
+    # the tracer patches each entry point by name from its owner's
+    # `__dict__`: one that is renamed or deleted fails here
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    logic_send = Bridge.__dict__["logic_send"]
+    exec_goal = Machine.__dict__["exec_goal"]
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._undo)
+        assert Bridge.__dict__["logic_send"] is not logic_send
+        assert Machine.__dict__["exec_goal"] is not exec_goal
+    finally:
+        tracer.uninstall()
+    assert Bridge.__dict__["logic_send"] is logic_send
+    assert Machine.__dict__["exec_goal"] is exec_goal
+    assert all(owner.__dict__[attr] is value for owner, attr, value in patched)

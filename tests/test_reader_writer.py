@@ -152,6 +152,27 @@ def test_writer_roundtrip():
         assert structural_eq(again, term) or repr(again) == repr(term)
 
 
+@pytest.mark.parametrize("text, shown", [
+    ("1 - -1", "1 - -1"),
+    ("a - (-1)", "a - -1"),
+    ("1 + -a", "1 + - a"),
+    ("a : -b", "a : - b"),
+    ("a / -1", "a / -1"),
+    ("-(1)", "-(1)"),
+    ("+(1.5)", "+(1.5)"),
+    ("-(-1)", "-(-1)"),
+    ("- -(1)", "- -(1)"),
+    ("1 - 2", "1-2"),
+    ("a - ''", "a-''"),
+])
+def test_writer_output_reads_back(text, shown):
+    # a glued `-` or `+` next to a symbol char, or before a number, would
+    # read back as another token or as a negative number
+    term = t(text)
+    assert term_text(term) == shown
+    assert structural_eq(t(shown), term)
+
+
 def test_writer_quotes_when_needed():
     assert term_text(Atom("hello world")) == "'hello world'"
     assert term_text(Atom("foo")) == "foo"
