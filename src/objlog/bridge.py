@@ -15,7 +15,8 @@ call.  Results convert the other way; converting the same object twice
 yields the same `@N`.
 
 send/2..8, send_class/3 and get/3..9 share one message parser and one
-dispatch path.  Methods implemented by logic clauses are dispatched through
+dispatch function, `Bridge._dispatch`, which decides each call's path.
+Methods implemented by logic clauses are dispatched through
 `pce_principal:send_implementation/3` (or `get_implementation/4`), keyed by
 the indexable method-id atom.  That call is built already compiled: one
 `CALL` goal whose arguments are the method-id atom, the message and the
@@ -23,16 +24,22 @@ receiver (and a get's result), and whose predicate entry is pinned when
 the bridge is made, so a send or get from logic builds no goal term and
 compiles nothing.  A classic send or get from logic code builds that goal
 from its converted arguments and runs it in the calling machine, inside a
-scope frame that holds the call's host-data scope: the goal commits to its
-first solution, and the scope closes on exit, on failure or on an
-exception.  Every host-data scope starts unopened and makes its term frame
-and ledger only when the call wraps a term or holds a transient object
-(see `hostdata`), so a crossing that converts nothing pays for no frame.
-Methods flagged pure-logic are pushed into the calling machine with no
-scope and no conversion, so their choice points stay live.  A call from
-native code (an `initialise` run by new/2, `Kernel.send_value`, an event,
-a message) goes through the kernel's logic hooks and runs the goal in a
-nested solve, since a Python frame is waiting for its answer.
+scope frame that takes over the call's host-data scope: the goal commits
+to its first solution, and the scope closes on exit, on failure or on an
+exception.  Methods flagged pure-logic are pushed into the calling machine
+with no scope and no conversion, so their choice points stay live.  A call
+from native code (an `initialise` run by new/2, `Kernel.send_value`, an
+event, a message) goes through the kernel's logic hooks and runs the goal
+in a nested solve, since a Python frame is waiting for its answer.
+
+Three crossings open a host-data scope: a send, get or send_class from
+logic that is not pure-logic (`_dispatch`), new/2 (`new_from_spec`) and an
+event (`toolkit.pump_event`).  A native→logic call and a message to
+`@prolog` open none: each crossing inside their nested solve opens its
+own, and a get's result converts in the caller's scope.  Every scope
+starts unopened and makes its term frame and ledger only when the call
+wraps a term or holds a transient object (see `hostdata`), so a crossing
+that converts nothing pays for no frame.
 """
 
 from __future__ import annotations
@@ -51,9 +58,10 @@ class _ConvFail(Exception):
 
 
 class _CallScope(Scope):
-    """The host-data scope of one classic send, or get when `result` is
-    set, run in the calling machine (see `Bridge._call_in_machine`);
-    `answer` is the implementation goal's result variable."""
+    """The frame of one classic send, or get when `result` is set, run in
+    the calling machine: it holds the host-data scope that
+    `Bridge._dispatch` opened and closes it when the goal exits, fails or
+    raises.  `answer` is the implementation goal's result variable."""
 
     __slots__ = ("bridge", "method", "result", "answer")
 
@@ -62,7 +70,6 @@ class _CallScope(Scope):
         self.method = method
         self.result = result
         self.answer = answer
-        bridge.rt.hostdata.open_scope()
 
     def exit(self, m) -> bool:
         if self.result is None:
@@ -219,90 +226,76 @@ class Bridge:
         return self._logic_call(method, obj, values, Var("Result"))
 
     def _logic_call(self, method: KMethod, obj: KObject, values, result):
-        """The body of both logic hooks, a nested solve in its own host-data
-        scope: a get when `result` is given."""
-        with self.rt.hostdata.bridge_call():
-            terms = [self.value_to_term(v) for v in values]
-            ok = self.rt.engine.solve_once(self._implementation_goal(method, obj, terms, result))
-            if result is None:
-                return ok
-            if not ok:
-                return None
-            rterm = deref(result)
+        """The body of both logic hooks, a nested solve: a get when `result`
+        is given.  It opens no host-data scope: each crossing inside the
+        solve opens its own, and the result converts in the caller's."""
+        terms = [self.value_to_term(v) for v in values]
+        ok = self.rt.engine.solve_once(self._implementation_goal(method, obj, terms, result))
+        if result is None:
+            return ok
+        if not ok:
+            return None
         # the result value joins the enclosing call: a fresh wrapper must
         # outlive this dispatch so the outer post-call protocol can judge it
         try:
-            return self.term_to_value(rterm, method.returns, method.selector, -1)
+            return self.term_to_value(deref(result), method.returns, method.selector, -1)
         except _ConvFail:
             return None
 
     def callback_call(self, pred_name: str, values) -> bool:
         """Run a predicate in `user` from kernel-side values; commits to the
-        first solution.  A user predicate is called through its entry, as
+        first solution and opens no host-data scope, as `_logic_call`.  A
+        user predicate is called through its entry, as
         `_implementation_goal` calls a method, so nothing is compiled; a
         builtin, a control construct or an unknown predicate is solved from
         a goal term, which raises what calling it from logic raises."""
         engine = self.rt.engine
-        with self.rt.hostdata.bridge_call():
-            terms = tuple(self.value_to_term(v) for v in values)
-            entry = engine.preds.get(("user", pred_name, len(terms)))
-            if entry is not None and not is_control(pred_name, len(terms)):
-                return engine.solve_once(call_goal(entry, terms))
-            goal = Struct(pred_name, terms) if terms else Atom(pred_name)
-            return engine.solve_once(goal, "user")
+        terms = tuple(self.value_to_term(v) for v in values)
+        entry = engine.preds.get(("user", pred_name, len(terms)))
+        if entry is not None and not is_control(pred_name, len(terms)):
+            return engine.solve_once(call_goal(entry, terms))
+        goal = Struct(pred_name, terms) if terms else Atom(pred_name)
+        return engine.solve_once(goal, "user")
 
     # -- send/get/new/free --------------------------------------------------------
 
     def _dispatch(self, m, obj: KObject, method: KMethod, arg_terms, result: Term = None):
         """The one dispatch path of send/2..8, send_class/3 and, when
-        `result` is given, get/3..9, called from machine `m`."""
+        `result` is given, get/3..9, called from machine `m`.  A pure-logic
+        method's goal is pushed into `m`, with no scope and no conversion.
+        Any other call opens its host-data scope and converts and checks
+        its arguments.  A native or slot method then runs and the scope
+        closes; a logic method's implementation goal is built from the
+        converted arguments and run in `m`, in a `_CallScope` frame that
+        takes over the open scope."""
         if method.nondet:
-            # pure-logic dispatch: stay in this machine, no conversion
             return PushGoal((self._implementation_goal(method, obj, arg_terms, result),))
-        if type(method.impl) is LogicImpl:
-            return self._call_in_machine(m, obj, method, arg_terms, result)
         kernel = self.rt.kernel
         hostdata = self.rt.hostdata
+        goal = None
         # the scope as a plain pair, not `bridge_call`: this is the hot path
         hostdata.open_scope()
         try:
-            try:
-                vals = kernel.check_each(method, arg_terms, method.selector,
-                                         self.term_to_value)
-            except _ConvFail:
-                return False
-            if result is None:
-                return kernel.invoke_send(obj, method, vals)
-            value = kernel.invoke_get(obj, method, vals)
-            if value is None:
-                return False
-            return unify(result, self.value_to_term(value), m.engine.trail,
-                         m.engine.occurs_check)
-        finally:
-            hostdata.close_scope()
-
-    def _call_in_machine(self, m, obj: KObject, method: KMethod, arg_terms,
-                         result: Term = None) -> bool:
-        """A classic send, or get when `result` is given, of a
-        logic-implemented method, run in the calling machine `m`: open the
-        call's scope, convert and type-check the arguments, build the
-        compiled implementation goal from them and let `m` run it in the
-        scope.  The scope then closes on the goal's exit, on its failure or
-        on an exception."""
-        answer = None if result is None else Var("Result")
-        scope = _CallScope(self, method, result, answer)
-        try:
-            vals = self.rt.kernel.check_each(method, arg_terms, method.selector,
-                                             self.term_to_value)
-            goal = self._implementation_goal(method, obj,
-                                             [self.value_to_term(v) for v in vals], answer)
+            vals = kernel.check_each(method, arg_terms, method.selector, self.term_to_value)
+            if type(method.impl) is LogicImpl:
+                answer = None if result is None else Var("Result")
+                goal = self._implementation_goal(
+                    method, obj, [self.value_to_term(v) for v in vals], answer)
+            elif result is None:
+                ok = kernel.invoke_send(obj, method, vals)
+            else:
+                value = kernel.invoke_get(obj, method, vals)
+                ok = value is not None and unify(result, self.value_to_term(value),
+                                                 m.engine.trail, m.engine.occurs_check)
         except _ConvFail:
-            scope.close()
-            return False
+            ok = False
         except BaseException:
-            scope.close()
+            hostdata.close_scope()
             raise
-        m.call_scoped(goal, scope)
+        if goal is None:
+            hostdata.close_scope()
+            return ok
+        m.call_scoped(goal, _CallScope(self, method, result, answer))
         return True
 
     def _bi_send(self, m, args, ns):

@@ -294,12 +294,11 @@ class ClassCompiler:
             raise bridge_error("unknown_class", Atom(super_name))
         cls = kernel.define_class(name, super_name)
 
-        vn, vt, va, vd = Var(), Var(), Var(), Var()
-        for n_, t_, a_, d_ in engine.findall_bindings(
-                Struct("pce_slot", (Atom(name), vn, vt, va, vd)),
-                (vn, vt, va, vd), "pce_principal"):
-            doc = d_.name if type(d_) is Atom else ""
-            kernel.define_slot(cls, SlotDef(n_.name, parse_type_term(t_), a_.name, doc))
+        vn, vt, va = Var(), Var(), Var()
+        for n_, t_, a_ in engine.findall_bindings(
+                Struct("pce_slot", (Atom(name), vn, vt, va, Var())),
+                (vn, vt, va), "pce_principal"):
+            kernel.define_slot(cls, SlotDef(n_.name, parse_type_term(t_), a_.name))
 
         vs = Var()
         pure = {row[0].name for row in engine.findall_bindings(

@@ -52,6 +52,7 @@ from .balls import (
     type_error,
     unknown_procedure,
 )
+from .builtins import copy_acyclic
 from .clausecode import (
     ALT,
     BUILTIN,
@@ -93,7 +94,6 @@ from .terms import (
     deref,
     occurs_in,
     rename_term,
-    resolve_copy,
     unify,
 )
 
@@ -595,7 +595,7 @@ class Machine:
             ball = deref(args[0])  # throw/1
             if type(ball) is Var:
                 raise instantiation_error("throw/1")
-            raise LogicError(resolve_copy(ball))
+            raise LogicError(copy_acyclic(ball))
         if op > EXIT:  # arithmetic: runs from expression code, builds no term
             vs = self.frame
             engine = self.engine
@@ -1000,7 +1000,7 @@ class Engine:
         out = []
         q = self.solve(goal, ns, protect=True)
         for _ in q:
-            out.append(tuple(resolve_copy(v) for v in vars_))
+            out.append(tuple(copy_acyclic(v) for v in vars_))
         return out
 
     # -- consult -----------------------------------------------------------

@@ -14,11 +14,16 @@ The same ledger also carries plain transient objects (instances built from
 compound arguments); those are simply released after the call so unused
 ones are collected immediately.
 
-Each crossing opens a scope, but the scope's term frame and ledger are made
-on first need: when the call wraps a term or holds a transient object.  A
-call that converts nothing (a no-argument or int-argument send) opens no
-frame and has no post-call protocol to run.  A scope is only ever made
-while it is the innermost one, so frames still close strictly LIFO.
+Three crossings open a scope: a send, get or send_class from logic that is
+not pure-logic (`Bridge._dispatch`; a logic method's frame in the calling
+machine closes it), new/2 (`Bridge.new_from_spec`) and an event
+(`toolkit.pump_event`).  A native→logic call and a message to `@prolog`
+open none: each crossing in their nested solve opens its own.  The scope's
+term frame and ledger are made on first need: when the call wraps a term
+or holds a transient object.  A call that converts nothing (a no-argument
+or int-argument send) opens no frame and has no post-call protocol to run.
+A scope is only ever made while it is the innermost one, so frames still
+close strictly LIFO.
 """
 
 from __future__ import annotations

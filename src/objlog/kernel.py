@@ -7,13 +7,16 @@ accessors, or identifiers of logic-side clauses.  The logic hooks the
 bridge installs serve calls from native code (`send_value`, an
 `initialise` run by `instantiate`, events and messages); a call from logic
 code to a logic-side method runs in the calling machine and never reaches
-`invoke_send`/`invoke_get`.  Instances are reference counted: the count covers
-incoming slot references, explicit locks and transient bridge holds, and
-an object whose count falls to zero with no locks is destroyed, releasing
-its own references in turn.  `destroy` can also be forced.  A destroyed
-object leaves the instance table; since oids only grow, a reference to an
-oid that was handed out and is no longer in the table is a freed-object
-error, and anyone holding the object itself sees `KObject.freed`.
+`invoke_send`/`invoke_get`.  A hook runs its goal in a nested solve and
+opens no host-data scope of its own: each crossing inside the solve opens
+its own, and a get's result converts in the caller's scope.  Instances are
+reference counted: the count covers incoming slot references, explicit
+locks and transient bridge holds, and an object whose count falls to zero
+with no locks is destroyed, releasing its own references in turn.
+`destroy` can also be forced.  A destroyed object leaves the instance
+table; since oids only grow, a reference to an oid that was handed out and
+is no longer in the table is a freed-object error, and anyone holding the
+object itself sees `KObject.freed`.
 
 Values stored in slots are ints, floats, interned atoms or kernel objects
 (including the well-known `@nil`).  The well-known objects are permanent:
@@ -129,11 +132,11 @@ class SlotImpl:
 
 class KMethod:
     __slots__ = ("selector", "kind", "argspecs", "required", "vararg", "returns",
-                 "impl", "nondet", "doc")
+                 "impl", "nondet")
 
     def __init__(self, selector: str, kind: str, argspecs=(), impl=None,
                  required: Optional[int] = None, vararg: Optional[TypeSpec] = None,
-                 returns: TypeSpec = ANY_T, nondet: bool = False, doc: str = ""):
+                 returns: TypeSpec = ANY_T, nondet: bool = False):
         self.selector = selector
         self.kind = kind  # 'send' | 'get'
         self.argspecs = tuple(argspecs)
@@ -142,7 +145,6 @@ class KMethod:
         self.returns = returns
         self.impl = impl
         self.nondet = nondet
-        self.doc = doc
 
     def __repr__(self):
         arrow = "->" if self.kind == "send" else "<-"
@@ -150,15 +152,14 @@ class KMethod:
 
 
 class SlotDef:
-    __slots__ = ("name", "spec", "access", "doc")
+    __slots__ = ("name", "spec", "access")
 
-    def __init__(self, name: str, spec: TypeSpec, access: str = "both", doc: str = ""):
+    def __init__(self, name: str, spec: TypeSpec, access: str = "both"):
         if access not in ("both", "get", "send", "none"):
             raise ValueError(f"bad slot access {access!r}")
         self.name = name
         self.spec = spec
         self.access = access
-        self.doc = doc
 
 
 class KClass:
@@ -307,11 +308,11 @@ class Kernel:
         self._layouts.clear()
         if sdef.access in ("both", "send"):
             self.define_method(kclass, KMethod(sdef.name, "send", (sdef.spec,),
-                                               impl=SlotImpl(sdef.name), doc=sdef.doc))
+                                               impl=SlotImpl(sdef.name)))
         if sdef.access in ("both", "get"):
             self.define_method(kclass, KMethod(sdef.name, "get", (),
                                                returns=sdef.spec,
-                                               impl=SlotImpl(sdef.name), doc=sdef.doc))
+                                               impl=SlotImpl(sdef.name)))
 
     def define_method(self, kclass: KClass, method: KMethod, replace: bool = False) -> None:
         table = kclass.send_methods if method.kind == "send" else kclass.get_methods

@@ -241,8 +241,12 @@ def unify(a: Term, b: Term, trail: Trail, occurs_check: bool = False) -> bool:
 
 
 def structural_eq(a: Term, b: Term) -> bool:
-    """`==`-style comparison: identical up to dereferencing, no bindings."""
+    """`==`-style comparison: identical up to dereferencing, no bindings.
+    A pair of compounds already being compared is taken as equal, which
+    is equality of rational trees, so cyclic terms (possible only with the
+    occurs check off) compare too."""
     stack = [(a, b)]
+    seen = set()
     while stack:
         x, y = stack.pop()
         x = deref(x)
@@ -255,7 +259,10 @@ def structural_eq(a: Term, b: Term) -> bool:
         if tx is Struct:
             if x.name is not y.name or len(x.args) != len(y.args):
                 return False
-            stack.extend(zip(x.args, y.args))
+            pair = (id(x), id(y))
+            if pair not in seen:
+                seen.add(pair)
+                stack.extend(zip(x.args, y.args))
             continue
         if (tx is int or tx is float) and x == y:
             continue

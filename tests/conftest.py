@@ -10,11 +10,14 @@ from objlog.runtime import Runtime
 def rt():
     """A fresh runtime whose output is captured.  On teardown its trail
     holds no entries unless a guard is live: with none, nothing can undo
-    them."""
+    them.  And no crossing is left open: no host-data scope and no term
+    frame."""
     runtime = Runtime(out=io.StringIO())
     yield runtime
     trail = runtime.engine.trail
     assert trail.guards or not trail.entries
+    assert runtime.hostdata.ledgers == []
+    assert runtime.store.current_frame() is None
 
 
 @pytest.fixture

@@ -2,11 +2,13 @@ import pytest
 
 from objlog import toolkit
 from objlog.balls import bridge_kind
+from objlog.bridge import Bridge
 from objlog.engine import Engine, Machine
 from objlog.errors import LogicError
+from objlog.hostdata import HostData
 from objlog.kernel import Kernel, LogicImpl
 from objlog.reader import parse_term
-from objlog.terms import Atom, ObjRef, resolve_copy, structural_eq
+from objlog.terms import Atom, ObjRef, TermStore, resolve_copy, structural_eq
 from objlog.writer import term_text
 
 
@@ -678,6 +680,76 @@ def test_only_native_calls_reach_the_kernels_logic_hooks(rt, monkeypatch, call, 
     else:
         assert rt.once(call.format(o=f"@{obj.oid}")) is not None
     assert calls == seen
+
+
+def _counting(monkeypatch, owner, name, counts):
+    inner = getattr(owner, name)
+
+    def counting(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+@pytest.mark.parametrize("case, scopes, frames", [
+    ("send({area}, normalise)", 1, 0),
+    ("send({o}, intarg(1))", 1, 0),
+    ("send({o}, termarg(t(a, _)))", 1, 1),
+    ("get({o}, answer, R)", 1, 0),
+    # ping's get and send from logic, each its own scope; none of its own
+    ("send_value", 2, 0),
+    # the pump's, which holds the event, then the handler's two sends
+    # from logic, the second holding `colour(red)`; none for the nested call
+    ("event", 3, 2),
+    # the pump's only: the message to @prolog opens none
+    ("callback", 1, 1),
+], ids=["native", "classic_int", "classic_prolog", "classic_get", "send_value",
+        "event", "callback"])
+def test_scopes_and_frames_of_each_crossing(rt, monkeypatch, case, scopes, frames):
+    # a send, get or send_class from logic opens one scope, whichever path
+    # it takes; a native->logic call and a callback open none of their own
+    rt.consult_text(CALLEE + PINGED + CLICKED)
+    rt.consult_program("my_box")
+    objs = {name: rt.kernel.fetch(once(rt, f"new(O, {spec})")["O"].ref) for name, spec in [
+        ("o", "callee"), ("pinged", "pinged"), ("area", "area(0, 0, 10, 10)"),
+        ("box", "my_box(10, 10)"), ("button", "button(b0, message(@prolog, clicked, 0))")]}
+    counts = {}
+    for owner, name in ((HostData, "open_scope"), (HostData, "close_scope"),
+                        (TermStore, "open_frame")):
+        _counting(monkeypatch, owner, name, counts)
+    if case == "send_value":
+        assert rt.kernel.send_value(objs["pinged"], "ping", [1])
+    elif case == "event":
+        assert toolkit.pump_event(rt, objs["box"], "area_enter", 1, 1)
+    elif case == "callback":
+        assert toolkit.pump_event(rt, objs["button"], "button_down", 0, 0)
+    else:
+        assert rt.once(case.format(**{k: f"@{v.oid}" for k, v in objs.items()})) is not None
+    assert counts.get("open_scope", 0) == counts.get("close_scope", 0) == scopes
+    assert counts.get("open_frame", 0) == frames
+
+
+@pytest.mark.parametrize("call", [
+    "send({area}, normalise)",
+    "send({area}, x, 3)",
+    "send({o}, intarg(1))",
+    "send({o}, pick(X))",
+    "send_class({o}, callee, noarg)",
+    "get({o}, answer, R)",
+    "get({area}, x, X)",
+    "send({o}, intarg(a))",
+], ids=["native", "slot", "classic", "pure", "send_class", "get", "slot_get", "mismatch"])
+def test_each_send_and_get_dispatches_once(rt, monkeypatch, call):
+    rt.consult_text(CALLEE)
+    refs = {"o": term_text(once(rt, "new(O, callee)")["O"]),
+            "area": term_text(once(rt, "new(A, area(0, 0, 10, 10))")["A"])}
+    counts = {}
+    _counting(monkeypatch, Bridge, "_dispatch", counts)
+    query, _ = parse_term(f"catch({call.format(**refs)}, _, true)")
+    for _ in rt.engine.solve(query):
+        pass
+    assert counts == {"_dispatch": 1}
 
 
 PAIRED = FAILER + """

@@ -1,4 +1,5 @@
 import io
+import signal
 
 import pytest
 
@@ -272,6 +273,44 @@ def test_copying_a_cyclic_term_is_a_representation_error(rt, goal):
     assert term_text(vm["E"]) == "representation_error(cyclic_term)"
     it.close()
     assert rt.engine.clauses_of("user", "p", 1) == []
+
+
+def test_a_cyclic_ball_is_a_representation_error(rt):
+    # throw/1 copies its ball, which a cyclic term cannot give
+    query, vm = parse_term("X = f(X), catch(throw(X), E, true)")
+    it = rt.engine.solve(query)
+    next(it)
+    assert term_text(vm["E"]) == "representation_error(cyclic_term)"
+    it.close()
+
+
+def test_findall_bindings_of_a_cyclic_term_is_a_representation_error(rt):
+    goal, vm = parse_term("X = f(X)")
+    with pytest.raises(LogicError) as err:
+        rt.engine.findall_bindings(goal, (vm["X"],))
+    assert term_text(err.value.term) == "representation_error(cyclic_term)"
+
+
+@pytest.mark.parametrize("query, answer", [
+    ("X = f(X), Y = f(Y), X == Y", True),
+    ("X = f(X), Y = f(f(Y)), X == Y", True),
+    ("X = f(X), Y = f(a), X == Y", False),
+    ("X = g(X, a), Y = g(Y, b), X == Y", False),
+    ("X = f(X), Y = f(Y), X \\== Y", False),
+])
+def test_identity_of_cyclic_terms_terminates(rt, query, answer):
+    # `==` compares cyclic terms as rational trees; the alarm turns a
+    # comparison that never returns into a failure of this test
+    def timed_out(signum, frame):
+        raise TimeoutError(query)
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(5)
+    try:
+        assert rt.engine.solve_once(parse_term(query)[0]) is answer
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- registration -----------------------------------------------------------------
