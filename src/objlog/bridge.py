@@ -29,8 +29,8 @@ to its first solution, and the scope closes on exit, on failure or on an
 exception.  Methods flagged pure-logic are pushed into the calling machine
 with no scope and no conversion, so their choice points stay live.  A call
 from native code (an `initialise` run by new/2, `Kernel.send_value`, an
-event, a message) goes through the kernel's logic hooks and runs the goal
-in a nested solve, since a Python frame is waiting for its answer.
+event, a message) reaches `logic_send`/`logic_get` from the kernel and runs
+the goal in a nested solve, since a Python frame is waiting for its answer.
 
 Three crossings open a host-data scope: a send, get or send_class from
 logic that is not pure-logic (`_dispatch`), new/2 (`new_from_spec`) and an
@@ -92,11 +92,6 @@ class _CallScope(Scope):
 class Bridge:
     def __init__(self, runtime):
         self.rt = runtime
-        kernel = runtime.kernel
-        kernel.logic_send = self.logic_send
-        kernel.logic_get = self.logic_get
-        kernel.callback = self.callback_call
-
         engine = runtime.engine
         # the implementation predicates, pinned for `_implementation_goal`
         self._send_entry = engine.entry("pce_principal", "send_implementation", 3, create=True)
@@ -214,7 +209,7 @@ class Bridge:
         return call_goal(self._get_entry, (impl.mid, msg, ObjRef(obj.oid), result))
 
     def logic_send(self, method: KMethod, obj: KObject, values) -> bool:
-        """The kernel's hook for a send to a logic-implemented method from
+        """What the kernel runs for a send to a logic-implemented method from
         native code (an `initialise` run by new/2, `Kernel.send_value`, an
         event, a message): it runs the implementation goal in a nested solve
         and commits to its first solution."""
@@ -226,9 +221,10 @@ class Bridge:
         return self._logic_call(method, obj, values, Var("Result"))
 
     def _logic_call(self, method: KMethod, obj: KObject, values, result):
-        """The body of both logic hooks, a nested solve: a get when `result`
-        is given.  It opens no host-data scope: each crossing inside the
-        solve opens its own, and the result converts in the caller's."""
+        """The body of `logic_send` and `logic_get`, a nested solve: a get
+        when `result` is given.  It opens no host-data scope: each crossing
+        inside the solve opens its own, and the result converts in the
+        caller's."""
         terms = [self.value_to_term(v) for v in values]
         ok = self.rt.engine.solve_once(self._implementation_goal(method, obj, terms, result))
         if result is None:

@@ -214,23 +214,25 @@ ARITH_BUILTINS = {_is2: None, **{fn: op for _name, op, fn in _COMPARISONS}}
 
 
 def _between(m, args, ns):
+    """between/3.  A bound third argument is answered here; an unbound one
+    enumerates through the prelude's `pce_principal:'$between'/3`, whose
+    clauses leave the choice points."""
     lo = deref(args[0])
     hi = deref(args[1])
-    x = args[2]
+    x = deref(args[2])
     if type(lo) is Var or type(hi) is Var:
         raise instantiation_error("between/3")
     if type(lo) is not int or type(hi) is not int:
         raise type_error("integer", lo if type(lo) is not int else hi)
-    trail = m.engine.trail
+    if type(x) is not Var:
+        return type(x) is int and lo <= x <= hi
+    if lo > hi:
+        return False
+    from .clausecode import call_goal  # clausecode imports this module
+    from .engine import PushGoal
 
-    def gen():
-        for i in range(lo, hi + 1):
-            mark = trail.mark()
-            if unify(x, i, trail):
-                yield
-            trail.undo_to(mark)
-
-    return gen()
+    entry = m.engine.preds[("pce_principal", "$between", 3)]
+    return PushGoal((call_goal(entry, (lo, hi, x)),))
 
 
 # -- output ------------------------------------------------------------------

@@ -45,7 +45,6 @@ class ClassCompiler:
         engine.register_builtin("pce_begin_class", 2, self._bi_begin)
         engine.register_builtin("pce_end_class", 1, self._bi_end)
         engine.register_builtin("pce_pure_prolog", 1, self._bi_pure)
-        runtime.kernel.realizer = self.realize_class
         for name, arity in _FACT_PREDS:
             engine.entry("pce_principal", name, arity, create=True)
 

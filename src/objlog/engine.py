@@ -22,10 +22,12 @@ the body goes on after it.
 The body's goals run from a continuation of (goals, pc, frame, cut barrier)
 nodes and a choice-point stack, so deterministic tail calls run in constant
 depth and deep conjunctions never touch the Python stack.  Cut prunes to the barrier
-of its node, if-then-else commits by a cut to the height before its
-condition, and nondeterministic native predicates are generator choice
-points.  A call the bridge runs in the calling machine is a `Scope` frame
-on the same stack, and so is a catch/3 frame, so neither nests a solve.
+of its node, and if-then-else commits by a cut to the height before its
+condition.  Backtracking resumes clause and disjunction alternatives only:
+a builtin with several answers, as between/3, pushes a call of clauses
+that give them (`PushGoal`).  A call the bridge runs in the calling
+machine is a `Scope` frame on the same stack, and so is a catch/3 frame,
+so neither nests a solve.
 Each choice point and frame holds a guard on the trail while it is on the
 stack and releases it when popped (`Trail.release`), which drops the
 trail once no guard is left.
@@ -101,8 +103,10 @@ from .terms import (
 class PushGoal:
     """Returned by a builtin to continue with compiled goals in the current
     machine: `code` is a tuple of `Goal`s, built already compiled (the
-    bridge's pure-logic dispatch builds one `CALL` goal with its predicate
-    entry resolved), so nothing is compiled when it is pushed.
+    bridge's pure-logic dispatch and between/3 build one `CALL` goal with
+    its predicate entry resolved), so nothing is compiled when it is
+    pushed.  This is how a builtin gives more than one answer: the clauses
+    it calls leave the choice points.
 
     The pushed code gets a fresh cut barrier, so a cut inside it stays local.
     """
@@ -309,16 +313,6 @@ class _AltCP:
         self.mark = mark
 
 
-class _IterCP:
-    __slots__ = ("it", "cont", "depth", "mark")
-
-    def __init__(self, it, cont, depth, mark):
-        self.it = it
-        self.cont = cont
-        self.depth = depth
-        self.mark = mark
-
-
 class Scope:
     """A frame on the choice-point stack around a goal that
     `Machine.call_scoped` runs to its first solution in the calling machine,
@@ -398,9 +392,7 @@ class Machine:
         while len(cps) > h:
             cp = cps.pop()
             trail.release()
-            if type(cp) is _IterCP:
-                cp.it.close()
-            elif isinstance(cp, Scope):
+            if isinstance(cp, Scope):
                 cp.close()
 
     def close(self) -> None:
@@ -531,19 +523,6 @@ class Machine:
                             self.depth = cp.depth
                             self.push(cp.code, cp.vs, cp.barrier)
                             forward = True
-                        elif tcp is _IterCP:
-                            trail.undo_to(cp.mark)
-                            # a ball from the generator is raised where its goal ran
-                            self.cont = cp.cont
-                            self.depth = cp.depth
-                            try:
-                                next(cp.it)
-                            except StopIteration:
-                                cps.pop()
-                                release()
-                                continue
-                            cp.mark = trail.mark()
-                            forward = True
                         else:  # a scope: its goal has no more solutions
                             cps.pop()
                             trail.undo_to(cp.mark)
@@ -647,6 +626,9 @@ class Machine:
         return True
 
     def run_builtin(self, goal: Goal, args: tuple, ns: str) -> bool:
+        """Call a registered builtin: True is success, False or None is
+        failure, and a `PushGoal` goes on with its goals; anything else is a
+        `TypeError` that names the builtin."""
         engine = self.engine
         if engine.trace:
             engine.trace_port("call", _goal_term(goal.name, args), ns)
@@ -658,23 +640,8 @@ class Machine:
         if type(res) is PushGoal:
             self.push(res.code, None, len(self.cps))
             return True
-        # a generator: one solution per next(); it undoes its own bindings.
-        # The guard taken here passes to its choice point.
-        trail = engine.trail
-        trail.guards += 1
-        try:
-            next(res)
-        except StopIteration:
-            trail.release()
-            return False
-        except BaseException:
-            trail.release()
-            raise
-        cp = _IterCP(res, self.cont, self.depth, trail.mark())
-        self.cps.append(cp)
-        if len(self.cps) > self.peak_cps:
-            self.peak_cps = len(self.cps)
-        return True
+        raise TypeError(f"builtin {goal.name}/{len(args)} returned a {type(res).__name__}, "
+                        "not True, False, None or a PushGoal")
 
     def try_clause(self, clause: Clause, args: tuple, bodybar: int, cont, depth: int) -> bool:
         """Match the clause head against the goal's arguments and, on
@@ -996,12 +963,13 @@ class Engine:
             q.close()
 
     def findall_bindings(self, goal: Term, vars_, ns: str = "user") -> list:
-        """Snapshots of the given variables for every solution of the goal."""
-        out = []
+        """Snapshots of the given variables for every solution of the goal.
+        The query is closed even when a snapshot raises."""
         q = self.solve(goal, ns, protect=True)
-        for _ in q:
-            out.append(tuple(copy_acyclic(v) for v in vars_))
-        return out
+        try:
+            return [tuple(copy_acyclic(v) for v in vars_) for _ in q]
+        finally:
+            q.close()
 
     # -- consult -----------------------------------------------------------
 

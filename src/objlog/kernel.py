@@ -3,16 +3,18 @@
 Classes form a single-inheritance tree rooted at `object`.  Methods are
 first-class descriptions (selector, kind, argument types, implementation
 handle); implementations are native Python handlers, generated slot
-accessors, or identifiers of logic-side clauses.  The logic hooks the
-bridge installs serve calls from native code (`send_value`, an
-`initialise` run by `instantiate`, events and messages); a call from logic
-code to a logic-side method runs in the calling machine and never reaches
-`invoke_send`/`invoke_get`.  A hook runs its goal in a nested solve and
-opens no host-data scope of its own: each crossing inside the solve opens
-its own, and a get's result converts in the caller's scope.  Instances are
-reference counted: the count covers incoming slot references, explicit
-locks and transient bridge holds, and an object whose count falls to zero
-with no locks is destroyed, releasing its own references in turn.
+accessors, or identifiers of logic-side clauses.  `invoke_send` and
+`invoke_get` run a logic-side method for native callers (`send_value`, an
+`initialise` run by `instantiate`, events and messages) through
+`Bridge.logic_send`/`logic_get`; a call from logic code to a logic-side
+method runs in the calling machine and never reaches them.  The bridge
+runs the goal in a nested solve and opens no host-data scope of its own:
+each crossing inside the solve opens its own, and a get's result converts
+in the caller's scope.  An unknown class is realized by
+`ClassCompiler.realize_class`.  Instances are reference counted: the count
+covers incoming slot references, explicit locks and transient bridge
+holds, and an object whose count falls to zero with no locks is
+destroyed, releasing its own references in turn.
 `destroy` can also be forced.  A destroyed object leaves the instance
 table; since oids only grow, a reference to an oid that was handed out and
 is no longer in the table is a freed-object error, and anyone holding the
@@ -230,7 +232,7 @@ class KObject:
 class Kernel:
     """Class table, instance table and the dispatch/lifetime machinery."""
 
-    def __init__(self, runtime=None):
+    def __init__(self, runtime):
         self.rt = runtime
         self.classes: dict = {}
         # class -> tuple of its slot names, ancestors' first (`allocate`);
@@ -241,11 +243,6 @@ class Kernel:
         self.live_count = 0
         self.created_total = 0
         self.destroyed_total = 0
-        # hooks installed by the bridge / class compiler
-        self.realizer: Optional[Callable] = None
-        self.logic_send: Optional[Callable] = None
-        self.logic_get: Optional[Callable] = None
-        self.callback: Optional[Callable] = None
         self.nil: Optional[KObject] = None  # set once bootstrap classes exist
         self.wellknown: dict = {}  # name -> object
         self._wellknown_refs: dict = {}  # oid -> `@name`
@@ -296,8 +293,8 @@ class Kernel:
 
     def find_class(self, name: str) -> Optional[KClass]:
         cls = self.classes.get(name)
-        if cls is None and self.realizer is not None:
-            cls = self.realizer(name)
+        if cls is None:
+            cls = self.rt.compiler.realize_class(name)
         return cls
 
     def define_slot(self, kclass: KClass, sdef: SlotDef) -> None:
@@ -335,17 +332,13 @@ class Kernel:
         return None
 
     def _catch_all_method(self, selector: str) -> KMethod:
-        kernel = self
-
         def handler(rt, obj, values):
-            if kernel.callback is None:
-                raise RuntimeBugError("no callback hook installed")
             if selector == "call":
                 if not values or type(values[0]) is not Atom:
                     raise bridge_error("instantiation",
                                        Struct("context", (Atom("call"), Atom("predicate"))))
-                return kernel.callback(values[0].name, values[1:])
-            return kernel.callback(selector, values)
+                return rt.bridge.callback_call(values[0].name, values[1:])
+            return rt.bridge.callback_call(selector, values)
 
         return KMethod(selector, "send", (), impl=NativeImpl(handler),
                        required=0, vararg=PROLOG_T)
@@ -410,9 +403,7 @@ class Kernel:
             return True
         if ti is NativeImpl:
             return bool(impl.fn(self.rt, obj, vals))
-        if self.logic_send is None:
-            raise RuntimeBugError("no logic dispatch hook installed")
-        return self.logic_send(method, obj, vals)
+        return self.rt.bridge.logic_send(method, obj, vals)
 
     def invoke_get(self, obj: KObject, method: KMethod, vals):
         impl = method.impl
@@ -421,9 +412,7 @@ class Kernel:
             return obj.slots[impl.slot_name]
         if ti is NativeImpl:
             return impl.fn(self.rt, obj, vals)
-        if self.logic_get is None:
-            raise RuntimeBugError("no logic dispatch hook installed")
-        return self.logic_get(method, obj, vals)
+        return self.rt.bridge.logic_get(method, obj, vals)
 
     def method_of(self, obj: KObject, selector: str, kind: str) -> KMethod:
         """The method `obj` runs for a send or get of `selector`."""

@@ -29,6 +29,9 @@ append([], L, L).
 append([H|T], L, [H|R]) :- append(T, L, R).
 
 forall(Cond, Action) :- \\+ (Cond, \\+ Action).
+
+pce_principal:'$between'(L, _, L).
+pce_principal:'$between'(L, H, X) :- L < H, L1 is L + 1, '$between'(L1, H, X).
 """
 
 

@@ -1,7 +1,9 @@
-"""Term formatting, the inverse of the reader's syntax."""
+"""Term formatting, the inverse of the reader's syntax.  A cyclic term
+(made with the occurs check off) is a representation error."""
 
 from __future__ import annotations
 
+from .balls import representation_error
 from .reader import INFIX_OPS, PREFIX_OPS
 from .terms import Atom, ObjRef, Struct, Var, deref
 
@@ -25,6 +27,12 @@ def atom_text(name: str, quoted: bool = True) -> str:
 
 def term_text(t, quoted: bool = True) -> str:
     names: dict = {}
+    path: set = set()  # the compounds and list cells being written, by id
+
+    def enter(t) -> None:
+        if id(t) in path:
+            raise representation_error("cyclic_term")
+        path.add(id(t))
 
     def var_name(v: Var) -> str:
         got = names.get(id(v))
@@ -45,7 +53,12 @@ def term_text(t, quoted: bool = True) -> str:
             return atom_text(t.name, quoted)
         if ty is ObjRef:
             return f"@{t.ref}"
-        # Struct
+        enter(t)
+        text = w_compound(t, maxp)
+        path.discard(id(t))
+        return text
+
+    def w_compound(t, maxp: int) -> str:
         if t.name == "." and len(t.args) == 2:
             return w_list(t)
         if len(t.args) == 2 and t.name in INFIX_OPS:
@@ -75,14 +88,20 @@ def term_text(t, quoted: bool = True) -> str:
 
     def w_list(t) -> str:
         parts = []
+        cells = []  # the cells after the first, on the path until the list is written
         while True:
             parts.append(w(t.args[0], 999))
             tail = deref(t.args[1])
             if type(tail) is Struct and tail.name == "." and len(tail.args) == 2:
+                enter(tail)
+                cells.append(id(tail))
                 t = tail
                 continue
             if type(tail) is Atom and tail.name == "[]":
-                return f"[{', '.join(parts)}]"
-            return f"[{', '.join(parts)}|{w(tail, 999)}]"
+                text = f"[{', '.join(parts)}]"
+            else:
+                text = f"[{', '.join(parts)}|{w(tail, 999)}]"
+            path.difference_update(cells)
+            return text
 
     return w(t, 1200)

@@ -9,13 +9,13 @@ from objlog.runtime import Runtime
 @pytest.fixture
 def rt():
     """A fresh runtime whose output is captured.  On teardown its trail
-    holds no entries unless a guard is live: with none, nothing can undo
-    them.  And no crossing is left open: no host-data scope and no term
-    frame."""
+    holds no guard and no entry: every query, choice point and frame has
+    released its guard, and with none nothing could undo an entry.  And no
+    crossing is left open: no host-data scope and no term frame."""
     runtime = Runtime(out=io.StringIO())
     yield runtime
     trail = runtime.engine.trail
-    assert trail.guards or not trail.entries
+    assert trail.guards == 0 and not trail.entries
     assert runtime.hostdata.ledgers == []
     assert runtime.store.current_frame() is None
 

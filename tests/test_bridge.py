@@ -651,7 +651,8 @@ NATIVE_CALL = ["invoke_send", "logic_send"]
 ], ids=["noarg", "intarg", "termarg", "get", "send_class", "send_value", "new"])
 def test_only_native_calls_reach_the_kernels_logic_hooks(rt, monkeypatch, call, seen):
     # a classic send or get from logic builds its implementation goal in
-    # the bridge; the kernel's logic dispatch and hooks serve native callers
+    # the bridge; the kernel's logic dispatch and the bridge's logic_send
+    # and logic_get serve native callers
     rt.consult_text(CALLEE + PINGED)
     obj = rt.kernel.fetch(once(rt, "new(O, callee)")["O"].ref)
     calls = []
@@ -670,7 +671,7 @@ def test_only_native_calls_reach_the_kernels_logic_hooks(rt, monkeypatch, call, 
         return logic_only
 
     for name in ("logic_send", "logic_get"):
-        monkeypatch.setattr(rt.kernel, name, hook(name, getattr(rt.kernel, name)))
+        monkeypatch.setattr(rt.bridge, name, hook(name, getattr(rt.bridge, name)))
     for name in ("invoke_send", "invoke_get"):
         monkeypatch.setattr(Kernel, name, invoke(name, getattr(Kernel, name)))
     if call == "send_value":
@@ -680,6 +681,24 @@ def test_only_native_calls_reach_the_kernels_logic_hooks(rt, monkeypatch, call, 
     else:
         assert rt.once(call.format(o=f"@{obj.oid}")) is not None
     assert calls == seen
+
+
+def test_the_kernel_calls_the_bridge_it_finds_at_each_call(rt, monkeypatch):
+    # the kernel keeps no copy of the bridge's methods: a patch of the
+    # class made after the runtime was built sees a native send
+    rt.consult_text(PINGED)
+    obj = rt.kernel.fetch(once(rt, "new(P, pinged)")["P"].ref)
+    seen = []
+    logic_send = Bridge.logic_send
+
+    def counting(bridge, method, o, values):
+        seen.append((method.selector, o is obj, list(values)))
+        return logic_send(bridge, method, o, values)
+
+    monkeypatch.setattr(Bridge, "logic_send", counting)
+    assert rt.kernel.send_value(obj, "ping", [3])
+    assert seen == [("ping", True, [3])]
+    assert obj.slots["count"] == 3
 
 
 def _counting(monkeypatch, owner, name, counts):

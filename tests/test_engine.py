@@ -117,6 +117,67 @@ def test_between(rt):
     assert solutions(rt, "between(3, 1, _X)") == []
 
 
+def answers(rt, text):
+    try:
+        return solutions(rt, text)
+    except LogicError as err:
+        return "ball " + term_text(err.term)
+
+
+@pytest.mark.parametrize("query, answer", [
+    ("between(1, 3, X)", [{"X": "1"}, {"X": "2"}, {"X": "3"}]),
+    ("between(-2, 0, X)", [{"X": "-2"}, {"X": "-1"}, {"X": "0"}]),
+    ("between(1, 1, X)", [{"X": "1"}]),
+    ("between(3, 1, X)", []),
+    ("between(1, 3, 2)", [{}]),
+    ("between(1, 3, 5)", []),
+    ("between(1, 3, 0)", []),
+    ("between(1, 3, a)", []),
+    ("between(1, 3, 2.0)", []),
+    ("between(1, 3, f(X))", []),
+    ("between(_, 3, X)", "ball instantiation_error('between/3')"),
+    ("between(a, _, X)", "ball instantiation_error('between/3')"),
+    ("between(a, 3, X)", "ball type_error(integer, a)"),
+    ("between(1.0, 3, X)", "ball type_error(integer, 1.0)"),
+    ("between(1, b, X)", "ball type_error(integer, b)"),
+    ("assertz(between(1, 2, 3))", "ball permission_error(modify, between/3)"),
+    ("between(1, 3, X), between(X, 3, Y)",
+     [{"X": "1", "Y": "1"}, {"X": "1", "Y": "2"}, {"X": "1", "Y": "3"},
+      {"X": "2", "Y": "2"}, {"X": "2", "Y": "3"}, {"X": "3", "Y": "3"}]),
+    ("catch(between(x, 1, X), E, true)", [{"X": "X", "E": "type_error(integer, x)"}]),
+])
+def test_between_answers_and_balls(rt, query, answer):
+    # the answers and balls of between/3 when it was a generator builtin
+    assert answers(rt, query) == answer
+    assert rt.engine.trail.guards == 0
+
+
+def test_between_with_a_bound_value_leaves_no_choice_point(rt):
+    goal, _ = parse_term("between(1, 100000, 99999)")
+    q = rt.engine.solve(goal)
+    next(q)
+    assert q.machine.peak_cps == 0
+    q.close()
+
+
+def test_between_enumerates_with_one_choice_point(rt):
+    # each value's call pops its choice point before it tries the next
+    goal, vm = parse_term("between(1, 1000, X), X >= 1000")
+    q = rt.engine.solve(goal)
+    next(q)
+    assert term_text(vm["X"]) == "1000"
+    assert q.machine.peak_cps == 1
+    q.close()
+
+
+def test_a_cut_after_between_prunes_its_enumeration(rt):
+    consult(rt, "first_over(N, X) :- between(1, 10, X), X > N, !.")
+    assert solutions(rt, "first_over(3, X)") == [{"X": "4"}]
+    assert solutions(rt, "between(1, 5, X), X >= 2, !") == [{"X": "2"}]
+    assert solutions(rt, "first_over(10, X)") == []
+    assert rt.engine.trail.guards == 0
+
+
 def test_type_tests(rt):
     assert solutions(rt, "var(V), nonvar(a), atom(a), integer(1), float(1.5)") == [{"V": "V"}]
     assert solutions(rt, "number(1), number(1.0), atomic(a), compound(f(x)), callable(f(x)), callable(a)") == [{}]
@@ -313,6 +374,44 @@ def test_identity_of_cyclic_terms_terminates(rt, query, answer):
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_findall_bindings_releases_its_guards_when_a_copy_raises(rt):
+    # the ball keeps the query's frames alive; the query is closed anyway
+    goal, vm = parse_term("(X = f(X) ; X = a)")
+    with pytest.raises(LogicError) as err:
+        rt.engine.findall_bindings(goal, (vm["X"],))
+    assert term_text(err.value.term) == "representation_error(cyclic_term)"
+    assert rt.engine.trail.guards == 0 and not rt.engine.trail.entries
+
+
+CYCLIC = "representation_error(cyclic_term)"
+
+
+@pytest.mark.parametrize("query, ball, output", [
+    ("X = f(X), write(X)", CYCLIC, ""),
+    ("L = [a|L], write(L)", CYCLIC, ""),
+    ("L = [a|T], T = [g(L)], write(L)", CYCLIC, ""),
+    ("X = f(Y, Y), Y = g(a), write(X)", "none", "f(g(a), g(a))"),
+    ("X = [Y, Y|Y], Y = [1], write(f(X, X))", "none", "f([[1], [1], 1], [[1], [1], 1])"),
+])
+def test_writing_a_cyclic_term_is_a_representation_error(rt, query, ball, output):
+    # the writer meets a compound or list cell that is on its own path; a
+    # subterm met twice off its path is shared, not cyclic.  The alarm
+    # turns a write that never returns into a failure of this test
+    def timed_out(signum, frame):
+        raise TimeoutError(query)
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(5)
+    try:
+        goal, vm = parse_term(f"catch(({query}), E, true), (var(E) -> E = none ; true)")
+        assert rt.engine.solve_once(goal)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert term_text(vm["E"]) == ball
+    assert rt.out.getvalue() == output
+
+
 # -- registration -----------------------------------------------------------------
 
 
@@ -326,7 +425,9 @@ def test_register_builtin_duplicate():
         rt.engine.register_builtin("my_builtin", 1, lambda m, a, ns: True)
 
 
-def test_register_nondet_builtin(rt):
+def test_a_generator_builtin_is_a_type_error(rt):
+    # a builtin answers True, False, None or a PushGoal; a generator is
+    # none of them, so it is refused rather than taken as success
     from objlog.terms import unify
 
     def two(m, args, ns):
@@ -342,7 +443,9 @@ def test_register_nondet_builtin(rt):
         return gen()
 
     rt.engine.register_builtin("two_ways", 1, two)
-    assert [s["X"] for s in solutions(rt, "two_ways(X)")] == ["one", "two"]
+    with pytest.raises(TypeError, match="two_ways/1"):
+        solutions(rt, "two_ways(X)")
+    assert rt.engine.trail.guards == 0
 
 
 def test_writeln_output(rt):
