@@ -58,6 +58,7 @@ BRIDGE_KINDS = (
     "type_mismatch",
     "freed_object",
     "stale_reference",
+    "native_exception",
 )
 
 

@@ -23,14 +23,19 @@ the indexable method-id atom.  That call is built already compiled: one
 receiver (and a get's result), and whose predicate entry is pinned when
 the bridge is made, so a send or get from logic builds no goal term and
 compiles nothing.  A classic send or get from logic code builds that goal
-from its converted arguments and runs it in the calling machine, inside a
-scope frame that takes over the call's host-data scope: the goal commits
-to its first solution, and the scope closes on exit, on failure or on an
-exception.  Methods flagged pure-logic are pushed into the calling machine
-with no scope and no conversion, so their choice points stay live.  A call
-from native code (an `initialise` run by new/2, `Kernel.send_value`, an
-event, a message) reaches `logic_send`/`logic_get` from the kernel and runs
-the goal in a nested solve, since a Python frame is waiting for its answer.
+from its converted arguments and runs it in the calling machine, where it
+commits to its first solution as once/1 does.  A send whose conversion
+made no scope (it wrapped no term and held no transient object, as every
+no-argument or int-argument send) closes the scope before its goal runs,
+and the goal runs with no frame around it.  A get, which converts its
+result at exit, and a send whose conversion made a scope run inside a
+scope frame that takes over the call's host-data scope and closes it on
+exit, on failure or on an exception.  Methods flagged pure-logic are
+pushed into the calling machine with no scope and no conversion, so their
+choice points stay live.  A call from native code (an `initialise` run
+by new/2, `Kernel.send_value`, an event, a message) reaches
+`logic_send`/`logic_get` from the kernel and runs the goal in a nested
+solve, since a Python frame is waiting for its answer.
 
 Three crossings open a host-data scope: a send, get or send_class from
 logic that is not pure-logic (`_dispatch`), new/2 (`new_from_spec`) and an
@@ -45,7 +50,7 @@ that converts nothing pays for no frame.
 from __future__ import annotations
 
 from .balls import bridge_error
-from .clausecode import Goal, call_goal, is_control, new_struct
+from .clausecode import COMMIT, Goal, call_goal, is_control, new_struct
 from .engine import PushGoal, Scope
 from .hostdata import HostTermObject
 from .kernel import PROLOG_T, KMethod, KObject, LogicImpl, TypeSpec
@@ -58,10 +63,11 @@ class _ConvFail(Exception):
 
 
 class _CallScope(Scope):
-    """The frame of one classic send, or get when `result` is set, run in
-    the calling machine: it holds the host-data scope that
-    `Bridge._dispatch` opened and closes it when the goal exits, fails or
-    raises.  `answer` is the implementation goal's result variable."""
+    """The frame of one classic get when `result` is set, or of a classic
+    send whose conversion made a scope, run in the calling machine: it
+    holds the host-data scope that `Bridge._dispatch` opened and closes it
+    when the goal exits, fails or raises.  `answer` is the implementation
+    goal's result variable."""
 
     __slots__ = ("bridge", "method", "result", "answer")
 
@@ -261,9 +267,12 @@ class Bridge:
         method's goal is pushed into `m`, with no scope and no conversion.
         Any other call opens its host-data scope and converts and checks
         its arguments.  A native or slot method then runs and the scope
-        closes; a logic method's implementation goal is built from the
-        converted arguments and run in `m`, in a `_CallScope` frame that
-        takes over the open scope."""
+        closes.  A logic method's implementation goal is built from the
+        converted arguments and run in `m` to its first solution.  A send
+        whose conversion left the scope unopened closes it and pushes the
+        goal under the commit once/1 uses; a get, or a send whose scope
+        was made, runs in a `_CallScope` frame that takes over the open
+        scope."""
         if method.nondet:
             return PushGoal((self._implementation_goal(method, obj, arg_terms, result),))
         kernel = self.rt.kernel
@@ -288,11 +297,15 @@ class Bridge:
         except BaseException:
             hostdata.close_scope()
             raise
+        if goal is not None and (result is not None or hostdata.ledgers[-1] is not None):
+            # a get converts its result at exit, and an object built from an
+            # argument must outlive the body: the frame keeps the scope
+            m.call_scoped(goal, _CallScope(self, method, result, answer))
+            return True
+        hostdata.close_scope()
         if goal is None:
-            hostdata.close_scope()
             return ok
-        m.call_scoped(goal, _CallScope(self, method, result, answer))
-        return True
+        return PushGoal((goal, *COMMIT))
 
     def _bi_send(self, m, args, ns):
         selector, arg_terms = self.parse_message("send", args[1:])

@@ -123,6 +123,7 @@ class ClassCompiler:
             if type(own.impl) is not LogicImpl:
                 raise declaration_error(
                     Struct("pure_prolog_on_native", (Atom(kcls.name), Atom(selector))))
+            # in place: a send that already resolved the method sees the flag
             own.nondet = True
             return
         inherited = self.rt.kernel.resolve_method(kcls, selector, "send")

@@ -25,9 +25,9 @@ depth and deep conjunctions never touch the Python stack.  Cut prunes to the bar
 of its node, and if-then-else commits by a cut to the height before its
 condition.  Backtracking resumes clause and disjunction alternatives only:
 a builtin with several answers, as between/3, pushes a call of clauses
-that give them (`PushGoal`).  A call the bridge runs in the calling
-machine is a `Scope` frame on the same stack, and so is a catch/3 frame,
-so neither nests a solve.
+that give them (`PushGoal`).  A bridge call whose host-data scope stays
+open while its goal runs in the calling machine is a `Scope` frame on the
+same stack, and so is a catch/3 frame, so neither nests a solve.
 Each choice point and frame holds a guard on the trail while it is on the
 stack and releases it when popped (`Trail.release`), which drops the
 trail once no guard is left.
@@ -104,8 +104,9 @@ class PushGoal:
     """Returned by a builtin to continue with compiled goals in the current
     machine: `code` is a tuple of `Goal`s, built already compiled (the
     bridge's pure-logic dispatch and between/3 build one `CALL` goal with
-    its predicate entry resolved), so nothing is compiled when it is
-    pushed.  This is how a builtin gives more than one answer: the clauses
+    its predicate entry resolved, and a classic send that converted
+    nothing adds the cut once/1 commits with), so nothing is compiled when
+    it is pushed.  This is how a builtin gives more than one answer: the clauses
     it calls leave the choice points.
 
     The pushed code gets a fresh cut barrier, so a cut inside it stays local.

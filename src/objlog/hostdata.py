@@ -15,9 +15,12 @@ compound arguments); those are simply released after the call so unused
 ones are collected immediately.
 
 Three crossings open a scope: a send, get or send_class from logic that is
-not pure-logic (`Bridge._dispatch`; a logic method's frame in the calling
-machine closes it), new/2 (`Bridge.new_from_spec`) and an event
-(`toolkit.pump_event`).  A native→logic call and a message to `@prolog`
+not pure-logic (`Bridge._dispatch`), new/2 (`Bridge.new_from_spec`) and an
+event (`toolkit.pump_event`).  A logic method's get, or a send whose
+conversion made the scope, runs in a frame in the calling machine that
+closes the scope when the method returns; a send whose conversion left it
+unopened closes it before the method's goal runs, and the goal commits as
+once/1 does.  A native→logic call and a message to `@prolog`
 open none: each crossing in their nested solve opens its own.  The scope's
 term frame and ledger are made on first need: when the call wraps a term
 or holds a transient object.  A call that converts nothing (a no-argument

@@ -3,7 +3,14 @@
 Classes form a single-inheritance tree rooted at `object`.  Methods are
 first-class descriptions (selector, kind, argument types, implementation
 handle); implementations are native Python handlers, generated slot
-accessors, or identifiers of logic-side clauses.  `invoke_send` and
+accessors, or identifiers of logic-side clauses.  `resolve_method`
+memoises each (class, selector, kind) it finds, so a send walks the
+class chain once per class table: `define_method`, which every slot and
+method definition goes through, empties the memo.  A miss is not kept.
+A Python `Exception` raised by a native handler reaches the caller as a
+`bridge_error(native_exception, context(Class, Selector, ExceptionName))`
+ball; a ball, a bug trap, a term-store error, a `RecursionError` and
+anything that is not an `Exception` pass as they are.  `invoke_send` and
 `invoke_get` run a logic-side method for native callers (`send_value`, an
 `initialise` run by `instantiate`, events and messages) through
 `Bridge.logic_send`/`logic_get`; a call from logic code to a logic-side
@@ -30,7 +37,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .balls import bridge_error, declaration_error, permission_error
-from .errors import RuntimeBugError
+from .errors import LogicError, RuntimeBugError, TermStoreError
 from .terms import Atom, ObjRef, Struct, Term
 
 # -- type specifiers ---------------------------------------------------------
@@ -229,6 +236,16 @@ class KObject:
         return f"<@{self.oid} {self.kclass.name}{state}>"
 
 
+# what a native method may raise as it is: balls, bug traps, term-store
+# misuse and a too-deep recursion; any other `Exception` becomes a ball
+_PASSED = (LogicError, RuntimeBugError, TermStoreError, RecursionError)
+
+
+def _native_ball(obj: KObject, method: KMethod, exc: Exception) -> LogicError:
+    return bridge_error("native_exception", Atom(obj.kclass.name), Atom(method.selector),
+                        Atom(type(exc).__name__))
+
+
 class Kernel:
     """Class table, instance table and the dispatch/lifetime machinery."""
 
@@ -238,6 +255,9 @@ class Kernel:
         # class -> tuple of its slot names, ancestors' first (`allocate`);
         # `define_slot` clears it, since a slot reaches every subclass
         self._layouts: dict = {}
+        # (class, selector, kind) -> method, filled by `resolve_method`;
+        # `define_method` clears it, since a method reaches every subclass
+        self._resolved: dict = {}
         self.objects: dict = {}
         self._next_oid = 1
         self.live_count = 0
@@ -318,18 +338,27 @@ class Kernel:
                 "redefine_method",
                 Struct("/", (Atom(kclass.name), Atom(method.selector))))
         table[method.selector] = method
+        self._resolved.clear()
 
     def resolve_method(self, kclass: KClass, selector: str, kind: str) -> Optional[KMethod]:
+        """The method a `kind` call of `selector` runs on an instance of
+        `kclass`, or None.  Found methods are memoised until the next
+        `define_method`; a miss is not, so it walks the chain each time."""
+        key = (kclass, selector, kind)
+        m = self._resolved.get(key)
+        if m is not None:
+            return m
         for c in kclass.chain():
             table = c.send_methods if kind == "send" else c.get_methods
             m = table.get(selector)
             if m is not None:
-                return m
-        if kind == "send":
-            for c in kclass.chain():
-                if c.catch_all:
-                    return self._catch_all_method(selector)
-        return None
+                break
+        else:
+            if kind != "send" or not any(c.catch_all for c in kclass.chain()):
+                return None
+            m = self._catch_all_method(selector)
+        self._resolved[key] = m
+        return m
 
     def _catch_all_method(self, selector: str) -> KMethod:
         def handler(rt, obj, values):
@@ -402,7 +431,12 @@ class Kernel:
             self.slot_set(obj, impl.slot_name, vals[0])
             return True
         if ti is NativeImpl:
-            return bool(impl.fn(self.rt, obj, vals))
+            try:
+                return bool(impl.fn(self.rt, obj, vals))
+            except _PASSED:
+                raise
+            except Exception as exc:
+                raise _native_ball(obj, method, exc) from exc
         return self.rt.bridge.logic_send(method, obj, vals)
 
     def invoke_get(self, obj: KObject, method: KMethod, vals):
@@ -411,7 +445,12 @@ class Kernel:
         if ti is SlotImpl:
             return obj.slots[impl.slot_name]
         if ti is NativeImpl:
-            return impl.fn(self.rt, obj, vals)
+            try:
+                return impl.fn(self.rt, obj, vals)
+            except _PASSED:
+                raise
+            except Exception as exc:
+                raise _native_ball(obj, method, exc) from exc
         return self.rt.bridge.logic_get(method, obj, vals)
 
     def method_of(self, obj: KObject, selector: str, kind: str) -> KMethod:

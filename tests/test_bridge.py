@@ -6,9 +6,9 @@ from objlog.bridge import Bridge
 from objlog.engine import Engine, Machine
 from objlog.errors import LogicError
 from objlog.hostdata import HostData
-from objlog.kernel import Kernel, LogicImpl
+from objlog.kernel import PROLOG_T, Kernel, KMethod, LogicImpl, NativeImpl
 from objlog.reader import parse_term
-from objlog.terms import Atom, ObjRef, TermStore, resolve_copy, structural_eq
+from objlog.terms import Atom, ObjRef, TermStore, resolve_copy, structural_eq, unify
 from objlog.writer import term_text
 
 
@@ -828,3 +828,108 @@ def test_loop_of_classic_sends_keeps_the_trail_short(rt):
     next(q)
     assert len(rt.engine.trail.entries) < 10
     q.close()
+
+
+# -- a send whose conversion made no scope commits as once/1 does ------------------------
+
+
+@pytest.mark.parametrize("call, frames", [
+    ("send({o}, noarg)", 0),
+    ("send({o}, intarg(1))", 0),
+    ("send_class({o}, callee, noarg)", 0),
+    ("send({o}, termarg(f(x)))", 1),
+    ("get({o}, answer, R)", 1),
+], ids=["noarg", "intarg", "send_class", "termarg", "get"])
+def test_only_a_get_or_a_send_that_made_a_frame_runs_in_a_scope_frame(
+        rt, monkeypatch, call, frames):
+    # a send whose arguments wrapped no term and held no object closes its
+    # scope before the goal runs; a get, which converts its result at exit,
+    # and a send whose conversion made its scope keep the frame
+    rt.consult_text(CALLEE)
+    ref = term_text(once(rt, "new(O, callee)")["O"])
+    counts = {}
+    _counting(monkeypatch, Machine, "call_scoped", counts)
+    assert rt.once(call.format(o=ref)) is not None
+    assert counts.get("call_scoped", 0) == frames
+
+
+COMMITTED = """
+:- pce_begin_class(committed, object).
+two(_O) :-> send(@prolog, write, one).
+probe(_O) :-> open_scopes(0).
+nope(_O) :-> fail.
+throws(_O) :-> throw(oops).
+makes(_O) :-> new(S, scoped), send(S, data, f(x, _)), free(S),
+               new(K, scoped), send(K, data, g(y)).
+measures(_O, B:box) :-> get(B, width, 10).
+:- pce_end_class(committed).
+"""
+
+
+@pytest.fixture
+def committed(rt):
+    # open_scopes/1 reads the number of host-data scopes open as it runs
+    rt.engine.register_builtin(
+        "open_scopes", 1, lambda m, args, ns: unify(args[0], len(rt.hostdata.ledgers),
+                                                    m.engine.trail))
+    rt.consult_text(SCOPED + COMMITTED)
+    return term_text(once(rt, "new(O, committed)")["O"])
+
+
+def test_a_send_that_converts_nothing_leaves_no_choice_point(rt, committed):
+    goal, _ = parse_term(f"send({committed}, probe)")
+    q = rt.engine.solve(goal)
+    assert sum(1 for _ in q) == 1
+    assert q.machine.peak_cps == 0
+
+
+def test_a_send_that_converts_nothing_commits_to_its_first_clause(rt, committed):
+    rt.call("assertz(pce_principal:(send_implementation('committed->two', two, _) :- "
+            "send(@prolog, write, two)))")
+    assert len(rt.engine.clauses_of("pce_principal", "send_implementation", 3)) > 1
+    assert rt.once(f"send({committed}, two), fail") is None
+    assert rt.out.getvalue() == "one"
+
+
+def test_a_send_that_converts_nothing_fails_and_throws_with_no_scope_open(rt, committed):
+    assert rt.once(f"send({committed}, nope)") is None
+    sol = rt.once(f"catch(send({committed}, throws), E, open_scopes(N))")
+    assert term_text(sol["E"]) == "oops" and sol["N"] == 0
+    assert rt.hostdata.ledgers == [] and rt.engine.trail.guards == 0
+
+
+def test_an_object_built_from_an_argument_lives_until_the_body_returns(rt, committed):
+    # the send's transient hold made its scope, which the frame keeps open
+    assert rt.call(f"send({committed}, measures(box(10, 20)))")
+    assert rt.kernel.live_count_of("box") == 0 and rt.audit_refcounts() == []
+
+
+def test_a_body_that_converts_keeps_every_object_counted(rt, committed):
+    # the send has closed its scope, so each crossing in its body opens its own
+    assert rt.call(f"send({committed}, makes)")
+    assert rt.audit_refcounts() == []
+    assert rt.kernel.live_count_of("scoped") == 1
+    assert rt.store.records_live == 1 and rt.hostdata.wrappers_live == 1
+
+
+@pytest.mark.parametrize("call", [
+    "catch(send({o}, explode(t(a, _))), E, true)",
+    "catch(get({o}, explode(t(a, _)), _), E, true)",
+    "catch(send({o}, relay), E, true)",
+], ids=["send", "get", "send_value"])
+def test_a_native_exception_is_caught_with_every_scope_closed(rt, call):
+    # the term argument opens a scope's frame; relay reaches the native
+    # method from logic through Kernel.send_value
+    k = rt.kernel
+    cls = k.define_class("exploder", "object")
+    explode = NativeImpl(lambda rt_, o, v: 1 // 0)
+    k.define_method(cls, KMethod("explode", "send", (PROLOG_T,), impl=explode))
+    k.define_method(cls, KMethod("explode", "get", (PROLOG_T,), impl=explode))
+    k.define_method(cls, KMethod("relay", "send", impl=NativeImpl(
+        lambda rt_, o, v: rt_.kernel.send_value(o, "explode", [Atom("x")]))))
+    ref = term_text(once(rt, "new(O, exploder)")["O"])
+    sol = rt.once(call.format(o=ref))
+    assert term_text(sol["E"]) == \
+        "bridge_error(native_exception, context(exploder, explode, 'ZeroDivisionError'))"
+    assert rt.hostdata.ledgers == [] and rt.store.current_frame() is None
+    assert rt.hostdata.wrappers_live == 0 and rt.audit_refcounts() == []

@@ -374,6 +374,26 @@ def test_identity_of_cyclic_terms_terminates(rt, query, answer):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.parametrize("query, answer", [
+    ("X = f(X), Y = f(Y), X = Y", True),
+    ("X = [a|X], Y = [a, a|Y], X = Y", True),
+    ("X = [a|X], Y = [a, b|Y], X = Y", False),
+])
+def test_unifying_cyclic_terms_terminates(rt, query, answer):
+    # `=` unifies cyclic terms as rational trees; the alarm turns a
+    # unification that never returns into a failure of this test
+    def timed_out(signum, frame):
+        raise TimeoutError(query)
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(5)
+    try:
+        assert rt.engine.solve_once(parse_term(query)[0]) is answer
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_findall_bindings_releases_its_guards_when_a_copy_raises(rt):
     # the ball keeps the query's frames alive; the query is closed anyway
     goal, vm = parse_term("(X = f(X) ; X = a)")

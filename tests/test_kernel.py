@@ -1,7 +1,7 @@
 import pytest
 
 from objlog.balls import bridge_kind
-from objlog.errors import LogicError
+from objlog.errors import LogicError, RuntimeBugError, StaleTermRefError
 from objlog.kernel import (
     ANY_T,
     ATOM_T,
@@ -18,6 +18,7 @@ from objlog.kernel import (
 from objlog.reader import parse_term
 from objlog.terms import Atom
 from objlog.toolkit import EVENT_PARENT, event_is_a
+from objlog.writer import term_text
 
 
 def t(text):
@@ -135,6 +136,127 @@ def test_dispatch_is_pure_function_of_class_table(rt):
     m1 = k.resolve_method(box, "event", "send")
     m2 = k.resolve_method(box, "event", "send")
     assert m1 is m2
+
+
+# -- the resolution memo: each change to a class table reaches the next send --------
+
+
+def _logged(log, tag):
+    return NativeImpl(lambda rt_, o, v: (log.append(tag), True)[1])
+
+
+def test_a_replaced_method_reaches_the_next_send(rt):
+    k = rt.kernel
+    log = []
+    cls = k.define_class("memo_replaced", "object")
+    k.define_method(cls, KMethod("speak", "send", impl=_logged(log, "old")))
+    obj = k.instantiate(cls, [])
+    assert k.send_value(obj, "speak", [])
+    k.define_method(cls, KMethod("speak", "send", impl=_logged(log, "new")), replace=True)
+    assert k.send_value(obj, "speak", [])
+    assert log == ["old", "new"]
+
+
+def test_a_method_defined_between_shadows_what_a_subclass_resolved(rt):
+    k = rt.kernel
+    log = []
+    a = k.define_class("memo_a", "object")
+    b = k.define_class("memo_b", "memo_a")
+    c = k.define_class("memo_c", "memo_b")
+    k.define_method(a, KMethod("speak", "send", impl=_logged(log, "a")))
+    obj = k.instantiate(c, [])
+    ref = f"@{obj.oid}"
+    assert rt.call(f"send({ref}, speak)") and k.send_value(obj, "speak", [])
+    assert rt.call(f"send_class({ref}, memo_b, speak)")
+    k.define_method(b, KMethod("speak", "send", impl=_logged(log, "b")))
+    assert rt.call(f"send({ref}, speak)") and k.send_value(obj, "speak", [])
+    assert rt.call(f"send_class({ref}, memo_b, speak)")
+    assert log == ["a", "a", "a", "b", "b", "b"]
+
+
+def test_a_slot_defined_later_reaches_the_next_get(rt):
+    # the slot's accessors shadow the inherited get-method already resolved
+    k = rt.kernel
+    base = k.define_class("memo_base", "object")
+    k.define_method(base, KMethod("v", "get", impl=NativeImpl(lambda rt_, o, v: 0)))
+    sub = k.define_class("memo_sub", "memo_base")
+    ref = f"@{k.instantiate(sub, []).oid}"
+    assert rt.once(f"get({ref}, v, V)")["V"] == 0
+    k.define_slot(sub, SlotDef("v", INT_T))
+    assert rt.once(f"send({ref}, v(5)), get({ref}, v, V)")["V"] == 5
+
+
+def test_pure_prolog_applied_after_a_classic_send_reaches_the_next_send(rt):
+    rt.consult_text("""
+    :- pce_begin_class(memo_picker, object).
+    pick(_O, X:prolog) :-> member(X, [a, b, c]).
+    :- pce_end_class(memo_picker).
+    """)
+    ref = term_text(rt.once("new(P, memo_picker)")["P"])
+    assert len(list(rt.query(f"send({ref}, pick(X))"))) == 1
+    rt.consult_text("""
+    :- pce_begin_class(memo_picker, object).
+    :- pce_pure_prolog(pick).
+    :- pce_end_class(memo_picker).
+    """)
+    assert len(list(rt.query(f"send({ref}, pick(X))"))) == 3
+
+
+def test_an_unknown_selector_is_unknown_at_every_send(rt):
+    k = rt.kernel
+    cls = k.define_class("memo_unknown", "object")
+    obj = k.instantiate(cls, [])
+    for _ in range(2):
+        with pytest.raises(LogicError) as err:
+            rt.once(f"send(@{obj.oid}, later)")
+        assert bridge_kind(err.value) == "unknown_method"
+        with pytest.raises(LogicError) as err:
+            k.send_value(obj, "later", [])
+        assert bridge_kind(err.value) == "unknown_method"
+    k.define_method(cls, KMethod("later", "send", impl=NativeImpl(lambda rt_, o, v: True)))
+    assert rt.call(f"send(@{obj.oid}, later)")
+
+
+# -- a Python exception from a native method ------------------------------------------
+
+
+def _raising(k, exc):
+    cls = k.define_class("exploder", "object")
+
+    def fn(rt_, o, v):
+        raise exc
+
+    k.define_method(cls, KMethod("explode", "send", impl=NativeImpl(fn)))
+    k.define_method(cls, KMethod("explode", "get", impl=NativeImpl(fn)))
+    return k.instantiate(cls, [])
+
+
+@pytest.mark.parametrize("kind", ["send", "get"])
+def test_a_native_exception_is_a_bridge_error_ball(rt, kind):
+    k = rt.kernel
+    obj = _raising(k, ZeroDivisionError("division by zero"))
+    method = k.method_of(obj, "explode", kind)
+    invoke = k.invoke_send if kind == "send" else k.invoke_get
+    with pytest.raises(LogicError) as err:
+        invoke(obj, method, [])
+    assert term_text(err.value.term) == \
+        "bridge_error(native_exception, context(exploder, explode, 'ZeroDivisionError'))"
+    assert type(err.value.__cause__) is ZeroDivisionError
+
+
+@pytest.mark.parametrize("exc", [
+    LogicError(Atom("oops")),
+    RuntimeBugError("a bug trap"),
+    StaleTermRefError("a stale reference"),
+    RecursionError("too deep"),
+    KeyboardInterrupt(),
+], ids=lambda e: type(e).__name__)
+def test_balls_bug_traps_store_errors_and_non_exceptions_pass_as_they_are(rt, exc):
+    k = rt.kernel
+    obj = _raising(k, exc)
+    with pytest.raises(type(exc)) as err:
+        k.send_value(obj, "explode", [])
+    assert err.value is exc
 
 
 # -- soft typing ----------------------------------------------------------------------
