@@ -35,7 +35,8 @@ pushed into the calling machine with no scope and no conversion, so their
 choice points stay live.  A call from native code (an `initialise` run
 by new/2, `Kernel.send_value`, an event, a message) reaches
 `logic_send`/`logic_get` from the kernel and runs the goal in a nested
-solve, since a Python frame is waiting for its answer.
+solve (`solve_nested`), since a Python frame is waiting for its answer;
+a Python error out of that solve passes the native caller unchanged.
 
 Three crossings open a host-data scope: a send, get or send_class from
 logic that is not pure-logic (`_dispatch`), new/2 (`new_from_spec`) and an
@@ -232,7 +233,7 @@ class Bridge:
         inside the solve opens its own, and the result converts in the
         caller's."""
         terms = [self.value_to_term(v) for v in values]
-        ok = self.rt.engine.solve_once(self._implementation_goal(method, obj, terms, result))
+        ok = self.solve_nested(self._implementation_goal(method, obj, terms, result))
         if result is None:
             return ok
         if not ok:
@@ -255,9 +256,20 @@ class Bridge:
         terms = tuple(self.value_to_term(v) for v in values)
         entry = engine.preds.get(("user", pred_name, len(terms)))
         if entry is not None and not is_control(pred_name, len(terms)):
-            return engine.solve_once(call_goal(entry, terms))
-        goal = Struct(pred_name, terms) if terms else Atom(pred_name)
-        return engine.solve_once(goal, "user")
+            return self.solve_nested(call_goal(entry, terms))
+        return self.solve_nested(Struct(pred_name, terms) if terms else Atom(pred_name))
+
+    def solve_nested(self, goal) -> bool:
+        """Solve a goal term in `user`, or a compiled `Goal`, from native
+        code, committed to its first solution.  A Python error out of the
+        solve was raised in logic, not by the native method that runs the
+        solve: it is marked `raised_in_logic`, so `Kernel._call_native`
+        passes it on as it is, not as that method's `native_exception`."""
+        try:
+            return self.rt.engine.solve_once(goal, "user")
+        except Exception as exc:
+            exc.raised_in_logic = True
+            raise
 
     # -- send/get/new/free --------------------------------------------------------
 

@@ -9,11 +9,13 @@ class chain once per class table: `define_method`, which every slot and
 method definition goes through, empties the memo.  A miss is not kept.
 A Python `Exception` raised by a native handler reaches the caller as a
 `bridge_error(native_exception, context(Class, Selector, ExceptionName))`
-ball; a ball, a bug trap, a term-store error, a `RecursionError` and
-anything that is not an `Exception` pass as they are.  `invoke_send` and
-`invoke_get` run a logic-side method for native callers (`send_value`, an
-`initialise` run by `instantiate`, events and messages) through
-`Bridge.logic_send`/`logic_get`; a call from logic code to a logic-side
+ball; a ball, a bug trap, a term-store error, a `RecursionError`,
+anything that is not an `Exception`, and an error raised in a solve the
+handler ran (`Bridge.solve_nested`; a message to `@prolog` is one) pass
+as they are.  `invoke_send` and `invoke_get` run a logic-side method for
+native callers (`send_value`, an `initialise` run by `instantiate`,
+events and messages) through `Bridge.logic_send`/`logic_get`; a call
+from logic code to a logic-side
 method runs in the calling machine and never reaches them.  The bridge
 runs the goal in a nested solve and opens no host-data scope of its own:
 each crossing inside the solve opens its own, and a get's result converts
@@ -431,12 +433,7 @@ class Kernel:
             self.slot_set(obj, impl.slot_name, vals[0])
             return True
         if ti is NativeImpl:
-            try:
-                return bool(impl.fn(self.rt, obj, vals))
-            except _PASSED:
-                raise
-            except Exception as exc:
-                raise _native_ball(obj, method, exc) from exc
+            return bool(self._call_native(obj, method, vals))
         return self.rt.bridge.logic_send(method, obj, vals)
 
     def invoke_get(self, obj: KObject, method: KMethod, vals):
@@ -445,13 +442,23 @@ class Kernel:
         if ti is SlotImpl:
             return obj.slots[impl.slot_name]
         if ti is NativeImpl:
-            try:
-                return impl.fn(self.rt, obj, vals)
-            except _PASSED:
-                raise
-            except Exception as exc:
-                raise _native_ball(obj, method, exc) from exc
+            return self._call_native(obj, method, vals)
         return self.rt.bridge.logic_get(method, obj, vals)
+
+    def _call_native(self, obj: KObject, method: KMethod, vals):
+        """Run a native method.  A Python `Exception` it raises becomes a
+        `native_exception` ball, save those in `_PASSED` and one that
+        escaped a solve the method ran (`Bridge.solve_nested` marks it
+        `raised_in_logic`): that error is logic's, and passes as it does
+        from the same goal called from logic."""
+        try:
+            return method.impl.fn(self.rt, obj, vals)
+        except _PASSED:
+            raise
+        except Exception as exc:
+            if getattr(exc, "raised_in_logic", False):
+                raise
+            raise _native_ball(obj, method, exc) from exc
 
     def method_of(self, obj: KObject, selector: str, kind: str) -> KMethod:
         """The method `obj` runs for a send or get of `selector`."""

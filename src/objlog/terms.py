@@ -194,20 +194,14 @@ def occurs_in(var: Var, term: Term) -> bool:
     return False
 
 
-# compound pairs `unify` takes before it keeps a set of the pairs it has
-# met, so two cyclic terms (possible with the occurs check off) unify too
-_UNIFY_MEMO_AFTER = 10_000
-
-
 def unify(a: Term, b: Term, trail: Trail, occurs_check: bool = False) -> bool:
     """Destructively unify two terms; on failure the trail is restored.
-    After `_UNIFY_MEMO_AFTER` compound pairs, a pair met before is taken
-    as unified, which is unification of rational trees, as `structural_eq`
-    compares them: so two cyclic terms unify in finite steps."""
+    A pair of compounds already met is taken as unified, which is
+    unification of rational trees, as `structural_eq` compares them: so
+    two cyclic terms (possible with the occurs check off) unify too."""
     start = trail.mark()
     stack = [(a, b)]
-    budget = _UNIFY_MEMO_AFTER
-    seen = None
+    seen = set()
     while stack:
         x, y = stack.pop()
         x = deref(x)
@@ -235,15 +229,10 @@ def unify(a: Term, b: Term, trail: Trail, occurs_check: bool = False) -> bool:
             if x.name is not y.name or len(x.args) != len(y.args):
                 trail.undo_to(start)
                 return False
-            budget -= 1
-            if budget < 0:
-                if seen is None:
-                    seen = set()
-                pair = (id(x), id(y))
-                if pair in seen:
-                    continue
+            pair = (id(x), id(y))
+            if pair not in seen:
                 seen.add(pair)
-            stack.extend(zip(x.args, y.args))
+                stack.extend(zip(x.args, y.args))
             continue
         if tx is Atom:
             # interned: identity already checked

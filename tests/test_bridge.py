@@ -933,3 +933,24 @@ def test_a_native_exception_is_caught_with_every_scope_closed(rt, call):
         "bridge_error(native_exception, context(exploder, explode, 'ZeroDivisionError'))"
     assert rt.hostdata.ledgers == [] and rt.store.current_frame() is None
     assert rt.hostdata.wrappers_live == 0 and rt.audit_refcounts() == []
+
+
+@pytest.mark.parametrize("call", [
+    "catch(boom, E, true)",
+    "catch(send(@prolog, boom), E, true)",
+    "catch(send({o}, callback), E, true)",
+], ids=["logic", "prolog_object", "native_callback"])
+def test_a_python_error_raised_in_logic_is_no_native_exception(rt, call):
+    # boom/0 is a builtin with a bug; a message to @prolog and a native
+    # method that calls back into logic pass its error on as logic does
+    rt.engine.register_builtin("boom", 0, lambda m, args, ns: 1 // 0)
+    k = rt.kernel
+    cls = k.define_class("caller", "object")
+    k.define_method(cls, KMethod("callback", "send", impl=NativeImpl(
+        lambda rt_, o, v: rt_.bridge.callback_call("boom", []))))
+    ref = term_text(once(rt, "new(O, caller)")["O"])
+    with pytest.raises(ZeroDivisionError) as info:
+        rt.once(call.format(o=ref))
+    assert info.value.__cause__ is None
+    assert rt.hostdata.ledgers == [] and rt.store.current_frame() is None
+    assert rt.audit_refcounts() == []
