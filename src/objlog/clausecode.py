@@ -66,10 +66,16 @@ took 0.8 s to generate), matched by `engine.match_head` or built by
 100 000-node sum would take seconds to compile), which `eval_code` runs
 and which ends a guard.  Each is decided from the program when it is
 compiled.
+
+A predicate's clause switch (`select_switch`), the function that picks the
+clauses a call tries, is generated the same way: its key is the state of
+each argument's index, its constants the index buckets, and the same cache
+holds it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import Optional
 
@@ -446,12 +452,59 @@ def _source(key: tuple) -> str:
             else:
                 g.line(1, f"vs[{step[1]}] = {g.expr(step[2])}")
         return "\n".join(["def guards(vs, K):", *g.lines, "    return True\n"])
+    if kind == "select":
+        return _select_source(key[1:])
     if kind == "compare":
         fn = g.const()
         body = f"return {fn}({g.expr(key[1])}, {g.expr(key[2])})"
     else:
         body = f"return {g.expr(key[1])}"
     return "\n".join(["def evaluate(vs, K):", *g.lines, "    " + body + "\n"])
+
+
+def _select_source(states: tuple) -> str:
+    """The factory of a clause switch (see `select_switch`) for the
+    per-argument `states`."""
+    consts: list = []
+    body: list = []
+    for pos, state in enumerate(states):
+        if state == "flat":
+            continue
+        # the loop ends by its test when the argument is bound, by the
+        # break when it is an unbound variable
+        body += [f"t = args[{pos}]", "while type(t) is Var:", "    t = t.ref",
+                 "    if t is None:", "        break", "else:"]
+        if state == "unbuilt":
+            body.append(f"    return E.grow({pos}, args)")
+            continue
+        b, v = f"B{pos}", f"V{pos}"
+        consts += (b, v)
+        body.append("    if type(t) is Struct:")
+        if state == "one":
+            n, a, c = f"N{pos}", f"A{pos}", f"C{pos}"
+            consts += (n, a, c)
+            body += [f"        if t.name == {n} and len(t.args) == {a}:",
+                     f"            return {c}",
+                     f"        return {v}"]
+        elif state == "many":
+            body.append(f"        return {b}.get((t.name, len(t.args)), {v})")
+        else:  # "atomic": no head has a compound here
+            body.append(f"        return {v}")
+        body += ["    if type(t) is float:",
+                 f"        return {b}.get((t,), {v})",
+                 f"    return {b}.get(t, {v})"]
+    lines = ["def make(E, K):"]
+    if consts:
+        lines.append(f"    {', '.join(consts)}, = K")
+    lines.append("    def select(args):")
+    lines += ["        " + text for text in body]
+    lines += ["        return E.clauses", "    return select\n"]
+    return "\n".join(lines)
+
+
+# The number of functions generated so far, by the kind of their key
+# ("head", "build", "guards", "compare", "value", "select").
+generated_kinds: Counter = Counter()
 
 
 @lru_cache(maxsize=SHAPE_CACHE)
@@ -466,7 +519,27 @@ def _generated(key: tuple):
         scope = globals()
     local: dict = {}
     exec(compile(_source(key), f"<clausecode {key[0]}>", "exec"), scope, local)
+    generated_kinds[key[0]] += 1
     return local.popitem()[1]
+
+
+def select_switch(states: tuple, entry, consts: tuple):
+    """The clause switch of predicate `entry` (a `PredicateEntry`) whose
+    argument indexes are in `states`: `select(args)` is the clauses, in
+    order, that a call with arguments `args` tries.  Each state is
+    "unbuilt" (no index yet), "flat" (an index with no keys: every head has
+    a variable there) or a switch on the argument's index key: "atomic" (no
+    head has a compound there), "one" (one compound name and arity) or
+    "many".  The first argument that is bound and whose state is not "flat"
+    picks the clauses: an unbuilt one by `entry.grow(pos, args)`, which
+    builds its index and selects again; a switch from its buckets, with
+    the clauses whose head has a variable there for a key no bucket has.
+    With none, the call tries all of `entry.clauses`.  `consts` holds, per
+    switch in order, the buckets and the variable-headed clauses, and for
+    "one" the compound's name, its arity and its bucket.  The source is
+    generated once per `states` and cached with the shapes of clause
+    code."""
+    return _generated(("select", *states))(entry, consts)
 
 
 def head_matcher(hcode: tuple):

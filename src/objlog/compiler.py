@@ -40,6 +40,7 @@ class ClassCompiler:
     def __init__(self, runtime):
         self.rt = runtime
         self.region: Optional[tuple] = None  # (class name, super name)
+        self.defined: set = set()  # the (selector, kind) of each method of the region
         engine = runtime.engine
         engine.register_expansion_hook(self._expand)
         engine.register_builtin("pce_begin_class", 2, self._bi_begin)
@@ -87,6 +88,7 @@ class ClassCompiler:
         if self.region is not None:
             raise declaration_error(Struct("nested_class_region", (name,)))
         self.region = (name.name, super_.name)
+        self.defined = set()
         engine = self.rt.engine
         # reconsulting a class refreshes its fact set
         for pred, arity in (("pce_class", 2), ("pce_slot", 5), ("pce_pure", 2)):
@@ -149,6 +151,12 @@ class ClassCompiler:
         sep = "->" if kind == "send" else "<-"
         method_id = f"{cls}{sep}{selector}"
         self._remove_method(cls, selector, kind, method_id)
+        # a method is one clause: a second one in the region replaces the first
+        report = self.rt.engine.loading
+        if (selector, kind) in self.defined and report is not None:
+            report.warn(f"class {cls}: a second clause for {kind} method {selector} "
+                        "replaces the first")
+        self.defined.add((selector, kind))
 
         param_vars = tuple(v for v, _t in mids)
         msg: Term = Struct(selector, param_vars) if param_vars else Atom(selector)

@@ -39,7 +39,15 @@ optimization that can be disabled for testing: a call tries only the
 clauses that the leftmost argument able to tell them apart selects, and
 `retract/1` tries the same clauses.  Each argument has one index of the
 same kind, built the first time a call needs it, kept up to date by
-assert and dropped by any removal (see `PredicateEntry`).
+assert and dropped by any removal.  A call picks its clauses with its
+predicate's clause switch, a function generated for the state of those
+indexes, as the WAM's `switch_on_term` (Warren 1983; Aït-Kaci 1991,
+§5.10): it tests the type of one argument at a time and takes the bucket
+by the compound's name and arity or by one dictionary lookup, with no
+walk over the index slots.  The switch is made again when an index is
+built, when an assert changes what it holds and after a removal; its
+source is cached per shape with the rest of the clause code, so a new
+switch costs one cache lookup and one closure (see `PredicateEntry`).
 """
 
 from __future__ import annotations
@@ -82,6 +90,7 @@ from .clausecode import (
     late_goal,
     new_struct,
     program,
+    select_switch,
 )
 from .errors import LogicError, ReaderError
 from .reader import read_terms
@@ -167,7 +176,8 @@ def index_key(t: Term):
 
 
 class PredicateEntry:
-    """The clauses of one predicate and their argument indexes.
+    """The clauses of one predicate, their argument indexes and the clause
+    switch that picks a call's clauses.
 
     A call selects its clauses by the leftmost argument that is bound in
     the call and at which some clause head is not a variable.  `_index`
@@ -177,21 +187,51 @@ class PredicateEntry:
     clause order, whose argument has that key or is a variable; `varonly`
     holds the clauses whose argument is a variable, and a key no bucket has
     selects them.  An index with no buckets tells no clauses apart, so the
-    call looks further right.  `add` files a clause into every built index
-    in place; a removal resets every slot to None."""
+    call looks further right.  `_states` says what the switch does at each
+    built index (see `clausecode.select_switch`): "flat", "atomic",
+    "many", or the one compound key `(name, arity)`; None before it is
+    worked out, and for an index not built.
 
-    __slots__ = ("ns", "name", "arity", "clauses", "_index")
+    `select(args)` is the switch: a function generated for the states,
+    with the buckets, the varonly tuples and the one compound's bucket
+    bound into it.  It derefs one argument at a time and picks the clauses
+    by a type test; it reads `clauses` when no argument selects.  At a
+    bound argument whose index is not built it calls `grow`, which builds
+    the index and answers from it, and the next call makes the switch for
+    the new states (`_regenerate`).  `add` files a clause into every built
+    index in place; it leaves the switch as it is unless the clause
+    changes a state, a varonly tuple or the one compound's bucket, or is
+    the second clause.  A removal resets every index and puts back the
+    switch with no index built, which binds nothing and is kept in
+    `_fresh`, so a retract/assert cycle makes no switch.  Without
+    indexing, or with fewer than two clauses, the switch returns every
+    clause."""
 
-    def __init__(self, ns: str, name: str, arity: int):
+    __slots__ = ("ns", "name", "arity", "indexing", "clauses", "select", "_index",
+                 "_states", "_fresh")
+
+    def __init__(self, ns: str, name: str, arity: int, indexing: bool):
         self.ns = ns
         self.name = name
         self.arity = arity
+        self.indexing = indexing
         self.clauses: tuple = ()
-        self._index: list = [None] * arity
+        self._fresh = None
+        self._reset()
+
+    def _reset(self) -> None:
+        self._index: list = [None] * self.arity
+        self._states: list = [None] * self.arity
+        self.select = self._regenerate if self._fresh is None else self._fresh
 
     def add(self, clause: Clause, front: bool = False) -> None:
         one = (clause,)
-        self.clauses = one + self.clauses if front else self.clauses + one
+        clauses = self.clauses = one + self.clauses if front else self.clauses + one
+        # the switch reads the clauses and the buckets dicts as they are
+        # now; it goes stale when the entry starts to index or when a state,
+        # a varonly tuple or the one compound's bucket it holds changes
+        stale = len(clauses) == 2
+        states = self._states
         for pos, ix in enumerate(self._index):
             if ix is None:
                 continue
@@ -201,13 +241,27 @@ class PredicateEntry:
                 for k, b in buckets.items():
                     buckets[k] = one + b if front else b + one
                 ix[1] = one + ix[1] if front else ix[1] + one
-            else:
-                b = buckets.get(key, ix[1])
-                buckets[key] = one + b if front else b + one
+                stale = stale or bool(buckets)
+                continue
+            b = buckets.get(key)
+            state = states[pos]
+            if b is None:  # a new key
+                b = ix[1]
+                if type(key) is tuple and len(key) == 2:
+                    if state is not None:  # None: not worked out yet, held by no switch
+                        states[pos] = key if state == "flat" or state == "atomic" else "many"
+                elif state == "flat":
+                    states[pos] = "atomic"
+                stale = stale or states[pos] is not state
+            elif key == state:  # the one compound's bucket
+                stale = True
+            buckets[key] = one + b if front else b + one
+        if stale:
+            self.select = self._regenerate
 
     def remove(self, clause: Clause) -> None:
         self.clauses = tuple(c for c in self.clauses if c is not clause)
-        self._index = [None] * self.arity
+        self._reset()
 
     def retract_all(self, key=None, keep: Optional[Callable] = None) -> int:
         """Remove the clauses whose first argument has the index key `key`
@@ -220,12 +274,12 @@ class PredicateEntry:
         else:
             ix = self._index[0]
             if ix is None:
-                ix = self._index[0] = self._build_index(0)
+                ix = self._built(0)
             cands = tuple(c for c in ix[0].get(key, ()) if index_key(c.head.args[0]) == key)
         gone = {id(c) for c in cands if keep is None or not keep(c)}
         if gone:
             self.clauses = tuple(c for c in self.clauses if id(c) not in gone)
-            self._index = [None] * self.arity
+            self._reset()
         return len(gone)
 
     def _build_index(self, pos: int) -> list:
@@ -246,34 +300,88 @@ class PredicateEntry:
                 got.append(c)
         return [{k: tuple(got) for k, got in lists.items()}, tuple(varonly)]
 
-    def select(self, args: tuple, indexing: bool) -> tuple:
-        """The clauses a call with arguments `args` tries, in order."""
-        clauses = self.clauses
-        if not indexing or len(clauses) < 2:
-            return clauses
-        index = self._index
-        pos = 0
-        for ix in index:
-            if ix is None or ix[0]:  # not built yet, or able to tell clauses apart
-                key = index_key(args[pos])
-                if key is not None:
-                    if ix is None:
-                        ix = index[pos] = self._build_index(pos)
-                    buckets = ix[0]
-                    if buckets:
-                        got = buckets.get(key)
-                        return ix[1] if got is None else got
-            pos += 1
-        return clauses
+    def _built(self, pos: int) -> list:
+        """Build the index on argument `pos`; its state is worked out when
+        the switch is next made."""
+        ix = self._index[pos] = self._build_index(pos)
+        self._states[pos] = None
+        self.select = self._regenerate
+        return ix
+
+    def grow(self, pos: int, args: tuple) -> tuple:
+        """What the switch does at a bound argument `pos` whose index is
+        not built: build the index and select by it.  The switch for the
+        new states is made at the next call, so a call between two
+        removals, as of a retract/assert cycle, makes none."""
+        if len(self.clauses) < 2:
+            return self._regenerate(args)
+        buckets, varonly = self._built(pos)
+        if not buckets:
+            return self._regenerate(args)
+        return buckets.get(index_key(args[pos]), varonly)
+
+    def _regenerate(self, args: tuple) -> tuple:
+        """Install the switch for the current states and select with it."""
+        select = self.select = self._switch()
+        return select(args)
+
+    def _switch(self):
+        if not self.indexing or len(self.clauses) < 2:
+            return select_switch((), self, ())
+        if self._index.count(None) == self.arity:  # nothing built: nothing to bind
+            if self._fresh is None:
+                self._fresh = select_switch(("unbuilt",) * self.arity, self, ())
+            return self._fresh
+        shape: list = []
+        consts: list = []
+        states = self._states
+        for pos, ix in enumerate(self._index):
+            if ix is None:
+                shape.append("unbuilt")
+                continue
+            state = states[pos]
+            if state is None:
+                state = states[pos] = index_state(ix[0])
+            if state != "flat":
+                consts += ix
+                if type(state) is tuple:
+                    consts += (*state, ix[0][state])
+                    state = "one"
+            shape.append(state)
+        while shape and shape[-1] == "flat":
+            shape.pop()
+        return select_switch(tuple(shape), self, tuple(consts))
+
+
+def index_state(buckets: dict):
+    """What the switch does at an argument whose index has `buckets`:
+    "flat" with none, else "atomic" when no key is a compound's, the key
+    `(name, arity)` of the one compound, or "many"."""
+    if not buckets:
+        return "flat"
+    state = "atomic"
+    for key in buckets:
+        if type(key) is tuple and len(key) == 2:
+            if state != "atomic":
+                return "many"
+            state = key
+    return state
 
 
 class LoadReport:
+    """What a consult loaded, and its errors and warnings as (line,
+    message) pairs; `line` is the line of the term being loaded."""
+
     def __init__(self, origin: str):
         self.origin = origin
         self.clauses = 0
         self.directives = 0
         self.errors: list = []
         self.warnings: list = []
+        self.line = 0
+
+    def warn(self, msg: str) -> None:
+        self.warnings.append((self.line, msg))
 
     @property
     def ok(self) -> bool:
@@ -556,7 +664,7 @@ class Machine:
                     goal.entry = entry
                 if engine.trace:
                     engine.trace_port("call", _goal_term(goal.name, args), ns)
-                clauses = entry.select(args, engine.indexing)
+                clauses = entry.select(args)
                 if not clauses:
                     return False
                 bodybar = len(self.cps)
@@ -820,6 +928,7 @@ class Engine:
         self.out = out if out is not None else sys.stdout
         self.trace = False
         self.clause_attempts = 0
+        self.loading: Optional[LoadReport] = None  # the report of the consult under way
 
     # -- registration ----------------------------------------------------
 
@@ -845,7 +954,7 @@ class Engine:
         key = (ns, name, arity)
         e = self.preds.get(key)
         if e is None and create:
-            e = PredicateEntry(ns, name, arity)
+            e = PredicateEntry(ns, name, arity, self.indexing)
             self.preds[key] = e
         return e
 
@@ -883,7 +992,7 @@ class Engine:
         # the clauses a call with these arguments would try, in order; a
         # clause that does not match must leave no binding behind, so the
         # tries are recorded even when no choice point is live
-        clauses = entry.select(head.args if arity else (), self.indexing)
+        clauses = entry.select(head.args if arity else ())
         trail = self.trail
         trail.guards += 1
         try:
@@ -998,7 +1107,16 @@ class Engine:
                 clauses.append(item)
         except ReaderError as err:
             report.errors.extend((e.line, str(e)) for e in err.errors)
+        outer, self.loading = self.loading, report
+        try:
+            self._load(clauses, report)
+        finally:
+            self.loading = outer
+        return report
+
+    def _load(self, clauses: list, report: LoadReport) -> None:
         for term, _varmap, line in clauses:
+            report.line = line
             try:
                 expanded = self.expand_term(term)
             except LogicError as err:
@@ -1019,7 +1137,6 @@ class Engine:
                     report.clauses += 1
                 except LogicError as err:
                     report.errors.append((line, f"bad clause: {err}"))
-        return report
 
 
 def split_clause(term: Term):

@@ -58,6 +58,15 @@ def term_text(t, quoted: bool = True) -> str:
         path.discard(id(t))
         return text
 
+    def operand(t, maxp: int) -> str:
+        """An operand of an operator: an operator atom is bracketed, as in
+        `(-)-a` and `(\\+)/1`, since bare it would read as an operator or
+        glue to the one next to it."""
+        t = deref(t)
+        if type(t) is Atom and t.name != "," and (t.name in INFIX_OPS or t.name in PREFIX_OPS):
+            return f"({atom_text(t.name, quoted)})"
+        return w(t, maxp)
+
     def w_compound(t, maxp: int) -> str:
         if t.name == "." and len(t.args) == 2:
             return w_list(t)
@@ -65,8 +74,8 @@ def term_text(t, quoted: bool = True) -> str:
             prec, typ = INFIX_OPS[t.name]
             lmax = prec if typ == "yfx" else prec - 1
             rmax = prec if typ == "xfy" else prec - 1
-            left = w(t.args[0], lmax)  # before the right: names `_G1`, `_G2` in order
-            right = w(t.args[1], rmax)
+            left = operand(t.args[0], lmax)  # before the right: names `_G1`, `_G2` in order
+            right = operand(t.args[1], rmax)
             if t.name == ",":
                 sep = ", "
             elif t.name in _GLUED and right[:1] not in _SYMBOLIC:
@@ -81,7 +90,7 @@ def term_text(t, quoted: bool = True) -> str:
         if len(t.args) == 1 and t.name in PREFIX_OPS and not (
                 t.name in ("-", "+") and type(deref(t.args[0])) in (int, float)):
             prec, typ = PREFIX_OPS[t.name]
-            body = f"{t.name} {w(t.args[0], prec if typ == 'fy' else prec - 1)}"
+            body = f"{t.name} {operand(t.args[0], prec if typ == 'fy' else prec - 1)}"
             return f"({body})" if prec > maxp else body
         args = ", ".join(w(a, 999) for a in t.args)
         return f"{atom_text(t.name, quoted)}({args})"

@@ -287,6 +287,40 @@ def oracle_solve(program, goal, occurs_check=False, events=None):
             raise
 
 
+def oracle_key(t):
+    """The index key of a term, written out on its own: a compound by its
+    name and arity, anything else bound by its type and value (so `1` and
+    `1.0` differ); a variable has none."""
+    t = deref(t)
+    ty = type(t)
+    if ty is Var:
+        return None
+    if ty is Struct:
+        return t.name, len(t.args)
+    if ty is Atom:
+        return ty, t.name
+    if ty is ObjRef:
+        return ty, t.ref
+    return ty, t
+
+
+def oracle_select(heads, args) -> list:
+    """The positions, in order, of the clauses with these `heads` that a
+    call with arguments `args` tries.  The leftmost argument that is bound
+    in the call and at which some head is not a variable selects the
+    clauses whose head has the call's key there or a variable; with no
+    such argument, or fewer than two clauses, the call tries them all."""
+    every = list(range(len(heads)))
+    if len(heads) < 2:
+        return every
+    for pos, arg in enumerate(args):
+        key = oracle_key(arg)
+        keys = [oracle_key(h.args[pos]) for h in heads]
+        if key is not None and any(k is not None for k in keys):
+            return [i for i in every if keys[i] is None or keys[i] == key]
+    return every
+
+
 def var_position_partition(t):
     """The positions of each distinct variable, as a canonically sorted
     partition; two terms share variables the same way iff these match."""

@@ -32,20 +32,21 @@ def solutions(rt, text):
     ("once(x)", "once/1"),
     ("call(a)", "call/1"),
     ("call(a, b)", "call/2"),
-    ("\\+ a", "\\+/1"),
+    ("\\+ a", "(\\+)/1"),
     ("throw(a)", "throw/1"),
     ("true", "true/0"),
     ("fail", "fail/0"),
     ("false", "false/0"),
     ("!", "!/0"),
     ("(a, b)", "','/2"),
-    ("(a ; b)", ";/2"),
-    ("(a -> b)", "->/2"),
+    ("(a ; b)", "(;)/2"),
+    ("(a -> b)", "(->)/2"),
 ])
 def test_asserting_a_control_construct_is_a_permission_error(rt, clause, indicator):
     with pytest.raises(LogicError) as err:
         solutions(rt, f"assertz(({clause}))")
     assert term_text(err.value.term) == f"permission_error(modify, {indicator})"
+    assert term_text(parse_term(indicator)[0]) == indicator  # the indicator reads back
 
 
 def test_control_constructs_still_run(rt):

@@ -265,6 +265,28 @@ def test_index_key_dispatch_visits_one_clause(rt):
     assert rt.engine.clause_attempts == 1
 
 
+def test_second_clause_for_a_method_in_one_region_warns(rt):
+    region = """
+    :- pce_begin_class(twice, object).
+    two(_O) :-> write(one).
+    two(_O) :-> write(two).
+    two(_O, X) :<- X = 2.
+    :- pce_end_class(twice).
+    """
+    report = rt.consult_text(region)
+    assert report.ok
+    assert report.warnings == [
+        (4, "class twice: a second clause for send method two replaces the first")]
+    ref = term_text(rt.once("new(T, twice)")["T"])
+    assert rt.call(f"send({ref}, two)") and rt.out.getvalue() == "two"
+    # defining it again in a later consult or region replaces it silently
+    assert rt.consult_text(region.replace("write(two)", "true").replace(
+        "    two(_O) :-> write(one).\n", "")).warnings == []
+    assert rt.consult_text(":- pce_begin_class(twice, object).\n"
+                           "two(_O) :-> write(three).\n"
+                           ":- pce_end_class(twice).\n").warnings == []
+
+
 def test_pure_prolog_flag_realizes_nondet(rt):
     rt.consult_text("""
     pickable(a). pickable(b).

@@ -38,8 +38,10 @@ from objlog.terms import Atom, ObjRef, Struct, Trail, Var, deref, is_variant, mk
 from objlog.writer import term_text
 
 
-def generated_count():
-    return clausecode._generated.cache_info().misses
+def generated_count(kinds=("head", "build", "guards", "compare", "value")):
+    """The functions generated so far for clause code; clause switches
+    ("select") only when asked for."""
+    return sum(clausecode.generated_kinds[k] for k in kinds)
 
 
 def solutions(rt, text):
@@ -387,8 +389,9 @@ def test_expression_at_and_past_the_length_bound(rt, length):
 
 def test_thousand_facts_generate_one_head_function(rt):
     clausecode._generated.cache_clear()
+    before = generated_count()
     rt.consult_text("".join(f"f({i}, a_{i}).\n" for i in range(1000)))
-    assert generated_count() == 1
+    assert generated_count() == before + 1
     clauses = rt.engine.entry("user", "f", 2).clauses
     assert len({c.match for c in clauses}) == 1
     assert solutions(rt, "f(517, A)") == [{"A": "a_517"}]
@@ -456,6 +459,37 @@ def test_more_shapes_than_the_cache_holds(rt):
         got = solutions(rt, f"wide({k}, {args})")
         assert got == [{f"A{j}": str(v) for j, v in enumerate(rows[k])}]
     assert len(solutions(rt, "wide(K, " + ", ".join("_" for _ in range(10)) + ")")) == n
+
+
+# the state tuples of the clause switches that consulting the solver
+# benchmark's program and running nrev30 and queens8 meet
+SOLVER_SWITCHES = 10
+CLICK_FACTS = "".join(f"count({k}, 0).\n" for k in range(4))
+
+
+def test_retract_assert_cycle_on_a_called_predicate_generates_no_switch(rt):
+    rt.consult_text(CLICK_FACTS)
+    # the first call builds the index on the first argument, the second
+    # makes the switch that uses it
+    for _ in range(2):
+        assert solutions(rt, "count(2, N)") == [{"N": "0"}]
+    before = generated_count(("select",))
+    for i in range(1, 6):
+        got = solutions(rt, "retract(count(2, N)), N1 is N + 1, assertz(count(2, N1)), "
+                            "count(2, M)")
+        assert got == [{"N": str(i - 1), "N1": str(i), "M": str(i)}]
+    assert generated_count(("select",)) == before
+
+
+def test_solver_benchmark_generates_few_switches(rt):
+    solver = Path(__file__).resolve().parent.parent / "perfbench" / "programs" / "solver.pl"
+    clausecode._generated.cache_clear()
+    before = generated_count(("select",))
+    assert rt.consult_text(solver.read_text()).ok
+    assert solutions(rt, f"nrev({list(range(30))}, R), R = [29|_]") != []
+    assert len(solutions(rt, "queens(8, Qs)")) == 92
+    # one switch source per state tuple met, shared by every predicate in it
+    assert generated_count(("select",)) - before == SOLVER_SWITCHES
 
 
 # -- what the per-layer tracer relies on -------------------------------------------------------

@@ -17,7 +17,14 @@ from objlog.reader import parse_term
 from objlog.runtime import Runtime
 from objlog.terms import TRUE, Atom, ObjRef, Struct, Var, is_variant, resolve_copy
 from objlog.writer import term_text
-from oracles import oracle_rename, oracle_resolve, oracle_solve, oracle_unify
+from oracles import (
+    oracle_key,
+    oracle_rename,
+    oracle_resolve,
+    oracle_select,
+    oracle_solve,
+    oracle_unify,
+)
 
 ARITY = 3
 MAX_ANSWERS = 30
@@ -79,22 +86,6 @@ def _reference(program, query_args):
     return out
 
 
-def _first_key(t):
-    """The index key rule, written out on its own: a compound by its name
-    and arity, anything else bound by its type and value; a variable has
-    none."""
-    ty = type(t)
-    if ty is Var:
-        return None
-    if ty is Struct:
-        return t.name, len(t.args)
-    if ty is Atom:
-        return ty, t.name
-    if ty is ObjRef:
-        return ty, t.ref
-    return ty, t
-
-
 def _reference_update(program, update):
     """The program after `update`: retract removes the first clause, in
     order, whose renamed copy unifies with the head and a body `true`;
@@ -107,8 +98,8 @@ def _reference_update(program, update):
     if action == "assertz":
         return program + [(head, TRUE)]
     if action == "retract_all":
-        key = _first_key(head.args[0])
-        return [c for c in program if _first_key(c[0].args[0]) != key]
+        key = oracle_key(head.args[0])
+        return [c for c in program if oracle_key(c[0].args[0]) != key]
     for i, clause in enumerate(program):
         mapping: dict = {}
         h, b = oracle_rename(clause[0], mapping), oracle_rename(clause[1], mapping)
@@ -189,6 +180,55 @@ def test_indexed_answers_match_unindexed_and_reference(clauses, query_args, afte
         after_update = _reference(updated, query_args)
         assert _same(second, after_update), (indexing, [term_text(a) for a in second],
                                              [term_text(a) for a in after_update])
+
+
+# -- the clause switch against the selection rule ------------------------------------------
+
+_sel_leaf = st.sampled_from([("var", "X"), ("var", "Y"), ("atom", "a"), ("atom", "b"),
+                             ("atom", "[]"), ("int", 0), ("int", 1), ("float", 1.0),
+                             ("float", 0.5), ("ref", 1), ("ref", 2)])
+# `f` at two arities, list cells against `[]`
+_sel_arg = st.one_of(_sel_leaf, st.tuples(st.just("f"), _sel_leaf),
+                     st.tuples(st.just("f"), _sel_leaf, _sel_leaf),
+                     st.tuples(st.just("."), _sel_leaf, _sel_leaf))
+_sel_args = st.lists(_sel_arg, min_size=ARITY, max_size=ARITY)
+# a call argument is unbound, a term, or a variable bound to a term
+_call_arg = st.one_of(st.just(("var", "Q")), _sel_arg, st.tuples(st.just("bound"), _sel_arg))
+
+
+def _call_args(syms):
+    out = []
+    for sym in syms:
+        if sym[0] == "bound":
+            v = Var()
+            v.ref = _build(sym[1], {})
+            out.append(v)
+        else:
+            out.append(_build(sym, {}))
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_sel_args, max_size=5),
+       st.lists(st.tuples(st.sampled_from(["asserta", "assertz", "retract", "retract_all"]),
+                          _sel_args), max_size=10),
+       st.lists(st.lists(_call_arg, min_size=ARITY, max_size=ARITY), min_size=1, max_size=4))
+def test_switch_selects_what_the_rule_selects(program, updates, calls):
+    engine = Engine(out=io.StringIO())
+    _builtins.install(engine)
+    entry = engine.entry("user", "p", ARITY, create=True)
+    for args in program:
+        engine.assert_term(_head(args))
+    for update in [None, *updates]:
+        if update is not None:
+            _apply(engine, update)
+        heads = [c.head for c in entry.clauses]
+        # the calls after each update build indexes and make switches,
+        # which the next update files into or resets
+        for syms in calls:
+            args = _call_args(syms)
+            want = [entry.clauses[i] for i in oracle_select(heads, args)]
+            assert list(entry.select(args)) == want, [term_text(a) for a in args]
 
 
 # -- what the indexes save -----------------------------------------------------------------

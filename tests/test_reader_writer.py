@@ -164,10 +164,19 @@ def test_writer_roundtrip():
     ("- -(1)", "- -(1)"),
     ("1 - 2", "1-2"),
     ("a - ''", "a-''"),
+    ("(\\+)/1", "(\\+)/1"),
+    ("(-)/1", "(-)/1"),
+    ("(-)-a", "(-)-a"),
+    ("a-(-)", "a-(-)"),
+    ("-(-)", "- (-)"),
+    ("(;)/2", "(;)/2"),
+    ("(mod)+1", "(mod)+1"),
+    ("f(-, [+])", "f(-, [+])"),
 ])
 def test_writer_output_reads_back(text, shown):
     # a glued `-` or `+` next to a symbol char, or before a number, would
-    # read back as another token or as a negative number
+    # read back as another token or as a negative number; an operator atom
+    # as an operand is bracketed, as `(-)-a`, and left bare as an argument
     term = t(text)
     assert term_text(term) == shown
     assert structural_eq(t(shown), term)
