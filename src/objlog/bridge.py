@@ -18,25 +18,30 @@ send/2..8, send_class/3 and get/3..9 share one message parser and one
 dispatch function, `Bridge._dispatch`, which decides each call's path.
 Methods implemented by logic clauses are dispatched through
 `pce_principal:send_implementation/3` (or `get_implementation/4`), keyed by
-the indexable method-id atom.  That call is built already compiled: one
-`CALL` goal whose arguments are the method-id atom, the message and the
-receiver (and a get's result), and whose predicate entry is pinned when
-the bridge is made, so a send or get from logic builds no goal term and
-compiles nothing.  A classic send or get from logic code builds that goal
-from its converted arguments and runs it in the calling machine, where it
-commits to its first solution as once/1 does.  A send whose conversion
-made no scope (it wrapped no term and held no transient object, as every
-no-argument or int-argument send) closes the scope before its goal runs,
-and the goal runs with no frame around it.  A get, which converts its
-result at exit, and a send whose conversion made a scope run inside a
-scope frame that takes over the call's host-data scope and closes it on
-exit, on failure or on an exception.  Methods flagged pure-logic are
-pushed into the calling machine with no scope and no conversion, so their
-choice points stay live.  A call from native code (an `initialise` run
-by new/2, `Kernel.send_value`, an event, a message) reaches
-`logic_send`/`logic_get` from the kernel and runs the goal in a nested
-solve (`solve_nested`), since a Python frame is waiting for its answer;
-a Python error out of that solve passes the native caller unchanged.
+the indexable method-id atom.  The call's arguments are the method-id
+atom, the message and the receiver (and a get's result), and its predicate
+entry is pinned when the bridge is made, so a send or get from logic
+builds no goal term and compiles nothing: the builtin enters the
+implementation clauses in the calling machine itself (`Machine.enter`), as
+a `CALL` goal would, with no goal pushed and no step of the machine's loop
+between.  Methods flagged pure-logic are entered at once, with no scope and
+no conversion, so their choice points stay live.  A classic send or get
+enters the call made from its converted arguments and commits to its
+first solution as once/1 does.  A send whose scope holds no transient
+object closes the scope first and runs under the commit node alone: a
+no-argument or int-argument send made no scope, and the wrapper made for
+a `prolog` argument is out of reach once its term is read back into the
+call, so the post-call protocol discards it.  The wrapper is still made:
+it is the paper's passage of host data, and what the body stores goes
+through a wrapper of its own.  A get, which converts its result at exit,
+and a send holding an object built from a compound argument, which must
+outlive the body, run inside a scope frame that takes over the call's
+host-data scope and closes it on exit, on failure or on an exception.  A
+call from native code (an `initialise` run by new/2, `Kernel.send_value`,
+an event, a message) reaches `logic_send`/`logic_get` from the kernel and
+runs the call in a nested solve (`solve_nested`), since a Python frame is
+waiting for its answer; a Python error out of that solve passes the
+native caller unchanged.
 
 Three crossings open a host-data scope: a send, get or send_class from
 logic that is not pure-logic (`_dispatch`), new/2 (`new_from_spec`) and an
@@ -51,8 +56,8 @@ that converts nothing pays for no frame.
 from __future__ import annotations
 
 from .balls import bridge_error
-from .clausecode import COMMIT, Goal, call_goal, is_control, new_struct
-from .engine import PushGoal, Scope
+from .clausecode import COMMIT, call_goal, is_control, new_struct
+from .engine import Scope
 from .hostdata import HostTermObject
 from .kernel import PROLOG_T, KMethod, KObject, LogicImpl, TypeSpec
 from .terms import Atom, ObjRef, Struct, Term, Var, deref, unify
@@ -65,10 +70,10 @@ class _ConvFail(Exception):
 
 class _CallScope(Scope):
     """The frame of one classic get when `result` is set, or of a classic
-    send whose conversion made a scope, run in the calling machine: it
-    holds the host-data scope that `Bridge._dispatch` opened and closes it
-    when the goal exits, fails or raises.  `answer` is the implementation
-    goal's result variable."""
+    send whose scope holds a transient object, run in the calling machine:
+    it holds the host-data scope that `Bridge._dispatch` opened and closes
+    it when the method exits, fails or raises.  `answer` is the result
+    variable of the `get_implementation/4` call."""
 
     __slots__ = ("bridge", "method", "result", "answer")
 
@@ -100,7 +105,7 @@ class Bridge:
     def __init__(self, runtime):
         self.rt = runtime
         engine = runtime.engine
-        # the implementation predicates, pinned for `_implementation_goal`
+        # the implementation predicates, pinned for `_implementation_call`
         self._send_entry = engine.entry("pce_principal", "send_implementation", 3, create=True)
         self._get_entry = engine.entry("pce_principal", "get_implementation", 4, create=True)
         engine.register_builtin("new", 2, self._bi_new)
@@ -202,18 +207,19 @@ class Bridge:
 
     # -- logic-implemented methods ----------------------------------------------
 
-    def _implementation_goal(self, method: KMethod, obj: KObject, arg_terms,
-                             result: Term = None) -> Goal:
+    def _implementation_call(self, method: KMethod, obj: KObject, arg_terms,
+                             result: Term = None) -> tuple:
         """The call that runs a logic-implemented method, a get when
-        `result` is given, else a send: one compiled `CALL` goal of
-        `send_implementation(Mid, Msg, @Oid)` or `get_implementation(Mid,
-        Msg, @Oid, Result)` whose entry is already resolved, ready to run
-        with no goal term built and nothing compiled."""
+        `result` is given, else a send: the pinned entry of
+        `send_implementation/3` or `get_implementation/4` and its arguments
+        `(Mid, Msg, @Oid)` or `(Mid, Msg, @Oid, Result)`, ready for
+        `Machine.enter` or `call_goal` with no goal term built and nothing
+        compiled."""
         impl = method.impl
         msg = new_struct(impl.sel.name, tuple(arg_terms)) if arg_terms else impl.sel
         if result is None:
-            return call_goal(self._send_entry, (impl.mid, msg, ObjRef(obj.oid)))
-        return call_goal(self._get_entry, (impl.mid, msg, ObjRef(obj.oid), result))
+            return self._send_entry, (impl.mid, msg, ObjRef(obj.oid))
+        return self._get_entry, (impl.mid, msg, ObjRef(obj.oid), result)
 
     def logic_send(self, method: KMethod, obj: KObject, values) -> bool:
         """What the kernel runs for a send to a logic-implemented method from
@@ -233,7 +239,7 @@ class Bridge:
         inside the solve opens its own, and the result converts in the
         caller's."""
         terms = [self.value_to_term(v) for v in values]
-        ok = self.solve_nested(self._implementation_goal(method, obj, terms, result))
+        ok = self.solve_nested(call_goal(*self._implementation_call(method, obj, terms, result)))
         if result is None:
             return ok
         if not ok:
@@ -249,7 +255,7 @@ class Bridge:
         """Run a predicate in `user` from kernel-side values; commits to the
         first solution and opens no host-data scope, as `_logic_call`.  A
         user predicate is called through its entry, as
-        `_implementation_goal` calls a method, so nothing is compiled; a
+        `_implementation_call` calls a method, so nothing is compiled; a
         builtin, a control construct or an unknown predicate is solved from
         a goal term, which raises what calling it from logic raises."""
         engine = self.rt.engine
@@ -275,28 +281,29 @@ class Bridge:
 
     def _dispatch(self, m, obj: KObject, method: KMethod, arg_terms, result: Term = None):
         """The one dispatch path of send/2..8, send_class/3 and, when
-        `result` is given, get/3..9, called from machine `m`.  A pure-logic
-        method's goal is pushed into `m`, with no scope and no conversion.
-        Any other call opens its host-data scope and converts and checks
-        its arguments.  A native or slot method then runs and the scope
-        closes.  A logic method's implementation goal is built from the
-        converted arguments and run in `m` to its first solution.  A send
-        whose conversion left the scope unopened closes it and pushes the
-        goal under the commit once/1 uses; a get, or a send whose scope
-        was made, runs in a `_CallScope` frame that takes over the open
-        scope."""
+        `result` is given, get/3..9, called from machine `m`.  A logic
+        method's implementation clauses are entered in `m` from here
+        (`Machine.enter`), and the builtin answers what the entry answers.
+        A pure-logic method is entered at once, with no scope and no
+        conversion.  Any other call opens its host-data scope and converts
+        and checks its arguments.  A native or slot method then runs and
+        the scope closes.  A classic method's call is made from the
+        converted arguments and runs to its first solution: a get, or a
+        send whose scope holds a transient object, inside a `_CallScope`
+        frame that takes over the open scope; any other send closes the
+        scope and runs under the commit node once/1 uses."""
         if method.nondet:
-            return PushGoal((self._implementation_goal(method, obj, arg_terms, result),))
+            return m.enter(*self._implementation_call(method, obj, arg_terms, result))
         kernel = self.rt.kernel
         hostdata = self.rt.hostdata
-        goal = None
+        call = None
         # the scope as a plain pair, not `bridge_call`: this is the hot path
         hostdata.open_scope()
         try:
             vals = kernel.check_each(method, arg_terms, method.selector, self.term_to_value)
             if type(method.impl) is LogicImpl:
                 answer = None if result is None else Var("Result")
-                goal = self._implementation_goal(
+                call = self._implementation_call(
                     method, obj, [self.value_to_term(v) for v in vals], answer)
             elif result is None:
                 ok = kernel.invoke_send(obj, method, vals)
@@ -309,15 +316,18 @@ class Bridge:
         except BaseException:
             hostdata.close_scope()
             raise
-        if goal is not None and (result is not None or hostdata.ledgers[-1] is not None):
+        if call is None:
+            hostdata.close_scope()
+            return ok
+        if result is not None or hostdata.holds_object():
             # a get converts its result at exit, and an object built from an
             # argument must outlive the body: the frame keeps the scope
-            m.call_scoped(goal, _CallScope(self, method, result, answer))
-            return True
+            return m.call_scoped(*call, _CallScope(self, method, result, answer))
+        # a wrapper made for a `prolog` argument is out of reach now that
+        # its term is in the call, so the post-call protocol discards it
         hostdata.close_scope()
-        if goal is None:
-            return ok
-        return PushGoal((goal, *COMMIT))
+        m.push(COMMIT, None, len(m.cps))
+        return m.enter(*call)
 
     def _bi_send(self, m, args, ns):
         selector, arg_terms = self.parse_message("send", args[1:])

@@ -23,11 +23,15 @@ The body's goals run from a continuation of (goals, pc, frame, cut barrier)
 nodes and a choice-point stack, so deterministic tail calls run in constant
 depth and deep conjunctions never touch the Python stack.  Cut prunes to the barrier
 of its node, and if-then-else commits by a cut to the height before its
-condition.  Backtracking resumes clause and disjunction alternatives only:
-a builtin with several answers, as between/3, pushes a call of clauses
-that give them (`PushGoal`).  A bridge call whose host-data scope stays
-open while its goal runs in the calling machine is a `Scope` frame on the
-same stack, and so is a catch/3 frame, so neither nests a solve.
+condition.  `Machine.enter` starts every call of a predicate: a `CALL`
+goal's, and one a builtin makes in place, as a send or get from logic
+enters its method's implementation clauses with no goal built and no
+further step of the loop.  Backtracking resumes clause and disjunction
+alternatives only: a builtin with several answers, as between/3, pushes a
+call of clauses that give them (`PushGoal`).  A bridge call whose
+host-data scope stays open while its method runs in the calling machine is
+a `Scope` frame on the same stack, and so is a catch/3 frame, so neither
+nests a solve.
 Each choice point and frame holds a guard on the trail while it is on the
 stack and releases it when popped (`Trail.release`), which drops the
 trail once no guard is left.
@@ -110,13 +114,14 @@ from .terms import (
 
 
 class PushGoal:
-    """Returned by a builtin to continue with compiled goals in the current
-    machine: `code` is a tuple of `Goal`s, built already compiled (the
-    bridge's pure-logic dispatch and between/3 build one `CALL` goal with
-    its predicate entry resolved, and a classic send that converted
-    nothing adds the cut once/1 commits with), so nothing is compiled when
-    it is pushed.  This is how a builtin gives more than one answer: the clauses
-    it calls leave the choice points.
+    """Returned by a registered builtin to continue with compiled goals in
+    the current machine: `code` is a tuple of `Goal`s, built already
+    compiled (between/3 builds one `CALL` goal with its predicate entry
+    resolved), so nothing is compiled when it is pushed.  This is how a
+    builtin gives more than one answer: the clauses it calls leave the
+    choice points.  A builtin that continues with one call of a predicate
+    can instead enter it in place with `Machine.enter(entry, args)` and
+    return what that returns, as the bridge's sends and gets do.
 
     The pushed code gets a fresh cut barrier, so a cut inside it stays local.
     """
@@ -423,9 +428,9 @@ class _AltCP:
 
 
 class Scope:
-    """A frame on the choice-point stack around a goal that
-    `Machine.call_scoped` runs to its first solution in the calling machine,
-    or around the goal of a catch/3 (`_CatchCP`).
+    """A frame on the choice-point stack around a call that
+    `Machine.call_scoped` enters and runs to its first solution in the
+    calling machine, or around the goal of a catch/3 (`_CatchCP`).
 
     When the goal exits, the frame is popped if it is on top and `exit`
     decides whether the call succeeds.  The machine calls `close` right
@@ -538,17 +543,18 @@ class Machine:
         self._push_cp(cp)
         self.push((late_goal(goal, ns), EXIT_GOAL), cp, len(self.cps))
 
-    def call_scoped(self, goal: Goal, scope: Scope) -> None:
-        """Run `goal`, a compiled call of a user predicate (built with
-        `clausecode.call_goal`, so nothing is compiled here), to its first
-        solution inside `scope`: the frame goes on the choice-point stack, a
-        cut to the height before the goal commits to its first solution, as
-        once/1 does, and the exit step follows."""
+    def call_scoped(self, entry: PredicateEntry, args: tuple, scope: Scope) -> bool:
+        """Enter a call of predicate `entry` with `args` to run to its first
+        solution inside `scope`: the frame goes on the choice-point stack,
+        then the node the call continues with, where a cut to the height
+        above the frame commits to the first solution, as once/1 does, and
+        the exit step follows.  Returns what `enter` returns."""
         scope.cont = self.cont
         scope.depth = self.depth
         scope.mark = self.engine.trail.mark()
         self._push_cp(scope)
-        self.push((goal, *COMMIT_EXIT), scope, len(self.cps))
+        self.push(COMMIT_EXIT, scope, len(self.cps))
+        return self.enter(entry, args)
 
     def _unwind(self, err: LogicError) -> None:
         """A ball raised in the main loop (ISO/IEC 13211-1, 7.8.9).  The
@@ -653,25 +659,16 @@ class Machine:
             get = goal.get
             args = goal.args if get is None else get(self.frame, goal.args)
             if op == CALL:
-                engine = self.engine
                 entry = goal.entry
                 if entry is None:
+                    engine = self.engine
                     entry = engine.preds.get(goal.key)
                     if entry is None:
                         if engine.unknown == "error":
                             raise unknown_procedure(ns, goal.name, len(args))
                         return False
                     goal.entry = entry
-                if engine.trace:
-                    engine.trace_port("call", _goal_term(goal.name, args), ns)
-                clauses = entry.select(args)
-                if not clauses:
-                    return False
-                bodybar = len(self.cps)
-                if len(clauses) > 1:
-                    self._push_cp(_ClauseCP(args, clauses, 1, self.cont, self.depth,
-                                            engine.trail.mark(), bodybar))
-                return self.try_clause(clauses[0], args, bodybar, self.cont, self.depth)
+                return self.enter(entry, args)
             if op == BUILTIN:
                 return self.run_builtin(goal, args, ns)
             if op == CALLN:
@@ -751,6 +748,31 @@ class Machine:
             return True
         raise TypeError(f"builtin {goal.name}/{len(args)} returned a {type(res).__name__}, "
                         "not True, False, None or a PushGoal")
+
+    def enter(self, entry: PredicateEntry, args: tuple) -> bool:
+        """Start a call of predicate `entry` with `args`, as the WAM's
+        `call` jumps into a predicate's code: the CALL port under trace, the
+        clauses the switch selects, a choice point when more than one is
+        selected, and the try of the first.  The call returns to the
+        machine's continuation, and a cut in a clause body prunes to the
+        height of the stack here.  Returns whether the first try matched;
+        on False the machine backtracks, into the next clause if any.
+
+        `exec_goal` runs a `CALL` goal with it, and a builtin that calls a
+        predicate (a send or get from logic) returns what it returns, so
+        the call starts with no goal built and no step of the main loop
+        between."""
+        engine = self.engine
+        if engine.trace:
+            engine.trace_port("call", _goal_term(entry.name, args), entry.ns)
+        clauses = entry.select(args)
+        if not clauses:
+            return False
+        bodybar = len(self.cps)
+        if len(clauses) > 1:
+            self._push_cp(_ClauseCP(args, clauses, 1, self.cont, self.depth,
+                                    engine.trail.mark(), bodybar))
+        return self.try_clause(clauses[0], args, bodybar, self.cont, self.depth)
 
     def try_clause(self, clause: Clause, args: tuple, bodybar: int, cont, depth: int) -> bool:
         """Match the clause head against the goal's arguments and, on

@@ -2,10 +2,11 @@
 
 The accepted syntax is the classic clause notation with a fixed operator
 table: `:-`, `,`, `;`, `->`, arithmetic and comparison operators, the
-namespace qualifier `:`, and the class-definition operators `:->`, `:<-`
-and `::`.  Object references are written `@N` for numbered objects and
-`@name` for well-known ones, and double-quoted text reads as an atom
-(there is no separate string type).
+namespace qualifier `:`, the class-definition operators `:->`, `:<-` and
+`::`, and the declaration prefixes `dynamic`, `discontiguous` and
+`multifile` (`:- dynamic c/2.`).  Object references are written `@N` for
+numbered objects and `@name` for well-known ones, and double-quoted text
+reads as an atom (there is no separate string type).
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ SOLO = set("()[]{},|")
 PREFIX_OPS = {
     ":-": (1200, "fx"),
     "?-": (1200, "fx"),
+    "dynamic": (1150, "fx"),
+    "discontiguous": (1150, "fx"),
+    "multifile": (1150, "fx"),
     "\\+": (900, "fy"),
     "-": (200, "fy"),
     "+": (200, "fy"),

@@ -198,10 +198,35 @@ def unify(a: Term, b: Term, trail: Trail, occurs_check: bool = False) -> bool:
     """Destructively unify two terms; on failure the trail is restored.
     A pair of compounds already met is taken as unified, which is
     unification of rational trees, as `structural_eq` compares them: so
-    two cyclic terms (possible with the occurs check off) unify too."""
+    two cyclic terms (possible with the occurs check off) unify too.
+    A pair that is not two compounds is settled before the stack and the
+    set of met pairs are made: most calls, from head matchers, are such."""
+    a = deref(a)
+    b = deref(b)
+    if a is b:
+        return True
+    ta = type(a)
+    if ta is Var:
+        if occurs_check and occurs_in(a, b):
+            return False
+        bind(a, b, trail)
+        return True
+    tb = type(b)
+    if tb is Var:
+        if occurs_check and occurs_in(b, a):
+            return False
+        bind(b, a, trail)
+        return True
+    if ta is not tb:
+        return False
+    if ta is not Struct:
+        # atoms are interned: identity already checked
+        return (ta is int or ta is float) and a == b or ta is ObjRef and a.ref == b.ref
+    if a.name is not b.name or len(a.args) != len(b.args):
+        return False
     start = trail.mark()
-    stack = [(a, b)]
-    seen = set()
+    stack = list(zip(a.args, b.args))
+    seen = {(id(a), id(b))}
     while stack:
         x, y = stack.pop()
         x = deref(x)

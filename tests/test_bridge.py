@@ -8,7 +8,8 @@ from objlog.errors import LogicError
 from objlog.hostdata import HostData
 from objlog.kernel import PROLOG_T, Kernel, KMethod, LogicImpl, NativeImpl
 from objlog.reader import parse_term
-from objlog.terms import Atom, ObjRef, TermStore, resolve_copy, structural_eq, unify
+from objlog.terms import (Atom, ObjRef, TermStore, is_variant, resolve_copy, structural_eq,
+                          unify)
 from objlog.writer import term_text
 
 
@@ -537,6 +538,7 @@ CALLEE = """
 noarg(_O) :-> true.
 intarg(_O, _N:int) :-> true.
 termarg(_O, _T:prolog) :-> true.
+objarg(_O, _B:box) :-> true.
 answer(_O, R:int) :<- R = 7.
 :- pce_pure_prolog(pick).
 pick(_O, X) :-> member(X, [a, b, c]).
@@ -556,8 +558,8 @@ noarg(_O) :-> fail.
     ("send({o}, pick(X))", 3),
 ], ids=["noarg", "intarg", "termarg", "get", "send_class", "pure"])
 def test_sends_and_gets_from_logic_compile_nothing(rt, monkeypatch, call, answers):
-    # the implementation call arrives compiled, its predicate resolved:
-    # the query is the only goal compiled at run time
+    # the builtin enters the implementation predicate itself, through its
+    # pinned entry: the query is the only goal compiled at run time
     rt.consult_text(CALLEE)
     ref = term_text(once(rt, "new(O, sub_callee)")["O"])
     goal, _ = parse_term(call.format(o=ref))
@@ -568,19 +570,19 @@ def test_sends_and_gets_from_logic_compile_nothing(rt, monkeypatch, call, answer
         compiled.append(g)
         return compile_goal(engine, g, ns)
 
-    resolved = []
-    exec_goal = Machine.exec_goal
+    entered = []
+    enter = Machine.enter
 
-    def watching(m, g, ns, barrier):
-        if g.name.endswith("_implementation"):
-            resolved.append(g.entry is not None)
-        return exec_goal(m, g, ns, barrier)
+    def watching(m, entry, args):
+        if entry.name.endswith("_implementation"):
+            entered.append(rt.engine.entry(entry.ns, entry.name, entry.arity) is entry)
+        return enter(m, entry, args)
 
     monkeypatch.setattr(Engine, "compile_goal", counting)
-    monkeypatch.setattr(Machine, "exec_goal", watching)
+    monkeypatch.setattr(Machine, "enter", watching)
     assert sum(1 for _ in rt.engine.solve(goal)) == answers
     assert [g for g in compiled if g is not goal] == []
-    assert resolved == [True]
+    assert entered == [True]
 
 
 PINGED = """
@@ -837,14 +839,16 @@ def test_loop_of_classic_sends_keeps_the_trail_short(rt):
     ("send({o}, noarg)", 0),
     ("send({o}, intarg(1))", 0),
     ("send_class({o}, callee, noarg)", 0),
-    ("send({o}, termarg(f(x)))", 1),
+    ("send({o}, termarg(f(x)))", 0),
+    ("send({o}, objarg(box(1, 1)))", 1),
     ("get({o}, answer, R)", 1),
-], ids=["noarg", "intarg", "send_class", "termarg", "get"])
+], ids=["noarg", "intarg", "send_class", "termarg", "objarg", "get"])
 def test_only_a_get_or_a_send_that_made_a_frame_runs_in_a_scope_frame(
         rt, monkeypatch, call, frames):
-    # a send whose arguments wrapped no term and held no object closes its
-    # scope before the goal runs; a get, which converts its result at exit,
-    # and a send whose conversion made its scope keep the frame
+    # a send whose scope holds no transient object closes it before the
+    # method runs, discarding a `prolog` argument's wrapper, whose term is
+    # in the call already; a get, which converts its result at exit, and a
+    # send holding an object built from an argument keep the frame
     rt.consult_text(CALLEE)
     ref = term_text(once(rt, "new(O, callee)")["O"])
     counts = {}
@@ -910,6 +914,62 @@ def test_a_body_that_converts_keeps_every_object_counted(rt, committed):
     assert rt.audit_refcounts() == []
     assert rt.kernel.live_count_of("scoped") == 1
     assert rt.store.records_live == 1 and rt.hostdata.wrappers_live == 1
+
+
+# -- a send or get enters its method's clauses in place --------------------------------
+
+SINK = """
+:- pce_begin_class(sink, object).
+variable(data, prolog, both, "the last term stored").
+stores(O, T:prolog) :-> send(O, data, T).
+fails(O, T:prolog) :-> send(O, data, T), fail.
+throws(O, T:prolog) :-> send(O, data, T), throw(oops).
+cuts(_O) :-> member(_, [a, b]), !.
+cut(_O, X) :<- member(X, [a, b]), !.
+:- pce_pure_prolog(pick).
+pick(_O, X) :-> member(X, [a, b]).
+:- pce_pure_prolog(pick_one).
+pick_one(_O, X) :-> member(X, [a, b]), !.
+:- pce_end_class(sink).
+"""
+
+
+@pytest.mark.parametrize("method, answer", [
+    ("stores", "true"), ("fails", "false"), ("throws", "oops"),
+])
+def test_a_prolog_argument_of_a_classic_send_leaves_nothing_behind(rt, method, answer):
+    # the wrapper made for the argument is discarded before the body runs;
+    # the body's own slot send wraps and records the term it stores
+    rt.consult_text(SINK)
+    ref = term_text(once(rt, "new(O, sink)")["O"])
+    assert rt.call(f"send({ref}, data, old(x))")
+    live = rt.hostdata.stats()["wrappers-live"]
+    sol = rt.once(f"T = t(A, f(A, _), [x]), "
+                  f"catch((send({ref}, {method}(T)) -> R = true ; R = false), R, true)")
+    assert term_text(sol["R"]) == answer
+    assert rt.hostdata.ledgers == [] and rt.audit_refcounts() == []
+    assert rt.hostdata.stats()["wrappers-live"] == live
+    assert is_variant(once(rt, f"get({ref}, data, D)")["D"], t("t(A, f(A, _), [x])"))
+
+
+@pytest.mark.parametrize("call", [
+    "send({o}, cuts)", "get({o}, cut, _)", "send({o}, pick_one(_))",
+], ids=["classic_send", "classic_get", "pure"])
+def test_a_cut_in_a_method_body_stays_local(rt, call):
+    # a cut that reached past the entry would prune the caller's member/2
+    rt.consult_text(SINK)
+    ref = term_text(once(rt, "new(O, sink)")["O"])
+    assert [s["N"] for s in sols(rt, f"member(N, [1, 2, 3]), {call.format(o=ref)}")] == \
+        [1, 2, 3]
+
+
+def test_a_pure_method_entered_from_the_builtin_enumerates_its_clauses(rt):
+    rt.consult_text(SINK)
+    ref = term_text(once(rt, "new(O, sink)")["O"])
+    rt.call("assertz(pce_principal:(send_implementation('sink->pick', pick(X), _) :- "
+            "user:member(X, [d, e])))")
+    assert [term_text(s["X"]) for s in sols(rt, f"send({ref}, pick(X))")] == \
+        ["a", "b", "d", "e"]
 
 
 @pytest.mark.parametrize("call", [

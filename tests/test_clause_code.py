@@ -174,7 +174,7 @@ CALL app([q], _G1, [x|_G2])
 CALL member(_G1, [1, 2])
 CALL app([1], [], _G1)
 CALL app([], [], _G1)
-CALL pce_principal:dynamic(tmp/1)
+CALL pce_principal:dynamic tmp/1
 CALL catch(throw(oops), _G1, true)
 CALL forall(member(_G1, [1]), _G1 > 0)
 CALL member(_G1, [1])

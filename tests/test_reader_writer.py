@@ -182,6 +182,29 @@ def test_writer_output_reads_back(text, shown):
     assert structural_eq(t(shown), term)
 
 
+@pytest.mark.parametrize("op", ["dynamic", "discontiguous", "multifile"])
+@pytest.mark.parametrize("text, shown", [
+    ("{op} c/2", "{op} c/2"),
+    ("{op}(c/2)", "{op} c/2"),
+    (":- {op} c/2, d/1", ":- {op} c/2, d/1"),
+    ("f({op}(c/2))", "f(({op} c/2))"),
+    ("({op})-1", "({op})-1"),
+])
+def test_declaration_prefixes_read_back(op, text, shown):
+    # fx 1150: a declaration reads as an operator and is written as one
+    term = t(text.format(op=op))
+    assert term_text(term) == shown.format(op=op)
+    assert structural_eq(parse_term(term_text(term))[0], term)
+
+
+def test_a_declaration_loads_in_operator_form(rt):
+    report = rt.consult_text(":- dynamic c/2, d/1.\n:- discontiguous e/1.\n"
+                             ":- multifile m/1.\nc(1, 2).")
+    assert report.ok and report.directives == 3
+    assert rt.once("c(X, Y)") == {"X": 1, "Y": 2}
+    assert rt.once("d(_)") is None and rt.once("m(_)") is None
+
+
 def test_writer_quotes_when_needed():
     assert term_text(Atom("hello world")) == "'hello world'"
     assert term_text(Atom("foo")) == "foo"
