@@ -1,8 +1,9 @@
 """Call-overhead benchmark harness.
 
-Five cases mirror the classic method-call shapes: two native-implemented
-sends on an `area` (no argument, one integer argument) and three sends to a
-logic-defined `bench` class (no argument, integer argument, term argument).
+Six cases mirror the classic method-call shapes: two native-implemented
+sends on an `area` (no argument, one integer argument), three sends to a
+logic-defined `bench` class (no argument, integer argument, term argument)
+and one get from it (an integer result).
 Each case is a counted loop written in logic, so the numbers measure
 calling methods *from* logic code.  An empty counting loop is timed the
 same way and subtracted as harness overhead.
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .terms import Atom, ObjRef, Struct
 
-CASE_ORDER = ("normalise", "x", "noarg", "intarg", "termarg")
+CASE_ORDER = ("normalise", "x", "noarg", "intarg", "termarg", "get")
 
 _SLICES = 10
 
@@ -33,6 +34,7 @@ _CASE_PREDS = {
     "noarg": "bench_noarg",
     "intarg": "bench_intarg",
     "termarg": "bench_termarg",
+    "get": "bench_get",
 }
 
 _CASE_OBJ = {
@@ -41,6 +43,7 @@ _CASE_OBJ = {
     "noarg": "bench",
     "intarg": "bench",
     "termarg": "bench",
+    "get": "bench",
 }
 
 
@@ -66,10 +69,12 @@ class BenchReport:
             "",
             f"{'case':<12} {'class':<8} {'us/call':>10} {'vs normalise':>14}",
         ]
+        # a load spike on the empty loop can clamp the base to 0: no ratio then
         base = self.per_call_us["normalise"]
         for label in CASE_ORDER:
             us = self.per_call_us[label]
-            lines.append(f"{label:<12} {_CASE_OBJ[label]:<8} {us:>10.3f} {us / base:>14.2f}")
+            shown = f"{us / base:>14.2f}" if base else f"{'-':>14}"
+            lines.append(f"{label:<12} {_CASE_OBJ[label]:<8} {us:>10.3f} {shown}")
         return "\n".join(lines)
 
 

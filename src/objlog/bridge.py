@@ -27,27 +27,32 @@ a `CALL` goal would, with no goal pushed and no step of the machine's loop
 between.  Methods flagged pure-logic are entered at once, with no scope and
 no conversion, so their choice points stay live.  A classic send or get
 enters the call made from its converted arguments and commits to its
-first solution as once/1 does.  A send whose scope holds no transient
-object closes the scope first and runs under the commit node alone: a
-no-argument or int-argument send made no scope, and the wrapper made for
-a `prolog` argument is out of reach once its term is read back into the
-call, so the post-call protocol discards it.  The wrapper is still made:
-it is the paper's passage of host data, and what the body stores goes
-through a wrapper of its own.  A get, which converts its result at exit,
-and a send holding an object built from a compound argument, which must
-outlive the body, run inside a scope frame that takes over the call's
-host-data scope and closes it on exit, on failure or on an exception.  A
-call from native code (an `initialise` run by new/2, `Kernel.send_value`,
-an event, a message) reaches `logic_send`/`logic_get` from the kernel and
-runs the call in a nested solve (`solve_nested`), since a Python frame is
-waiting for its answer; a Python error out of that solve passes the
-native caller unchanged.
+first solution as once/1 does.  Unless its scope holds a transient
+object, it closes the scope first and runs under the commit node alone:
+a no-argument or int-argument call made no scope, and the wrapper made
+for a `prolog` argument is out of reach once its term is read back into
+the call, so the post-call protocol discards it.  The wrapper is still
+made: it is the paper's passage of host data, and what the body stores
+goes through a wrapper of its own.  A get then goes on to its result
+step (`_GetResult`), which converts the answer in a host-data scope of
+its own and unifies it with the caller's result.  Only a call holding an
+object built from a compound argument, which must outlive the body, runs
+inside a scope frame (`_CallScope`) that takes over the call's host-data
+scope and closes it on exit, on failure or on an exception; a get's
+result converts at that exit, in that scope.  A call from native code
+(an `initialise` run by new/2, `Kernel.send_value`, an event, a message)
+reaches `logic_send`/`logic_get` from the kernel and runs the call in a
+nested solve (`solve_nested`), since a Python frame is waiting for its
+answer; a Python error out of that solve passes the native caller
+unchanged.
 
 Three crossings open a host-data scope: a send, get or send_class from
 logic that is not pure-logic (`_dispatch`), new/2 (`new_from_spec`) and an
 event (`toolkit.pump_event`).  A native→logic call and a message to
 `@prolog` open none: each crossing inside their nested solve opens its
-own, and a get's result converts in the caller's scope.  Every scope
+own, and a get's result converts in the caller's scope.  A classic get
+from logic whose call held no object opens one more, for its result
+step.  Every scope
 starts unopened and makes its term frame and ledger only when the call
 wraps a term or holds a transient object (see `hostdata`), so a crossing
 that converts nothing pays for no frame.
@@ -56,7 +61,7 @@ that converts nothing pays for no frame.
 from __future__ import annotations
 
 from .balls import bridge_error
-from .clausecode import COMMIT, call_goal, is_control, new_struct
+from .clausecode import COMMIT, COMMIT_EXIT, call_goal, is_control, new_struct
 from .engine import Scope
 from .hostdata import HostTermObject
 from .kernel import PROLOG_T, KMethod, KObject, LogicImpl, TypeSpec
@@ -68,12 +73,16 @@ class _ConvFail(Exception):
     fails."""
 
 
-class _CallScope(Scope):
-    """The frame of one classic get when `result` is set, or of a classic
-    send whose scope holds a transient object, run in the calling machine:
-    it holds the host-data scope that `Bridge._dispatch` opened and closes
-    it when the method exits, fails or raises.  `answer` is the result
-    variable of the `get_implementation/4` call."""
+class _GetResult:
+    """The step a classic get's call continues with once its method has
+    committed to its first solution: the answer, the bound `answer`
+    variable of the `get_implementation/4` call, is converted to the
+    method's return type and unified with the caller's `result`.
+
+    Pushed as the frame of the `COMMIT_EXIT` node, it runs as the `EXIT`
+    goal's `exit` and holds nothing to close.  Its conversion runs in a
+    host-data scope of its own, as the call's has closed: a wrapper or an
+    object made for the answer lives until the answer is unified."""
 
     __slots__ = ("bridge", "method", "result", "answer")
 
@@ -84,10 +93,15 @@ class _CallScope(Scope):
         self.answer = answer
 
     def exit(self, m) -> bool:
-        if self.result is None:
-            return True
-        # the result joins this call's ledger, so the post-call protocol
-        # judges a fresh wrapper made for it
+        hostdata = self.bridge.rt.hostdata
+        hostdata.open_scope()
+        try:
+            return self.convert(m)
+        finally:
+            hostdata.close_scope()
+
+    def convert(self, m) -> bool:
+        """Convert the answer in the innermost scope and unify it."""
         bridge = self.bridge
         method = self.method
         try:
@@ -96,6 +110,27 @@ class _CallScope(Scope):
             return False
         return unify(self.result, bridge.value_to_term(value),
                      m.engine.trail, m.engine.occurs_check)
+
+    def close(self) -> None:
+        pass
+
+
+class _CallScope(Scope):
+    """The frame of a classic send or get whose host-data scope holds a
+    transient object, run in the calling machine: it holds the scope that
+    `Bridge._dispatch` opened, so an object built from an argument outlives
+    the method's body, and closes it when the method exits, fails or
+    raises.  A get's result `step` converts its answer at exit, in that
+    scope."""
+
+    __slots__ = ("bridge", "step")
+
+    def __init__(self, bridge, step):
+        self.bridge = bridge
+        self.step = step
+
+    def exit(self, m) -> bool:
+        return self.step is None or self.step.convert(m)
 
     def close(self) -> None:
         self.bridge.rt.hostdata.close_scope()
@@ -288,10 +323,11 @@ class Bridge:
         conversion.  Any other call opens its host-data scope and converts
         and checks its arguments.  A native or slot method then runs and
         the scope closes.  A classic method's call is made from the
-        converted arguments and runs to its first solution: a get, or a
-        send whose scope holds a transient object, inside a `_CallScope`
-        frame that takes over the open scope; any other send closes the
-        scope and runs under the commit node once/1 uses."""
+        converted arguments and runs to its first solution: a call whose
+        scope holds a transient object inside a `_CallScope` frame that
+        takes over the open scope; any other closes the scope and runs
+        under the commit node once/1 uses, followed by its result step
+        when it is a get."""
         if method.nondet:
             return m.enter(*self._implementation_call(method, obj, arg_terms, result))
         kernel = self.rt.kernel
@@ -319,14 +355,15 @@ class Bridge:
         if call is None:
             hostdata.close_scope()
             return ok
-        if result is not None or hostdata.holds_object():
-            # a get converts its result at exit, and an object built from an
-            # argument must outlive the body: the frame keeps the scope
-            return m.call_scoped(*call, _CallScope(self, method, result, answer))
+        step = None if result is None else _GetResult(self, method, result, answer)
+        if hostdata.holds_object():
+            # an object built from an argument must outlive the body: the
+            # frame keeps the scope
+            return m.call_scoped(*call, _CallScope(self, step))
         # a wrapper made for a `prolog` argument is out of reach now that
         # its term is in the call, so the post-call protocol discards it
         hostdata.close_scope()
-        m.push(COMMIT, None, len(m.cps))
+        m.push(COMMIT if step is None else COMMIT_EXIT, step, len(m.cps))
         return m.enter(*call)
 
     def _bi_send(self, m, args, ns):

@@ -624,7 +624,9 @@ def guard_code(code: tuple) -> Optional[tuple]:
 # -- compiled goals ------------------------------------------------------------
 
 # Goal operations.  Those below CUT take arguments, built per call; EXIT
-# ends the goal of a catch/3 frame or of a scope run in the calling machine;
+# ends the goal of a catch/3 frame or of a scope run in the calling machine,
+# or runs the exit step of a call that has committed (a classic get's
+# result), the frame of its node either way;
 # those above EXIT are arithmetic and run from expression code: IS and SET
 # (is/2 into a fresh slot) and COMPARE.
 CALL, BUILTIN, CALLN, THROW, META, CUT, FAIL, ALT, ITE, NOT, EXIT, IS, SET, COMPARE = range(14)
@@ -746,7 +748,13 @@ def arith_goal(t: Struct, ns: str, compare, slots: dict, fresh: list, top: bool
 
 def late_goal(t: Term, ns: str, slots: Optional[dict] = None, fresh=None) -> Goal:
     """A goal compiled only when it runs, transparent to cut: a variable, a
-    term that is not callable, or a goal under an unknown namespace."""
+    term that is not callable, or a goal under an unknown namespace.  A
+    goal held as it is (`slots` None), as a query's, is the goal's one
+    argument; in a clause body it is built from the frame."""
+    if slots is None:
+        g = Goal(META, ns, "call")
+        g.args = (t,)
+        return g
     return arg_goal(META, Struct("call", (t,)), ns, slots, fresh)
 
 

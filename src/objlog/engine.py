@@ -29,12 +29,20 @@ enters its method's implementation clauses with no goal built and no
 further step of the loop.  Backtracking resumes clause and disjunction
 alternatives only: a builtin with several answers, as between/3, pushes a
 call of clauses that give them (`PushGoal`).  A bridge call whose
-host-data scope stays open while its method runs in the calling machine is
-a `Scope` frame on the same stack, and so is a catch/3 frame, so neither
-nests a solve.
+host-data scope holds a transient object while its method runs in the
+calling machine is a `Scope` frame on the same stack, and so is a catch/3
+frame, so neither nests a solve; a call that only has work left after its
+method, as a classic get's result, continues with an exit step that is
+not on the stack.
 Each choice point and frame holds a guard on the trail while it is on the
 stack and releases it when popped (`Trail.release`), which drops the
 trail once no guard is left.
+
+The main loop is a plain method, `Machine.run`, which stops at each
+solution and when the choice points are exhausted; a `Query` drives it,
+with no generator between, and holds a protected query's trail guard.
+Closing a query, exhausting it, an error out of it and dropping it
+unclosed each close the machine's scopes and release its guards.
 
 Two namespaces exist, `user` and `pce_principal`; a goal `M:G` resolves G
 in namespace M and nothing more.  Clause lists are copy-on-write so running
@@ -430,14 +438,20 @@ class _AltCP:
 class Scope:
     """A frame on the choice-point stack around a call that
     `Machine.call_scoped` enters and runs to its first solution in the
-    calling machine, or around the goal of a catch/3 (`_CatchCP`).
+    calling machine, or around the goal of a catch/3 (`_CatchCP`).  The
+    bridge makes one only for a call whose host-data scope holds a
+    transient object, which must outlive the method's body.
 
-    When the goal exits, the frame is popped if it is on top and `exit`
-    decides whether the call succeeds.  The machine calls `close` right
-    after `exit`, when backtracking reaches the frame (its bindings undone
-    first), or when an exception prunes past it.  A call's frame is always
-    on top at its exit, so its `close` runs exactly once; a catch frame
-    stays while its goal has choice points, and its `close` does nothing."""
+    When the goal exits (the `EXIT` goal), the frame is popped if it is on
+    top and `exit` decides whether the call succeeds.  The machine calls
+    `close` right after `exit`, when backtracking reaches the frame (its
+    bindings undone first), or when an exception prunes past it or leaves
+    the machine, which its query then closes.  A call's frame is always on
+    top at its exit, so its `close` runs exactly once; a catch frame stays
+    while its goal has choice points, and its `close` does nothing.  An
+    object with the same `exit` and `close` can also stand as the frame of
+    a pushed `COMMIT_EXIT` node without being on the stack: an exit step,
+    run once after the call commits, as a classic get's result step."""
 
     __slots__ = ("cont", "depth", "mark")
 
@@ -592,64 +606,64 @@ class Machine:
 
     # -- main loop -------------------------------------------------------
 
-    def solutions(self):
+    def run(self, forward: bool) -> bool:
+        """Run the machine from where it stopped: forward from its
+        continuation, or, with `forward` False, by backtracking into its
+        last choice point.  Returns True at a solution, with the
+        continuation empty, and False once the choice points are exhausted.
+        A ball that no catch frame takes is raised with the stack as it
+        is; the caller closes the machine (see `Query`)."""
         trail = self.engine.trail
         release = trail.release
-        forward = True
-        try:
-            while True:
-                try:
-                    if forward:
-                        cont = self.cont
-                        if cont is None:
-                            yield None
-                            forward = False
-                            continue
-                        code, pc, vs, bar, nxt = cont
-                        goal = code[pc]
-                        pc += 1
-                        if pc < len(code):
-                            self.cont = (code, pc, vs, bar, nxt)
-                        else:
-                            self.cont = nxt
-                            self.depth -= 1
-                        self.frame = vs
-                        forward = self.exec_goal(goal, goal.ns, bar)
+        while True:
+            try:
+                if forward:
+                    cont = self.cont
+                    if cont is None:
+                        return True
+                    code, pc, vs, bar, nxt = cont
+                    goal = code[pc]
+                    pc += 1
+                    if pc < len(code):
+                        self.cont = (code, pc, vs, bar, nxt)
                     else:
-                        cps = self.cps
-                        if not cps:
-                            return
-                        cp = cps[-1]
-                        tcp = type(cp)
-                        if tcp is _ClauseCP:
-                            trail.undo_to(cp.mark)
-                            clause = cp.clauses[cp.i]
-                            cp.i += 1
-                            if cp.i == len(cp.clauses):  # the last clause: pop first (trust_me)
-                                cps.pop()
-                                release()
-                            if self.try_clause(clause, cp.args, cp.bodybar, cp.cont, cp.depth):
-                                forward = True
-                        elif tcp is _AltCP:
+                        self.cont = nxt
+                        self.depth -= 1
+                    self.frame = vs
+                    forward = self.exec_goal(goal, goal.ns, bar)
+                else:
+                    cps = self.cps
+                    if not cps:
+                        return False
+                    cp = cps[-1]
+                    tcp = type(cp)
+                    if tcp is _ClauseCP:
+                        trail.undo_to(cp.mark)
+                        clause = cp.clauses[cp.i]
+                        cp.i += 1
+                        if cp.i == len(cp.clauses):  # the last clause: pop first (trust_me)
                             cps.pop()
-                            trail.undo_to(cp.mark)
                             release()
-                            self.cont = cp.cont
-                            self.depth = cp.depth
-                            self.push(cp.code, cp.vs, cp.barrier)
+                        if self.try_clause(clause, cp.args, cp.bodybar, cp.cont, cp.depth):
                             forward = True
-                        else:  # a scope: its goal has no more solutions
-                            cps.pop()
-                            trail.undo_to(cp.mark)
-                            release()
-                            self.cont = cp.cont
-                            self.depth = cp.depth
-                            cp.close()
-                except LogicError as err:
-                    self._unwind(err)
-                    forward = True
-        finally:
-            self.close()
+                    elif tcp is _AltCP:
+                        cps.pop()
+                        trail.undo_to(cp.mark)
+                        release()
+                        self.cont = cp.cont
+                        self.depth = cp.depth
+                        self.push(cp.code, cp.vs, cp.barrier)
+                        forward = True
+                    else:  # a scope: its goal has no more solutions
+                        cps.pop()
+                        trail.undo_to(cp.mark)
+                        release()
+                        self.cont = cp.cont
+                        self.depth = cp.depth
+                        cp.close()
+            except LogicError as err:
+                self._unwind(err)
+                forward = True
 
     # -- goal execution ---------------------------------------------------
 
@@ -703,9 +717,11 @@ class Machine:
             return True
         if op == FAIL:
             return False
-        if op == EXIT:  # the goal of a scope has exited
+        if op == EXIT:  # the goal of a scope, or of a call with a step, has exited
             frame = self.frame
-            if self.cps[-1] is frame:  # always so for a scope but a catch frame
+            cps = self.cps
+            # always so for a scope but a catch frame; a step is never on the stack
+            if cps and cps[-1] is frame:
                 self._pop_frame()
             try:
                 return frame.exit(self)
@@ -896,43 +912,74 @@ def build_call(args) -> Term:
 
 
 class Query:
-    """Iterator over solutions of a goal.
+    """Iterator over solutions of a goal: each `next` runs its machine
+    (`Machine.run`) forward the first time and by backtracking after, and
+    returns None at a solution.
 
-    `close()` before exhaustion commits: choice points are dropped but the
-    bindings of the last solution stay.  When `protect` is set, exhausting
-    the query restores all bindings made since it started.  Without it, an
-    exhausted query leaves its goal term's bindings unspecified: those made
-    while no choice point was live were never trailed and stay, the others
-    are lost.  To solve the same goal term again, pass `protect=True` or
-    parse a fresh goal.
+    `close()` before exhaustion commits: choice points are dropped, their
+    scopes closed, but the bindings of the last solution stay.  When
+    `protect` is set, the query holds a guard on the trail from the start,
+    and exhausting it restores all bindings made since it started.
+    Without it, an exhausted query leaves its goal term's bindings
+    unspecified: those made while no choice point was live were never
+    trailed and stay, the others are lost.  To solve the same goal term
+    again, pass `protect=True` or parse a fresh goal.
+
+    The query ends once: at exhaustion, at `close()`, at an error out of
+    the machine, or when it is dropped unclosed.  Each closes the machine
+    and releases the guard, and every later `next` raises StopIteration.
     """
 
+    __slots__ = ("machine", "_mark", "_forward")
+
     def __init__(self, engine: "Engine", goal: Term | Goal, ns: str, protect: bool):
+        self._forward = None  # True until the first solution, None once ended
         self.machine = Machine(engine, goal, ns)
-        self._gen = self.machine.solutions()
+        self._mark = None
         if protect:
-            self._gen = _protected(engine.trail, self._gen)
+            self._mark = engine.trail.mark()
+            engine.trail.guards += 1
+        self._forward = True
 
     def __iter__(self):
         return self
 
     def __next__(self):
-        return next(self._gen)
+        forward = self._forward
+        if forward is None:
+            raise StopIteration
+        try:
+            found = self.machine.run(forward)
+        except BaseException:
+            self._end(False)
+            raise
+        if found:
+            self._forward = False
+            return None
+        self._end(True)
+        raise StopIteration
 
     def close(self):
-        self._gen.close()
+        if self._forward is not None:
+            self._end(False)
 
+    def __del__(self):
+        if self._forward is not None:
+            self._end(False)
 
-def _protected(trail: Trail, solutions):
-    """`solutions` under a guard of its own, undoing every binding made
-    since it started once they are exhausted."""
-    mark = trail.mark()
-    trail.guards += 1
-    try:
-        yield from solutions
-        trail.undo_to(mark)
-    finally:
-        trail.release()
+    def _end(self, exhausted: bool) -> None:
+        """Close the machine, then, when protected, undo the bindings if
+        the query is `exhausted` and release the guard."""
+        self._forward = None
+        try:
+            self.machine.close()
+        finally:
+            mark = self._mark
+            if mark is not None:
+                trail = self.machine.engine.trail
+                if exhausted:
+                    trail.undo_to(mark)
+                trail.release()
 
 
 class Engine:

@@ -16,18 +16,18 @@ ones are collected immediately.
 
 Three crossings open a scope: a send, get or send_class from logic that is
 not pure-logic (`Bridge._dispatch`), new/2 (`Bridge.new_from_spec`) and an
-event (`toolkit.pump_event`).  A logic method's get, or a send whose scope
-holds a transient object (`holds_object`), runs in a frame in the calling
-machine that closes the scope when the method returns.  Any other send
-to a logic method closes the scope before the method runs, and the method
-commits as once/1 does: a wrapper made for one of its `prolog` arguments
-is out of reach once the bridge has read its term back into the call, so
-the post-call protocol discards it, and a term the body stores goes
-through the wrapper of the body's own crossing.  A native→logic call and
-a message to `@prolog` open none: each crossing in their nested solve
-opens its own.  The scope's
-term frame and ledger are made on first need: when the call wraps a term
-or holds a transient object.  A call that converts nothing (a no-argument
+event (`toolkit.pump_event`).  A send or get to a logic method whose
+scope holds a transient object (`holds_object`) runs in a frame in the
+calling machine that closes the scope when the method returns.  Any other
+closes the scope before the method runs, and the method commits as
+once/1 does: a wrapper made for one of its `prolog` arguments is out of
+reach once the bridge has read its term back into the call, so the
+post-call protocol discards it, and a term the body stores goes through
+the wrapper of the body's own crossing.  Such a get's result converts
+after the method, in a scope of its own.  A native→logic call and a
+message to `@prolog` open none: each crossing in their nested solve
+opens its own.  The scope's term frame and ledger are made on first
+need: when the call wraps a term or holds a transient object.  A call that converts nothing (a no-argument
 or int-argument send) opens no frame and has no post-call protocol to run.
 A scope is only ever made while it is the innermost one, so frames still
 close strictly LIFO.

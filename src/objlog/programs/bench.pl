@@ -1,5 +1,5 @@
-% Benchmark support: a logic-defined class with three method shapes, plus
-% the timing loops driven by the harness.
+% Benchmark support: a logic-defined class with three send shapes and one
+% get, plus the timing loops driven by the harness.
 
 :- pce_begin_class(bench, object).
 
@@ -11,6 +11,9 @@ intarg(_B, _Value:int) :->
 
 termarg(_B, _Value:prolog) :->
         true.
+
+value(_B, V:int) :<-
+        V = 1.
 
 :- pce_end_class(bench).
 
@@ -31,3 +34,6 @@ bench_intarg(N, O) :- N > 0, send(O, intarg, 1), N1 is N - 1, bench_intarg(N1, O
 
 bench_termarg(0, _) :- !.
 bench_termarg(N, O) :- N > 0, send(O, termarg, hello(world)), N1 is N - 1, bench_termarg(N1, O).
+
+bench_get(0, _) :- !.
+bench_get(N, O) :- N > 0, get(O, value, _), N1 is N - 1, bench_get(N1, O).

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from objlog.bench import CASE_ORDER, run_benchmarks
+from objlog.bench import CASE_ORDER, BenchReport, run_benchmarks
 from objlog.runtime import Runtime
 
 
@@ -30,3 +30,13 @@ def test_bench_report_ratio_helper():
     rt = Runtime(out=io.StringIO())
     report = run_benchmarks(rt, iterations=200, batches=1, warmup_batches=0)
     assert report.ratio("noarg", "noarg") == 1.0
+
+
+def test_bench_table_shows_no_ratio_against_a_zero_base():
+    # a load spike on the empty loop clamps a case's time to 0.0
+    report = BenchReport(300, 2, 1, 9.2, per_call_us=dict.fromkeys(CASE_ORDER, 0.0))
+    report.per_call_us["get"] = 4.5
+    rows = report.table().splitlines()[-len(CASE_ORDER):]
+    assert [row.split()[0] for row in rows] == list(CASE_ORDER)
+    assert all(row.split()[-1] == "-" for row in rows)
+    assert rows[-1].split()[2] == "4.500"

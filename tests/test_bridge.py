@@ -8,8 +8,8 @@ from objlog.errors import LogicError
 from objlog.hostdata import HostData
 from objlog.kernel import PROLOG_T, Kernel, KMethod, LogicImpl, NativeImpl
 from objlog.reader import parse_term
-from objlog.terms import (Atom, ObjRef, TermStore, is_variant, resolve_copy, structural_eq,
-                          unify)
+from objlog.terms import (Atom, ObjRef, TermStore, Var, is_variant, resolve_copy,
+                          structural_eq, unify)
 from objlog.writer import term_text
 
 
@@ -717,7 +717,8 @@ def _counting(monkeypatch, owner, name, counts):
     ("send({area}, normalise)", 1, 0),
     ("send({o}, intarg(1))", 1, 0),
     ("send({o}, termarg(t(a, _)))", 1, 1),
-    ("get({o}, answer, R)", 1, 0),
+    # the call's, closed before the method runs, then its result step's
+    ("get({o}, answer, R)", 2, 0),
     # ping's get and send from logic, each its own scope; none of its own
     ("send_value", 2, 0),
     # the pump's, which holds the event, then the handler's two sends
@@ -841,14 +842,15 @@ def test_loop_of_classic_sends_keeps_the_trail_short(rt):
     ("send_class({o}, callee, noarg)", 0),
     ("send({o}, termarg(f(x)))", 0),
     ("send({o}, objarg(box(1, 1)))", 1),
-    ("get({o}, answer, R)", 1),
+    ("get({o}, answer, R)", 0),
 ], ids=["noarg", "intarg", "send_class", "termarg", "objarg", "get"])
 def test_only_a_get_or_a_send_that_made_a_frame_runs_in_a_scope_frame(
         rt, monkeypatch, call, frames):
-    # a send whose scope holds no transient object closes it before the
-    # method runs, discarding a `prolog` argument's wrapper, whose term is
-    # in the call already; a get, which converts its result at exit, and a
-    # send holding an object built from an argument keep the frame
+    # a send or get whose scope holds no transient object closes it before
+    # the method runs, discarding a `prolog` argument's wrapper, whose term
+    # is in the call already, and a get converts its result in a step after
+    # the call; a send or get holding an object built from an argument
+    # keeps the frame
     rt.consult_text(CALLEE)
     ref = term_text(once(rt, "new(O, callee)")["O"])
     counts = {}
@@ -1014,3 +1016,66 @@ def test_a_python_error_raised_in_logic_is_no_native_exception(rt, call):
     assert info.value.__cause__ is None
     assert rt.hostdata.ledgers == [] and rt.store.current_frame() is None
     assert rt.audit_refcounts() == []
+
+
+# -- a classic get commits as a send does, with no frame ---------------------------------
+
+GETTER = """
+:- pce_begin_class(getter, object).
+nope(_O, _R) :<- fail.
+throws(_O, _R) :<- throw(oops).
+binds(_O, T:prolog, R) :<- T = t(X, _), X = bound, R = done.
+made(_O, R) :<- R = box(2, 3).
+wide(_O, B:box, W:int) :<- get(B, width, W).
+:- pce_end_class(getter).
+"""
+
+
+@pytest.fixture
+def getter(rt, monkeypatch):
+    # the ref, and the number of scope frames the gets have pushed
+    rt.consult_text(GETTER)
+    frames = {}
+    _counting(monkeypatch, Machine, "call_scoped", frames)
+    return term_text(once(rt, "new(O, getter)")["O"]), frames
+
+
+def test_a_get_whose_body_fails_fails(rt, getter):
+    ref, frames = getter
+    assert rt.once(f"get({ref}, nope, _)") is None
+    assert rt.audit_refcounts() == [] and frames == {}
+
+
+def test_a_get_whose_body_throws_is_caught(rt, getter):
+    ref, frames = getter
+    assert term_text(rt.once(f"catch(get({ref}, throws, _), E, true)")["E"]) == "oops"
+    assert rt.audit_refcounts() == [] and frames == {}
+
+
+def test_a_get_that_binds_its_prolog_argument_binds_the_callers_term(rt, getter):
+    ref, frames = getter
+    live = rt.hostdata.stats()["wrappers-live"]
+    sol = rt.once(f"T = t(A, B), get({ref}, binds(T), R)")
+    assert term_text(sol["A"]) == "bound" and term_text(sol["R"]) == "done"
+    assert type(sol["B"]) is Var
+    assert rt.hostdata.stats()["wrappers-live"] == live
+    assert rt.audit_refcounts() == [] and frames == {}
+
+
+def test_a_compound_answer_for_an_untyped_result_is_a_transient_object(rt, getter):
+    # the result step's own scope holds the box made from the answer, and
+    # its end destroys it
+    ref, frames = getter
+    created = rt.kernel.created_total
+    answer = once(rt, f"get({ref}, made, R)")["R"]
+    assert type(answer) is ObjRef
+    assert rt.kernel.created_total == created + 1
+    assert rt.kernel.live_count_of("box") == 0
+    assert rt.audit_refcounts() == [] and frames == {}
+
+
+def test_a_get_that_builds_an_object_from_an_argument_keeps_its_frame(rt, getter):
+    ref, frames = getter
+    assert once(rt, f"get({ref}, wide(box(4, 5)), W)")["W"] == 4
+    assert frames == {"call_scoped": 1}
+    assert rt.kernel.live_count_of("box") == 0 and rt.audit_refcounts() == []

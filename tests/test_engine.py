@@ -1,8 +1,10 @@
+import gc
 import io
 import signal
 
 import pytest
 
+from objlog.engine import Scope
 from objlog.errors import LogicError
 from objlog.reader import parse_term
 from objlog.runtime import Runtime
@@ -688,3 +690,92 @@ def test_namespace_qualified_rule_assert_and_retract(rt):
     assert solutions(rt, "pce_principal:tmp_rule(1)") == []
     assert len(solutions(rt, "retract(pce_principal:(tmp_rule(_Y) :- _Y > 3))")) == 1
     assert solutions(rt, "pce_principal:tmp_rule(5)") == []
+
+
+# -- the query protocol ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("protect", [False, True])
+def test_closing_a_query_keeps_the_last_solutions_bindings(rt, protect):
+    consult(rt, "p(a). p(b). p(c).")
+    goal, vm = parse_term("p(X), Y = f(X)")
+    q = rt.engine.solve(goal, protect=protect)
+    next(q)
+    next(q)
+    q.close()
+    assert term_text(resolve_copy(vm["Y"])) == "f(b)"
+    assert rt.engine.trail.guards == 0
+
+
+def test_an_exhausted_protected_query_undoes_its_bindings(rt):
+    consult(rt, "p(a). p(b).")
+    goal, vm = parse_term("p(X), Y = f(X)")
+    q = rt.engine.solve(goal, protect=True)
+    assert [term_text(resolve_copy(vm["Y"])) for _ in q] == ["f(a)", "f(b)"]
+    assert term_text(resolve_copy(goal)) == "p(X), Y = f(X)"
+    assert rt.engine.trail.guards == 0
+
+
+@pytest.mark.parametrize("protect", [False, True])
+@pytest.mark.parametrize("end", ["exhausted", "closed"])
+def test_next_after_the_end_of_a_query_stops(rt, end, protect):
+    consult(rt, "p(a). p(b).")
+    goal, _ = parse_term("p(X)")
+    q = rt.engine.solve(goal, protect=protect)
+    next(q)
+    if end == "closed":
+        q.close()
+    else:
+        next(q)
+        with pytest.raises(StopIteration):
+            next(q)
+    for _ in range(2):
+        with pytest.raises(StopIteration):
+            next(q)
+    q.close()
+    assert rt.engine.trail.guards == 0
+
+
+class _CountedScope(Scope):
+    __slots__ = ("closed",)
+
+    def __init__(self):
+        self.closed = 0
+
+    def close(self) -> None:
+        self.closed += 1
+
+
+@pytest.mark.parametrize("protect", [False, True])
+def test_a_ball_out_of_a_query_closes_its_scopes_and_releases_the_guard(rt, protect):
+    # in_scope/0 runs bang/0 inside a scope frame of the calling machine;
+    # bang's ball is caught by nothing, so it leaves the query with the
+    # frame still on the stack
+    consult(rt, "p(1). p(2). bang :- p(_), throw(oops).")
+    scope = _CountedScope()
+    entry = rt.engine.entry("user", "bang", 0)
+    rt.engine.register_builtin("in_scope", 0,
+                               lambda m, args, ns: m.call_scoped(entry, (), scope))
+    goal, _ = parse_term("p(_), in_scope")
+    q = rt.engine.solve(goal, protect=protect)
+    with pytest.raises(LogicError) as err:
+        next(q)
+    assert term_text(err.value.term) == "oops"
+    assert scope.closed == 1
+    assert q.machine.cps == [] and rt.engine.trail.guards == 0
+    with pytest.raises(StopIteration):
+        next(q)
+    q.close()
+    assert scope.closed == 1
+
+
+@pytest.mark.parametrize("protect", [False, True])
+def test_a_query_dropped_unclosed_releases_its_guards(rt, protect):
+    consult(rt, "p(a). p(b). p(c).")
+    goal, _ = parse_term("p(X), p(Y)")
+    q = rt.engine.solve(goal, protect=protect)
+    next(q)
+    assert len(q.machine.cps) == 2 and rt.engine.trail.guards > 0
+    del q
+    gc.collect()
+    assert rt.engine.trail.guards == 0
