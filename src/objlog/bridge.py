@@ -33,13 +33,16 @@ a no-argument or int-argument call made no scope, and the wrapper made
 for a `prolog` argument is out of reach once its term is read back into
 the call, so the post-call protocol discards it.  The wrapper is still
 made: it is the paper's passage of host data, and what the body stores
-goes through a wrapper of its own.  A get then goes on to its result
-step (`_GetResult`), which converts the answer in a host-data scope of
-its own and unifies it with the caller's result.  Only a call holding an
-object built from a compound argument, which must outlive the body, runs
-inside a scope frame (`_CallScope`) that takes over the call's host-data
-scope and closes it on exit, on failure or on an exception; a get's
-result converts at that exit, in that scope.  A call from native code
+goes through a wrapper of its own.  Whatever a classic call does after
+its method is one exit step (`_ExitStep`): a get's step converts the answer
+and unifies it with the caller's result, and the step ends the host-data
+scope that conversion runs in.  A call that closed its scope first needs
+the step for a get only; it follows the commit node, off the
+choice-point stack, and opens a scope of its own for the answer.  A call
+holding an object built from a compound argument, which must outlive the
+body, keeps its scope open and runs with the step as its frame on the
+stack, which closes the scope on exit, on failure or on an exception; a
+get's answer converts at that exit, in that scope.  A call from native code
 (an `initialise` run by new/2, `Kernel.send_value`, an event, a message)
 reaches `logic_send`/`logic_get` from the kernel and runs the call in a
 nested solve (`solve_nested`), since a Python frame is waiting for its
@@ -51,11 +54,10 @@ logic that is not pure-logic (`_dispatch`), new/2 (`new_from_spec`) and an
 event (`toolkit.pump_event`).  A native→logic call and a message to
 `@prolog` open none: each crossing inside their nested solve opens its
 own, and a get's result converts in the caller's scope.  A classic get
-from logic whose call held no object opens one more, for its result
-step.  Every scope
-starts unopened and makes its term frame and ledger only when the call
-wraps a term or holds a transient object (see `hostdata`), so a crossing
-that converts nothing pays for no frame.
+from logic whose call held no object opens one more, in its exit step.
+Every scope starts unopened and makes its term frame and ledger only when
+the call wraps a term or holds a transient object (see `hostdata`), so a
+crossing that converts nothing pays for no frame.
 """
 
 from __future__ import annotations
@@ -73,36 +75,36 @@ class _ConvFail(Exception):
     fails."""
 
 
-class _GetResult:
-    """The step a classic get's call continues with once its method has
-    committed to its first solution: the answer, the bound `answer`
-    variable of the `get_implementation/4` call, is converted to the
-    method's return type and unified with the caller's `result`.
+class _ExitStep(Scope):
+    """What a classic send or get from logic does once its method has
+    committed to its first solution.  `held` says whether the scope
+    `Bridge._dispatch` opened is still open: so when it holds a transient
+    object, which must outlive the body, and the step is then the call's
+    frame on the stack (`Machine.call_scoped`).  Else the step is the frame
+    of the call's `COMMIT_EXIT` node, off the stack, and only a get has one.
 
-    Pushed as the frame of the `COMMIT_EXIT` node, it runs as the `EXIT`
-    goal's `exit` and holds nothing to close.  Its conversion runs in a
-    host-data scope of its own, as the call's has closed: a wrapper or an
-    object made for the answer lives until the answer is unified."""
+    `exit` succeeds for a send.  For a get it converts the answer, the bound
+    `answer` variable of the `get_implementation/4` call, to the method's
+    return type and unifies it with the caller's `result`, in the held scope
+    or in one it opens: a wrapper or an object made for the answer lives
+    until then.  `close` ends that scope, after `exit` or when the held
+    call fails or raises."""
 
-    __slots__ = ("bridge", "method", "result", "answer")
+    __slots__ = ("bridge", "method", "result", "answer", "held")
 
-    def __init__(self, bridge, method: KMethod, result, answer):
+    def __init__(self, bridge, method: KMethod, result, answer, held: bool):
         self.bridge = bridge
         self.method = method
         self.result = result
         self.answer = answer
+        self.held = held
 
     def exit(self, m) -> bool:
-        hostdata = self.bridge.rt.hostdata
-        hostdata.open_scope()
-        try:
-            return self.convert(m)
-        finally:
-            hostdata.close_scope()
-
-    def convert(self, m) -> bool:
-        """Convert the answer in the innermost scope and unify it."""
+        if self.result is None:
+            return True
         bridge = self.bridge
+        if not self.held:
+            bridge.rt.hostdata.open_scope()
         method = self.method
         try:
             value = bridge.term_to_value(self.answer, method.returns, method.selector, -1)
@@ -110,27 +112,6 @@ class _GetResult:
             return False
         return unify(self.result, bridge.value_to_term(value),
                      m.engine.trail, m.engine.occurs_check)
-
-    def close(self) -> None:
-        pass
-
-
-class _CallScope(Scope):
-    """The frame of a classic send or get whose host-data scope holds a
-    transient object, run in the calling machine: it holds the scope that
-    `Bridge._dispatch` opened, so an object built from an argument outlives
-    the method's body, and closes it when the method exits, fails or
-    raises.  A get's result `step` converts its answer at exit, in that
-    scope."""
-
-    __slots__ = ("bridge", "step")
-
-    def __init__(self, bridge, step):
-        self.bridge = bridge
-        self.step = step
-
-    def exit(self, m) -> bool:
-        return self.step is None or self.step.convert(m)
 
     def close(self) -> None:
         self.bridge.rt.hostdata.close_scope()
@@ -324,10 +305,10 @@ class Bridge:
         and checks its arguments.  A native or slot method then runs and
         the scope closes.  A classic method's call is made from the
         converted arguments and runs to its first solution: a call whose
-        scope holds a transient object inside a `_CallScope` frame that
-        takes over the open scope; any other closes the scope and runs
-        under the commit node once/1 uses, followed by its result step
-        when it is a get."""
+        scope holds a transient object with its `_ExitStep` as the frame
+        that keeps the open scope; any other closes the scope and runs
+        under the commit node once/1 uses, followed by its exit step when
+        it is a get."""
         if method.nondet:
             return m.enter(*self._implementation_call(method, obj, arg_terms, result))
         kernel = self.rt.kernel
@@ -355,14 +336,14 @@ class Bridge:
         if call is None:
             hostdata.close_scope()
             return ok
-        step = None if result is None else _GetResult(self, method, result, answer)
         if hostdata.holds_object():
             # an object built from an argument must outlive the body: the
-            # frame keeps the scope
-            return m.call_scoped(*call, _CallScope(self, step))
+            # step is the call's frame and keeps the scope
+            return m.call_scoped(*call, _ExitStep(self, method, result, answer, True))
         # a wrapper made for a `prolog` argument is out of reach now that
         # its term is in the call, so the post-call protocol discards it
         hostdata.close_scope()
+        step = None if result is None else _ExitStep(self, method, result, answer, False)
         m.push(COMMIT if step is None else COMMIT_EXIT, step, len(m.cps))
         return m.enter(*call)
 

@@ -19,24 +19,28 @@ variables runs them as its guard inside the try, right after the head
 matches, unless the engine traces; a guard that fails fails the try, and
 the body goes on after it.
 
-The body's goals run from a continuation of (goals, pc, frame, cut barrier)
-nodes and a choice-point stack, so deterministic tail calls run in constant
-depth and deep conjunctions never touch the Python stack.  Cut prunes to the barrier
+The body's goals run from a continuation of (goals, pc, frame, cut barrier,
+next, depth) nodes and a choice-point stack, so deterministic tail calls run
+in constant depth and deep conjunctions never touch the Python stack.  A
+node's depth, the length of its chain, comes from `next`, so a choice point
+or frame saves only the node it goes back to.  Cut prunes to the barrier
 of its node, and if-then-else commits by a cut to the height before its
-condition.  `Machine.enter` starts every call of a predicate: a `CALL`
-goal's, and one a builtin makes in place, as a send or get from logic
-enters its method's implementation clauses with no goal built and no
-further step of the loop.  Backtracking resumes clause and disjunction
-alternatives only: a builtin with several answers, as between/3, pushes a
-call of clauses that give them (`PushGoal`).  A bridge call whose
-host-data scope holds a transient object while its method runs in the
-calling machine is a `Scope` frame on the same stack, and so is a catch/3
-frame, so neither nests a solve; a call that only has work left after its
-method, as a classic get's result, continues with an exit step that is
-not on the stack.
-Each choice point and frame holds a guard on the trail while it is on the
-stack and releases it when popped (`Trail.release`), which drops the
-trail once no guard is left.
+condition.  A clause body's barrier is the stack's height at the call: the
+index of the call's clause choice point, when it has one.
+
+`Machine.enter` starts every call of a predicate: a `CALL` goal's, and one
+a builtin makes in place, as a send or get from logic enters its method's
+implementation clauses with no goal built and no further step of the
+loop.  Backtracking resumes clause and disjunction alternatives only: a
+builtin with several answers, as between/3, pushes a call of clauses that
+give them (`PushGoal`).  A bridge call whose host-data scope holds a
+transient object while its method runs in the calling machine is a
+`Scope` frame on the same stack, and so is a catch/3 frame, so neither
+nests a solve; any other call that has work left after its method, as a
+classic get's result, continues with an exit step that is not on the
+stack.  Each choice point and frame holds a guard on the trail while it
+is on the stack and releases it when popped (`Trail.release`), which
+drops the trail once no guard is left.
 
 The main loop is a plain method, `Machine.run`, which stops at each
 solution and when the choice points are exhausted; a `Query` drives it,
@@ -88,7 +92,6 @@ from .clausecode import (
     EXIT,
     EXIT_GOAL,
     FAIL,
-    IS,
     ITE,
     META,
     NAMESPACES,
@@ -116,7 +119,7 @@ from .terms import (
     bind,
     deref,
     occurs_in,
-    rename_term,
+    resolve_copy,
     unify,
 )
 
@@ -411,27 +414,28 @@ class LoadReport:
 
 
 class _ClauseCP:
-    __slots__ = ("args", "clauses", "i", "cont", "depth", "mark", "bodybar")
+    """The clauses left to try for a call.  The body barrier of each is
+    the choice point's own index on the stack: a cut in the body prunes it
+    with every choice point the body made."""
 
-    def __init__(self, args, clauses, i, cont, depth, mark, bodybar):
+    __slots__ = ("args", "clauses", "i", "cont", "mark")
+
+    def __init__(self, args, clauses, i, cont, mark):
         self.args = args
         self.clauses = clauses
         self.i = i
         self.cont = cont
-        self.depth = depth
         self.mark = mark
-        self.bodybar = bodybar
 
 
 class _AltCP:
-    __slots__ = ("code", "vs", "barrier", "cont", "depth", "mark")
+    __slots__ = ("code", "vs", "barrier", "cont", "mark")
 
-    def __init__(self, code, vs, barrier, cont, depth, mark):
+    def __init__(self, code, vs, barrier, cont, mark):
         self.code = code
         self.vs = vs
         self.barrier = barrier
         self.cont = cont
-        self.depth = depth
         self.mark = mark
 
 
@@ -451,9 +455,10 @@ class Scope:
     while its goal has choice points, and its `close` does nothing.  An
     object with the same `exit` and `close` can also stand as the frame of
     a pushed `COMMIT_EXIT` node without being on the stack: an exit step,
-    run once after the call commits, as a classic get's result step."""
+    run once after the call commits, as a classic get's result step.  A
+    frame saves the node to go back to (`cont`) and the trail `mark`."""
 
-    __slots__ = ("cont", "depth", "mark")
+    __slots__ = ("cont", "mark")
 
     def exit(self, m: "Machine") -> bool:
         return True
@@ -470,12 +475,11 @@ class _CatchCP(Scope):
 
     __slots__ = ("catcher", "recovery", "ns", "height")
 
-    def __init__(self, catcher, recovery, ns, cont, depth, mark, height):
+    def __init__(self, catcher, recovery, ns, cont, mark, height):
         self.catcher = catcher
         self.recovery = recovery
         self.ns = ns
         self.cont = cont
-        self.depth = depth
         self.mark = mark
         self.height = height
 
@@ -487,10 +491,12 @@ def _goal_term(name: str, args: tuple) -> Term:
 class Machine:
     """One resolution run: goal continuation, choice points, cut barriers.
 
-    `cont` is a linked list of (goals, pc, frame, barrier, next) nodes and
-    `frame` is the frame of the goal being executed."""
+    `cont` is a linked list of (goals, pc, frame, barrier, next, depth)
+    nodes, None when empty, and `frame` is the frame of the goal being
+    executed.  A node's `depth` counts the nodes of its chain, and
+    `peak_depth` is the greatest depth a node has had."""
 
-    __slots__ = ("engine", "cont", "frame", "depth", "peak_depth", "peak_cps", "cps")
+    __slots__ = ("engine", "cont", "frame", "peak_depth", "peak_cps", "cps")
 
     def __init__(self, engine: "Engine", goal: Term | Goal, ns: str = "user"):
         self.engine = engine
@@ -498,9 +504,8 @@ class Machine:
         # there; a compiled goal carries its own namespace
         if type(goal) is not Goal:
             goal = late_goal(goal, ns)
-        self.cont = ((goal,), 0, None, 0, None)
+        self.cont = ((goal,), 0, None, 0, None, 1)
         self.frame = None
-        self.depth = 1
         self.peak_depth = 1
         self.peak_cps = 0
         self.cps: list = []
@@ -509,10 +514,11 @@ class Machine:
 
     def push(self, code: tuple, vs, barrier: int) -> None:
         if code:
-            self.cont = (code, 0, vs, barrier, self.cont)
-            self.depth += 1
-            if self.depth > self.peak_depth:
-                self.peak_depth = self.depth
+            nxt = self.cont
+            depth = 1 if nxt is None else nxt[5] + 1
+            self.cont = (code, 0, vs, barrier, nxt, depth)
+            if depth > self.peak_depth:
+                self.peak_depth = depth
 
     def prune_to(self, h: int) -> None:
         cps = self.cps
@@ -552,8 +558,8 @@ class Machine:
     def catch(self, goal: Term, catcher: Term, recovery: Term, ns: str) -> None:
         """catch/3: run `goal` under a catch frame, opaque to cut, as call/1
         runs it; see `_unwind` for what a ball does."""
-        cp = _CatchCP(catcher, recovery, ns, self.cont, self.depth,
-                      self.engine.trail.mark(), len(self.cps))
+        cp = _CatchCP(catcher, recovery, ns, self.cont, self.engine.trail.mark(),
+                      len(self.cps))
         self._push_cp(cp)
         self.push((late_goal(goal, ns), EXIT_GOAL), cp, len(self.cps))
 
@@ -564,7 +570,6 @@ class Machine:
         above the frame commits to the first solution, as once/1 does, and
         the exit step follows.  Returns what `enter` returns."""
         scope.cont = self.cont
-        scope.depth = self.depth
         scope.mark = self.engine.trail.mark()
         self._push_cp(scope)
         self.push(COMMIT_EXIT, scope, len(self.cps))
@@ -599,7 +604,6 @@ class Machine:
                 trail.undo_to(cp.mark)
             self._pop_frame()
             self.cont = cp.cont
-            self.depth = cp.depth
             if caught:
                 self.push((late_goal(cp.recovery, cp.ns),), None, len(self.cps))
                 return
@@ -621,14 +625,10 @@ class Machine:
                     cont = self.cont
                     if cont is None:
                         return True
-                    code, pc, vs, bar, nxt = cont
+                    code, pc, vs, bar, nxt, depth = cont
                     goal = code[pc]
                     pc += 1
-                    if pc < len(code):
-                        self.cont = (code, pc, vs, bar, nxt)
-                    else:
-                        self.cont = nxt
-                        self.depth -= 1
+                    self.cont = (code, pc, vs, bar, nxt, depth) if pc < len(code) else nxt
                     self.frame = vs
                     forward = self.exec_goal(goal, goal.ns, bar)
                 else:
@@ -641,17 +641,17 @@ class Machine:
                         trail.undo_to(cp.mark)
                         clause = cp.clauses[cp.i]
                         cp.i += 1
+                        bodybar = len(cps) - 1
                         if cp.i == len(cp.clauses):  # the last clause: pop first (trust_me)
                             cps.pop()
                             release()
-                        if self.try_clause(clause, cp.args, cp.bodybar, cp.cont, cp.depth):
+                        if self.try_clause(clause, cp.args, bodybar, cp.cont):
                             forward = True
                     elif tcp is _AltCP:
                         cps.pop()
                         trail.undo_to(cp.mark)
                         release()
                         self.cont = cp.cont
-                        self.depth = cp.depth
                         self.push(cp.code, cp.vs, cp.barrier)
                         forward = True
                     else:  # a scope: its goal has no more solutions
@@ -659,7 +659,6 @@ class Machine:
                         trail.undo_to(cp.mark)
                         release()
                         self.cont = cp.cont
-                        self.depth = cp.depth
                         cp.close()
             except LogicError as err:
                 self._unwind(err)
@@ -730,7 +729,7 @@ class Machine:
         vs = self.frame
         mark = self.engine.trail.mark()
         if op == ALT:
-            self._push_cp(_AltCP(goal.b, vs, barrier, self.cont, self.depth, mark))
+            self._push_cp(_AltCP(goal.b, vs, barrier, self.cont, mark))
             self.push(goal.a, vs, barrier)
             return True
         # if-then-else, once/1 (no else) and \+: the condition runs with a
@@ -738,11 +737,11 @@ class Machine:
         pre = len(self.cps)
         if op == ITE:
             if goal.c is not None:
-                self._push_cp(_AltCP(goal.c, vs, barrier, self.cont, self.depth, mark))
+                self._push_cp(_AltCP(goal.c, vs, barrier, self.cont, mark))
             self.push(goal.b, vs, barrier)
             self.push(COMMIT, None, pre)
         else:  # \+
-            self._push_cp(_AltCP((), None, barrier, self.cont, self.depth, mark))
+            self._push_cp(_AltCP((), None, barrier, self.cont, mark))
             self.push(COMMIT_FAIL, None, pre)
         self.push(goal.a, vs, len(self.cps))
         return True
@@ -786,11 +785,10 @@ class Machine:
             return False
         bodybar = len(self.cps)
         if len(clauses) > 1:
-            self._push_cp(_ClauseCP(args, clauses, 1, self.cont, self.depth,
-                                    engine.trail.mark(), bodybar))
-        return self.try_clause(clauses[0], args, bodybar, self.cont, self.depth)
+            self._push_cp(_ClauseCP(args, clauses, 1, self.cont, engine.trail.mark()))
+        return self.try_clause(clauses[0], args, bodybar, self.cont)
 
-    def try_clause(self, clause: Clause, args: tuple, bodybar: int, cont, depth: int) -> bool:
+    def try_clause(self, clause: Clause, args: tuple, bodybar: int, cont) -> bool:
         """Match the clause head against the goal's arguments and, on
         success, continue with its body in a new frame.
 
@@ -806,7 +804,6 @@ class Machine:
         if match is not None and not match(args, vs, engine, clause.consts):
             return False
         self.cont = cont
-        self.depth = depth
         code = clause.code
         if code:
             for i in clause.fresh:
@@ -819,8 +816,8 @@ class Machine:
                     return False
                 if pc == len(code):
                     return True
-            self.cont = (code, pc, vs, bodybar, cont)
-            self.depth = depth = depth + 1
+            depth = 1 if cont is None else cont[5] + 1
+            self.cont = (code, pc, vs, bodybar, cont, depth)
             if depth > self.peak_depth:
                 self.peak_depth = depth
         return True
@@ -1068,8 +1065,8 @@ class Engine:
             for clause in clauses:
                 mark = trail.mark()
                 mapping: dict = {}
-                h = rename_term(clause.head, mapping)
-                b = rename_term(clause.body, mapping)
+                h = resolve_copy(clause.head, mapping)
+                b = resolve_copy(clause.body, mapping)
                 if unify(head, h, trail, self.occurs_check) and unify(body, b, trail,
                                                                       self.occurs_check):
                     entry.remove(clause)

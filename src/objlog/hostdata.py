@@ -16,19 +16,22 @@ ones are collected immediately.
 
 Three crossings open a scope: a send, get or send_class from logic that is
 not pure-logic (`Bridge._dispatch`), new/2 (`Bridge.new_from_spec`) and an
-event (`toolkit.pump_event`).  A send or get to a logic method whose
-scope holds a transient object (`holds_object`) runs in a frame in the
-calling machine that closes the scope when the method returns.  Any other
-closes the scope before the method runs, and the method commits as
-once/1 does: a wrapper made for one of its `prolog` arguments is out of
-reach once the bridge has read its term back into the call, so the
-post-call protocol discards it, and a term the body stores goes through
-the wrapper of the body's own crossing.  Such a get's result converts
-after the method, in a scope of its own.  A native→logic call and a
-message to `@prolog` open none: each crossing in their nested solve
-opens its own.  The scope's term frame and ledger are made on first
-need: when the call wraps a term or holds a transient object.  A call that converts nothing (a no-argument
-or int-argument send) opens no frame and has no post-call protocol to run.
+event (`toolkit.pump_event`).  A classic send or get to a logic method
+ends its scope in one exit step (`bridge._ExitStep`).  When the scope
+holds a transient object (`holds_object`), the step is a frame in the
+calling machine that keeps the scope open until the method returns.  Any
+other call closes the scope before the method runs, and the method
+commits as once/1 does: a wrapper made for one of its `prolog` arguments
+is out of reach once the bridge has read its term back into the call, so
+the post-call protocol discards it, and a term the body stores goes
+through the wrapper of the body's own crossing.  Such a get's exit step
+converts its answer after the method, in a scope it opens and closes.
+
+A native→logic call and a message to `@prolog` open no scope: each
+crossing in their nested solve opens its own.  The scope's term frame and
+ledger are made on first need: when the call wraps a term or holds a
+transient object.  A call that converts nothing (a no-argument or
+int-argument send) opens no frame and has no post-call protocol to run.
 A scope is only ever made while it is the innermost one, so frames still
 close strictly LIFO.
 """
@@ -55,15 +58,7 @@ class HostTermObject(KObject):
     __slots__ = ("state", "term_ref", "record")
 
     def __init__(self, oid, kclass):
-        # KObject.__init__ inlined, so keep the two in step: one wrapper is
-        # made per compound `prolog` argument
-        self.oid = oid
-        self.kclass = kclass
-        self.slots = {}
-        self.refcount = 0
-        self.locks = 0
-        self.freed = False
-        self.permanent = False
+        KObject.__init__(self, oid, kclass)
         self.state = "live"
         self.term_ref = None
         self.record = None

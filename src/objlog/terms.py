@@ -339,44 +339,6 @@ def is_variant(a: Term, b: Term) -> bool:
     return True
 
 
-def rename_term(t: Term, mapping: Optional[dict] = None) -> Term:
-    """Fast copy with fresh variables; assumes the input is a finite tree."""
-    if mapping is None:
-        mapping = {}
-    root = [None]
-    # stack entries: ('c', term, dest, i) to copy, ('f', new, dest, i) to place
-    stack = [("c", t, root, 0)]
-    while stack:
-        op, a, dest, di = stack.pop()
-        if op == "f":
-            dest[di] = Struct(a.name, a.args)
-            continue
-        a = deref(a)
-        ta = type(a)
-        if ta is Var:
-            nv = mapping.get(id(a))
-            if nv is None:
-                nv = Var(a.name)
-                mapping[id(a)] = nv
-            dest[di] = nv
-        elif ta is Struct:
-            args = [None] * len(a.args)
-            stack.append(("f", _Pending(a.name, args), dest, di))
-            for i, sub in enumerate(a.args):
-                stack.append(("c", sub, args, i))
-        else:
-            dest[di] = a
-    return root[0]
-
-
-class _Pending:
-    __slots__ = ("name", "args")
-
-    def __init__(self, name, args):
-        self.name = name
-        self.args = args
-
-
 _IN_PROGRESS = object()
 
 
@@ -387,7 +349,10 @@ def resolve_copy(
 ) -> Term:
     """Deep, frame-independent copy: bound variables are resolved away,
     unbound variables become fresh ones (sharing preserved), shared compound
-    substructure stays shared, and cycles are rejected."""
+    substructure stays shared, and cycles are rejected.  `mapping` maps the
+    id of each variable copied so far to its copy: two copies made with one
+    mapping share their variables, as retract/1 copies a clause's head and
+    body."""
     if mapping is None:
         mapping = {}
     memo: dict = {}

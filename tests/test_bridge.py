@@ -859,6 +859,35 @@ def test_only_a_get_or_a_send_that_made_a_frame_runs_in_a_scope_frame(
     assert counts.get("call_scoped", 0) == frames
 
 
+BAD_ANSWER = """
+:- pce_begin_class(bad_answer, object).
+bad(_O, V:int) :<- V = abc.
+:- pce_end_class(bad_answer).
+:- pce_begin_class(bad_boxed_answer, object).
+bad(_O, _B:box, V:int) :<- V = abc.
+:- pce_end_class(bad_boxed_answer).
+"""
+
+
+@pytest.mark.parametrize("cls, call, frames", [
+    ("bad_answer", "get({o}, bad, _)", 0),
+    ("bad_boxed_answer", "get({o}, bad(box(1, 1)), _)", 1),
+], ids=["committed", "scope_frame"])
+def test_a_get_whose_answer_fails_its_type_closes_every_scope(
+        rt, monkeypatch, cls, call, frames):
+    # the exit step's conversion raises; the step still ends the scope the
+    # answer converted in, its own or the one the frame kept open
+    rt.consult_text(BAD_ANSWER)
+    ref = term_text(once(rt, f"new(O, {cls})")["O"])
+    counts = {}
+    _counting(monkeypatch, Machine, "call_scoped", counts)
+    assert err_text(rt, call.format(o=ref)) == \
+        "bridge_error(type_mismatch, context(bad, 0, int, abc))"
+    assert counts.get("call_scoped", 0) == frames
+    assert rt.hostdata.ledgers == [] and rt.store.current_frame() is None
+    assert rt.audit_refcounts() == []
+
+
 COMMITTED = """
 :- pce_begin_class(committed, object).
 two(_O) :-> send(@prolog, write, one).

@@ -306,6 +306,21 @@ def test_retract(rt):
     assert solutions(rt, "retract(p(9))") == []
 
 
+def test_retract_keeps_the_variables_a_head_shares_with_its_body(rt):
+    # the head and the body of a clause are copied with one renaming, so
+    # the X of r(X) is the X of s(X, X)
+    consult(rt, "r(X) :- s(X, X). r(X) :- s(X, _).")
+
+    def left():
+        return [term_text(Struct(":-", c)) for c in rt.engine.clauses_of("user", "r", 1)]
+
+    before = left()
+    assert solutions(rt, "retract((r(a) :- s(b, _)))") == []
+    assert left() == before
+    assert solutions(rt, "retract((r(a) :- s(a, b)))") == [{}]
+    assert left() == before[:1]
+
+
 def test_logical_update_view(rt):
     consult(rt, "p(1). p(2).")
     goal, vm = parse_term("p(X)")

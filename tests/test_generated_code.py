@@ -524,7 +524,7 @@ def test_entry_points_the_tracer_wraps_keep_their_signatures():
         return list(inspect.signature(fn).parameters)
 
     assert names(Machine.exec_goal) == ["self", "goal", "ns", "barrier"]
-    assert names(Machine.try_clause) == ["self", "clause", "args", "bodybar", "cont", "depth"]
+    assert names(Machine.try_clause) == ["self", "clause", "args", "bodybar", "cont"]
     assert names(Engine.solve) == ["self", "goal", "ns", "protect"]
 
 

@@ -301,16 +301,16 @@ def test_retract_tries_only_the_clauses_the_index_selects(rt, monkeypatch):
     buttons = [rt.once(f"new(B, button(b{k}, message(@prolog, clicked, {k})))")["B"]
                for k in range(BUTTONS)]
     renamed = []
-    rename_term = _engine.rename_term
+    resolve_copy = _engine.resolve_copy
 
     def counting(t, mapping):
         renamed.append(t)
-        return rename_term(t, mapping)
+        return resolve_copy(t, mapping)
 
-    monkeypatch.setattr(_engine, "rename_term", counting)
+    monkeypatch.setattr(_engine, "resolve_copy", counting)
     # each button 25 times in turn: a re-asserted count goes last, so a
     # retract that tried every clause would try all four from the second
-    # click on (776 renames)
+    # click on (776 copies)
     for i in range(100):
         assert toolkit.pump_event(rt, buttons[i // 25], "button_down", 0, 0)
     # the head and the body of the one clause the first argument selects

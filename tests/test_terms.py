@@ -18,7 +18,6 @@ from objlog.terms import (
     Var,
     deref,
     is_variant,
-    rename_term,
     resolve_copy,
     structural_eq,
     unify,
@@ -190,10 +189,17 @@ def test_backtracking_soundness(pair):
 def test_rename_preserves_sharing():
     x = Var("X")
     term = Struct("f", (x, x, Var("Y")))
-    out = rename_term(term)
+    out = resolve_copy(term)
     assert out.args[0] is out.args[1]
     assert out.args[0] is not x
     assert out.args[2] is not out.args[0]
+    # one mapping across two copies, as retract/1 copies a head and a body
+    mapping: dict = {}
+    head = resolve_copy(Struct("r", (x,)), mapping)
+    body = resolve_copy(Struct("s", (x, Var("Z"))), mapping)
+    assert head.args[0] is body.args[0]
+    assert head.args[0] is not x
+    assert mapping[id(x)] is head.args[0]
 
 
 def test_resolve_copy_resolves_bindings():
