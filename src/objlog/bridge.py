@@ -408,11 +408,5 @@ class Bridge:
         return unify(ref, ObjRef(obj.oid), m.engine.trail)
 
     def _bi_free(self, m, args, ns):
-        t = deref(args[0])
-        if type(t) is Var:
-            raise bridge_error("instantiation", Atom("free"))
-        if type(t) is not ObjRef:
-            raise bridge_error("type_mismatch", Struct("context", (Atom("free"), t)))
-        obj = self.rt.kernel.fetch(t.ref, "free")
-        self.rt.kernel.destroy(obj)
+        self.rt.kernel.destroy(self.deref_obj(args[0], "free"))
         return True

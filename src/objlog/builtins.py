@@ -8,7 +8,6 @@ import operator
 from .balls import (
     evaluation_error,
     instantiation_error,
-    permission_error,
     representation_error,
     type_error,
 )
@@ -270,37 +269,9 @@ def _retract(m, args, ns):
     return m.engine.retract_term(args[0], ns)
 
 
-def _indicator(t):
-    t = deref(t)
-    if type(t) is Struct and t.name == "/" and len(t.args) == 2:
-        name = deref(t.args[0])
-        arity = deref(t.args[1])
-        if type(name) is Atom and type(arity) is int:
-            return name.name, arity
-    raise type_error("predicate_indicator", t)
-
-
 def _dynamic(m, args, ns):
-    spec = deref(args[0])
-    while type(spec) is Struct and spec.name == "," and len(spec.args) == 2:
-        _declare_dynamic(m, spec.args[0], ns)
-        spec = deref(spec.args[1])
-    _declare_dynamic(m, spec, ns)
+    m.engine.declare_dynamic(args[0], ns)
     return True
-
-
-def _declare_dynamic(m, t, ns):
-    t = deref(t)
-    if type(t) is Struct and t.name == ":" and len(t.args) == 2:
-        space = deref(t.args[0])
-        if type(space) is not Atom:
-            raise type_error("namespace", space)
-        ns = space.name
-        t = t.args[1]
-    name, arity = _indicator(t)
-    if (name, arity) in m.engine.builtins:
-        raise permission_error("modify", t)
-    m.engine.entry(ns, name, arity, create=True)
 
 
 def _noop1(m, args, ns):

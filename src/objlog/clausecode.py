@@ -79,10 +79,29 @@ from collections import Counter
 from functools import lru_cache
 from typing import Optional
 
+from .balls import domain_error, instantiation_error
 from .builtins import ARITH_BUILTINS, ARITH_OPS, ArithOp, eval_arith
 from .terms import TRUE, Atom, Struct, Term, Var, deref
 
 NAMESPACES = ("user", "pce_principal")
+
+
+def resolve_qualifiers(t: Term, ns: str) -> tuple:
+    """What a goal term `t` met in namespace `ns` names: `(G, namespace)`,
+    with G dereferenced.  `M:G` runs G in namespace M, so of nested
+    qualifiers the innermost wins.  An unbound qualifier is an
+    instantiation error, and one that is not in NAMESPACES a domain error.
+    Calls, call/N, assert, retract and dynamic/1 all read qualifiers here."""
+    t = deref(t)
+    while type(t) is Struct and t.name == ":" and len(t.args) == 2:
+        m = deref(t.args[0])
+        if type(m) is not Atom or m.name not in NAMESPACES:
+            if type(m) is Var:
+                raise instantiation_error("namespace qualifier")
+            raise domain_error("namespace", m)
+        ns = m.name
+        t = deref(t.args[1])
+    return t, ns
 
 
 # -- term programs -----------------------------------------------------------
@@ -748,7 +767,8 @@ def arith_goal(t: Struct, ns: str, compare, slots: dict, fresh: list, top: bool
 
 def late_goal(t: Term, ns: str, slots: Optional[dict] = None, fresh=None) -> Goal:
     """A goal compiled only when it runs, transparent to cut: a variable, a
-    term that is not callable, or a goal under an unknown namespace.  A
+    term that is not callable, or a goal under a qualifier that is not a
+    namespace atom, which raises `resolve_qualifiers`' ball then.  A
     goal held as it is (`slots` None), as a query's, is the goal's one
     argument; in a clause body it is built from the frame."""
     if slots is None:
@@ -764,8 +784,9 @@ def compile_body(term: Term, ns: str, builtins: dict,
 
     For a clause body `slots` maps variables to frame slots; for a goal met
     at run time it is None and the goal's variables are held as they are.
-    Goals that cannot be resolved now (a variable, a non-callable term, an
-    unknown namespace) become `META` goals, resolved when they run."""
+    Goals that cannot be resolved now (a variable, a non-callable term, a
+    qualifier that is not a namespace atom) become `META` goals, resolved
+    when they run."""
     root: list = []
     stack: list = [(term, ns, root)]
     while stack:

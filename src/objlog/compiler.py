@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .balls import bridge_error, declaration_error
-from .kernel import KMethod, LogicImpl, SlotDef, parse_type_term
+from .kernel import ACCESS_MODES, KMethod, LogicImpl, SlotDef, parse_type_term
 from .terms import Atom, Struct, Term, Var, deref, list_items, mk_list
 
 _FACT_PREDS = (
@@ -32,8 +32,6 @@ _FACT_PREDS = (
     ("send_implementation", 3),
     ("get_implementation", 4),
 )
-
-_ACCESS_MODES = ("both", "get", "send", "none")
 
 
 class ClassCompiler:
@@ -72,7 +70,7 @@ class ClassCompiler:
         doc = deref(t.args[3]) if len(t.args) == 4 else Atom("")
         if type(name) is not Atom or type(access) is not Atom or type(doc) is not Atom:
             raise declaration_error(Struct("malformed_slot", (t,)))
-        if access.name not in _ACCESS_MODES:
+        if access.name not in ACCESS_MODES:
             raise declaration_error(Struct("bad_slot_access", (access,)))
         parse_type_term(type_term)  # early diagnostic for bad type syntax
         fact = Struct("pce_slot", (Atom(cls), name, type_term, access, doc))

@@ -48,8 +48,14 @@ with no generator between, and holds a protected query's trail guard.
 Closing a query, exhausting it, an error out of it and dropping it
 unclosed each close the machine's scopes and release its guards.
 
-Two namespaces exist, `user` and `pce_principal`; a goal `M:G` resolves G
-in namespace M and nothing more.  Clause lists are copy-on-write so running
+Two namespaces exist, `user` and `pce_principal`; a goal `M:G` runs G in
+namespace M and nothing more, the innermost of nested qualifiers winning.
+`clausecode.resolve_qualifiers` alone reads qualifiers, for a goal met at
+run time (`compile_goal`), call/N (`build_call`), assert and retract
+(`_clause_parts`) and dynamic/1 (`declare_dynamic`), so each raises the
+same ball for an unbound or unknown qualifier; a clause body resolves a
+namespace atom when it is compiled and leaves any other qualifier to that
+ball when the goal runs.  Clause lists are copy-on-write so running
 queries keep the view they started with.  Clause indexing is a pure
 optimization that can be disabled for testing: a call tries only the
 clauses that the leftmost argument able to tell them apart selects, and
@@ -71,13 +77,7 @@ from __future__ import annotations
 import sys
 from typing import Callable, Optional
 
-from .balls import (
-    domain_error,
-    instantiation_error,
-    permission_error,
-    type_error,
-    unknown_procedure,
-)
+from .balls import instantiation_error, permission_error, type_error, unknown_procedure
 from .builtins import copy_acyclic
 from .clausecode import (
     ALT,
@@ -94,7 +94,6 @@ from .clausecode import (
     FAIL,
     ITE,
     META,
-    NAMESPACES,
     SET,
     Goal,
     compile_body,
@@ -105,6 +104,7 @@ from .clausecode import (
     late_goal,
     new_struct,
     program,
+    resolve_qualifiers,
     select_switch,
 )
 from .errors import LogicError, ReaderError
@@ -122,6 +122,7 @@ from .terms import (
     resolve_copy,
     unify,
 )
+from .writer import term_text
 
 
 class PushGoal:
@@ -685,7 +686,7 @@ class Machine:
             if op == BUILTIN:
                 return self.run_builtin(goal, args, ns)
             if op == CALLN:
-                self.push(self.engine.compile_goal(build_call(args), ns), None, len(self.cps))
+                self.push(self.engine.compile_goal(*build_call(args, ns)), None, len(self.cps))
                 return True
             if op == META:  # transparent to cut, like the goal written in place
                 self.push(self.engine.compile_goal(args[0], ns), None, barrier)
@@ -893,18 +894,20 @@ def match_args(prog: tuple, terms: tuple, vs: list, trail: Trail, occurs: bool,
         return False
 
 
-def build_call(args) -> Term:
-    g = deref(args[0])
+def build_call(args, ns: str) -> tuple:
+    """The goal `call(G, A...)` runs and its namespace: G with its
+    qualifiers resolved and the extra arguments added to it."""
+    g, ns = resolve_qualifiers(args[0], ns)
     extra = args[1:]
     tg = type(g)
     if tg is Var:
         raise instantiation_error("call")
     if not extra:
-        return g
+        return g, ns
     if tg is Atom:
-        return Struct(g.name, extra)
+        return Struct(g.name, extra), ns
     if tg is Struct:
-        return Struct(g.name, g.args + tuple(extra))
+        return Struct(g.name, g.args + tuple(extra)), ns
     raise type_error("callable", g)
 
 
@@ -1008,8 +1011,6 @@ class Engine:
         self.expansion_hooks.append(fn)
 
     def trace_port(self, port: str, goal: Term, ns: str) -> None:
-        from .writer import term_text
-
         prefix = "" if ns == "user" else f"{ns}:"
         print(f"{port.upper()} {prefix}{term_text(goal)}", file=self.out)
 
@@ -1029,9 +1030,12 @@ class Engine:
         assert or retract (`what`).  Modifying a builtin is a permission
         error, and so is modifying a control construct when `control`."""
         # both M:(H :- B) and (M:H) :- B name the namespace
-        head, ns = strip_namespace(term, ns)
-        head, body = split_clause(head)
-        head, ns = strip_namespace(head, ns)
+        head, ns = resolve_qualifiers(term, ns)
+        body = TRUE
+        if type(head) is Struct and head.name == ":-" and len(head.args) == 2:
+            head, body = head.args
+            body = deref(body)
+        head, ns = resolve_qualifiers(head, ns)
         th = type(head)
         if th is Var:
             raise instantiation_error(what)
@@ -1041,14 +1045,38 @@ class Engine:
             name, arity = head.name, len(head.args)
         else:
             raise type_error("callable", head)
+        self._check_modify(name, arity, control)
+        return head, body, ns, name, arity
+
+    def _check_modify(self, name: str, arity: int, control: bool) -> None:
         if (name, arity) in self.builtins or control and is_control(name, arity):
             raise permission_error("modify", Struct("/", (Atom(name), arity)))
-        return head, body, ns, name, arity
 
     def assert_term(self, term: Term, ns: str = "user", front: bool = False) -> None:
         head, body, ns, name, arity = self._clause_parts(term, ns, "assert", True)
         entry = self.entry(ns, name, arity, create=True)
         entry.add(Clause(head, body, ns, self.builtins), front=front)
+
+    def declare_dynamic(self, spec: Term, ns: str = "user") -> None:
+        """dynamic/1 and multifile/1: make an entry for each predicate
+        indicator of `spec`, one or a `,` list of them, where both `(M:N)/A`
+        and `M:(N/A)` name N/A in namespace M.  Declaring a builtin or a
+        control construct is a permission error, as asserting one is."""
+        todo = [(spec, ns)]
+        while todo:
+            t, ns = resolve_qualifiers(*todo.pop())
+            if type(t) is Struct and len(t.args) == 2:
+                if t.name == ",":
+                    todo += ((t.args[1], ns), (t.args[0], ns))
+                    continue
+                if t.name == "/":
+                    name, ns = resolve_qualifiers(t.args[0], ns)
+                    arity = deref(t.args[1])
+                    if type(name) is Atom and type(arity) is int and arity >= 0:
+                        self._check_modify(name.name, arity, True)
+                        self.entry(ns, name.name, arity, create=True)
+                        continue
+            raise type_error("predicate_indicator", t)
 
     def retract_term(self, pattern: Term, ns: str = "user") -> bool:
         head, body, ns, name, arity = self._clause_parts(pattern, ns, "retract", False)
@@ -1101,17 +1129,9 @@ class Engine:
         """Compile a goal term met at run time; its variables stay as they
         are.  This serves queries, call/N, catch/3 and variable goals; a
         send or get the bridge makes from logic arrives already compiled.
-        Errors of the goal itself (unbound, not callable, a bad namespace)
+        Errors of the goal itself (unbound, not callable, a bad qualifier)
         are raised here."""
-        g = deref(goal)
-        while type(g) is Struct and g.name == ":" and len(g.args) == 2:
-            m = deref(g.args[0])
-            if type(m) is Var:
-                raise instantiation_error("namespace qualifier")
-            if type(m) is not Atom or m.name not in NAMESPACES:
-                raise domain_error("namespace", m)
-            ns = m.name
-            g = deref(g.args[1])
+        g, ns = resolve_qualifiers(goal, ns)
         if type(g) is Var:
             raise instantiation_error("goal")
         if type(g) is not Struct and type(g) is not Atom:
@@ -1203,20 +1223,3 @@ class Engine:
                     report.clauses += 1
                 except LogicError as err:
                     report.errors.append((line, f"bad clause: {err}"))
-
-
-def split_clause(term: Term):
-    t = deref(term)
-    if type(t) is Struct and t.name == ":-" and len(t.args) == 2:
-        return t.args[0], deref(t.args[1])
-    return t, TRUE
-
-
-def strip_namespace(head: Term, ns: str):
-    h = deref(head)
-    if type(h) is Struct and h.name == ":" and len(h.args) == 2:
-        m = deref(h.args[0])
-        if type(m) is not Atom or m.name not in NAMESPACES:
-            raise domain_error("namespace", m)
-        return deref(h.args[1]), m.name
-    return h, ns

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+from .balls import representation_error
 from .errors import (
     CyclicTermError,
     DeadRecordError,
@@ -176,8 +177,7 @@ class HostData:
             raise LogicError(Struct("resource_error",
                                     (Atom("record_node_limit"),)))
         except CyclicTermError:
-            raise LogicError(Struct("type_error",
-                                    (Atom("acyclic_term"), Atom("prolog_term"))))
+            raise representation_error("cyclic_term") from None
         w.state = "recorded"
         w.term_ref = None
         self.wrappers_recorded_total += 1

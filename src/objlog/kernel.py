@@ -162,11 +162,14 @@ class KMethod:
         return f"<method {arrow}{self.selector}/{len(self.argspecs)}>"
 
 
+ACCESS_MODES = ("both", "get", "send", "none")
+
+
 class SlotDef:
     __slots__ = ("name", "spec", "access")
 
     def __init__(self, name: str, spec: TypeSpec, access: str = "both"):
-        if access not in ("both", "get", "send", "none"):
+        if access not in ACCESS_MODES:
             raise ValueError(f"bad slot access {access!r}")
         self.name = name
         self.spec = spec
@@ -468,16 +471,10 @@ class Kernel:
                                Struct("context", (Atom(obj.kclass.name), Atom(selector))))
         return method
 
-    def send_value(self, obj: KObject, selector: str, values,
-                   start: Optional[str] = None) -> bool:
-        """Send to `obj` from kernel values, type-checked first.  The method
-        is looked up from the object's class, or from its ancestor class
-        `start` (a super call)."""
+    def send_value(self, obj: KObject, selector: str, values) -> bool:
+        """Send to `obj` from kernel values, type-checked first."""
         self.check_live(obj, selector)
-        if start is None:
-            method = self.method_of(obj, selector, "send")
-        else:
-            method = self.resolve_from(obj, start, selector, "send")
+        method = self.method_of(obj, selector, "send")
         return self.invoke_send(obj, method, self.check_args(method, values))
 
     def resolve_from(self, obj: KObject, class_name: str, selector: str,

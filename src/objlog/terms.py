@@ -460,15 +460,11 @@ class TermStore:
     def current_frame(self) -> Optional[int]:
         return self._frames[-1][0] if self._frames else None
 
-    def put(self, term: Term, frame_id: Optional[int] = None) -> TermRef:
-        if frame_id is None:
-            if not self._frames:
-                raise FrameOrderError("no open frame for a new term reference")
-            frame_id, slots = self._frames[-1]
-        else:
-            slots = self._open.get(frame_id)
-            if slots is None:
-                raise StaleTermRefError(f"frame {frame_id} is not open")
+    def put(self, term: Term) -> TermRef:
+        """A reference to `term` in the innermost open frame."""
+        if not self._frames:
+            raise FrameOrderError("no open frame for a new term reference")
+        frame_id, slots = self._frames[-1]
         slots.append(term)
         return TermRef(frame_id, len(slots) - 1)
 
@@ -491,11 +487,10 @@ class TermStore:
     def copy_to_record(self, ref: TermRef) -> TermRecord:
         return self.record_term(self.fetch(ref))
 
-    def record_to_term(self, rec: TermRecord, frame_id: Optional[int] = None) -> TermRef:
+    def record_to_term(self, rec: TermRecord) -> TermRef:
         if not rec.alive:
             raise DeadRecordError(f"record {rec.rid} was already destroyed")
-        fresh = resolve_copy(rec.payload)
-        return self.put(fresh, frame_id)
+        return self.put(resolve_copy(rec.payload))
 
     def erase(self, rec: TermRecord) -> None:
         if not rec.alive:

@@ -27,7 +27,7 @@ from .kernel import (
     NilOr,
     SlotDef,
 )
-from .terms import Atom, ObjRef, Struct, Term
+from .terms import Atom, ObjRef, Struct, Term, Var, deref
 
 EVENT_PARENT = {
     "any": None,
@@ -326,16 +326,14 @@ def install(rt) -> None:
 
 
 def _bi_pump_event(m, args, ns):
-    from .terms import deref
-
     rt = m.engine.rt
-    ref = deref(args[0])
+    obj = rt.bridge.deref_obj(args[0], "pump_event")
     kind = deref(args[1])
-    x = deref(args[2])
-    y = deref(args[3])
-    if type(ref) is not ObjRef or type(kind) is not Atom:
-        raise bridge_error("type_mismatch", Struct("context", (Atom("pump_event"),)))
-    return pump_event(rt, ref, kind.name, x, y)
+    if type(kind) is not Atom:
+        if type(kind) is Var:
+            raise bridge_error("instantiation", Atom("pump_event"))
+        raise bridge_error("type_mismatch", Atom("pump_event"), Atom("event_kind"), kind)
+    return pump_event(rt, obj, kind.name, deref(args[2]), deref(args[3]))
 
 
 def pump_event(rt, target: Union[ObjRef, KObject], kind: str, x: int = 0,

@@ -235,6 +235,20 @@ def test_free_stale_reference(rt):
     assert err_kind(rt, "free(@999999)") == "stale_reference"
 
 
+@pytest.mark.parametrize("goal, ball", [
+    ("free(_)", "bridge_error(instantiation, free)"),
+    ("free(foo)", "bridge_error(type_mismatch, context(free, object_reference, foo))"),
+    ("pump_event(_, area_enter, 1, 1)", "bridge_error(instantiation, pump_event)"),
+    ("pump_event(foo, area_enter, 1, 1)",
+     "bridge_error(type_mismatch, context(pump_event, object_reference, foo))"),
+    ("new(B, box(1, 1)), pump_event(B, _, 1, 1)", "bridge_error(instantiation, pump_event)"),
+    ("new(B, box(1, 1)), pump_event(B, 3, 1, 1)",
+     "bridge_error(type_mismatch, context(pump_event, event_kind, 3))"),
+])
+def test_free_and_pump_event_read_their_arguments_as_send_does(rt, goal, ball):
+    assert err_text(rt, goal) == ball
+
+
 # -- conversion properties ---------------------------------------------------------------
 
 

@@ -28,7 +28,7 @@ def solutions(rt, text):
 # -- control constructs cannot be asserted ---------------------------------------
 
 
-@pytest.mark.parametrize("clause, indicator", [
+CONTROL_CONSTRUCTS = [
     ("once(x)", "once/1"),
     ("call(a)", "call/1"),
     ("call(a, b)", "call/2"),
@@ -41,12 +41,25 @@ def solutions(rt, text):
     ("(a, b)", "','/2"),
     ("(a ; b)", "(;)/2"),
     ("(a -> b)", "(->)/2"),
-])
+]
+
+
+@pytest.mark.parametrize("clause, indicator", CONTROL_CONSTRUCTS)
 def test_asserting_a_control_construct_is_a_permission_error(rt, clause, indicator):
     with pytest.raises(LogicError) as err:
         solutions(rt, f"assertz(({clause}))")
     assert term_text(err.value.term) == f"permission_error(modify, {indicator})"
     assert term_text(parse_term(indicator)[0]) == indicator  # the indicator reads back
+
+
+@pytest.mark.parametrize("indicator", [i for _, i in CONTROL_CONSTRUCTS] + ["between/3"])
+def test_declaring_a_control_construct_dynamic_is_a_permission_error(rt, indicator):
+    # an entry for one could never be called, so dynamic/1 refuses it as assert does
+    with pytest.raises(LogicError) as err:
+        solutions(rt, f"dynamic(user:({indicator}))")
+    assert term_text(err.value.term) == f"permission_error(modify, {indicator})"
+    name, arity = parse_term(indicator)[0].args
+    assert rt.engine.entry("user", name.name, arity) is None
 
 
 def test_control_constructs_still_run(rt):

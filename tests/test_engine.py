@@ -4,6 +4,7 @@ import signal
 
 import pytest
 
+from objlog.clausecode import NAMESPACES
 from objlog.engine import Scope
 from objlog.errors import LogicError
 from objlog.reader import parse_term
@@ -544,6 +545,67 @@ def test_qualified_clause_body_runs_in_user(rt):
     pce_principal:wrapped(X) :- user:(helper(X)).
     """)
     assert solutions(rt, "pce_principal:wrapped(X)") == [{"X": "ok"}]
+
+
+# Each entry point that reads a goal's qualifiers, with the goal it runs for
+# a qualifier Q and the predicate whose namespace shows where it acted (None:
+# read the namespace from X, bound by q/1).
+QUALIFIED_ENTRY_POINTS = {
+    "call/1": ("call(Q:q(X))", None),
+    "call/N": ("call(Q:q, X)", None),
+    "retract/1": ("retract(Q:q(X))", None),
+    "clause body": ("cb(X)", None),
+    "assertz/1": ("assertz(Q:nq(1))", "nq"),
+    "dynamic M:(N/A)": ("dynamic(Q:(dq/1))", "dq"),
+    "dynamic (M:N)/A": ("dynamic((Q:dq)/1)", "dq"),
+}
+
+QUALIFIERS = {  # every entry point gives the same outcome for a qualifier
+    "_M": "instantiation_error('namespace qualifier')",
+    "zz": "domain_error(namespace, zz)",
+    "1": "domain_error(namespace, 1)",
+    "user": "user",
+    "user:pce_principal": "pce_principal",
+}
+
+
+@pytest.mark.parametrize("qualifier", list(QUALIFIERS))
+@pytest.mark.parametrize("entry_point", list(QUALIFIED_ENTRY_POINTS))
+def test_every_entry_point_reads_qualifiers_alike(rt, entry_point, qualifier):
+    """The namespace a qualified goal acts in, or the ball it raises, is the
+    same from a call, call/N, assert, retract, dynamic/1 and a clause body;
+    nested qualifiers resolve to the innermost."""
+    goal, pred = QUALIFIED_ENTRY_POINTS[entry_point]
+    consult(rt, f"""
+    q(user).
+    pce_principal:q(pce_principal).
+    cb(X) :- {qualifier}:q(X).
+    """)
+    term, vm = parse_term(f"catch(({goal.replace('Q', qualifier)}), E, true)")
+    assert rt.engine.solve_once(term)
+    if term_text(vm["E"]) != "E":
+        got = term_text(vm["E"])
+    elif pred is None:
+        got = term_text(vm["X"])
+    else:
+        got = " ".join(ns for ns in NAMESPACES if rt.engine.entry(ns, pred, 1) is not None)
+    assert got == QUALIFIERS[qualifier]
+    assert {key[0] for key in rt.engine.preds} <= set(NAMESPACES)
+
+
+def test_dynamic_directive_with_qualified_indicators_loads(rt):
+    consult(rt, ":- dynamic user:c/2, pce_principal:d/1.")
+    assert rt.engine.entry("user", "c", 2) is not None
+    assert rt.engine.entry("pce_principal", "d", 1) is not None
+    assert solutions(rt, "c(A, B)") == [] and solutions(rt, "pce_principal:d(A)") == []
+
+
+@pytest.mark.parametrize("spec", ["foo", "foo/bar", "_/1", "foo/(-1)", "(foo/1, 3)"])
+def test_dynamic_refuses_what_is_not_a_predicate_indicator(rt, spec):
+    with pytest.raises(LogicError) as err:
+        solutions(rt, f"dynamic(({spec}))")
+    assert term_text(err.value.term).startswith("type_error(predicate_indicator, ")
+    assert ("user", "foo", -1) not in rt.engine.preds
 
 
 # -- indexing ---------------------------------------------------------------------------

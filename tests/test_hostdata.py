@@ -112,6 +112,16 @@ def test_ledger_cleanup_on_method_error(rt):
     assert rt.audit_refcounts() == []
 
 
+def test_storing_a_cyclic_term_is_a_representation_error(rt):
+    # with the occurs check off `X = f(X)` is cyclic, which no record holds
+    ref = new_cell(rt)
+    goal, vm = parse_term(f"X = f(X), catch(send({ref}, stash(X)), E, true)")
+    assert rt.engine.solve_once(goal)
+    assert term_text(vm["E"]) == "representation_error(cyclic_term)"
+    assert rt.audit_refcounts() == []
+    assert rt.hostdata.wrappers_live == 0 and rt.store.records_live == 0
+
+
 def test_no_live_wrappers_at_quiescence(rt):
     ref = new_cell(rt)
     rt.call(f"send({ref}, stash(f(a)))")

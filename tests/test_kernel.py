@@ -126,7 +126,7 @@ def test_shadowing_three_level_chain(rt):
     # super dispatch from the shadowing class reaches the shadowed one
     obj = k.instantiate(c, [])
     log.clear()
-    assert k.send_value(obj, "speak", [], "lvl_b")
+    assert k.invoke_send(obj, k.resolve_from(obj, "lvl_b", "speak", "send"), [])
     assert log == ["a"]
 
 
