@@ -51,7 +51,7 @@ def install(engine) -> None:
     reg("retract", 1, _retract)
     reg("dynamic", 1, _dynamic)
     reg("multifile", 1, _dynamic)
-    reg("discontiguous", 1, _noop1)
+    reg("discontiguous", 1, _discontiguous)
 
     reg("catch", 3, _catch)
 
@@ -274,7 +274,8 @@ def _dynamic(m, args, ns):
     return True
 
 
-def _noop1(m, args, ns):
+def _discontiguous(m, args, ns):
+    m.engine.declare_dynamic(args[0], ns, create=False)
     return True
 
 

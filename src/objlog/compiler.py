@@ -13,14 +13,22 @@ normalized to the compound form.
 
 Everything else about the class lives in fact tables (`pce_class/2`,
 `pce_slot/5`, `pce_method/6`, `pce_pure/2`); the kernel class itself is
-realized just in time from those facts, on first use.
+realized just in time from those facts, on first use.  `_define_members`
+is the one routine that turns the facts into kernel slots and methods:
+realization runs it on a new class, and the end of a region runs it on
+the region's class if that is already realized, so a reconsulted region
+reaches such a class when it ends.  A realized class keeps a slot a later
+region no longer declares, and a region that names another superclass
+for a realized class raises `permission_error(redefine_class, C)` before
+it changes any fact.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .balls import bridge_error, declaration_error
+from .balls import declaration_error, permission_error
+from .errors import LogicError
 from .kernel import ACCESS_MODES, KMethod, LogicImpl, SlotDef, parse_type_term
 from .terms import Atom, Struct, Term, Var, deref, list_items, mk_list
 
@@ -85,6 +93,9 @@ class ClassCompiler:
             raise declaration_error(Struct("pce_begin_class", (name, super_)))
         if self.region is not None:
             raise declaration_error(Struct("nested_class_region", (name,)))
+        kcls = self.rt.kernel.classes.get(name.name)
+        if kcls is not None and (kcls.super and kcls.super.name) != super_.name:
+            raise permission_error("redefine_class", name)
         self.region = (name.name, super_.name)
         self.defined = set()
         engine = self.rt.engine
@@ -101,8 +112,15 @@ class ClassCompiler:
         if type(name) is not Atom or name.name != self.region[0]:
             raise declaration_error(
                 Struct("class_region_mismatch", (Atom(self.region[0]), name)))
-        self.region = None
+        self._end_region()
         return True
+
+    def _end_region(self) -> None:
+        # a class realized before its region ended takes the region's members now
+        kcls = self.rt.kernel.classes.get(self.region[0])
+        self.region = None
+        if kcls is not None:
+            self._define_members(kcls)
 
     def _bi_pure(self, m, args, ns):
         sel = deref(args[0])
@@ -112,30 +130,17 @@ class ClassCompiler:
             raise declaration_error(Struct("pure_prolog_outside_region", (sel,)))
         cls, _super = self.region
         self.rt.engine.assert_term(Struct("pce_pure", (Atom(cls), sel)), "pce_principal")
-        kcls = self.rt.kernel.classes.get(cls)
-        if kcls is not None:
-            self._apply_pure(kcls, sel.name)
         return True
 
-    def _apply_pure(self, kcls, selector: str) -> None:
-        own = kcls.send_methods.get(selector)
-        if own is not None:
-            if type(own.impl) is not LogicImpl:
-                raise declaration_error(
-                    Struct("pure_prolog_on_native", (Atom(kcls.name), Atom(selector))))
-            # in place: a send that already resolved the method sees the flag
-            own.nondet = True
-            return
-        inherited = self.rt.kernel.resolve_method(kcls, selector, "send")
-        if inherited is not None and type(inherited.impl) is not LogicImpl:
-            raise declaration_error(
-                Struct("pure_prolog_on_native", (Atom(kcls.name), Atom(selector))))
-
     def finish(self, report) -> None:
-        """Called after a consult; an unterminated region is an error."""
+        """Called after a consult; an unterminated region is an error, and
+        ends with the consult."""
         if self.region is not None:
             report.errors.append((0, f"unterminated class region: {self.region[0]}"))
-            self.region = None
+            try:
+                self._end_region()
+            except LogicError as err:
+                report.errors.append((0, f"class region end: {err}"))
 
     # -- method translation -------------------------------------------------------
 
@@ -172,14 +177,6 @@ class ClassCompiler:
         fact = Struct("pce_method", (Atom(cls), Atom(selector), Atom(kind),
                                      mk_list(type_terms), ret_term, mid_atom))
         fact_clause = Struct(":", (Atom("pce_principal"), fact))
-
-        # an already-realized class is patched in place
-        kcls = self.rt.kernel.classes.get(cls)
-        if kcls is not None:
-            nondet = self._has_pure_fact(cls, selector) and kind == "send"
-            method = self._build_kmethod(selector, kind, type_terms, ret_term,
-                                         method_id, nondet)
-            self.rt.kernel.define_method(kcls, method, replace=True)
         return [impl_clause, fact_clause]
 
     def _parse_head(self, head: Term, kind: str):
@@ -268,18 +265,6 @@ class ClassCompiler:
         pred, arity = ("send_implementation", 3) if kind == "send" else ("get_implementation", 4)
         engine.retract_all_clauses("pce_principal", pred, arity, first=Atom(method_id))
 
-    def _has_pure_fact(self, cls: str, selector: str) -> bool:
-        rows = self.rt.engine.findall_bindings(
-            Struct("pce_pure", (Atom(cls), Atom(selector))), (), "pce_principal")
-        return bool(rows)
-
-    def _build_kmethod(self, selector: str, kind: str, type_terms, ret_term,
-                       method_id: str, nondet: bool) -> KMethod:
-        argspecs = [parse_type_term(t) for t in type_terms]
-        returns = parse_type_term(ret_term)
-        return KMethod(selector, kind, argspecs, impl=LogicImpl(method_id, selector),
-                       returns=returns, nondet=nondet)
-
     # -- just-in-time realization ----------------------------------------------
 
     def realize_class(self, name: str):
@@ -295,46 +280,51 @@ class ClassCompiler:
                                        (sup,), "pce_principal")
         if not rows:
             return None
-        super_name = rows[0][0].name
-        if kernel.find_class(super_name) is None:
-            raise bridge_error("unknown_class", Atom(super_name))
-        cls = kernel.define_class(name, super_name)
+        cls = kernel.define_class(name, rows[0][0].name)  # realizes the superclass first
+        try:
+            self._define_members(cls)
+        except LogicError:
+            del kernel.classes[name]  # not left half-built: the next use raises again
+            raise
+        return cls
 
+    def _define_members(self, kcls) -> None:
+        """Give `kcls` what its facts declare: each slot it lacks, and every
+        method, replacing the one it has; the only code that turns a class's
+        facts into kernel members."""
+        kernel, engine, name = self.rt.kernel, self.rt.engine, Atom(kcls.name)
+        own = {s.name for s in kcls.slots}
         vn, vt, va = Var(), Var(), Var()
         for n_, t_, a_ in engine.findall_bindings(
-                Struct("pce_slot", (Atom(name), vn, vt, va, Var())),
-                (vn, vt, va), "pce_principal"):
-            kernel.define_slot(cls, SlotDef(n_.name, parse_type_term(t_), a_.name))
+                Struct("pce_slot", (name, vn, vt, va, Var())), (vn, vt, va), "pce_principal"):
+            if n_.name not in own:
+                kernel.define_slot(kcls, SlotDef(n_.name, parse_type_term(t_), a_.name))
 
         vs = Var()
         pure = {row[0].name for row in engine.findall_bindings(
-            Struct("pce_pure", (Atom(name), vs)), (vs,), "pce_principal")}
+            Struct("pce_pure", (name, vs)), (vs,), "pce_principal")}
 
         vsel, vkind, vtypes, vret, vid = Var(), Var(), Var(), Var(), Var()
         for sel_, kind_, types_, ret_, id_ in engine.findall_bindings(
-                Struct("pce_method", (Atom(name), vsel, vkind, vtypes, vret, vid)),
+                Struct("pce_method", (name, vsel, vkind, vtypes, vret, vid)),
                 (vsel, vkind, vtypes, vret, vid), "pce_principal"):
-            type_terms = list_items(types_) or []
-            nondet = kind_.name == "send" and sel_.name in pure
-            method = self._build_kmethod(sel_.name, kind_.name, type_terms, ret_,
-                                         id_.name, nondet)
-            kernel.define_method(cls, method)
+            sel, kind = sel_.name, kind_.name
+            argspecs = [parse_type_term(t) for t in list_items(types_) or ()]
+            kernel.define_method(kcls, KMethod(
+                sel, kind, argspecs, impl=LogicImpl(id_.name, sel),
+                returns=parse_type_term(ret_), nondet=kind == "send" and sel in pure),
+                replace=True)
 
         for sel in sorted(pure):
-            self._apply_pure(cls, sel)
-            if sel not in cls.send_methods:
-                raise declaration_error(
-                    Struct("pure_prolog_unresolved", (Atom(name), Atom(sel))))
-        return cls
+            method = kcls.send_methods.get(sel) or kernel.resolve_method(kcls, sel, "send")
+            if method is not None and type(method.impl) is not LogicImpl:
+                raise declaration_error(Struct("pure_prolog_on_native", (name, Atom(sel))))
+            if sel not in kcls.send_methods:
+                raise declaration_error(Struct("pure_prolog_unresolved", (name, Atom(sel))))
 
     def realize_all(self) -> list:
         """Eagerly realize every class that has facts; returns the classes."""
-        vn, vs = Var(), Var()
+        vn = Var()
         names = [row[0].name for row in self.rt.engine.findall_bindings(
-            Struct("pce_class", (vn, vs)), (vn,), "pce_principal")]
-        out = []
-        for name in names:
-            cls = self.rt.kernel.find_class(name)
-            if cls is not None:
-                out.append(cls)
-        return out
+            Struct("pce_class", (vn, Var())), (vn,), "pce_principal")]
+        return [cls for cls in map(self.rt.kernel.find_class, names) if cls is not None]

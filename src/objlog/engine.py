@@ -1057,11 +1057,12 @@ class Engine:
         entry = self.entry(ns, name, arity, create=True)
         entry.add(Clause(head, body, ns, self.builtins), front=front)
 
-    def declare_dynamic(self, spec: Term, ns: str = "user") -> None:
+    def declare_dynamic(self, spec: Term, ns: str = "user", create: bool = True) -> None:
         """dynamic/1 and multifile/1: make an entry for each predicate
         indicator of `spec`, one or a `,` list of them, where both `(M:N)/A`
         and `M:(N/A)` name N/A in namespace M.  Declaring a builtin or a
-        control construct is a permission error, as asserting one is."""
+        control construct is a permission error, as asserting one is.
+        discontiguous/1 passes `create=False`: the same checks, no entry."""
         todo = [(spec, ns)]
         while todo:
             t, ns = resolve_qualifiers(*todo.pop())
@@ -1074,7 +1075,7 @@ class Engine:
                     arity = deref(t.args[1])
                     if type(name) is Atom and type(arity) is int and arity >= 0:
                         self._check_modify(name.name, arity, True)
-                        self.entry(ns, name.name, arity, create=True)
+                        self.entry(ns, name.name, arity, create=create)
                         continue
             raise type_error("predicate_indicator", t)
 

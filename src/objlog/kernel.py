@@ -330,11 +330,11 @@ class Kernel:
         self._layouts.clear()
         if sdef.access in ("both", "send"):
             self.define_method(kclass, KMethod(sdef.name, "send", (sdef.spec,),
-                                               impl=SlotImpl(sdef.name)))
+                                               impl=SlotImpl(sdef.name)), replace=True)
         if sdef.access in ("both", "get"):
             self.define_method(kclass, KMethod(sdef.name, "get", (),
                                                returns=sdef.spec,
-                                               impl=SlotImpl(sdef.name)))
+                                               impl=SlotImpl(sdef.name)), replace=True)
 
     def define_method(self, kclass: KClass, method: KMethod, replace: bool = False) -> None:
         table = kclass.send_methods if method.kind == "send" else kclass.get_methods
@@ -443,7 +443,8 @@ class Kernel:
         impl = method.impl
         ti = type(impl)
         if ti is SlotImpl:
-            return obj.slots[impl.slot_name]
+            # an instance made before its class gained the slot holds it as nil
+            return obj.slots.get(impl.slot_name, self.nil)
         if ti is NativeImpl:
             return self._call_native(obj, method, vals)
         return self.rt.bridge.logic_get(method, obj, vals)

@@ -328,12 +328,12 @@ def install(rt) -> None:
 def _bi_pump_event(m, args, ns):
     rt = m.engine.rt
     obj = rt.bridge.deref_obj(args[0], "pump_event")
-    kind = deref(args[1])
+    kind, x, y = (deref(a) for a in args[1:])
+    if Var in (type(kind), type(x), type(y)):
+        raise bridge_error("instantiation", Atom("pump_event"))
     if type(kind) is not Atom:
-        if type(kind) is Var:
-            raise bridge_error("instantiation", Atom("pump_event"))
         raise bridge_error("type_mismatch", Atom("pump_event"), Atom("event_kind"), kind)
-    return pump_event(rt, obj, kind.name, deref(args[2]), deref(args[3]))
+    return pump_event(rt, obj, kind.name, x, y)
 
 
 def pump_event(rt, target: Union[ObjRef, KObject], kind: str, x: int = 0,

@@ -244,6 +244,10 @@ def test_free_stale_reference(rt):
     ("new(B, box(1, 1)), pump_event(B, _, 1, 1)", "bridge_error(instantiation, pump_event)"),
     ("new(B, box(1, 1)), pump_event(B, 3, 1, 1)",
      "bridge_error(type_mismatch, context(pump_event, event_kind, 3))"),
+    ("new(B, box(1, 1)), pump_event(B, button_down, _, 1)",
+     "bridge_error(instantiation, pump_event)"),
+    ("new(B, box(1, 1)), pump_event(B, button_down, 1, _)",
+     "bridge_error(instantiation, pump_event)"),
 ])
 def test_free_and_pump_event_read_their_arguments_as_send_does(rt, goal, ball):
     assert err_text(rt, goal) == ball

@@ -3,7 +3,7 @@ import io
 import pytest
 
 from objlog.errors import LogicError
-from objlog.kernel import LogicImpl
+from objlog.kernel import LogicImpl, type_spec_term
 from objlog.reader import parse_term
 from objlog.runtime import Runtime
 from objlog.terms import Atom, Struct, is_variant
@@ -214,7 +214,7 @@ def test_reconsult_replaces_method(rt, case):
     # a predicate entry kept from the first call must not answer the second
     method, query, (pred, arity) = RECONSULTED[case]
     for n in (1, 2):
-        # once realized, the class's method table is patched in place
+        # a class realized by the first call takes the new method when its region ends
         rt.consult_text(f"""
     :- pce_begin_class(versioned, object).
     {method.format(n=n)}
@@ -223,6 +223,98 @@ def test_reconsult_replaces_method(rt, case):
         assert rt.once(f"new(V, versioned), {query}")["R"] == n
     clauses = rt.engine.clauses_of("pce_principal", pred, arity)
     assert len(clauses) == 1  # the old clause was replaced, not shadowed
+
+
+# a class region for `kk`, then a second one that makes one edit; a region
+# restates the class's slots and pure flags, and may leave out a method
+KK_REGION = """
+:- pce_begin_class(kk, object).
+{body}
+:- pce_end_class(kk).
+"""
+KK_DECLARED = "variable(w, int, both).\n:- pce_pure_prolog(m)."
+KK_FIRST = KK_DECLARED + """
+m(_O, X:int) :-> X > 0.
+h(_O) :-> true.
+g(_O, R:int) :<- R = 1.
+"""
+REGION_EDITS = {
+    "add_slot": KK_DECLARED + "\nvariable(v, int, both).",
+    "add_method": KK_DECLARED + "\nn(_O, _A:atom) :-> true.",
+    "change_argument_types": KK_DECLARED + "\nm(_O, X:atom) :-> atom(X).",
+    "add_pure_flag": KK_DECLARED + "\n:- pce_pure_prolog(h).",
+    "drop_pure_flag": "variable(w, int, both).",
+    "redefine_get": KK_DECLARED + "\ng(_O, R:atom) :<- R = one.",
+    "add_slot_named_as_a_method": KK_DECLARED + "\nvariable(h, int, both).",
+}
+
+
+def class_members(cls):
+    """What a class is made of: superclass, slots and each own method."""
+    def spec(s):
+        return term_text(type_spec_term(s))
+
+    methods = sorted((m.selector, m.kind, tuple(spec(a) for a in m.argspecs), spec(m.returns),
+                      m.nondet, type(m.impl).__name__)
+                     for table in (cls.send_methods, cls.get_methods) for m in table.values())
+    return (cls.super.name, [(s.name, spec(s.spec), s.access) for s in cls.slots], methods)
+
+
+@pytest.mark.parametrize("edit", sorted(REGION_EDITS))
+def test_a_reconsulted_region_reaches_a_class_already_realized(edit):
+    members = {}
+    for realized_first in (True, False):
+        rt = Runtime(out=io.StringIO())
+        assert rt.consult_text(KK_REGION.format(body=KK_FIRST)).ok
+        if realized_first:
+            before = rt.once("new(O, kk)")["O"]
+        assert rt.consult_text(KK_REGION.format(body=REGION_EDITS[edit])).ok
+        members[realized_first] = class_members(rt.kernel.find_class("kk"))
+        if realized_first:
+            # an instance made before the edit reads each slot as a new one does
+            for slot in rt.kernel.find_class("kk").slots:
+                assert rt.once(f"get({term_text(before)}, {slot.name}, V)")["V"] == \
+                    rt.once(f"new(O, kk), get(O, {slot.name}, V)")["V"]
+    assert members[True] == members[False]
+
+
+def class_facts(rt):
+    return [term_text(Struct(":-", clause)) for name, arity in (
+        ("pce_class", 2), ("pce_slot", 5), ("pce_method", 6), ("pce_pure", 2))
+        for clause in rt.engine.clauses_of("pce_principal", name, arity)]
+
+
+def test_a_new_superclass_for_a_realized_class_is_refused(rt):
+    assert rt.consult_text(KK_REGION.format(body=KK_FIRST)).ok
+    cls = rt.kernel.find_class("kk")
+    facts, members = class_facts(rt), class_members(cls)
+    report = rt.consult_text(KK_REGION.format(body=KK_FIRST).replace("kk, object", "kk, box"))
+    assert "permission_error(redefine_class, kk)" in report.errors[0][1]
+    assert class_facts(rt) == facts
+    assert rt.kernel.find_class("kk") is cls and class_members(cls) == members
+
+
+def test_a_region_reaching_a_realized_class_raises_what_realization_does(rt):
+    assert rt.consult_text("""
+    :- pce_begin_class(badarea2, area).
+    :- pce_end_class(badarea2).
+    """).ok
+    assert rt.call("new(_, badarea2)")
+    report = rt.consult_text("""
+    :- pce_begin_class(badarea2, area).
+    :- pce_pure_prolog(normalise).
+    :- pce_end_class(badarea2).
+    """)
+    assert [msg for _line, msg in report.errors] == [
+        "directive error: declaration_error(pure_prolog_on_native(badarea2, normalise))"]
+
+
+def test_an_unterminated_region_reaches_a_realized_class(rt):
+    assert rt.consult_text(KK_REGION.format(body=KK_FIRST)).ok
+    cls = rt.kernel.find_class("kk")
+    report = rt.consult_text(":- pce_begin_class(kk, object).\n" + REGION_EDITS["add_slot"])
+    assert any("unterminated" in msg for _line, msg in report.errors)
+    assert [s.name for s in cls.slots] == ["w", "v"]
 
 
 def test_helper_clauses_inside_region_stay_user(rt):
@@ -311,6 +403,20 @@ def test_pure_prolog_on_native_is_declaration_error(rt):
     with pytest.raises(LogicError) as err:
         rt.once("new(A, badarea)")
     assert "declaration_error" in term_text(err.value.term)
+
+
+def test_a_class_that_fails_to_realize_is_not_left_half_built(rt):
+    rt.consult_text("""
+    :- pce_begin_class(badarea3, area).
+    :- pce_pure_prolog(normalise).
+    :- pce_end_class(badarea3).
+    """)
+    for _ in range(2):
+        with pytest.raises(LogicError) as err:
+            rt.once("new(A, badarea3)")
+        assert term_text(err.value.term) == \
+            "declaration_error(pure_prolog_on_native(badarea3, normalise))"
+    assert rt.kernel.classes.get("badarea3") is None
 
 
 def test_malformed_type_annotation(rt):

@@ -600,12 +600,35 @@ def test_dynamic_directive_with_qualified_indicators_loads(rt):
     assert solutions(rt, "c(A, B)") == [] and solutions(rt, "pce_principal:d(A)") == []
 
 
-@pytest.mark.parametrize("spec", ["foo", "foo/bar", "_/1", "foo/(-1)", "(foo/1, 3)"])
+NOT_INDICATORS = ["foo", "foo/bar", "_/1", "foo/(-1)", "(foo/1, 3)", "42", "_"]
+
+
+@pytest.mark.parametrize("spec", NOT_INDICATORS)
 def test_dynamic_refuses_what_is_not_a_predicate_indicator(rt, spec):
     with pytest.raises(LogicError) as err:
         solutions(rt, f"dynamic(({spec}))")
     assert term_text(err.value.term).startswith("type_error(predicate_indicator, ")
     assert ("user", "foo", -1) not in rt.engine.preds
+
+
+@pytest.mark.parametrize("spec", NOT_INDICATORS + ["zz:(x/1)", "_M:(x/1)", "call/1", "e/1"])
+def test_discontiguous_checks_its_argument_as_dynamic_does(rt, spec):
+    balls = []
+    for directive in ("discontiguous", "dynamic"):
+        term, vm = parse_term(f"catch({directive}(({spec})), E, true)")
+        assert rt.engine.solve_once(term)
+        balls.append(term_text(vm["E"]))
+        if directive == "discontiguous":
+            assert ("user", "e", 1) not in rt.engine.preds  # no entry is made
+    assert balls[0] == balls[1]
+
+
+def test_a_discontiguous_predicate_is_still_unknown(rt):
+    report = rt.consult_text(":- discontiguous e/1.")
+    assert report.ok
+    with pytest.raises(LogicError) as err:
+        solutions(rt, "e(_)")
+    assert term_text(err.value.term).startswith("existence_error(procedure, ")
 
 
 # -- indexing ---------------------------------------------------------------------------
