@@ -63,7 +63,7 @@ crossing that converts nothing pays for no frame.
 from __future__ import annotations
 
 from .balls import bridge_error
-from .clausecode import COMMIT, COMMIT_EXIT, call_goal, is_control, new_struct
+from .clausecode import COMMIT, COMMIT_EXIT, call_goal, new_struct
 from .engine import Scope
 from .hostdata import HostTermObject
 from .kernel import PROLOG_T, KMethod, KObject, LogicImpl, TypeSpec
@@ -269,16 +269,12 @@ class Bridge:
 
     def callback_call(self, pred_name: str, values) -> bool:
         """Run a predicate in `user` from kernel-side values; commits to the
-        first solution and opens no host-data scope, as `_logic_call`.  A
-        user predicate is called through its entry, as
-        `_implementation_call` calls a method, so nothing is compiled; a
-        builtin, a control construct or an unknown predicate is solved from
-        a goal term, which raises what calling it from logic raises."""
-        engine = self.rt.engine
+        first solution and opens no host-data scope, as `_logic_call`.  The
+        goal term solves as a query's: a user predicate is entered through
+        its entry and a builtin runs as such, so nothing is compiled, and a
+        control construct or an unknown predicate raises what calling it
+        from logic raises (see `Machine.call_term`)."""
         terms = tuple(self.value_to_term(v) for v in values)
-        entry = engine.preds.get(("user", pred_name, len(terms)))
-        if entry is not None and not is_control(pred_name, len(terms)):
-            return self.solve_nested(call_goal(entry, terms))
         return self.solve_nested(Struct(pred_name, terms) if terms else Atom(pred_name))
 
     def solve_nested(self, goal) -> bool:

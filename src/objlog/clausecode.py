@@ -15,9 +15,11 @@ used as it is.  The head compiles to one program per argument, which
 A body compiles to a flat tuple of `Goal`s: control constructs are resolved
 into goals of their own, builtins are bound to their functions, and a user
 goal carries its predicate key and caches the entry on its first successful
-lookup.  Only argument terms are built per call.  Goals met at run time (a
-query, `call/N`, a variable goal) compile the same way with their variables
-held as they are; nothing else is compiled at run time.  The call that
+lookup.  Only argument terms are built per call.  A goal met at run time (a
+query, `call/N`, a variable goal) that is one call of a builtin or a user
+predicate runs with nothing compiled (`engine.Machine.call_term`); any
+other compiles the same way, with its variables held as they are, and
+nothing else is compiled at run time.  The call that
 runs a logic-defined method, made for a send or get from logic, is built
 already compiled by `call_goal`: one `CALL` goal with fixed arguments and
 its predicate entry resolved, so it builds no goal term and looks nothing
@@ -766,11 +768,12 @@ def arith_goal(t: Struct, ns: str, compare, slots: dict, fresh: list, top: bool
 
 
 def late_goal(t: Term, ns: str, slots: Optional[dict] = None, fresh=None) -> Goal:
-    """A goal compiled only when it runs, transparent to cut: a variable, a
-    term that is not callable, or a goal under a qualifier that is not a
-    namespace atom, which raises `resolve_qualifiers`' ball then.  A
-    goal held as it is (`slots` None), as a query's, is the goal's one
-    argument; in a clause body it is built from the frame."""
+    """A goal read only when it runs (`Machine.call_term`), transparent to
+    cut: a query's goal, a variable, a term that is not callable, or a goal
+    under a qualifier that is not a namespace atom, which raises
+    `resolve_qualifiers`' ball then.  A goal held as it is (`slots` None),
+    as a query's, is the goal's one argument; in a clause body it is built
+    from the frame."""
     if slots is None:
         g = Goal(META, ns, "call")
         g.args = (t,)

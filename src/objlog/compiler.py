@@ -47,6 +47,7 @@ class ClassCompiler:
         self.rt = runtime
         self.region: Optional[tuple] = None  # (class name, super name)
         self.defined: set = set()  # the (selector, kind) of each method of the region
+        self.realizing: set = set()  # the classes whose realization is under way
         engine = runtime.engine
         engine.register_expansion_hook(self._expand)
         engine.register_builtin("pce_begin_class", 2, self._bi_begin)
@@ -269,18 +270,28 @@ class ClassCompiler:
 
     def realize_class(self, name: str):
         """Build the kernel class from its facts; idempotent, pulls the
-        super chain in as needed.  None when no facts describe the name."""
+        super chain in as needed.  None when no facts describe the name.
+        A class met again while its own realization pulls in its super
+        chain has a superclass cycle in its facts: that raises
+        `declaration_error(superclass_cycle(C))`, and no class of the
+        cycle is left registered."""
         kernel = self.rt.kernel
         cls = kernel.classes.get(name)
         if cls is not None:
             return cls
+        if name in self.realizing:
+            raise declaration_error(Struct("superclass_cycle", (Atom(name),)))
         engine = self.rt.engine
         sup = Var("Super")
         rows = engine.findall_bindings(Struct("pce_class", (Atom(name), sup)),
                                        (sup,), "pce_principal")
         if not rows:
             return None
-        cls = kernel.define_class(name, rows[0][0].name)  # realizes the superclass first
+        self.realizing.add(name)
+        try:
+            cls = kernel.define_class(name, rows[0][0].name)  # realizes the superclass first
+        finally:
+            self.realizing.discard(name)
         try:
             self._define_members(cls)
         except LogicError:

@@ -28,19 +28,19 @@ of its node, and if-then-else commits by a cut to the height before its
 condition.  A clause body's barrier is the stack's height at the call: the
 index of the call's clause choice point, when it has one.
 
-`Machine.enter` starts every call of a predicate: a `CALL` goal's, and one
-a builtin makes in place, as a send or get from logic enters its method's
-implementation clauses with no goal built and no further step of the
-loop.  Backtracking resumes clause and disjunction alternatives only: a
-builtin with several answers, as between/3, pushes a call of clauses that
-give them (`PushGoal`).  A bridge call whose host-data scope holds a
-transient object while its method runs in the calling machine is a
-`Scope` frame on the same stack, and so is a catch/3 frame, so neither
-nests a solve; any other call that has work left after its method, as a
-classic get's result, continues with an exit step that is not on the
-stack.  Each choice point and frame holds a guard on the trail while it
-is on the stack and releases it when popped (`Trail.release`), which
-drops the trail once no guard is left.
+`Machine.enter` starts every call of a predicate: a `CALL` goal's, a goal
+term's met at run time (see below), and one a builtin makes in place, as
+a send or get from logic enters its method's implementation clauses with
+no goal built and no further step of the loop.  Backtracking resumes
+clause and disjunction alternatives only: a builtin with several answers,
+as between/3, pushes a call of clauses that give them (`PushGoal`).  A
+bridge call whose host-data scope holds a transient object while its
+method runs in the calling machine is a `Scope` frame on the same stack,
+and so is a catch/3 frame, so neither nests a solve; any other call that
+has work left after its method, as a classic get's result, continues
+with an exit step that is not on the stack.  Each choice point and frame
+holds a guard on the trail while it is on the stack and releases it when
+popped (`Trail.release`), which drops the trail once no guard is left.
 
 The main loop is a plain method, `Machine.run`, which stops at each
 solution and when the choice points are exhausted; a `Query` drives it,
@@ -48,10 +48,18 @@ with no generator between, and holds a protected query's trail guard.
 Closing a query, exhausting it, an error out of it and dropping it
 unclosed each close the machine's scopes and release its guards.
 
+A goal term met at run time, as a query's goal, a variable goal, call/N's
+goal and catch/3's goal and recovery, runs through `Machine.call_term`:
+one call of a builtin runs through `run_builtin`, the runner a compiled
+builtin goal uses, and one call of a user predicate is entered, so
+neither compiles anything.  A control construct and an unknown predicate
+are compiled then (`Engine.compile_goal`), so they run and raise as in a
+clause body.
+
 Two namespaces exist, `user` and `pce_principal`; a goal `M:G` runs G in
 namespace M and nothing more, the innermost of nested qualifiers winning.
 `clausecode.resolve_qualifiers` alone reads qualifiers, for a goal met at
-run time (`compile_goal`), call/N (`build_call`), assert and retract
+run time and call/N (`call_term`), assert and retract
 (`_clause_parts`) and dynamic/1 (`declare_dynamic`), so each raises the
 same ball for an unbound or unknown qualifier; a clause body resolves a
 namespace atom when it is compiled and leaves any other qualifier to that
@@ -501,8 +509,8 @@ class Machine:
 
     def __init__(self, engine: "Engine", goal: Term | Goal, ns: str = "user"):
         self.engine = engine
-        # a goal term is compiled when it first runs, so its errors surface
-        # there; a compiled goal carries its own namespace
+        # a goal term is read when it first runs (`call_term`), so its errors
+        # surface there; a compiled goal carries its own namespace
         if type(goal) is not Goal:
             goal = late_goal(goal, ns)
         self.cont = ((goal,), 0, None, 0, None, 1)
@@ -684,13 +692,14 @@ class Machine:
                     goal.entry = entry
                 return self.enter(entry, args)
             if op == BUILTIN:
-                return self.run_builtin(goal, args, ns)
-            if op == CALLN:
-                self.push(self.engine.compile_goal(*build_call(args, ns)), None, len(self.cps))
-                return True
-            if op == META:  # transparent to cut, like the goal written in place
-                self.push(self.engine.compile_goal(args[0], ns), None, barrier)
-                return True
+                return self.run_builtin(goal.name, goal.fn, args, ns)
+            if op == CALLN:  # opaque to cut
+                return self.call_term(args[0], ns, len(self.cps), args[1:])
+            if op == META:
+                # a query's goal, a variable goal, catch/3's goal or recovery:
+                # one predicate or builtin is entered or run with nothing
+                # compiled; transparent to cut, like the goal written in place
+                return self.call_term(args[0], ns, barrier)
             ball = deref(args[0])  # throw/1
             if type(ball) is Var:
                 raise instantiation_error("throw/1")
@@ -747,14 +756,52 @@ class Machine:
         self.push(goal.a, vs, len(self.cps))
         return True
 
-    def run_builtin(self, goal: Goal, args: tuple, ns: str) -> bool:
-        """Call a registered builtin: True is success, False or None is
-        failure, and a `PushGoal` goes on with its goals; anything else is a
-        `TypeError` that names the builtin."""
+    def call_term(self, t: Term, ns: str, barrier: int, extra: Optional[tuple] = None
+                  ) -> bool:
+        """Run a goal term met at run time in namespace `ns`: a query's
+        goal, a variable goal, catch/3's goal or recovery, or, with the
+        `extra` arguments it adds to `t`, call/N's goal.  A call of one
+        builtin runs through `run_builtin` and a call of one user predicate
+        is entered (`enter`), so neither compiles anything.  Anything else,
+        a control construct or an unknown predicate, is compiled
+        (`Engine.compile_goal`) and pushed with cut barrier `barrier`, so it
+        runs, and raises, as the same goal in a clause body would.  A
+        variable or a term that is not callable is an error here."""
+        g, ns = resolve_qualifiers(t, ns)
+        tg = type(g)
+        if tg is Struct:
+            args = g.args
+        elif tg is Atom:
+            args = ()
+        elif tg is Var:
+            raise instantiation_error("goal" if extra is None else "call")
+        else:
+            raise type_error("callable", g)
+        name = g.name
+        if extra:
+            args += extra
+        n = len(args)
+        engine = self.engine
+        if not is_control(name, n):
+            fn = engine.builtins.get((name, n))
+            if fn is not None:
+                return self.run_builtin(name, fn, args, ns)
+            entry = engine.preds.get((ns, name, n))
+            if entry is not None:
+                return self.enter(entry, args)
+        if extra:
+            g = Struct(name, args)
+        self.push(engine.compile_goal(g, ns), None, barrier)
+        return True
+
+    def run_builtin(self, name: str, fn: Callable, args: tuple, ns: str) -> bool:
+        """Call builtin `name`, registered as `fn`, with `args`: True is
+        success, False or None is failure, and a `PushGoal` goes on with its
+        goals; anything else is a `TypeError` that names the builtin."""
         engine = self.engine
         if engine.trace:
-            engine.trace_port("call", _goal_term(goal.name, args), ns)
-        res = goal.fn(self, args, ns)
+            engine.trace_port("call", _goal_term(name, args), ns)
+        res = fn(self, args, ns)
         if res is True:
             return True
         if res is False or res is None:
@@ -762,7 +809,7 @@ class Machine:
         if type(res) is PushGoal:
             self.push(res.code, None, len(self.cps))
             return True
-        raise TypeError(f"builtin {goal.name}/{len(args)} returned a {type(res).__name__}, "
+        raise TypeError(f"builtin {name}/{len(args)} returned a {type(res).__name__}, "
                         "not True, False, None or a PushGoal")
 
     def enter(self, entry: PredicateEntry, args: tuple) -> bool:
@@ -892,23 +939,6 @@ def match_args(prog: tuple, terms: tuple, vs: list, trail: Trail, occurs: bool,
                     bind(a, s, trail)
                     continue
         return False
-
-
-def build_call(args, ns: str) -> tuple:
-    """The goal `call(G, A...)` runs and its namespace: G with its
-    qualifiers resolved and the extra arguments added to it."""
-    g, ns = resolve_qualifiers(args[0], ns)
-    extra = args[1:]
-    tg = type(g)
-    if tg is Var:
-        raise instantiation_error("call")
-    if not extra:
-        return g, ns
-    if tg is Atom:
-        return Struct(g.name, extra), ns
-    if tg is Struct:
-        return Struct(g.name, g.args + tuple(extra)), ns
-    raise type_error("callable", g)
 
 
 class Query:
@@ -1127,17 +1157,13 @@ class Engine:
     # -- execution ---------------------------------------------------------
 
     def compile_goal(self, goal: Term, ns: str) -> tuple:
-        """Compile a goal term met at run time; its variables stay as they
-        are.  This serves queries, call/N, catch/3 and variable goals; a
-        send or get the bridge makes from logic arrives already compiled.
-        Errors of the goal itself (unbound, not callable, a bad qualifier)
-        are raised here."""
-        g, ns = resolve_qualifiers(goal, ns)
-        if type(g) is Var:
-            raise instantiation_error("goal")
-        if type(g) is not Struct and type(g) is not Atom:
-            raise type_error("callable", g)
-        return compile_body(g, ns, self.builtins)
+        """Compile a callable goal term met at run time, its qualifiers
+        resolved; its variables stay as they are.  `Machine.call_term`
+        compiles here only what is not one call of a builtin or of a known
+        user predicate: a control construct, as a conjunction, a
+        disjunction or a call/N, and an unknown predicate, whose error or
+        failure then comes from the compiled goal."""
+        return compile_body(goal, ns, self.builtins)
 
     def solve(self, goal: Term | Goal, ns: str = "user", protect: bool = False) -> Query:
         """An iterator over the solutions of `goal`, a goal term or a

@@ -162,15 +162,18 @@ def oracle_solve(program, goal, occurs_check=False, events=None):
     terms, as substitutions in the order of SLD resolution.
 
     Covers Horn clauses, `=`/2, `\\=`/2, `true`, `fail`, `,`, `;`, `->`,
-    `\\+`, cut, `catch/3`, `throw/1`, and `is/2` and the six comparisons
-    over integers (see `oracle_eval`).  Each goal list is a linked list of
-    (goal, cut level) pairs; a cut runs its continuation and then raises
-    `_Cut` up to the call that owns its level, which tries no more clauses.
-    A ball is a renamed copy of the thrown term, raised as `OracleThrow`;
-    catch/3 runs its goal on its own, so only balls from the goal reach it,
-    and runs the recovery, opaque to cut, from the substitution it started
-    with.  A
-    variable ball is thrown as `instantiation_error("throw/1")`."""
+    `\\+`, cut, `call/1` and `call/N`, a goal variable, `catch/3`,
+    `throw/1`, and `is/2` and the six comparisons over integers (see
+    `oracle_eval`).  Each goal list is a linked list of (goal, cut level)
+    pairs; a cut runs its continuation and then raises `_Cut` up to the
+    call that owns its level, which tries no more clauses.  call/N adds its
+    extra arguments to its goal and runs it opaque to cut; a goal variable
+    runs the term it is bound to in its place, so a cut in that term cuts
+    the clause.  A ball is a renamed copy of the thrown term, raised as
+    `OracleThrow`; catch/3 runs its goal on its own, so only balls from the
+    goal reach it, and runs the recovery, opaque to cut, from the
+    substitution it started with.  A variable ball is thrown as
+    `instantiation_error("throw/1")`."""
     table: dict = {}
     for head, body in program:
         head = deref(head)
@@ -225,6 +228,15 @@ def oracle_solve(program, goal, occurs_check=False, events=None):
             if type(ball) is Var:
                 raise OracleThrow(instantiation_error("throw/1").term)
             raise OracleThrow(oracle_rename(ball, {}))
+        elif name == "call" and args:
+            g = oracle_walk(args[0], subst)
+            if type(g) is Var:
+                raise OracleThrow(instantiation_error("call").term)
+            if type(g) is not Atom and type(g) is not Struct:
+                raise OracleThrow(type_error("callable", oracle_resolve(g, subst)).term)
+            if len(args) > 1:
+                g = Struct(g.name, (g.args if type(g) is Struct else ()) + args[1:])
+            yield from opaque(g, rest, subst)
         elif key == ("catch", 3):
             own = object()
             inner = solve(((args[0], own), None), subst)
@@ -243,13 +255,7 @@ def oracle_solve(program, goal, occurs_check=False, events=None):
                         raise
                     break
                 yield from solve(rest, got)
-            # the recovery runs as call/1 does: a cut in it is local to it
-            recovery = object()
-            try:
-                yield from solve(((args[2], recovery), rest), caught)
-            except _Cut as cut:
-                if cut.level is not recovery:
-                    raise
+            yield from opaque(args[2], rest, caught)  # the recovery runs as call/1 does
         else:
             own = object()
             try:
@@ -262,6 +268,15 @@ def oracle_solve(program, goal, occurs_check=False, events=None):
             except _Cut as cut:
                 if cut.level is not own:
                     raise
+
+    def opaque(goal, rest, subst):
+        """Run `goal` and then `rest`, with a cut in `goal` local to it."""
+        own = object()
+        try:
+            yield from solve(((goal, own), rest), subst)
+        except _Cut as cut:
+            if cut.level is not own:
+                raise
 
     def ite(cond, then, els, level, rest, subst):
         own = object()

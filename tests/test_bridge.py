@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from objlog import toolkit
@@ -8,6 +10,7 @@ from objlog.errors import LogicError
 from objlog.hostdata import HostData
 from objlog.kernel import PROLOG_T, Kernel, KMethod, LogicImpl, NativeImpl
 from objlog.reader import parse_term
+from objlog.runtime import Runtime
 from objlog.terms import (Atom, ObjRef, TermStore, Var, is_variant, resolve_copy,
                           structural_eq, unify)
 from objlog.writer import term_text
@@ -141,6 +144,41 @@ def test_callback_unknown_predicate_is_error(rt):
     with pytest.raises(LogicError) as err:
         rt.once("send(@prolog, no_pred_here(1))")
     assert "existence_error" in term_text(err.value.term)
+
+
+# what a message to @prolog answers or raises when it names a builtin, a
+# control construct, an unknown predicate or a user predicate, as it did
+# when only a user predicate was called through its entry; the third column
+# is the outcome under unknown=fail where it differs
+@pytest.mark.parametrize("goal, answer, if_unknown_fails", [
+    ("send(@prolog, no_pred_here(1))",
+     "ball existence_error(procedure, user:(no_pred_here/1))", "fails"),
+    ("send(@prolog, call, no_pred_here)",
+     "ball existence_error(procedure, user:(no_pred_here/0))", "fails"),
+    ("send(@prolog, pce_principal:even(2))",
+     "ball existence_error(procedure, pce_principal:(even/1))", "fails"),
+    ("send(@prolog, call, writeln, hi)", "succeeds", None),
+    ("send(@prolog, between(1, 3, 2))", "succeeds", None),
+    ("send(@prolog, between(1, 3, 5))", "fails", None),
+    ("send(@prolog, fail)", "fails", None),
+    ("send(@prolog, throw(x))", "ball x", None),
+    ("send(@prolog, once, even(2))", "succeeds", None),
+    ("send(@prolog, '\\\\+', even(3))", "succeeds", None),
+    ("send(@prolog, ',', true, even(2))", "succeeds", None),
+    ("send(@prolog, even(3))", "fails", None),
+])
+@pytest.mark.parametrize("unknown", ["error", "fail"])
+def test_a_message_to_prolog_runs_as_the_goal_from_logic(goal, answer, if_unknown_fails, unknown):
+    rt = Runtime(out=io.StringIO(), unknown=unknown)
+    assert rt.consult_text("even(X) :- 0 =:= X mod 2.").ok
+    if unknown == "fail" and if_unknown_fails is not None:
+        answer = if_unknown_fails
+    try:
+        got = "succeeds" if rt.call(goal) else "fails"
+    except LogicError as err:
+        got = "ball " + term_text(err.term)
+    assert got == answer
+    assert rt.engine.trail.guards == 0 and rt.hostdata.ledgers == []
 
 
 def test_callback_object_argument_arrives_as_reference(rt):

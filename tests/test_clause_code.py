@@ -284,6 +284,58 @@ def test_trace_of_classic_method_calls_is_unchanged(tmp_path, capsys):
     assert capsys.readouterr().out == METHOD_TRACE_GOLDEN
 
 
+# meta-calls: call/2, call/1 of a bound variable, forall/2, \+ of a bound
+# variable, call/2 under \+, and catch/3 whose recoveries run
+META_TRACE_PROGRAM = """
+p(1).
+p(2).
+q(X) :- X > 1.
+test(R) :- call(p, A), A > 1,
+    G = q(A), call(G),
+    forall(p(X), X > 0),
+    N = p(3), \\+ N,
+    C = q, \\+ call(C, 0),
+    catch(call(r, A), existence_error(_, _), (p(B), B > 1)),
+    catch(throw(ball(A)), ball(Y), call(p, Y)),
+    R = r(A, B, Y).
+"""
+
+# the output of the engine that compiled every goal met at run time
+META_TRACE_GOLDEN = """\
+CALL test(R)
+CALL p(_G1)
+CALL 1 > 1
+CALL 2 > 1
+CALL _G1 = q(2)
+CALL q(2)
+CALL 2 > 1
+CALL forall(p(_G1), _G1 > 0)
+CALL p(_G1)
+CALL 1 > 0
+CALL 2 > 0
+CALL _G1 = p(3)
+CALL p(3)
+CALL _G1 = q
+CALL q(0)
+CALL 0 > 1
+CALL catch(call(r, 2), existence_error(_G1, _G2), (p(_G3), _G3 > 1))
+CALL p(_G1)
+CALL 1 > 1
+CALL 2 > 1
+CALL catch(throw(ball(2)), ball(_G1), call(p, _G1))
+CALL p(2)
+CALL _G1 = r(2, 2, 2)
+R = r(2, 2, 2)
+"""
+
+
+def test_trace_of_meta_calls_is_unchanged(tmp_path, capsys):
+    path = tmp_path / "prog.pl"
+    path.write_text(META_TRACE_PROGRAM)
+    assert main(["--trace", "--consult", str(path), "--goal", "test(R)"]) == 0
+    assert capsys.readouterr().out == META_TRACE_GOLDEN
+
+
 # a clause whose body opens with arithmetic: its guard, fused into the
 # clause try when untraced, prints its CALL lines under --trace
 GUARD_TRACE_PROGRAM = """
@@ -515,16 +567,25 @@ _compare = st.tuples(st.sampled_from(["<", ">", "=<", ">=", "=:=", "=\\="]), _ex
 _is = st.tuples(st.just("is"), st.one_of(st.just(("var", NUM)), _leaf), _expr)
 
 
+META_FORMS = ("call2", "call3", "call1", "var", "cut")
+
+
 def _goal(level):
     # calls are listed twice to draw them more often than the other goals
     calls = [st.tuples(st.just("call"), st.just(j), st.lists(_term, min_size=2, max_size=2))
              for j in range(level)] * 2
+    # calls made at run time: call(pJ(A), B), call(pJ, A, B), call(pJ(A, B)),
+    # G = pJ(A, B) then G, and call((pJ(A, B), !)), with variables for A and
+    # B, so that the call matches some clauses more often than not
+    var = st.sampled_from([("var", v) for v in VARS])
+    metas = [st.tuples(st.just("meta"), st.sampled_from(META_FORMS), st.just(j), var, var)
+             for j in range(level)]
     simple = st.one_of(
         st.tuples(st.sampled_from(["=", "=", "\\="]), _term, _term),
         st.sampled_from([("!",), ("true",), ("fail",)]),
         st.tuples(st.just("throw"), _term),
         _is, _compare,
-        *calls)
+        *calls, *metas)
     inner = st.one_of(simple, st.tuples(st.just(","), simple, simple))
     # a use of NUM after the is/2 that may have set it
     use = st.one_of(
@@ -570,6 +631,20 @@ def _build(sym, env):
         return sym[1]
     if kind == "call":
         return Struct(f"p{sym[1]}", tuple(_build(a, env) for a in sym[2]))
+    if kind == "meta":
+        form, j, a, b = sym[1:]
+        a, b = _build(a, env), _build(b, env)
+        if form == "call2":
+            return Struct("call", (Struct(f"p{j}", (a,)), b))
+        if form == "call3":
+            return Struct("call", (Atom(f"p{j}"), a, b))
+        goal = Struct(f"p{j}", (a, b))
+        if form == "call1":
+            return Struct("call", (goal,))
+        if form == "cut":
+            return Struct("call", (Struct(",", (goal, Atom("!"))),))
+        g = env.setdefault("G", Var("G"))  # bound right before it is called
+        return Struct(",", (Struct("=", (g, goal)), g))
     if kind == "ite":
         cond, then, els = (_build(g, env) for g in sym[1:])
         return Struct(";", (Struct("->", (cond, then)), els))

@@ -294,6 +294,32 @@ def test_a_new_superclass_for_a_realized_class_is_refused(rt):
     assert rt.kernel.find_class("kk") is cls and class_members(cls) == members
 
 
+# the ball names the first class of the cycle met again
+@pytest.mark.parametrize("first, again", [("ca", "ca"), ("cb", "cb"), ("cc", "ca")])
+def test_a_superclass_cycle_is_refused_when_a_class_is_realized(rt, first, again):
+    assert rt.consult_text("""
+    :- pce_begin_class(ca, cb).
+    :- pce_end_class(ca).
+    :- pce_begin_class(cb, ca).
+    :- pce_end_class(cb).
+    :- pce_begin_class(cc, ca).
+    :- pce_end_class(cc).
+    :- pce_begin_class(self_super, self_super).
+    :- pce_end_class(self_super).
+    """).ok
+    sol = rt.once(f"catch(new(A, {first}), E, true)")
+    assert term_text(sol["E"]) == f"declaration_error(superclass_cycle({again}))"
+    assert term_text(sol["A"]) == "A"
+    sol = rt.once("catch(new(A, self_super), E, true)")
+    assert term_text(sol["E"]) == "declaration_error(superclass_cycle(self_super))"
+    assert not {"ca", "cb", "cc", "self_super"} & set(rt.kernel.classes)
+    assert rt.compiler.realizing == set()
+    assert rt.audit_refcounts() == []
+    # the next use raises again
+    assert term_text(rt.once("catch(new(_, cb), E, true)")["E"]) == \
+        "declaration_error(superclass_cycle(cb))"
+
+
 def test_a_region_reaching_a_realized_class_raises_what_realization_does(rt):
     assert rt.consult_text("""
     :- pce_begin_class(badarea2, area).

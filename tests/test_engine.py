@@ -291,6 +291,112 @@ def test_errors_catchable_from_builtins(rt):
         {"X": "X", "E": "zero_divisor"}]
 
 
+# -- goals met at run time ---------------------------------------------------------
+
+META_PROGRAM = """
+a. a.
+p(1). p(2).
+t(X) :- G = (p(X), !), call(G).
+t(last).
+v(X) :- G = p(X), G.
+v(last).
+w(X) :- G = (p(X), !), G.
+w(last).
+"""
+
+
+# the answers and balls of each goal when every goal met at run time was
+# compiled; the same under unknown=fail except where a column says otherwise
+@pytest.mark.parametrize("query, answer, if_unknown_fails", [
+    ("call(foo)", "ball existence_error(procedure, user:(foo/0))", []),
+    ("call(1)", "ball type_error(callable, 1)", None),
+    ("call(_)", "ball instantiation_error(call)", None),
+    ("call(zz:p)", "ball domain_error(namespace, zz)", None),
+    ("G = (a, !), call(G)", [{"G": "a, !"}], None),
+    ("call(foo, 1)", "ball existence_error(procedure, user:(foo/1))", []),
+    ("call(1, a)", "ball type_error(callable, 1)", None),
+    ("call(_M:p, X)", "ball instantiation_error('namespace qualifier')", None),
+    ("call(pce_principal:p, X)", "ball existence_error(procedure, pce_principal:(p/1))", []),
+    ("G", "ball instantiation_error(goal)", None),
+    ("G = 1, G", "ball type_error(callable, 1)", None),
+    ("G = foo, G", "ball existence_error(procedure, user:(foo/0))", []),
+    ("call((fail, 1))", [], None),
+    ("call((1, fail))", "ball type_error(callable, 1)", None),
+    ("t(X)", [{"X": "1"}, {"X": "last"}], None),
+    ("v(X)", [{"X": "1"}, {"X": "2"}, {"X": "last"}], None),
+    ("w(X)", [{"X": "1"}], None),  # a variable goal is transparent to cut
+    ("call(user:p, X)", [{"X": "1"}, {"X": "2"}], None),
+    ("call(call, p, X)", [{"X": "1"}, {"X": "2"}], None),
+    ("call(',', p(X), !)", [{"X": "1"}], None),
+    ("call(!)", [{}], None),
+    ("call(p(X)), !", [{"X": "1"}], None),
+    ("call(;, p(X), X = 3)", [{"X": "1"}, {"X": "2"}, {"X": "3"}], None),
+    ("call(=, X, 1)", [{"X": "1"}], None),
+    ("call(between(1, 3), X)", [{"X": "1"}, {"X": "2"}, {"X": "3"}], None),
+    ("call(X > 0)", "ball instantiation_error(arithmetic)", None),
+    ("call(p(X), extra)", "ball existence_error(procedure, user:(p/2))", []),
+    ("catch(_, E, true)", [{"E": "instantiation_error(goal)"}], None),
+    ("catch(1, E, true)", [{"E": "type_error(callable, 1)"}], None),
+    ("catch(throw(x), x, foo)", "ball existence_error(procedure, user:(foo/0))", []),
+    ("catch(throw(x), x, (p(X), !))", [{"X": "1"}], None),
+    ("catch(throw(x), x, p(X))", [{"X": "1"}, {"X": "2"}], None),
+    ("forall(p(X), foo)", "ball existence_error(procedure, user:(foo/0))", []),
+    ("\\+ foo", "ball existence_error(procedure, user:(foo/0))", [{}]),
+    ("\\+ G", "ball instantiation_error(goal)", None),
+])
+@pytest.mark.parametrize("unknown", ["error", "fail"])
+def test_meta_calls_answer_and_raise_alike(query, answer, if_unknown_fails, unknown):
+    rt = Runtime(out=io.StringIO(), unknown=unknown)
+    consult(rt, META_PROGRAM)
+    if unknown == "fail" and if_unknown_fails is not None:
+        answer = if_unknown_fails
+    assert answers(rt, query) == answer
+    assert rt.engine.trail.guards == 0 and not rt.engine.trail.entries
+
+
+def count_compiles(monkeypatch) -> list:
+    """Wrap the body compiler the machine uses; returns the list each call
+    of it appends its goal term to."""
+    import objlog.engine
+
+    compiled = []
+    compile_body = objlog.engine.compile_body
+
+    def counting(term, *args):
+        compiled.append(term)
+        return compile_body(term, *args)
+
+    monkeypatch.setattr(objlog.engine, "compile_body", counting)
+    return compiled
+
+
+@pytest.mark.parametrize("query", [
+    "call_loop",
+    "forall(between(1, 1000, X), X > 0)",
+])
+def test_a_meta_call_of_one_predicate_or_builtin_compiles_nothing(rt, monkeypatch, query):
+    consult(rt, """
+    p(_).
+    call_loop :- between(1, 1000, X), call(p, X), fail.
+    call_loop.
+    """)
+    compiled = count_compiles(monkeypatch)
+    goal, _ = parse_term(query)
+    assert rt.engine.solve_once(goal)
+    assert compiled == []
+
+
+def test_solving_a_one_builtin_goal_compiles_nothing(rt, monkeypatch):
+    compiled = count_compiles(monkeypatch)
+    for _ in range(1000):
+        goal, _ = parse_term("X = f(Y)")
+        assert rt.engine.solve_once(goal)
+    assert compiled == []
+    goal, _ = parse_term("X = 1, Y = 2")
+    assert rt.engine.solve_once(goal)
+    assert len(compiled) == 1  # a conjunction still compiles
+
+
 # -- database updates ------------------------------------------------------------
 
 
