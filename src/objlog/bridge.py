@@ -148,9 +148,12 @@ class Bridge:
         """The message of a `what` call (send, send_class or get) from the
         terms after its receiver and before a get's result: one `sel(A...)`
         or `sel` term, or a selector atom and spread arguments.  Returns
-        (selector, argument terms)."""
+        (selector, argument terms).  An unbound selector or message is an
+        instantiation ball in either form."""
         t = deref(terms[0])
         tt = type(t)
+        if tt is Var:
+            raise bridge_error("instantiation", Atom("message"))
         if len(terms) > 1:
             if tt is not Atom:
                 raise bridge_error("type_mismatch",
@@ -160,8 +163,6 @@ class Bridge:
             return t.name, ()
         if tt is Struct:
             return t.name, t.args
-        if tt is Var:
-            raise bridge_error("instantiation", Atom("message"))
         raise bridge_error("type_mismatch", Struct("context", (Atom("message"), t)))
 
     # -- conversion: logic -> kernel ----------------------------------------
@@ -352,6 +353,8 @@ class Bridge:
     def _bi_send_class(self, m, args, ns):
         obj = self.deref_obj(args[0], "send_class")
         cname = deref(args[1])
+        if type(cname) is Var:
+            raise bridge_error("instantiation", Atom("send_class"))
         if type(cname) is not Atom:
             raise bridge_error("type_mismatch",
                                Struct("context", (Atom("send_class"), cname)))

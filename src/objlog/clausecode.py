@@ -15,15 +15,18 @@ used as it is.  The head compiles to one program per argument, which
 A body compiles to a flat tuple of `Goal`s: control constructs are resolved
 into goals of their own, builtins are bound to their functions, and a user
 goal carries its predicate key and caches the entry on its first successful
-lookup.  Only argument terms are built per call.  A goal met at run time (a
+lookup.  Only argument terms are built per call.  A goal that cannot be
+resolved then (a variable, a goal under a qualifier that is not a namespace
+atom) is call/1 of it, one `CALLN` goal, opaque to cut (ISO/IEC 13211-1,
+7.6.2); a goal with a part that is neither a variable nor callable is
+`type_error(callable, G)` as a whole (7.8.3.3).  A goal met at run time (a
 query, `call/N`, a variable goal) that is one call of a builtin or a user
 predicate runs with nothing compiled (`engine.Machine.call_term`); any
 other compiles the same way, with its variables held as they are, and
-nothing else is compiled at run time.  The call that
-runs a logic-defined method, made for a send or get from logic, is built
-already compiled by `call_goal`: one `CALL` goal with fixed arguments and
-its predicate entry resolved, so it builds no goal term and looks nothing
-up.
+nothing else is compiled at run time.  The call that runs a logic-defined
+method, made for a send or get from logic, is built already compiled by
+`call_goal`: one `CALL` goal with fixed arguments and its predicate entry
+resolved, so it builds no goal term and looks nothing up.
 
 A clause-body `is/2` or comparison (`<` `>` `=<` `>=` `=:=` `=\\=`) compiles
 each of its expressions to expression code: a flat postfix tuple whose
@@ -81,7 +84,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Optional
 
-from .balls import domain_error, instantiation_error
+from .balls import domain_error, instantiation_error, type_error
 from .builtins import ARITH_BUILTINS, ARITH_OPS, ArithOp, eval_arith
 from .terms import TRUE, Atom, Struct, Term, Var, deref
 
@@ -644,13 +647,13 @@ def guard_code(code: tuple) -> Optional[tuple]:
 
 # -- compiled goals ------------------------------------------------------------
 
-# Goal operations.  Those below CUT take arguments, built per call; EXIT
-# ends the goal of a catch/3 frame or of a scope run in the calling machine,
-# or runs the exit step of a call that has committed (a classic get's
-# result), the frame of its node either way;
-# those above EXIT are arithmetic and run from expression code: IS and SET
-# (is/2 into a fresh slot) and COMPARE.
-CALL, BUILTIN, CALLN, THROW, META, CUT, FAIL, ALT, ITE, NOT, EXIT, IS, SET, COMPARE = range(14)
+# Goal operations.  Those below CUT take arguments, built per call; CALLN
+# is call/N, and so call/1 of every goal met at run time.  EXIT ends the
+# goal of a catch/3 frame or of a scope run in the calling machine, or runs
+# the exit step of a call that has committed (a classic get's result), the
+# frame of its node either way.  Those above EXIT are arithmetic and run
+# from expression code: IS and SET (is/2 into a fresh slot) and COMPARE.
+CALL, BUILTIN, CALLN, THROW, CUT, FAIL, ALT, ITE, NOT, EXIT, IS, SET, COMPARE = range(13)
 
 
 class Goal:
@@ -768,17 +771,16 @@ def arith_goal(t: Struct, ns: str, compare, slots: dict, fresh: list, top: bool
 
 
 def late_goal(t: Term, ns: str, slots: Optional[dict] = None, fresh=None) -> Goal:
-    """A goal read only when it runs (`Machine.call_term`), transparent to
-    cut: a query's goal, a variable, a term that is not callable, or a goal
-    under a qualifier that is not a namespace atom, which raises
-    `resolve_qualifiers`' ball then.  A goal held as it is (`slots` None),
-    as a query's, is the goal's one argument; in a clause body it is built
-    from the frame."""
+    """call/1 of a goal read only when it runs (`Machine.call_term`),
+    opaque to cut: a query's goal, a variable, or a goal under a qualifier
+    that is not a namespace atom, which raises `resolve_qualifiers`' ball
+    then.  A goal held as it is (`slots` None), as a query's, is the goal's
+    one argument; in a clause body it is built from the frame."""
     if slots is None:
-        g = Goal(META, ns, "call")
+        g = Goal(CALLN, ns, "call")
         g.args = (t,)
         return g
-    return arg_goal(META, Struct("call", (t,)), ns, slots, fresh)
+    return arg_goal(CALLN, Struct("call", (t,)), ns, slots, fresh)
 
 
 def compile_body(term: Term, ns: str, builtins: dict,
@@ -787,9 +789,9 @@ def compile_body(term: Term, ns: str, builtins: dict,
 
     For a clause body `slots` maps variables to frame slots; for a goal met
     at run time it is None and the goal's variables are held as they are.
-    Goals that cannot be resolved now (a variable, a non-callable term, a
-    qualifier that is not a namespace atom) become `META` goals, resolved
-    when they run."""
+    A goal that cannot be resolved now (a variable, a qualifier that is not
+    a namespace atom) becomes call/1 of it (`late_goal`).  A part that is
+    neither a variable nor callable is `type_error(callable, term)`."""
     root: list = []
     stack: list = [(term, ns, root)]
     while stack:
@@ -804,9 +806,11 @@ def compile_body(term: Term, ns: str, builtins: dict,
             name, n = t.name, len(t.args)
         elif ty is Atom:
             name, n = t.name, 0
-        else:
+        elif ty is Var:
             out.append(late_goal(t, ns, slots, fresh))
             continue
+        else:
+            raise type_error("callable", term)
         if not is_control(name, n):
             fn = builtins.get((name, n))
             g = None

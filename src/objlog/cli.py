@@ -21,6 +21,14 @@ from .terms import ObjRef
 from .writer import term_text
 
 
+def solution_text(snapshot: dict) -> str:
+    """A solution's bindings, one `X = value` line each; a name that starts
+    with `_` is hidden, and `true.` stands for a solution with none shown."""
+    shown = [f"{name} = {term_text(v)}"
+             for name, v in snapshot.items() if not name.startswith("_")]
+    return "\n".join(shown) if shown else "true."
+
+
 class Session:
     """The REPL core, decoupled from stdin/stdout so it can be scripted."""
 
@@ -76,12 +84,10 @@ class Session:
         except LogicError as err:
             self.pending = None
             return f"ERROR: {term_text(err.term)}"
-        shown = [f"{name} = {term_text(v)}"
-                 for name, v in snapshot.items() if not name.startswith("_")]
-        if not shown:
+        text = solution_text(snapshot)
+        if text == "true.":  # nothing to step through
             self._close_pending()
-            return "true."
-        return "\n".join(shown)
+        return text
 
     def _close_pending(self) -> None:
         if self.pending is not None:
@@ -178,11 +184,7 @@ def main(argv: Optional[list] = None) -> int:
         if sol is None:
             print("false.")
             return 1
-        for name, value in sol.items():
-            if not name.startswith("_"):
-                print(f"{name} = {term_text(value)}")
-        if not any(not n.startswith("_") for n in sol):
-            print("true.")
+        print(solution_text(sol))
         return 0
 
     return repl(rt)

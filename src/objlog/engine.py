@@ -49,12 +49,14 @@ Closing a query, exhausting it, an error out of it and dropping it
 unclosed each close the machine's scopes and release its guards.
 
 A goal term met at run time, as a query's goal, a variable goal, call/N's
-goal and catch/3's goal and recovery, runs through `Machine.call_term`:
-one call of a builtin runs through `run_builtin`, the runner a compiled
-builtin goal uses, and one call of a user predicate is entered, so
-neither compiles anything.  A control construct and an unknown predicate
-are compiled then (`Engine.compile_goal`), so they run and raise as in a
-clause body.
+goal and catch/3's goal and recovery, is call/N of it: one `CALLN` goal,
+opaque to cut, run by `Machine.call_term` (ISO/IEC 13211-1, 7.6.2 and
+7.8.3).  One call of a builtin runs through `run_builtin`, the runner a
+compiled builtin goal uses, and one call of a user predicate is entered,
+so neither compiles anything.  A control construct and an unknown
+predicate are compiled then (`clausecode.compile_body`, which refuses a
+goal with a part that is not callable before any part runs), so they run
+and raise as in a clause body.
 
 Two namespaces exist, `user` and `pce_principal`; a goal `M:G` runs G in
 namespace M and nothing more, the innermost of nested qualifiers winning.
@@ -62,12 +64,13 @@ namespace M and nothing more, the innermost of nested qualifiers winning.
 run time and call/N (`call_term`), assert and retract
 (`_clause_parts`) and dynamic/1 (`declare_dynamic`), so each raises the
 same ball for an unbound or unknown qualifier; a clause body resolves a
-namespace atom when it is compiled and leaves any other qualifier to that
-ball when the goal runs.  Clause lists are copy-on-write so running
-queries keep the view they started with.  Clause indexing is a pure
-optimization that can be disabled for testing: a call tries only the
-clauses that the leftmost argument able to tell them apart selects, and
-`retract/1` tries the same clauses.  Each argument has one index of the
+namespace atom when it is compiled and runs a goal under any other
+qualifier as call/1 of `M:G`, which raises that ball when it runs.
+Clause lists are copy-on-write so running queries keep the view they
+started with.  Clause indexing is a pure optimization that can be
+disabled for testing: a call tries only the clauses that the leftmost
+argument able to tell them apart selects, and `retract/1` tries the same
+clauses.  Each argument has one index of the
 same kind, built the first time a call needs it, kept up to date by
 assert and dropped by any removal.  A call picks its clauses with its
 predicate's clause switch, a function generated for the state of those
@@ -101,7 +104,6 @@ from .clausecode import (
     EXIT_GOAL,
     FAIL,
     ITE,
-    META,
     SET,
     Goal,
     compile_body,
@@ -693,13 +695,8 @@ class Machine:
                 return self.enter(entry, args)
             if op == BUILTIN:
                 return self.run_builtin(goal.name, goal.fn, args, ns)
-            if op == CALLN:  # opaque to cut
-                return self.call_term(args[0], ns, len(self.cps), args[1:])
-            if op == META:
-                # a query's goal, a variable goal, catch/3's goal or recovery:
-                # one predicate or builtin is entered or run with nothing
-                # compiled; transparent to cut, like the goal written in place
-                return self.call_term(args[0], ns, barrier)
+            if op == CALLN:  # call/N, and call/1 of a goal met at run time
+                return self.call_term(args, ns)
             ball = deref(args[0])  # throw/1
             if type(ball) is Var:
                 raise instantiation_error("throw/1")
@@ -756,30 +753,30 @@ class Machine:
         self.push(goal.a, vs, len(self.cps))
         return True
 
-    def call_term(self, t: Term, ns: str, barrier: int, extra: Optional[tuple] = None
-                  ) -> bool:
-        """Run a goal term met at run time in namespace `ns`: a query's
-        goal, a variable goal, catch/3's goal or recovery, or, with the
-        `extra` arguments it adds to `t`, call/N's goal.  A call of one
-        builtin runs through `run_builtin` and a call of one user predicate
-        is entered (`enter`), so neither compiles anything.  Anything else,
-        a control construct or an unknown predicate, is compiled
-        (`Engine.compile_goal`) and pushed with cut barrier `barrier`, so it
-        runs, and raises, as the same goal in a clause body would.  A
-        variable or a term that is not callable is an error here."""
-        g, ns = resolve_qualifiers(t, ns)
+    def call_term(self, call: tuple, ns: str) -> bool:
+        """call/N with the arguments `call` in namespace `ns`: the goal term
+        `call[0]` with `call[1:]` added to its arguments, opaque to cut, as
+        every goal term met at run time runs.  One call of a builtin runs
+        through `run_builtin` and one call of a user predicate is entered
+        (`enter`), with nothing compiled.  Anything else, a control construct
+        or an unknown predicate, is compiled (`compile_body`) and pushed with
+        a cut barrier of its own, so it runs, and raises, as the same goal in
+        a clause body would.  A variable or a term that is not callable is an
+        error here."""
+        g, ns = resolve_qualifiers(call[0], ns)
         tg = type(g)
         if tg is Struct:
             args = g.args
         elif tg is Atom:
             args = ()
         elif tg is Var:
-            raise instantiation_error("goal" if extra is None else "call")
+            raise instantiation_error("call")
         else:
             raise type_error("callable", g)
         name = g.name
+        extra = len(call) > 1
         if extra:
-            args += extra
+            args += call[1:]
         n = len(args)
         engine = self.engine
         if not is_control(name, n):
@@ -791,7 +788,7 @@ class Machine:
                 return self.enter(entry, args)
         if extra:
             g = Struct(name, args)
-        self.push(engine.compile_goal(g, ns), None, barrier)
+        self.push(compile_body(g, ns, engine.builtins), None, len(self.cps))
         return True
 
     def run_builtin(self, name: str, fn: Callable, args: tuple, ns: str) -> bool:
@@ -1155,15 +1152,6 @@ class Engine:
         return [(c.head, c.body) for c in entry.clauses]
 
     # -- execution ---------------------------------------------------------
-
-    def compile_goal(self, goal: Term, ns: str) -> tuple:
-        """Compile a callable goal term met at run time, its qualifiers
-        resolved; its variables stay as they are.  `Machine.call_term`
-        compiles here only what is not one call of a builtin or of a known
-        user predicate: a control construct, as a conjunction, a
-        disjunction or a call/N, and an unknown predicate, whose error or
-        failure then comes from the compiled goal."""
-        return compile_body(goal, ns, self.builtins)
 
     def solve(self, goal: Term | Goal, ns: str = "user", protect: bool = False) -> Query:
         """An iterator over the solutions of `goal`, a goal term or a

@@ -25,5 +25,23 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
+def count_compiles(monkeypatch) -> list:
+    """Wrap the body compiler the machine uses; returns the list each
+    compile of a goal met at run time appends its goal term to.  A clause
+    body compiled for an assert is not counted."""
+    import objlog.engine
+
+    compiled = []
+    compile_body = objlog.engine.compile_body
+
+    def counting(term, ns, builtins, slots=None, fresh=None):
+        if slots is None:
+            compiled.append(term)
+        return compile_body(term, ns, builtins, slots, fresh)
+
+    monkeypatch.setattr(objlog.engine, "compile_body", counting)
+    return compiled
+
+
 def captured(rt) -> str:
     return rt.out.getvalue()

@@ -167,13 +167,13 @@ def oracle_solve(program, goal, occurs_check=False, events=None):
     `oracle_eval`).  Each goal list is a linked list of (goal, cut level)
     pairs; a cut runs its continuation and then raises `_Cut` up to the
     call that owns its level, which tries no more clauses.  call/N adds its
-    extra arguments to its goal and runs it opaque to cut; a goal variable
-    runs the term it is bound to in its place, so a cut in that term cuts
-    the clause.  A ball is a renamed copy of the thrown term, raised as
-    `OracleThrow`; catch/3 runs its goal on its own, so only balls from the
-    goal reach it, and runs the recovery, opaque to cut, from the
-    substitution it started with.  A variable ball is thrown as
-    `instantiation_error("throw/1")`."""
+    extra arguments to its goal and runs it opaque to cut, and a goal
+    variable runs as call/1 of it (ISO/IEC 13211-1, 7.6.2), so a cut in the
+    term it is bound to is local to that term.  A ball is a renamed copy of
+    the thrown term, raised as `OracleThrow`; catch/3 runs its goal on its
+    own, so only balls from the goal reach it, and runs the recovery,
+    opaque to cut, from the substitution it started with.  A variable ball
+    is thrown as `instantiation_error("throw/1")`."""
     table: dict = {}
     for head, body in program:
         head = deref(head)
@@ -185,6 +185,8 @@ def oracle_solve(program, goal, occurs_check=False, events=None):
             yield subst
             return
         (t, level), rest = goals
+        if type(t) is Var:
+            t = Struct("call", (t,))
         t = oracle_walk(t, subst)
         name = t.name
         args = t.args if type(t) is Struct else ()

@@ -5,7 +5,7 @@ import pytest
 from objlog import toolkit
 from objlog.balls import bridge_kind
 from objlog.bridge import Bridge
-from objlog.engine import Engine, Machine
+from objlog.engine import Machine
 from objlog.errors import LogicError
 from objlog.hostdata import HostData
 from objlog.kernel import PROLOG_T, Kernel, KMethod, LogicImpl, NativeImpl
@@ -14,6 +14,7 @@ from objlog.runtime import Runtime
 from objlog.terms import (Atom, ObjRef, TermStore, Var, is_variant, resolve_copy,
                           structural_eq, unify)
 from objlog.writer import term_text
+from conftest import count_compiles
 
 
 def t(text):
@@ -288,6 +289,20 @@ def test_free_stale_reference(rt):
      "bridge_error(instantiation, pump_event)"),
 ])
 def test_free_and_pump_event_read_their_arguments_as_send_does(rt, goal, ball):
+    assert err_text(rt, goal) == ball
+
+
+@pytest.mark.parametrize("goal, ball", [
+    ("new(O, box(1, 2)), send(O, S, 1)", "bridge_error(instantiation, message)"),
+    ("new(O, box(1, 2)), send(O, S)", "bridge_error(instantiation, message)"),
+    ("new(O, box(1, 2)), get(O, S, 1, R)", "bridge_error(instantiation, message)"),
+    ("new(O, box(1, 2)), get(O, S, R)", "bridge_error(instantiation, message)"),
+    ("new(O, box(1, 2)), send_class(O, C, width(3))",
+     "bridge_error(instantiation, send_class)"),
+    ("new(O, box(1, 2)), send_class(O, 3, width(3))",
+     "bridge_error(type_mismatch, context(send_class, 3))"),
+])
+def test_an_unbound_selector_or_class_is_an_instantiation_ball(rt, goal, ball):
     assert err_text(rt, goal) == ball
 
 
@@ -619,13 +634,6 @@ def test_sends_and_gets_from_logic_compile_nothing(rt, monkeypatch, call, answer
     rt.consult_text(CALLEE)
     ref = term_text(once(rt, "new(O, sub_callee)")["O"])
     goal, _ = parse_term(call.format(o=ref))
-    compiled = []
-    compile_goal = Engine.compile_goal
-
-    def counting(engine, g, ns):
-        compiled.append(g)
-        return compile_goal(engine, g, ns)
-
     entered = []
     enter = Machine.enter
 
@@ -634,7 +642,7 @@ def test_sends_and_gets_from_logic_compile_nothing(rt, monkeypatch, call, answer
             entered.append(rt.engine.entry(entry.ns, entry.name, entry.arity) is entry)
         return enter(m, entry, args)
 
-    monkeypatch.setattr(Engine, "compile_goal", counting)
+    compiled = count_compiles(monkeypatch)
     monkeypatch.setattr(Machine, "enter", watching)
     assert sum(1 for _ in rt.engine.solve(goal)) == answers
     assert [g for g in compiled if g is not goal] == []
@@ -666,14 +674,7 @@ def test_native_calls_of_logic_methods_compile_nothing(rt, monkeypatch, case):
     ref = once(rt, "new(O, pinged)")["O"]
     box = once(rt, "new(B, my_box(10, 10))")["B"]
     button = once(rt, "new(B, button(b0, message(@prolog, clicked, 0)))")["B"]
-    compiled = []
-    compile_goal = Engine.compile_goal
-
-    def counting(engine, g, ns):
-        compiled.append(g)
-        return compile_goal(engine, g, ns)
-
-    monkeypatch.setattr(Engine, "compile_goal", counting)
+    compiled = count_compiles(monkeypatch)
     if case == "send_value":
         obj = rt.kernel.fetch(ref.ref)
         for i in range(100):

@@ -567,7 +567,7 @@ _compare = st.tuples(st.sampled_from(["<", ">", "=<", ">=", "=:=", "=\\="]), _ex
 _is = st.tuples(st.just("is"), st.one_of(st.just(("var", NUM)), _leaf), _expr)
 
 
-META_FORMS = ("call2", "call3", "call1", "var", "cut")
+META_FORMS = ("call2", "call3", "call1", "var", "cut", "varcut")
 
 
 def _goal(level):
@@ -575,8 +575,9 @@ def _goal(level):
     calls = [st.tuples(st.just("call"), st.just(j), st.lists(_term, min_size=2, max_size=2))
              for j in range(level)] * 2
     # calls made at run time: call(pJ(A), B), call(pJ, A, B), call(pJ(A, B)),
-    # G = pJ(A, B) then G, and call((pJ(A, B), !)), with variables for A and
-    # B, so that the call matches some clauses more often than not
+    # G = pJ(A, B) then G, call((pJ(A, B), !)) and G = (pJ(A, B), !) then G,
+    # with variables for A and B, so that the call matches some clauses more
+    # often than not
     var = st.sampled_from([("var", v) for v in VARS])
     metas = [st.tuples(st.just("meta"), st.sampled_from(META_FORMS), st.just(j), var, var)
              for j in range(level)]
@@ -643,6 +644,8 @@ def _build(sym, env):
             return Struct("call", (goal,))
         if form == "cut":
             return Struct("call", (Struct(",", (goal, Atom("!"))),))
+        if form == "varcut":
+            goal = Struct(",", (goal, Atom("!")))
         g = env.setdefault("G", Var("G"))  # bound right before it is called
         return Struct(",", (Struct("=", (g, goal)), g))
     if kind == "ite":

@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from objlog.cli import Session, main, run_script
 from objlog.runtime import Runtime
 
@@ -101,6 +103,18 @@ def test_run_script_transcript_determinism():
 def test_batch_success_exit_zero(capsys):
     assert main(["--goal", "X = 1"]) == 0
     assert "X = 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("goal, text", [
+    ("true", "true."),
+    ("_X = 1", "true."),
+    ("X = 1, _Y = 2", "X = 1"),
+    ("X = f(Y), Y = 2", "X = f(2)\nY = 2"),
+])
+def test_batch_and_session_print_a_solution_alike(capsys, goal, text):
+    assert main(["--goal", goal]) == 0
+    assert capsys.readouterr().out == text + "\n"
+    assert run_script(make_rt(), [goal + "."]) == text
 
 
 def test_batch_failure_exit_one(capsys):

@@ -11,6 +11,7 @@ from objlog.reader import parse_term
 from objlog.runtime import Runtime
 from objlog.terms import Atom, Struct, resolve_copy
 from objlog.writer import term_text
+from conftest import count_compiles
 
 
 def solutions(rt, text):
@@ -242,7 +243,7 @@ def test_catch_unwinds_outward_and_its_recovery_runs_outside(rt):
     # the goal is called as call/1: cut is local, a bad goal is its own error
     assert solutions(rt, "catch((member(X, [1, 2]), !), _, true)") == [{"X": "1"}]
     got = solutions(rt, "catch(G, instantiation_error(W), true)")
-    assert [s["W"] for s in got] == ["goal"]
+    assert [s["W"] for s in got] == ["call"]
     assert rt.engine.trail.guards == 0
 
 
@@ -302,11 +303,14 @@ v(X) :- G = p(X), G.
 v(last).
 w(X) :- G = (p(X), !), G.
 w(last).
+m(X) :- M = user, M:(p(X), !).
+m(last).
 """
 
 
-# the answers and balls of each goal when every goal met at run time was
-# compiled; the same under unknown=fail except where a column says otherwise
+# the answers and balls of each goal met at run time, which runs as call/1
+# of it (ISO/IEC 13211-1, 7.6.2 and 7.8.3); the same under unknown=fail
+# except where a column says otherwise
 @pytest.mark.parametrize("query, answer, if_unknown_fails", [
     ("call(foo)", "ball existence_error(procedure, user:(foo/0))", []),
     ("call(1)", "ball type_error(callable, 1)", None),
@@ -317,14 +321,14 @@ w(last).
     ("call(1, a)", "ball type_error(callable, 1)", None),
     ("call(_M:p, X)", "ball instantiation_error('namespace qualifier')", None),
     ("call(pce_principal:p, X)", "ball existence_error(procedure, pce_principal:(p/1))", []),
-    ("G", "ball instantiation_error(goal)", None),
+    ("G", "ball instantiation_error(call)", None),
     ("G = 1, G", "ball type_error(callable, 1)", None),
     ("G = foo, G", "ball existence_error(procedure, user:(foo/0))", []),
-    ("call((fail, 1))", [], None),
-    ("call((1, fail))", "ball type_error(callable, 1)", None),
+    ("call((fail, 1))", "ball type_error(callable, (fail, 1))", None),
+    ("call((1, fail))", "ball type_error(callable, (1, fail))", None),
     ("t(X)", [{"X": "1"}, {"X": "last"}], None),
     ("v(X)", [{"X": "1"}, {"X": "2"}, {"X": "last"}], None),
-    ("w(X)", [{"X": "1"}], None),  # a variable goal is transparent to cut
+    ("w(X)", [{"X": "1"}, {"X": "last"}], None),  # a variable goal is call/1 of it
     ("call(user:p, X)", [{"X": "1"}, {"X": "2"}], None),
     ("call(call, p, X)", [{"X": "1"}, {"X": "2"}], None),
     ("call(',', p(X), !)", [{"X": "1"}], None),
@@ -335,14 +339,15 @@ w(last).
     ("call(between(1, 3), X)", [{"X": "1"}, {"X": "2"}, {"X": "3"}], None),
     ("call(X > 0)", "ball instantiation_error(arithmetic)", None),
     ("call(p(X), extra)", "ball existence_error(procedure, user:(p/2))", []),
-    ("catch(_, E, true)", [{"E": "instantiation_error(goal)"}], None),
+    ("catch(_, E, true)", [{"E": "instantiation_error(call)"}], None),
     ("catch(1, E, true)", [{"E": "type_error(callable, 1)"}], None),
     ("catch(throw(x), x, foo)", "ball existence_error(procedure, user:(foo/0))", []),
     ("catch(throw(x), x, (p(X), !))", [{"X": "1"}], None),
     ("catch(throw(x), x, p(X))", [{"X": "1"}, {"X": "2"}], None),
     ("forall(p(X), foo)", "ball existence_error(procedure, user:(foo/0))", []),
     ("\\+ foo", "ball existence_error(procedure, user:(foo/0))", [{}]),
-    ("\\+ G", "ball instantiation_error(goal)", None),
+    ("\\+ G", "ball instantiation_error(call)", None),
+    ("m(X)", [{"X": "1"}, {"X": "last"}], None),  # so is a goal under a bound qualifier
 ])
 @pytest.mark.parametrize("unknown", ["error", "fail"])
 def test_meta_calls_answer_and_raise_alike(query, answer, if_unknown_fails, unknown):
@@ -354,20 +359,18 @@ def test_meta_calls_answer_and_raise_alike(query, answer, if_unknown_fails, unkn
     assert rt.engine.trail.guards == 0 and not rt.engine.trail.entries
 
 
-def count_compiles(monkeypatch) -> list:
-    """Wrap the body compiler the machine uses; returns the list each call
-    of it appends its goal term to."""
-    import objlog.engine
-
-    compiled = []
-    compile_body = objlog.engine.compile_body
-
-    def counting(term, *args):
-        compiled.append(term)
-        return compile_body(term, *args)
-
-    monkeypatch.setattr(objlog.engine, "compile_body", counting)
-    return compiled
+def test_a_goal_with_a_part_that_is_not_callable_is_refused_before_it_runs(rt):
+    # ISO/IEC 13211-1, 7.8.3.3 for call/1 and 8.9.1.3 c for assert
+    assert answers(rt, "call((write(a), 1))") == "ball type_error(callable, (write(a), 1))"
+    assert rt.out.getvalue() == ""
+    assert answers(rt, "assertz((foo :- 1))") == "ball type_error(callable, 1)"
+    assert answers(rt, "assertz((foo :- a, 1))") == "ball type_error(callable, (a, 1))"
+    assert rt.engine.clauses_of("user", "foo", 0) == []
+    report = rt.consult_text("q(1).\np :- 1.\nq(2).\n")
+    assert report.errors == [(2, "bad clause: type_error(callable, 1)")]
+    assert report.clauses == 2
+    assert solutions(rt, "q(X)") == [{"X": "1"}, {"X": "2"}]
+    assert rt.engine.clauses_of("user", "p", 0) == []
 
 
 @pytest.mark.parametrize("query", [
