@@ -67,7 +67,7 @@ from .clausecode import COMMIT, COMMIT_EXIT, call_goal, new_struct
 from .engine import Scope
 from .hostdata import HostTermObject
 from .kernel import PROLOG_T, KMethod, KObject, LogicImpl, TypeSpec
-from .terms import Atom, ObjRef, Struct, Term, Var, deref, unify
+from .terms import Atom, ObjRef, Struct, Term, Var, deref, mk, unify
 
 
 class _ConvFail(Exception):
@@ -275,8 +275,7 @@ class Bridge:
         its entry and a builtin runs as such, so nothing is compiled, and a
         control construct or an unknown predicate raises what calling it
         from logic raises (see `Machine.call_term`)."""
-        terms = tuple(self.value_to_term(v) for v in values)
-        return self.solve_nested(Struct(pred_name, terms) if terms else Atom(pred_name))
+        return self.solve_nested(mk(pred_name, *map(self.value_to_term, values)))
 
     def solve_nested(self, goal) -> bool:
         """Solve a goal term in `user`, or a compiled `Goal`, from native

@@ -132,8 +132,8 @@ def _mod(a, b):
 
 
 # The evaluable functors by (name, arity): the one place their semantics
-# are written, for `eval_arith` and for the expression code `clausecode`
-# compiles clause-body arithmetic into.
+# are written, for `eval_arith` and for the functions `clausecode`
+# generates for clause-body arithmetic.
 ARITH_OPS = {(op.name, op.arity): op for op in (
     ArithOp("+", 2, operator.add),
     ArithOp("-", 2, operator.sub),
@@ -166,7 +166,7 @@ def eval_arith(t):
             path.discard(id(t))
             op = ARITH_OPS.get((t.name, len(t.args)))
             if op is None:
-                raise type_error("evaluable", t)
+                raise _not_evaluable(t)
             if op.arity == 2:
                 b = vals.pop()
                 vals[-1] = op.fn(vals[-1], b)
@@ -186,8 +186,19 @@ def eval_arith(t):
             todo.append((t,))
             todo.extend(reversed(t.args))
         else:
-            raise type_error("evaluable", t)
+            raise _not_evaluable(t)
     return vals[0]
+
+
+def _not_evaluable(t):
+    """The ball for a term `eval_arith` cannot evaluate: an atom or a
+    compound is named by its predicate indicator (ISO/IEC 13211-1, 7.9.2),
+    `foo/0` for `foo` and `foo/2` for `foo(1, 2)`."""
+    if type(t) is Atom:
+        t = Struct("/", (t, 0))
+    elif type(t) is Struct:
+        t = Struct("/", (Atom(t.name), len(t.args)))
+    return type_error("evaluable", t)
 
 
 def _is2(m, args, ns):

@@ -19,7 +19,8 @@ lookup.  Only argument terms are built per call.  A goal that cannot be
 resolved then (a variable, a goal under a qualifier that is not a namespace
 atom) is call/1 of it, one `CALLN` goal, opaque to cut (ISO/IEC 13211-1,
 7.6.2); a goal with a part that is neither a variable nor callable is
-`type_error(callable, G)` as a whole (7.8.3.3).  A goal met at run time (a
+`type_error(callable, G)` as a whole (7.8.3.3), except for the argument
+of `\\+` or `once/1`, which is then call/1 of it.  A goal met at run time (a
 query, `call/N`, a variable goal) that is one call of a builtin or a user
 predicate runs with nothing compiled (`engine.Machine.call_term`); any
 other compiles the same way, with its variables held as they are, and
@@ -29,31 +30,35 @@ method, made for a send or get from logic, is built already compiled by
 resolved, so it builds no goal term and looks nothing up.
 
 A clause-body `is/2` or comparison (`<` `>` `=<` `>=` `=:=` `=\\=`) compiles
-each of its expressions to expression code: a flat postfix tuple whose
-entries are an int i, the number in slot i; `(n,)`, the number n; and an
-`ArithOp`, applied to the values its arity takes off the stack.  `eval_code`
-runs it in one loop, so a call builds no term and nothing recurses.  An
-`is/2` at the top level of a body (outside `;`, `->`, `\\+` and `once`)
-whose left side is a variable first met there, and not in its expression,
-writes the number straight into that variable's slot: no variable is made,
-bound or trailed.  Only the goals after it read that slot, and backtracking
-to a point before it runs it again.  An expression with a part that is not
-evaluable as written (an atom, an unknown functor) stays a builtin call,
-and `eval_arith` raises its error when the goal runs.
+to generated code over frame slots, so a call builds no term and nothing
+recurses: one walk of each expression's term program gives its postfix
+shape and its constants (`_expr_shape`).  An `is/2` at the top level of a
+body (outside `;`, `->`, `\\+` and `once`) whose left side is a variable
+first met there, and not in its expression, writes the number straight
+into that variable's slot: no variable is made, bound or trailed.  Only
+the goals after it read that slot, and backtracking to a point before it
+runs it again.  An expression with a part that is not evaluable as written
+(an atom, an unknown functor), or with more than MAX_NODES nodes (a
+100 000-node sum would take seconds to compile), stays a builtin call, and
+`eval_arith` evaluates it when the goal runs, as it does a run-time
+`is/2`.
 
 The leading run of a clause body's comparisons and new-variable `is/2`
 goals is its guard (`guard_code`): it runs as one function right after the
 head matches, so a test that fails costs a failed clause try and no trip
 through the machine's main loop, as in wamcc and Carlsson's shallow
-backtracking (ICLP 1989).  The body's code keeps the guard's goals, and a
-traced run executes them from there one by one.
+backtracking (ICLP 1989).  Such a goal on its own runs the guard function
+of a run of one, so it shares its function with the same goal leading a
+body.  The body's code keeps the guard's goals, and a traced run executes
+them from there one by one.
 
 Clause code is then turned into Python code, as wamcc turns WAM code into C
 (Codognet and Diaz, ICLP 1995): a head's match program becomes a matcher,
-the argument program of a body goal a builder, and expression code an
-evaluator, each a straight-line function that does what the interpreter
-(`engine.match_args`, `instantiate`, `eval_code`) does, step for step, so
-bindings, trail entries, `unify` calls and error balls are the same.  A
+the argument program of a body goal a builder, and arithmetic a guard or
+an evaluator.  A matcher or a builder is a straight-line function that
+does what the interpreter (`engine.match_args`, `instantiate`) does, step
+for step, so bindings, trail entries, `unify` calls and error balls are
+the same; arithmetic raises the balls `eval_arith` raises.  A
 function is generated per shape, not per clause: the shape key is the
 program with each constant (an atom, a number, a functor name, a ground
 term) replaced by a kind tag, and the constants reach the function as a
@@ -64,13 +69,10 @@ SHAPE_CACHE shapes; a clause or goal keeps its function after the cache
 drops it.  The interpreters stay for what is not generated, so that the
 source of one function stays small: a compound nested deeper than
 MAX_DEPTH (a 10 000-deep head would give a function as deep), which the
-generated code hands to `engine.match_args` or `instantiate`; a head or a
-goal's arguments of more than MAX_NODES nodes (a head of arity 10 000
+generated code hands to `engine.match_args` or `instantiate`; and a head
+or a goal's arguments of more than MAX_NODES nodes (a head of arity 10 000
 took 0.8 s to generate), matched by `engine.match_head` or built by
-`instantiate`; and expression code longer than MAX_NODES entries (a
-100 000-node sum would take seconds to compile), which `eval_code` runs
-and which ends a guard.  Each is decided from the program when it is
-compiled.
+`instantiate`.  Each is decided from the program when it is compiled.
 
 A predicate's clause switch (`select_switch`), the function that picks the
 clauses a call tries, is generated the same way: its key is the state of
@@ -200,69 +202,12 @@ def instantiate(prog: tuple, vs: list) -> tuple:
         out.append(s)
 
 
-# -- expression code -------------------------------------------------------------
-
-
-def expr_code(p) -> Optional[tuple]:
-    """The expression code of term program `p`, or None when a part of it
-    is not evaluable as written."""
-    out: list = []
-    todo = [p]
-    while todo:
-        p = todo.pop()
-        tp = type(p)
-        if tp is int or tp is ArithOp:  # a slot, or an operator after its arguments
-            out.append(p)
-        elif tp is float:
-            out.append((p,))
-        elif tp is tuple and len(p) == 1:  # an integer
-            out.append(p)
-        else:
-            if tp is tuple:
-                name, args = p[0], p[1:]
-            elif tp is Struct:  # a ground compound: its integers are plain ints
-                name = p.name
-                args = tuple((a,) if type(a) is int else a for a in p.args)
-            else:
-                return None
-            op = ARITH_OPS.get((name, len(args)))
-            if op is None:
-                return None
-            todo.append(op)
-            todo.extend(reversed(args))
-    return tuple(out)
-
-
-def eval_code(code: tuple, vs: list):
-    """The value of expression code against frame `vs`.  A slot that holds
-    anything but a number goes to `eval_arith`, which evaluates a compound
-    and raises the error an unbound variable or an atom calls for."""
-    stack: list = []
-    for p in code:
-        tp = type(p)
-        if tp is int:
-            x = vs[p]
-            if type(x) is Var:
-                x = deref(x)
-            if type(x) is not int and type(x) is not float:
-                x = eval_arith(x)
-            stack.append(x)
-        elif tp is tuple:
-            stack.append(p[0])
-        elif p.arity == 2:
-            b = stack.pop()
-            stack[-1] = p.fn(stack[-1], b)
-        else:
-            stack[-1] = p.fn(stack[-1])
-    return stack[0]
-
-
 # -- generated code ------------------------------------------------------------
 
 # A compound sub-program nested deeper than MAX_DEPTH (a head or goal
-# argument is at depth 1) stays interpreted, and so does a head, a goal's
-# arguments or expression code of more than MAX_NODES nodes (slots,
-# constants and compounds; expression code has one node per entry).
+# argument is at depth 1) stays interpreted, and so does a head or a goal's
+# arguments of more than MAX_NODES nodes (slots, constants and compounds);
+# an expression of more than MAX_NODES nodes stays a builtin call.
 MAX_DEPTH = 5
 MAX_NODES = 64
 # The generated functions kept, least recently used dropped first.
@@ -299,20 +244,41 @@ def _nodes(shape) -> int:
     return 1 + sum(map(_nodes, shape))
 
 
-def _expr_shape(code: tuple, consts: list) -> tuple:
-    """The shape key of expression code, its constants moved to `consts`."""
-    out = []
-    for e in code:
-        te = type(e)
-        if te is int:
-            out.append(e)
-        elif te is tuple:
-            consts.append(e[0])
+def _expr_shape(p, consts: list) -> Optional[tuple]:
+    """The shape key of the expression of term program `p`, in postfix
+    order: an int i, the number in slot i; "num", a number; "op2" or "op1",
+    an evaluable functor applied to the values its arity takes off the
+    stack.  Each number and each functor's function goes to `consts`, in
+    the order the generated code reads them.  None when a part is not
+    evaluable as written (an atom, an unknown functor) or the expression
+    has more than MAX_NODES nodes."""
+    out: list = []
+    todo = [p]
+    while todo:
+        p = todo.pop()
+        tp = type(p)
+        if tp is int:
+            out.append(p)
+        elif tp is ArithOp:  # an operator, after its arguments
+            consts.append(p.fn)
+            out.append("op2" if p.arity == 2 else "op1")
+        elif tp is float or (tp is tuple and len(p) == 1):  # a number
+            consts.append(p if tp is float else p[0])
             out.append("num")
         else:
-            consts.append(e.fn)
-            out.append("op2" if e.arity == 2 else "op1")
-    return tuple(out)
+            if tp is tuple:
+                name, args = p[0], p[1:]
+            elif tp is Struct:  # a ground compound: its integers are plain ints
+                name = p.name
+                args = tuple((a,) if type(a) is int else a for a in p.args)
+            else:
+                return None
+            op = ARITH_OPS.get((name, len(args)))
+            if op is None:
+                return None
+            todo.append(op)
+            todo.extend(reversed(args))
+    return tuple(out) if len(out) <= MAX_NODES else None
 
 
 class _Source:
@@ -420,11 +386,14 @@ class _Source:
         parts = [self.build(sub, ind) for sub in s]
         return f"new_struct({name}, ({', '.join(parts)},))"
 
-    def expr(self, code: tuple) -> str:
-        """Statements computing expression code in `eval_code`'s order; the
-        local that holds the value."""
+    def expr(self, shape: tuple) -> str:
+        """Statements computing the expression of shape `shape` in postfix
+        order, as `eval_arith` evaluates it; the local that holds the
+        value.  A slot that holds anything but a number goes to
+        `eval_arith`, which evaluates a compound and raises the ball an
+        unbound variable or an atom calls for."""
         stack = []
-        for e in code:
+        for e in shape:
             if type(e) is int:
                 t = self.temp("x")
                 self.line(1, f"{t} = vs[{e}]")
@@ -478,11 +447,7 @@ def _source(key: tuple) -> str:
         return "\n".join(["def guards(vs, K):", *g.lines, "    return True\n"])
     if kind == "select":
         return _select_source(key[1:])
-    if kind == "compare":
-        fn = g.const()
-        body = f"return {fn}({g.expr(key[1])}, {g.expr(key[2])})"
-    else:
-        body = f"return {g.expr(key[1])}"
+    body = f"return {g.expr(key[1])}"  # "value": an is/2's number
     return "\n".join(["def evaluate(vs, K):", *g.lines, "    " + body + "\n"])
 
 
@@ -527,20 +492,25 @@ def _select_source(states: tuple) -> str:
 
 
 # The number of functions generated so far, by the kind of their key
-# ("head", "build", "guards", "compare", "value", "select").
+# ("head", "build", "guards", "value", "select").
 generated_kinds: Counter = Counter()
+
+# The names the source of every function but a head matcher reads.
+_GLOBALS = {"Var": Var, "Struct": Struct, "deref": deref, "new_struct": new_struct,
+            "instantiate": instantiate, "eval_arith": eval_arith}
 
 
 @lru_cache(maxsize=SHAPE_CACHE)
 def _generated(key: tuple):
     """The function of shape `key`, generated when the key is not cached.
     A head matcher runs in the namespace of `objlog.engine`, so it looks up
-    `unify` there each time it calls it, as the interpreter does."""
+    `unify` there each time it calls it, as the interpreter does; any other
+    function runs in `_GLOBALS`."""
     if key[0] == "head":
         from . import engine  # imported here: engine imports this module
         scope = vars(engine)
     else:
-        scope = globals()
+        scope = _GLOBALS
     local: dict = {}
     exec(compile(_source(key), f"<clausecode {key[0]}>", "exec"), scope, local)
     generated_kinds[key[0]] += 1
@@ -593,53 +563,22 @@ def arg_builder(prog: tuple):
     return _generated(("build", *shapes)), tuple(consts)
 
 
-def _eval_value(vs, K):
-    return eval_code(K[0], vs)
-
-
-def _eval_compare(vs, K):
-    return K[0](eval_code(K[1], vs), eval_code(K[2], vs))
-
-
-def arith_evaluator(a: tuple, b: Optional[tuple] = None, compare=None):
-    """The evaluator of expression code `a` (with `compare`, of the
-    comparison of `a` and `b`) and its constants: `evaluate(vs, consts)`
-    is `eval_code(a, vs)`, or `compare(eval_code(a, vs), eval_code(b, vs))`.
-    Code longer than MAX_NODES runs through `eval_code`."""
-    if compare is None:
-        if len(a) > MAX_NODES:
-            return _eval_value, (a,)
-        consts: list = []
-        key = ("value", _expr_shape(a, consts))
-    else:
-        if len(a) > MAX_NODES or len(b) > MAX_NODES:
-            return _eval_compare, (compare, a, b)
-        consts = [compare]
-        key = ("compare", _expr_shape(a, consts), _expr_shape(b, consts))
-    return _generated(key), tuple(consts)
-
-
 def guard_code(code: tuple) -> Optional[tuple]:
     """The guard of clause body `code`: the generated function of its
     leading run of `COMPARE` and `SET` goals, its constants and the length
     of the run, or None when the body opens with no such goal.
-    `guards(vs, consts)` runs the goals of the run in order, as their
-    evaluators run them: it returns False at the first comparison that
+    `guards(vs, consts)` runs the goals of the run in order, as their own
+    functions run them: it returns False at the first comparison that
     fails, writes each `SET`'s value into its slot, and raises the balls
-    they raise.  The run ends at a goal of any other kind, and at one whose
-    expression code is longer than MAX_NODES."""
-    consts: list = []
+    they raise.  Its key joins the steps the goals hold, and its constants
+    theirs, so no expression is walked again."""
     steps: list = []
+    consts: list = []
     for g in code:
-        if g.op == COMPARE and g.get is not _eval_compare:
-            _name, lp, rp = g.prog
-            consts.append(g.args[0])
-            steps.append(("compare", _expr_shape(expr_code(lp), consts),
-                          _expr_shape(expr_code(rp), consts)))
-        elif g.op == SET and g.get is not _eval_value:
-            steps.append(("set", g.key, _expr_shape(expr_code(g.prog[2]), consts)))
-        else:
+        if g.op != COMPARE and g.op != SET:
             break
+        steps.append(g.key)
+        consts += g.args
     if not steps:
         return None
     return _generated(("guards", *steps)), tuple(consts), len(steps)
@@ -652,7 +591,8 @@ def guard_code(code: tuple) -> Optional[tuple]:
 # goal of a catch/3 frame or of a scope run in the calling machine, or runs
 # the exit step of a call that has committed (a classic get's result), the
 # frame of its node either way.  Those above EXIT are arithmetic and run
-# from expression code: IS and SET (is/2 into a fresh slot) and COMPARE.
+# generated code: IS, and SET (is/2 into a fresh slot) and COMPARE, each the
+# guard of a run of one.
 CALL, BUILTIN, CALLN, THROW, CUT, FAIL, ALT, ITE, NOT, EXIT, IS, SET, COMPARE = range(13)
 
 
@@ -663,11 +603,14 @@ class Goal:
     frame has instead its builder in `get` (see `arg_builder`), and the
     builder's constants in `args`.  A user goal caches its predicate entry
     in `entry`; a builtin's function is `fn`; control goals keep their
-    sub-bodies in `a`, `b` and `c`.  An arithmetic goal has its evaluator
-    (see `arith_evaluator`) in `get` and its constants in `args`: it returns a
-    comparison's truth or an `is/2`'s value.  It keeps the slot of an
-    `is/2`'s left side in `key` (None when that side is not a variable), and
-    in `prog` the program of the whole goal, built only for the trace."""
+    sub-bodies in `a`, `b` and `c`.  An arithmetic goal (see `arith_goal`)
+    has its generated function in `get` and the function's constants in
+    `args`, and in `prog` the program of the whole goal, built only for the
+    trace.  A `COMPARE` or `SET` goal runs the guard function of a run of
+    one, which returns the goal's truth, and keeps that run's step in `key`
+    for `guard_code`; an `IS` goal's function returns the number, and
+    `key` is the slot of its left side (None when that side is not a
+    variable)."""
 
     __slots__ = ("op", "ns", "name", "key", "args", "prog", "get", "fn", "entry",
                  "a", "b", "c")
@@ -738,34 +681,39 @@ def call_goal(entry, args: tuple) -> Goal:
 def arith_goal(t: Struct, ns: str, compare, slots: dict, fresh: list, top: bool
                ) -> Optional[Goal]:
     """A clause-body is/2 (`compare` None) or comparison compiled to
-    expression code, or None when an expression is not evaluable as
-    written.  `top` says the goal is at the top level of the body."""
+    generated code, or None when an expression is not evaluable as written
+    or has more than MAX_NODES nodes.  `top` says the goal is at the top
+    level of the body."""
     left, right = t.args
     if compare is not None:
         lp = program(left, slots, fresh)
         rp = program(right, slots, fresh)
-        a = expr_code(lp)
-        b = expr_code(rp)
+        consts = [compare]
+        a = _expr_shape(lp, consts)
+        b = _expr_shape(rp, consts)
         if a is None or b is None:
             return None
         g = Goal(COMPARE, ns, t.name)
-        g.get, g.args = arith_evaluator(a, b, compare)
+        g.key = ("compare", a, b)
     else:
         rp = program(right, slots, fresh)
-        a = expr_code(rp)
+        consts = []
+        a = _expr_shape(rp, consts)
         if a is None:
             return None
         left = deref(left)
         if top and type(left) is Var and id(left) not in slots:
             g = Goal(SET, ns, t.name)
-            g.key = slots[id(left)] = len(slots)
-            lp = ~g.key
+            k = slots[id(left)] = len(slots)
+            g.key = ("set", k, a)
+            lp = ~k
         else:
             g = Goal(IS, ns, t.name)
             lp = program(left, slots, fresh)
             if type(lp) is int:
                 g.key = lp
-        g.get, g.args = arith_evaluator(a)
+    g.get = _generated(("value", a) if g.op == IS else ("guards", g.key))
+    g.args = tuple(consts)
     g.prog = (t.name, lp, rp)
     return g
 
@@ -781,6 +729,26 @@ def late_goal(t: Term, ns: str, slots: Optional[dict] = None, fresh=None) -> Goa
         g.args = (t,)
         return g
     return arg_goal(CALLN, Struct("call", (t,)), ns, slots, fresh)
+
+
+def _body_or_call(t: Term) -> Term:
+    """The argument `t` of `\\+` or `once/1` as the body they run: `t` when
+    it is a body as a whole (ISO/IEC 13211-1, 7.6.2), else call/1 of it.
+    Both are builtin predicates (8.15.1, 8.15.2), so an argument with a part
+    that is neither a variable nor callable is their goal's error when it
+    runs, not the clause's when it is asserted."""
+    todo = [t]
+    while todo:
+        p = deref(todo.pop())
+        tp = type(p)
+        if tp is Struct:
+            if len(p.args) == 2 and p.name in (",", ";", "->", ":"):
+                todo.append(p.args[1])
+                if p.name != ":":
+                    todo.append(p.args[0])
+        elif tp is not Atom and tp is not Var:
+            return Struct("call", (t,))
+    return t
 
 
 def compile_body(term: Term, ns: str, builtins: dict,
@@ -851,9 +819,9 @@ def compile_body(term: Term, ns: str, builtins: dict,
             elif name == "->":
                 op, subs = ITE, (args[0], args[1], None)
             elif name == "once":
-                op, subs = ITE, (args[0], TRUE, None)
+                op, subs = ITE, (_body_or_call(args[0]), TRUE, None)
             else:  # \+
-                op, subs = NOT, (args[0], None, None)
+                op, subs = NOT, (_body_or_call(args[0]), None, None)
             g = Goal(op, ns)
             out.append(g)
             parts = [None if s is None else [] for s in subs]

@@ -8,7 +8,7 @@ trailed), a later occurrence unifies with it, a constant is tested or
 bound, and a compound either matches the goal's structure argument by
 argument (read mode) or is built from the frame and bound to an unbound
 goal argument (write mode).  A body goal's arguments come from its
-generated builder and arithmetic from its generated evaluator.  The
+generated builder and arithmetic from generated code as well.  The
 matchers run in this module's namespace and look up `unify` here as they
 run, so a wrapper installed on `engine.unify` sees every call; `match_args`
 is the interpreter they hand a too-deep sub-program to, and `match_head`
@@ -17,7 +17,10 @@ matches a head too big to generate with it.
 A clause whose body opens with arithmetic tests and `is/2` into new
 variables runs them as its guard inside the try, right after the head
 matches, unless the engine traces; a guard that fails fails the try, and
-the body goes on after it.
+the body goes on after it.  Such a goal anywhere else, and every one
+under trace, runs as the guard of a run of one: its function's answer is
+the goal's.  Any other `is/2` unifies its left side with the number its
+function returns.
 
 The body's goals run from a continuation of (goals, pc, frame, cut barrier,
 next, depth) nodes and a choice-point stack, so deterministic tail calls run
@@ -98,13 +101,12 @@ from .clausecode import (
     COMMIT,
     COMMIT_EXIT,
     COMMIT_FAIL,
-    COMPARE,
     CUT,
     EXIT,
     EXIT_GOAL,
     FAIL,
+    IS,
     ITE,
-    SET,
     Goal,
     compile_body,
     guard_code,
@@ -128,6 +130,7 @@ from .terms import (
     Var,
     bind,
     deref,
+    mk,
     occurs_in,
     resolve_copy,
     unify,
@@ -495,10 +498,6 @@ class _CatchCP(Scope):
         self.height = height
 
 
-def _goal_term(name: str, args: tuple) -> Term:
-    return Struct(name, args) if args else Atom(name)
-
-
 class Machine:
     """One resolution run: goal continuation, choice points, cut barriers.
 
@@ -701,18 +700,15 @@ class Machine:
             if type(ball) is Var:
                 raise instantiation_error("throw/1")
             raise LogicError(copy_acyclic(ball))
-        if op > EXIT:  # arithmetic: runs from expression code, builds no term
+        if op > EXIT:  # arithmetic: runs generated code, builds no term
             vs = self.frame
             engine = self.engine
             if engine.trace:
                 engine.trace_port("call", new_struct(goal.name, instantiate(goal.prog, vs)), ns)
+            if op != IS:  # a comparison or a SET: the guard of a run of one
+                return goal.get(vs, goal.args)
             x = goal.get(vs, goal.args)
-            if op == COMPARE:
-                return x
             k = goal.key
-            if op == SET:
-                vs[k] = x
-                return True
             lhs = deref(vs[k] if k is not None else instantiate(goal.prog, vs)[0])
             if type(lhs) is Var:
                 bind(lhs, x, engine.trail)
@@ -797,7 +793,7 @@ class Machine:
         goals; anything else is a `TypeError` that names the builtin."""
         engine = self.engine
         if engine.trace:
-            engine.trace_port("call", _goal_term(name, args), ns)
+            engine.trace_port("call", mk(name, *args), ns)
         res = fn(self, args, ns)
         if res is True:
             return True
@@ -824,7 +820,7 @@ class Machine:
         between."""
         engine = self.engine
         if engine.trace:
-            engine.trace_port("call", _goal_term(entry.name, args), entry.ns)
+            engine.trace_port("call", mk(entry.name, *args), entry.ns)
         clauses = entry.select(args)
         if not clauses:
             return False

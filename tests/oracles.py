@@ -140,7 +140,19 @@ def oracle_eval(t, subst):
         op = _ORACLE_OPS.get((t.name, len(t.args)))
         if op is not None:
             return op(*vals)
-    raise OracleThrow(type_error("evaluable", oracle_resolve(t, subst)).term)
+    if type(t) is Atom:
+        raise OracleThrow(type_error("evaluable", Struct("/", (t, 0))).term)
+    raise OracleThrow(type_error("evaluable", Struct("/", (Atom(t.name), len(t.args)))).term)
+
+
+def oracle_is_body(t, subst):
+    """Whether `t` is a body as a whole (ISO/IEC 13211-1, 7.6.2), by
+    recursion: a variable, or a callable term whose parts under `,`, `;`
+    and `->` are bodies."""
+    t = oracle_walk(t, subst)
+    if type(t) is Struct and t.name in (",", ";", "->") and len(t.args) == 2:
+        return all(oracle_is_body(a, subst) for a in t.args)
+    return type(t) in (Var, Atom, Struct)
 
 
 class _Cut(Exception):
@@ -167,9 +179,10 @@ def oracle_solve(program, goal, occurs_check=False, events=None):
     `oracle_eval`).  Each goal list is a linked list of (goal, cut level)
     pairs; a cut runs its continuation and then raises `_Cut` up to the
     call that owns its level, which tries no more clauses.  call/N adds its
-    extra arguments to its goal and runs it opaque to cut, and a goal
-    variable runs as call/1 of it (ISO/IEC 13211-1, 7.6.2), so a cut in the
-    term it is bound to is local to that term.  A ball is a renamed copy of
+    extra arguments to its goal, checks that it is a body as a whole and
+    runs it opaque to cut; a goal variable runs as call/1 of it (ISO/IEC
+    13211-1, 7.6.2), so a cut in the term it is bound to is local to that
+    term, and `\\+ G` as `\\+ call(G)` (8.15.1).  A ball is a renamed copy of
     the thrown term, raised as `OracleThrow`; catch/3 runs its goal on its
     own, so only balls from the goal reach it, and runs the recovery,
     opaque to cut, from the substitution it started with.  A variable ball
@@ -223,8 +236,9 @@ def oracle_solve(program, goal, occurs_check=False, events=None):
                 yield from solve(((args[1], level), rest), subst)
         elif key == ("->", 2):
             yield from ite(args[0], args[1], Atom("fail"), level, rest, subst)
-        elif key == ("\\+", 1):
-            yield from ite(args[0], Atom("fail"), Atom("true"), level, rest, subst)
+        elif key == ("\\+", 1):  # \+ G is \+ call(G) (8.15.1)
+            yield from ite(Struct("call", (args[0],)), Atom("fail"), Atom("true"), level, rest,
+                           subst)
         elif key == ("throw", 1):
             ball = oracle_resolve(args[0], subst)
             if type(ball) is Var:
@@ -234,7 +248,7 @@ def oracle_solve(program, goal, occurs_check=False, events=None):
             g = oracle_walk(args[0], subst)
             if type(g) is Var:
                 raise OracleThrow(instantiation_error("call").term)
-            if type(g) is not Atom and type(g) is not Struct:
+            if not oracle_is_body(g, subst):
                 raise OracleThrow(type_error("callable", oracle_resolve(g, subst)).term)
             if len(args) > 1:
                 g = Struct(g.name, (g.args if type(g) is Struct else ()) + args[1:])

@@ -384,14 +384,15 @@ def test_trace_of_guarded_clauses_prints_each_guard_goal(tmp_path, capsys):
     ("undone", "( X is 1, fail ; true ), var(X)", [{}]),
     ("tens(X)", "member(A, [1, 2]), B is A * 10, X = B", [{"X": "10"}, {"X": "20"}]),
     ("self_ref(X)", "X is X + 1", "instantiation_error(arithmetic)"),
-    ("unknown(X)", "X is foo + 1", "type_error(evaluable, foo)"),
+    ("unknown(X)", "X is foo + 1", "type_error(evaluable, foo/0)"),
+    ("unknown2(X)", "X is foo(1, 2)", "type_error(evaluable, foo/2)"),
     ("by_zero(X)", "X is 1 / 0", "evaluation_error(zero_divisor)"),
     ("checks", "3 is 1 + 2, 1 + 1 =:= 2.0", [{}]),
     ("held(Y)", "X = 1 + 2, Y is X", [{"Y": "3"}]),
 ])
 def test_compiled_arithmetic_answers_as_the_query_does(rt, head, body, expected):
-    # the clause body is compiled to expression code; the same goals run as
-    # a query are compiled at run time and evaluated by eval_arith
+    # the clause body's arithmetic runs generated code, and the same goals
+    # run as a query are evaluated by eval_arith
     report = rt.consult_text(f"{head} :- {body}.")
     assert report.ok, report.errors
     names = set(parse_term(head)[1])
@@ -588,6 +589,10 @@ def _goal(level):
         _is, _compare,
         *calls, *metas)
     inner = st.one_of(simple, st.tuples(st.just(","), simple, simple))
+    # \+ of a body, or now and then of a term that is not one: `\+ 1` and
+    # `\+ (G, 1)` raise when they run, as \+ call(1) and \+ call((G, 1))
+    negated = st.one_of(inner, inner, inner, st.just(("int", 1)),
+                        st.tuples(st.just(","), simple, st.just(("int", 1))))
     # a use of NUM after the is/2 that may have set it
     use = st.one_of(
         st.tuples(st.just("="), st.just(("var", NUM)), _term),
@@ -608,7 +613,7 @@ def _goal(level):
         simple, *calls,
         st.tuples(st.just("ite"), inner, inner, inner),
         st.tuples(st.just("alt"), inner, inner),
-        st.tuples(st.just("not"), inner),
+        st.tuples(st.just("not"), negated),
         st.tuples(st.just("catch"), inner, _term, inner),
         *arith)
 

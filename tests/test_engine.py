@@ -348,6 +348,14 @@ m(last).
     ("\\+ foo", "ball existence_error(procedure, user:(foo/0))", [{}]),
     ("\\+ G", "ball instantiation_error(call)", None),
     ("m(X)", [{"X": "1"}, {"X": "last"}], None),  # so is a goal under a bound qualifier
+    # \+/1 and once/1 are builtin predicates (8.15.1, 8.15.2): an argument
+    # that is not a body is their goal's error when it runs
+    ("assertz((foo :- \\+ 1)), foo", "ball type_error(callable, 1)", None),
+    ("assertz((foo :- once(1))), foo", "ball type_error(callable, 1)", None),
+    ("\\+ 1", "ball type_error(callable, 1)", None),
+    ("\\+ (a, 1)", "ball type_error(callable, (a, 1))", None),
+    ("call((fail, \\+ 1))", [], None),
+    ("assertz((baz :- (1 -> a)))", "ball type_error(callable, (1 -> a))", None),
 ])
 @pytest.mark.parametrize("unknown", ["error", "fail"])
 def test_meta_calls_answer_and_raise_alike(query, answer, if_unknown_fails, unknown):

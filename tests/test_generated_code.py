@@ -1,7 +1,7 @@
-"""Generated clause code: head matchers, goal-argument builders and
-arithmetic evaluators checked against the interpreters they replace, at
-and past their bounds; the shape cache; and what the per-layer tracer
-relies on."""
+"""Generated clause code: head matchers and goal-argument builders checked
+against the interpreters they replace, and arithmetic against
+`eval_arith`, at and past their bounds; the shape cache; and what the
+per-layer tracer relies on."""
 
 import functools
 import importlib.util
@@ -15,22 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from objlog import clausecode, engine as engine_mod
+from objlog import builtins as _builtins, clausecode, engine as engine_mod
 from objlog.bridge import Bridge
-from objlog.builtins import ARITH_OPS
+from objlog.builtins import ARITH_OPS, eval_arith
 from objlog.clausecode import (
+    BUILTIN,
+    COMPARE,
+    IS,
     MAX_DEPTH,
     MAX_NODES,
     SHAPE_CACHE,
     arg_builder,
-    arith_evaluator,
-    eval_code,
-    expr_code,
     head_matcher,
     instantiate,
     program,
 )
-from objlog.engine import Engine, Machine, match_args
+from objlog.engine import Clause, Engine, Machine, match_args
 from objlog.errors import CyclicTermError, LogicError
 from objlog.reader import parse_term
 from objlog.terms import Atom, ObjRef, Struct, Trail, Var, deref, is_variant, mk_list, \
@@ -38,7 +38,7 @@ from objlog.terms import Atom, ObjRef, Struct, Trail, Var, deref, is_variant, mk
 from objlog.writer import term_text
 
 
-def generated_count(kinds=("head", "build", "guards", "compare", "value")):
+def generated_count(kinds=("head", "build", "guards", "value")):
     """The functions generated so far for clause code; clause switches
     ("select") only when asked for."""
     return sum(clausecode.generated_kinds[k] for k in kinds)
@@ -226,7 +226,7 @@ def test_generated_builder_matches_instantiate(parts, data, first_occurrences):
     assert same(*outcomes)
 
 
-# -- evaluator against eval_code --------------------------------------------------------------
+# -- arithmetic against eval_arith ------------------------------------------------------------
 
 _OPS = sorted(ARITH_OPS)
 _expr = st.recursive(
@@ -240,14 +240,25 @@ _expr = st.recursive(
 _value = st.sampled_from(["unbound", "atom", "expr", "bound", 0, 1, -2, 3, 0.5, 2.0])
 
 
-def _code(sym):
-    """The expression code of a symbolic expression, in postfix order."""
+def _expr_term(sym, leaves):
+    """The term of a symbolic expression, with `leaves[i]` for slot i."""
     kind = sym[0]
     if kind == "slot":
-        return (sym[1],)
+        return leaves[sym[1]]
     if kind == "num":
-        return ((sym[1],),)
-    return (*(e for a in sym[2:] for e in _code(a)), ARITH_OPS[sym[1]])
+        return sym[1]
+    return Struct(sym[1][0], tuple(_expr_term(a, leaves) for a in sym[2:]))
+
+
+def _nodes(sym):
+    return 1 + sum(_nodes(a) for a in sym[2:]) if sym[0].startswith("op") else 1
+
+
+@functools.lru_cache(maxsize=None)
+def _builtin_table():
+    eng = Engine(out=io.StringIO())
+    _builtins.install(eng)
+    return eng.builtins
 
 
 def _frame(values):
@@ -279,28 +290,67 @@ def _outcome(fn):
 
 @settings(max_examples=400, deadline=None)
 @given(_expr, _expr, st.lists(_value, min_size=3, max_size=3),
-       st.sampled_from([None, operator.lt, operator.eq, operator.ge]))
-def test_generated_evaluator_matches_eval_code(left, right, values, compare):
-    a = _code(left)
-    b = _code(right)
-    fn, consts = arith_evaluator(a, b, compare) if compare else arith_evaluator(a)
-    vs = _frame(values)
+       st.sampled_from([None, ("<", operator.lt), ("=:=", operator.eq), (">=", operator.ge)]))
+def test_generated_arithmetic_matches_eval_arith(left, right, values, compare):
+    # the goal of `ev(S0, S1, S2, R) :- R is Left` or `ev(S0, S1, S2) :-
+    # Left < Right`, its own function run on a frame where the head put
+    # `values`, against eval_arith on the expressions with those values
+    head_vars = [Var(f"S{i}") for i in range(3)]
     if compare is None:
-        expected = _outcome(lambda: eval_code(a, vs))
+        r = Var("R")
+        head = Struct("ev", (*head_vars, r))
+        body = Struct("is", (r, _expr_term(left, head_vars)))
+        too_long = _nodes(left) > MAX_NODES
     else:
-        expected = _outcome(lambda: compare(eval_code(a, vs), eval_code(b, vs)))
-    got = _outcome(lambda: fn(vs, consts))
+        head = Struct("ev", tuple(head_vars))
+        body = Struct(compare[0], (_expr_term(left, head_vars), _expr_term(right, head_vars)))
+        too_long = max(_nodes(left), _nodes(right)) > MAX_NODES
+    clause = Clause(head, body, "user", _builtin_table())
+    goal = clause.code[0]
+    if too_long:  # a builtin goal, which eval_arith runs
+        assert goal.op == BUILTIN
+        return
+    assert goal.op == (IS if compare is None else COMPARE)
+    vs = _frame(values) + [None] * (clause.nvars - 3)
+    leaves = vs[:3]
+    if compare is None:
+        expected = _outcome(lambda: eval_arith(_expr_term(left, leaves)))
+    else:
+        expected = _outcome(lambda: compare[1](eval_arith(_expr_term(left, leaves)),
+                                               eval_arith(_expr_term(right, leaves))))
+    got = _outcome(lambda: goal.get(vs, goal.args))
     assert type(got[-1]) is type(expected[-1]) and got == expected
 
 
-def test_expression_code_compiles_to_what_the_differential_test_builds():
+def test_expression_compiles_to_its_postfix_shape_and_constants():
     t, _ = parse_term("X - Y * 2 + abs(Z)")
-    slots: dict = {}
-    code = expr_code(program(t, slots, []))
-    assert code == _code(("op2", ("+", 2),
-                          ("op2", ("-", 2), ("slot", 0),
-                           ("op2", ("*", 2), ("slot", 1), ("num", 2))),
-                          ("op1", ("abs", 1), ("slot", 2))))
+    consts: list = []
+    shape = clausecode._expr_shape(program(t, {}, []), consts)
+    assert shape == (0, 1, "num", "op2", "op2", 2, "op1", "op2")
+    assert consts == [2, *(ARITH_OPS[k].fn for k in [("*", 2), ("-", 2), ("abs", 1), ("+", 2)])]
+
+
+def test_a_lone_and_a_leading_arithmetic_goal_share_one_function(rt):
+    def arithmetic():
+        return sum(clausecode.generated_kinds.values()) - generated_count(("head", "build"))
+
+    clausecode._generated.cache_clear()
+    before = arithmetic()
+    rt.consult_text("""
+    a(X) :- X > 17.
+    b(X) :- atom(a), X > 17.
+    c(X, Y) :- Z is X - 1, Y = Z.
+    d(X, Y) :- atom(a), Z is X - 1, Y = Z.
+    """)
+    assert arithmetic() == before + 2
+
+    def clause(name, arity):
+        return rt.engine.entry("user", name, arity).clauses[0]
+
+    assert clause("a", 1).guard[0] is clause("b", 1).code[1].get
+    assert clause("c", 2).guard[0] is clause("d", 2).code[1].get
+    assert solutions(rt, "a(18), b(18), c(5, Y), d(5, W)") == [{"Y": "4", "W": "4"}]
+    assert solutions(rt, "b(17)") == []
 
 
 # -- the bounds ---------------------------------------------------------------------------------
@@ -372,11 +422,16 @@ def test_expression_at_and_past_the_length_bound(rt, length):
     terms = (length - 1) // 2
     text = ("X" if length % 2 else "abs(X)") + " + 1" * terms
     t, _ = parse_term(text)
-    code = expr_code(program(t, {}, []))
-    assert len(code) == length
-    fn, _consts = arith_evaluator(code)
-    assert (fn is clausecode._eval_value) == (length > MAX_NODES)
+    shape = clausecode._expr_shape(program(t, {}, []), [])
+    past = length > MAX_NODES
+    if past:
+        assert shape is None
+    else:
+        assert len(shape) == length
     rt.consult_text(f"long(X, Y) :- Y is {text}. long_lt(X) :- {text} > X.")
+    for name in ("long", "long_lt"):
+        goal = rt.engine.entry("user", name, 2 if name == "long" else 1).clauses[0].code[0]
+        assert (goal.op == BUILTIN) == past
     assert solutions(rt, "long(2, Y)") == [{"Y": str(2 + terms)}]
     assert solutions(rt, "long_lt(2)") == [{}]
     with pytest.raises(LogicError) as err:
