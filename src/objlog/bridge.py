@@ -28,26 +28,26 @@ between.  Methods flagged pure-logic are entered at once, with no scope and
 no conversion, so their choice points stay live.  A classic send or get
 enters the call made from its converted arguments and commits to its
 first solution as once/1 does.  Unless its scope holds a transient
-object, it closes the scope first and runs under the commit node alone:
-a no-argument or int-argument call made no scope, and the wrapper made
-for a `prolog` argument is out of reach once its term is read back into
-the call, so the post-call protocol discards it.  The wrapper is still
-made: it is the paper's passage of host data, and what the body stores
-goes through a wrapper of its own.  Whatever a classic call does after
+object, it closes the scope first and runs committed alone
+(`Machine.call_once`): a no-argument or int-argument call made no scope,
+and the wrapper made for a `prolog` argument is out of reach once its
+term is read back into the call, so the post-call protocol discards it.
+The wrapper is still made: it is the paper's passage of host data, and
+what the body stores goes through a wrapper of its own.  Whatever a classic call does after
 its method is one exit step (`_ExitStep`): a get's step converts the answer
 and unifies it with the caller's result, and the step ends the host-data
 scope that conversion runs in.  A call that closed its scope first needs
-the step for a get only; it follows the commit node, off the
-choice-point stack, and opens a scope of its own for the answer.  A call
-holding an object built from a compound argument, which must outlive the
-body, keeps its scope open and runs with the step as its frame on the
-stack, which closes the scope on exit, on failure or on an exception; a
-get's answer converts at that exit, in that scope.  A call from native code
-(an `initialise` run by new/2, `Kernel.send_value`, an event, a message)
-reaches `logic_send`/`logic_get` from the kernel and runs the call in a
-nested solve (`solve_nested`), since a Python frame is waiting for its
-answer; a Python error out of that solve passes the native caller
-unchanged.
+the step for a get only; it follows the commit, off the choice-point
+stack, and opens a scope of its own for the answer.  A call holding an
+object built from a compound argument, which must outlive the body, keeps
+its scope open and runs with the step as its frame on the stack, which
+closes the scope on exit, on failure or on an exception; a get's answer
+converts at that exit, in that scope.  A call from native code (an
+`initialise` run by new/2, `Kernel.send_value`, an event, a message)
+reaches `logic_send`/`logic_get` from the kernel and solves the call's
+goal term in a nested solve (`solve_nested`), since a Python frame is
+waiting for its answer; a Python error out of that solve passes the
+native caller unchanged.
 
 Three crossings open a host-data scope: a send, get or send_class from
 logic that is not pure-logic (`_dispatch`), new/2 (`new_from_spec`) and an
@@ -63,7 +63,7 @@ crossing that converts nothing pays for no frame.
 from __future__ import annotations
 
 from .balls import bridge_error
-from .clausecode import COMMIT, COMMIT_EXIT, call_goal, new_struct
+from .clausecode import new_struct
 from .engine import Scope
 from .hostdata import HostTermObject
 from .kernel import PROLOG_T, KMethod, KObject, LogicImpl, TypeSpec
@@ -80,8 +80,9 @@ class _ExitStep(Scope):
     committed to its first solution.  `held` says whether the scope
     `Bridge._dispatch` opened is still open: so when it holds a transient
     object, which must outlive the body, and the step is then the call's
-    frame on the stack (`Machine.call_scoped`).  Else the step is the frame
-    of the call's `COMMIT_EXIT` node, off the stack, and only a get has one.
+    frame on the stack (`Machine.call_scoped`).  Else the step runs after
+    the call commits, off the stack (`Machine.call_once`), and only a get
+    has one.
 
     `exit` succeeds for a send.  For a get it converts the answer, the bound
     `answer` variable of the `get_implementation/4` call, to the method's
@@ -229,9 +230,9 @@ class Bridge:
         """The call that runs a logic-implemented method, a get when
         `result` is given, else a send: the pinned entry of
         `send_implementation/3` or `get_implementation/4` and its arguments
-        `(Mid, Msg, @Oid)` or `(Mid, Msg, @Oid, Result)`, ready for
-        `Machine.enter` or `call_goal` with no goal term built and nothing
-        compiled."""
+        `(Mid, Msg, @Oid)` or `(Mid, Msg, @Oid, Result)`: a call from logic
+        enters it (`Machine.enter`) with no goal term built and nothing
+        compiled, and one from native code solves it as a goal term."""
         impl = method.impl
         msg = new_struct(impl.sel.name, tuple(arg_terms)) if arg_terms else impl.sel
         if result is None:
@@ -241,8 +242,8 @@ class Bridge:
     def logic_send(self, method: KMethod, obj: KObject, values) -> bool:
         """What the kernel runs for a send to a logic-implemented method from
         native code (an `initialise` run by new/2, `Kernel.send_value`, an
-        event, a message): it runs the implementation goal in a nested solve
-        and commits to its first solution."""
+        event, a message): it solves the implementation goal in a nested
+        solve and commits to its first solution."""
         return self._logic_call(method, obj, values, None)
 
     def logic_get(self, method: KMethod, obj: KObject, values):
@@ -252,11 +253,14 @@ class Bridge:
 
     def _logic_call(self, method: KMethod, obj: KObject, values, result):
         """The body of `logic_send` and `logic_get`, a nested solve: a get
-        when `result` is given.  It opens no host-data scope: each crossing
-        inside the solve opens its own, and the result converts in the
-        caller's."""
+        when `result` is given.  The goal term solves as a `@prolog`
+        message's does: its predicate is entered through its entry, with
+        nothing compiled (see `Machine.call_term`).  It opens no host-data
+        scope: each crossing inside the solve opens its own, and the result
+        converts in the caller's."""
         terms = [self.value_to_term(v) for v in values]
-        ok = self.solve_nested(call_goal(*self._implementation_call(method, obj, terms, result)))
+        entry, args = self._implementation_call(method, obj, terms, result)
+        ok = self.solve_nested(new_struct(entry.name, args), entry.ns)
         if result is None:
             return ok
         if not ok:
@@ -277,14 +281,14 @@ class Bridge:
         from logic raises (see `Machine.call_term`)."""
         return self.solve_nested(mk(pred_name, *map(self.value_to_term, values)))
 
-    def solve_nested(self, goal) -> bool:
-        """Solve a goal term in `user`, or a compiled `Goal`, from native
-        code, committed to its first solution.  A Python error out of the
-        solve was raised in logic, not by the native method that runs the
-        solve: it is marked `raised_in_logic`, so `Kernel._call_native`
-        passes it on as it is, not as that method's `native_exception`."""
+    def solve_nested(self, goal: Term, ns: str = "user") -> bool:
+        """Solve a goal term in namespace `ns` from native code, committed
+        to its first solution.  A Python error out of the solve was raised
+        in logic, not by the native method that runs the solve: it is
+        marked `raised_in_logic`, so `Kernel._call_native` passes it on as
+        it is, not as that method's `native_exception`."""
         try:
-            return self.rt.engine.solve_once(goal, "user")
+            return self.rt.engine.solve_once(goal, ns)
         except Exception as exc:
             exc.raised_in_logic = True
             raise
@@ -303,8 +307,8 @@ class Bridge:
         converted arguments and runs to its first solution: a call whose
         scope holds a transient object with its `_ExitStep` as the frame
         that keeps the open scope; any other closes the scope and runs
-        under the commit node once/1 uses, followed by its exit step when
-        it is a get."""
+        committed as once/1 is, followed by its exit step when it is a get
+        (`Machine.call_once`)."""
         if method.nondet:
             return m.enter(*self._implementation_call(method, obj, arg_terms, result))
         kernel = self.rt.kernel
@@ -332,16 +336,16 @@ class Bridge:
         if call is None:
             hostdata.close_scope()
             return ok
+        entry, args = call  # plain arguments: a spread call costs more here
         if hostdata.holds_object():
             # an object built from an argument must outlive the body: the
             # step is the call's frame and keeps the scope
-            return m.call_scoped(*call, _ExitStep(self, method, result, answer, True))
+            return m.call_scoped(entry, args, _ExitStep(self, method, result, answer, True))
         # a wrapper made for a `prolog` argument is out of reach now that
         # its term is in the call, so the post-call protocol discards it
         hostdata.close_scope()
         step = None if result is None else _ExitStep(self, method, result, answer, False)
-        m.push(COMMIT if step is None else COMMIT_EXIT, step, len(m.cps))
-        return m.enter(*call)
+        return m.call_once(entry, args, step)
 
     def _bi_send(self, m, args, ns):
         selector, arg_terms = self.parse_message("send", args[1:])

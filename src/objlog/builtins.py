@@ -225,8 +225,8 @@ ARITH_BUILTINS = {_is2: None, **{fn: op for _name, op, fn in _COMPARISONS}}
 
 def _between(m, args, ns):
     """between/3.  A bound third argument is answered here; an unbound one
-    enumerates through the prelude's `pce_principal:'$between'/3`, whose
-    clauses leave the choice points."""
+    enumerates by entering the prelude's `pce_principal:'$between'/3` in
+    place (`Machine.enter`), whose clauses leave the choice points."""
     lo = deref(args[0])
     hi = deref(args[1])
     x = deref(args[2])
@@ -238,11 +238,7 @@ def _between(m, args, ns):
         return type(x) is int and lo <= x <= hi
     if lo > hi:
         return False
-    from .clausecode import call_goal  # clausecode imports this module
-    from .engine import PushGoal
-
-    entry = m.engine.preds[("pce_principal", "$between", 3)]
-    return PushGoal((call_goal(entry, (lo, hi, x)),))
+    return m.enter(m.engine.preds[("pce_principal", "$between", 3)], (lo, hi, x))
 
 
 # -- output ------------------------------------------------------------------

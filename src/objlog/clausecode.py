@@ -24,10 +24,10 @@ of `\\+` or `once/1`, which is then call/1 of it.  A goal met at run time (a
 query, `call/N`, a variable goal) that is one call of a builtin or a user
 predicate runs with nothing compiled (`engine.Machine.call_term`); any
 other compiles the same way, with its variables held as they are, and
-nothing else is compiled at run time.  The call that runs a logic-defined
-method, made for a send or get from logic, is built already compiled by
-`call_goal`: one `CALL` goal with fixed arguments and its predicate entry
-resolved, so it builds no goal term and looks nothing up.
+nothing else is compiled at run time.  No other module builds goals:
+code outside the clauses hands the machine a goal term to solve
+(`engine.Engine.solve`) or a predicate entry to enter in place
+(`engine.Machine.enter`), as between/3 and a send or get from logic do.
 
 A clause-body `is/2` or comparison (`<` `>` `=<` `>=` `=:=` `=\\=`) compiles
 to generated code over frame slots, so a call builds no term and nothing
@@ -663,18 +663,6 @@ def arg_goal(op: int, t: Term, ns: str, slots: Optional[dict], fresh) -> Goal:
         g.args = p.args
         return g
     g.get, g.args = arg_builder(p)
-    return g
-
-
-def call_goal(entry, args: tuple) -> Goal:
-    """A call of predicate `entry` (a `PredicateEntry`) with the fixed
-    arguments `args`: built already compiled and resolved, so running it
-    looks nothing up and compiles nothing.  Entries are never removed and
-    their clause lists are copy-on-write, so the pinned entry stays valid;
-    with it set, the goal needs no `key`."""
-    g = Goal(CALL, entry.ns, entry.name)
-    g.args = args
-    g.entry = entry
     return g
 
 

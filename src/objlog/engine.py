@@ -36,12 +36,12 @@ term's met at run time (see below), and one a builtin makes in place, as
 a send or get from logic enters its method's implementation clauses with
 no goal built and no further step of the loop.  Backtracking resumes
 clause and disjunction alternatives only: a builtin with several answers,
-as between/3, pushes a call of clauses that give them (`PushGoal`).  A
-bridge call whose host-data scope holds a transient object while its
-method runs in the calling machine is a `Scope` frame on the same stack,
-and so is a catch/3 frame, so neither nests a solve; any other call that
-has work left after its method, as a classic get's result, continues
-with an exit step that is not on the stack.  Each choice point and frame
+as between/3, enters a predicate whose clauses give them.  A bridge call
+whose host-data scope holds a transient object while its method runs in
+the calling machine is a `Scope` frame on the same stack, and so is a
+catch/3 frame, so neither nests a solve; any other call that has work
+left after its method, as a classic get's result, continues with an exit
+step that is not on the stack.  Each choice point and frame
 holds a guard on the trail while it is on the stack and releases it when
 popped (`Trail.release`), which drops the trail once no guard is left.
 
@@ -140,13 +140,11 @@ from .writer import term_text
 
 class PushGoal:
     """Returned by a registered builtin to continue with compiled goals in
-    the current machine: `code` is a tuple of `Goal`s, built already
-    compiled (between/3 builds one `CALL` goal with its predicate entry
-    resolved), so nothing is compiled when it is pushed.  This is how a
-    builtin gives more than one answer: the clauses it calls leave the
-    choice points.  A builtin that continues with one call of a predicate
-    can instead enter it in place with `Machine.enter(entry, args)` and
-    return what that returns, as the bridge's sends and gets do.
+    the current machine: `code` is a tuple of `Goal`s, so nothing is
+    compiled when it is pushed.  A builtin that continues with one call of
+    a predicate enters it in place with `Machine.enter(entry, args)` and
+    returns what that returns, as between/3 and the bridge's sends and
+    gets do: the clauses it calls leave the choice points.
 
     The pushed code gets a fresh cut barrier, so a cut inside it stays local.
     """
@@ -467,10 +465,10 @@ class Scope:
     the machine, which its query then closes.  A call's frame is always on
     top at its exit, so its `close` runs exactly once; a catch frame stays
     while its goal has choice points, and its `close` does nothing.  An
-    object with the same `exit` and `close` can also stand as the frame of
-    a pushed `COMMIT_EXIT` node without being on the stack: an exit step,
-    run once after the call commits, as a classic get's result step.  A
-    frame saves the node to go back to (`cont`) and the trail `mark`."""
+    object with the same `exit` and `close` can also stand off the stack
+    as the exit step of `Machine.call_once`, run once after the call
+    commits, as a classic get's result step.  A frame saves the node to go
+    back to (`cont`) and the trail `mark`."""
 
     __slots__ = ("cont", "mark")
 
@@ -508,13 +506,11 @@ class Machine:
 
     __slots__ = ("engine", "cont", "frame", "peak_depth", "peak_cps", "cps")
 
-    def __init__(self, engine: "Engine", goal: Term | Goal, ns: str = "user"):
+    def __init__(self, engine: "Engine", goal: Term, ns: str = "user"):
         self.engine = engine
-        # a goal term is read when it first runs (`call_term`), so its errors
-        # surface there; a compiled goal carries its own namespace
-        if type(goal) is not Goal:
-            goal = late_goal(goal, ns)
-        self.cont = ((goal,), 0, None, 0, None, 1)
+        # the goal term is read when it first runs (`call_term`), so its
+        # errors surface there
+        self.cont = ((late_goal(goal, ns),), 0, None, 0, None, 1)
         self.frame = None
         self.peak_depth = 1
         self.peak_cps = 0
@@ -583,6 +579,15 @@ class Machine:
         scope.mark = self.engine.trail.mark()
         self._push_cp(scope)
         self.push(COMMIT_EXIT, scope, len(self.cps))
+        return self.enter(entry, args)
+
+    def call_once(self, entry: PredicateEntry, args: tuple, step: Optional[Scope]) -> bool:
+        """Enter a call of predicate `entry` with `args` committed to its
+        first solution, as once/1 runs it, with no frame on the stack: the
+        call continues with a cut to the height here, then, unless `step`
+        is None, the exit step `step` (see `Scope`).  Returns what `enter`
+        returns."""
+        self.push(COMMIT if step is None else COMMIT_EXIT, step, len(self.cps))
         return self.enter(entry, args)
 
     def _unwind(self, err: LogicError) -> None:
@@ -955,7 +960,7 @@ class Query:
 
     __slots__ = ("machine", "_mark", "_forward")
 
-    def __init__(self, engine: "Engine", goal: Term | Goal, ns: str, protect: bool):
+    def __init__(self, engine: "Engine", goal: Term, ns: str, protect: bool):
         self._forward = None  # True until the first solution, None once ended
         self.machine = Machine(engine, goal, ns)
         self._mark = None
@@ -1149,17 +1154,17 @@ class Engine:
 
     # -- execution ---------------------------------------------------------
 
-    def solve(self, goal: Term | Goal, ns: str = "user", protect: bool = False) -> Query:
-        """An iterator over the solutions of `goal`, a goal term or a
-        compiled `Goal` (built with `clausecode.call_goal`, which carries its
-        namespace and runs with nothing compiled).  Exhausted without
-        `protect`, it leaves the goal term partly bound (see `Query`): pass
-        `protect=True`, or parse a fresh goal, to solve it again."""
+    def solve(self, goal: Term, ns: str = "user", protect: bool = False) -> Query:
+        """An iterator over the solutions of the goal term `goal` in
+        namespace `ns`, run as call/1 of it (`Machine.call_term`).
+        Exhausted without `protect`, it leaves the goal term partly bound
+        (see `Query`): pass `protect=True`, or parse a fresh goal, to solve
+        it again."""
         return Query(self, goal, ns, protect)
 
-    def solve_once(self, goal: Term | Goal, ns: str = "user") -> bool:
-        """Run a goal, a term or a compiled `Goal`, and commit to its first
-        solution; keeps its bindings."""
+    def solve_once(self, goal: Term, ns: str = "user") -> bool:
+        """Run a goal term and commit to its first solution; keeps its
+        bindings."""
         q = self.solve(goal, ns, protect=True)
         try:
             next(q)

@@ -103,7 +103,7 @@ def tokenize(text: str) -> list:
             i = j + 2
             continue
         start = i
-        if c.isdigit():
+        if c.isdecimal():
             i, tok = _scan_number(text, i, line)
             toks.append(tok)
             continue
@@ -148,22 +148,22 @@ def tokenize(text: str) -> list:
 def _scan_number(text, i, line):
     n = len(text)
     start = i
-    while i < n and text[i].isdigit():
+    while i < n and text[i].isdecimal():
         i += 1
     is_float = False
-    if i + 1 < n and text[i] == "." and text[i + 1].isdigit():
+    if i + 1 < n and text[i] == "." and text[i + 1].isdecimal():
         is_float = True
         i += 1
-        while i < n and text[i].isdigit():
+        while i < n and text[i].isdecimal():
             i += 1
     if i < n and text[i] in "eE":
         j = i + 1
         if j < n and text[j] in "+-":
             j += 1
-        if j < n and text[j].isdigit():
+        if j < n and text[j].isdecimal():
             is_float = True
             i = j
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
     raw = text[start:i]
     if is_float:

@@ -1,8 +1,10 @@
 """The assembled runtime: one logic engine, one object kernel, one bridge.
 
-A `Runtime` owns every piece of state; nothing is shared between instances
-except the global atom table.  All use is single-threaded: solve iterators,
-bridge calls and the REPL must stay on the thread that created the runtime.
+A `Runtime` owns every piece of program state.  Instances share only what
+is process-wide and holds no program state: the atom table, the cache of
+generated clause code and its counter `clausecode.generated_kinds`.  All use
+is single-threaded: solve iterators, bridge calls and the REPL must stay on
+the thread that created the runtime.
 """
 
 from __future__ import annotations

@@ -10,14 +10,16 @@ from objlog.runtime import Runtime
 def rt():
     """A fresh runtime whose output is captured.  On teardown its trail
     holds no guard and no entry: every query, choice point and frame has
-    released its guard, and with none nothing could undo an entry.  And no
-    crossing is left open: no host-data scope and no term frame."""
+    released its guard, and with none nothing could undo an entry.  No
+    crossing is left open: no host-data scope and no term frame.  And every
+    live object's refcount is what its locks and references make it."""
     runtime = Runtime(out=io.StringIO())
     yield runtime
     trail = runtime.engine.trail
     assert trail.guards == 0 and not trail.entries
     assert runtime.hostdata.ledgers == []
     assert runtime.store.current_frame() is None
+    assert runtime.audit_refcounts() == []
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from objlog.bridge import Bridge
 from objlog.engine import Machine
 from objlog.errors import LogicError
 from objlog.hostdata import HostData
-from objlog.kernel import PROLOG_T, Kernel, KMethod, LogicImpl, NativeImpl
+from objlog.kernel import PROLOG_T, InstanceOf, Kernel, KMethod, LogicImpl, NativeImpl
 from objlog.reader import parse_term
 from objlog.runtime import Runtime
 from objlog.terms import (Atom, ObjRef, TermStore, Var, is_variant, resolve_copy,
@@ -79,6 +79,31 @@ def test_new_arg_conversion_error(rt):
 
 def test_new_unbound_init_arg_is_error(rt):
     assert err_kind(rt, "new(_X, box(_W, 1))") == "instantiation"
+
+
+REFUSING = """
+:- pce_begin_class(refusing, object).
+initialise(_O, N:int) :-> N > 0.
+:- pce_end_class(refusing).
+:- pce_begin_class(throwing, object).
+initialise(_O) :-> throw(no_way).
+:- pce_end_class(throwing).
+"""
+
+
+def test_new_fails_or_throws_as_its_logic_initialise_does(rt):
+    # the partial instance is destroyed either way, and the ball of a
+    # throwing initialise reaches the catch/3 around new/2
+    rt.consult_text(REFUSING)
+    created = rt.kernel.created_total
+    live = rt.kernel.live_count
+    assert once(rt, "new(O, refusing(1))") is not None
+    assert once(rt, "new(O, refusing(0))") is None
+    assert term_text(once(rt, "catch(new(O, throwing), E, true)")["E"]) == "no_way"
+    assert rt.kernel.created_total == created + 3
+    assert rt.kernel.live_count == live + 1
+    assert rt.kernel.live_count_of("throwing") == 0
+    assert rt.audit_refcounts() == [] and rt.hostdata.ledgers == []
 
 
 # -- send/2..N -------------------------------------------------------------------
@@ -472,6 +497,25 @@ def test_transient_compound_collected_on_later_error(rt):
     # the transient box was released by the post-call protocol
     assert rt.kernel.live_count_of("box") == boxes
     assert rt.audit_refcounts() == []
+
+
+def test_the_audit_counts_the_transient_hold_of_a_running_call(rt):
+    # a native method audits while the box made from its compound argument
+    # is held by the call's ledger alone
+    k = rt.kernel
+    seen = []
+
+    def audit(rt_, obj, vals):
+        seen.append((vals[0].oid, rt_.hostdata.transient_holds(), rt_.audit_refcounts()))
+        return True
+
+    cls = k.define_class("auditor", "object")
+    k.define_method(cls, KMethod("check", "send", (InstanceOf("box"),), impl=NativeImpl(audit)))
+    ref = term_text(once(rt, "new(A, auditor)")["A"])
+    assert rt.call(f"send({ref}, check(box(3, 4)))")
+    [(oid, holds, found)] = seen
+    assert holds == {oid: 1} and found == []
+    assert rt.kernel.live_count_of("box") == 0
 
 
 def test_transient_unused_compound_collected(rt):
@@ -1129,6 +1173,14 @@ def getter(rt, monkeypatch):
 def test_a_get_whose_body_fails_fails(rt, getter):
     ref, frames = getter
     assert rt.once(f"get({ref}, nope, _)") is None
+    assert rt.audit_refcounts() == [] and frames == {}
+
+
+def test_a_native_call_of_a_get_whose_body_fails_answers_none(rt, getter):
+    ref, frames = getter
+    k = rt.kernel
+    obj = k.fetch(int(ref[1:]))
+    assert k.invoke_get(obj, k.method_of(obj, "nope", "get"), []) is None
     assert rt.audit_refcounts() == [] and frames == {}
 
 

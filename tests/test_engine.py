@@ -710,6 +710,13 @@ def test_every_entry_point_reads_qualifiers_alike(rt, entry_point, qualifier):
     assert {key[0] for key in rt.engine.preds} <= set(NAMESPACES)
 
 
+def test_a_failing_directive_is_a_warning_and_the_consult_goes_on(rt):
+    report = rt.consult_text("a(1).\n:- a(2).\n:- fail.\na(3).\n")
+    assert report.ok and (report.clauses, report.directives) == (2, 2)
+    assert report.warnings == [(2, "directive failed: a(2)"), (3, "directive failed: fail")]
+    assert solutions(rt, "a(X)") == [{"X": "1"}, {"X": "3"}]
+
+
 def test_dynamic_directive_with_qualified_indicators_loads(rt):
     consult(rt, ":- dynamic user:c/2, pce_principal:d/1.")
     assert rt.engine.entry("user", "c", 2) is not None

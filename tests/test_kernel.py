@@ -69,6 +69,7 @@ def test_get_only_slot_rejects_send(rt):
     with pytest.raises(LogicError) as err:
         k.send_value(obj, "r", [1])
     assert bridge_kind(err.value) == "unknown_method"
+    k.release(obj)
 
 
 def test_duplicate_slot_anywhere_on_chain(rt):
@@ -93,7 +94,10 @@ def test_slot_defined_on_an_ancestor_reaches_later_instances(rt):
     assert list(new.slots) == [s.name for s in sub.all_slots()] == ["a", "c", "b"]
     assert all(v is k.nil for v in new.slots.values())
     assert list(old.slots) == ["a", "b"]
-    assert list(k.instantiate(base, []).slots) == ["a", "c"]
+    plain = k.instantiate(base, [])
+    assert list(plain.slots) == ["a", "c"]
+    for obj in (old, new, plain):
+        k.release(obj)
 
 
 def test_method_resolution_walks_up(rt):
@@ -123,11 +127,13 @@ def test_shadowing_three_level_chain(rt):
         log.clear()
         assert k.send_value(obj, "speak", [])
         assert log == [expect]
+        k.release(obj)
     # super dispatch from the shadowing class reaches the shadowed one
     obj = k.instantiate(c, [])
     log.clear()
     assert k.invoke_send(obj, k.resolve_from(obj, "lvl_b", "speak", "send"), [])
     assert log == ["a"]
+    k.release(obj)
 
 
 def test_dispatch_is_pure_function_of_class_table(rt):
@@ -155,6 +161,7 @@ def test_a_replaced_method_reaches_the_next_send(rt):
     k.define_method(cls, KMethod("speak", "send", impl=_logged(log, "new")), replace=True)
     assert k.send_value(obj, "speak", [])
     assert log == ["old", "new"]
+    k.release(obj)
 
 
 def test_a_method_defined_between_shadows_what_a_subclass_resolved(rt):
@@ -172,6 +179,7 @@ def test_a_method_defined_between_shadows_what_a_subclass_resolved(rt):
     assert rt.call(f"send({ref}, speak)") and k.send_value(obj, "speak", [])
     assert rt.call(f"send_class({ref}, memo_b, speak)")
     assert log == ["a", "a", "a", "b", "b", "b"]
+    k.release(obj)
 
 
 def test_a_slot_defined_later_reaches_the_next_get(rt):
@@ -180,10 +188,12 @@ def test_a_slot_defined_later_reaches_the_next_get(rt):
     base = k.define_class("memo_base", "object")
     k.define_method(base, KMethod("v", "get", impl=NativeImpl(lambda rt_, o, v: 0)))
     sub = k.define_class("memo_sub", "memo_base")
-    ref = f"@{k.instantiate(sub, []).oid}"
+    obj = k.instantiate(sub, [])
+    ref = f"@{obj.oid}"
     assert rt.once(f"get({ref}, v, V)")["V"] == 0
     k.define_slot(sub, SlotDef("v", INT_T))
     assert rt.once(f"send({ref}, v(5)), get({ref}, v, V)")["V"] == 5
+    k.release(obj)
 
 
 def test_pure_prolog_applied_after_a_classic_send_reaches_the_next_send(rt):
@@ -215,6 +225,7 @@ def test_an_unknown_selector_is_unknown_at_every_send(rt):
         assert bridge_kind(err.value) == "unknown_method"
     k.define_method(cls, KMethod("later", "send", impl=NativeImpl(lambda rt_, o, v: True)))
     assert rt.call(f"send(@{obj.oid}, later)")
+    k.release(obj)
 
 
 # -- a Python exception from a native method ------------------------------------------
@@ -242,6 +253,7 @@ def test_a_native_exception_is_a_bridge_error_ball(rt, kind):
     assert term_text(err.value.term) == \
         "bridge_error(native_exception, context(exploder, explode, 'ZeroDivisionError'))"
     assert type(err.value.__cause__) is ZeroDivisionError
+    k.release(obj)
 
 
 @pytest.mark.parametrize("exc", [
@@ -257,6 +269,7 @@ def test_balls_bug_traps_store_errors_and_non_exceptions_pass_as_they_are(rt, ex
     with pytest.raises(type(exc)) as err:
         k.send_value(obj, "explode", [])
     assert err.value is exc
+    k.release(obj)
 
 
 # -- soft typing ----------------------------------------------------------------------
@@ -286,6 +299,7 @@ def test_type_check_instance_of_accepts_subclass(rt):
     assert k.type_check_value(obj, InstanceOf("graphical")) is obj
     with pytest.raises(LogicError):
         k.type_check_value(obj, InstanceOf("picture"))
+    k.release(obj)
 
 
 def test_type_check_nil_or(rt):
@@ -296,6 +310,7 @@ def test_type_check_nil_or(rt):
     assert k.type_check_value(col, spec) is col
     with pytest.raises(LogicError):
         k.type_check_value(7, spec)
+    k.release(col)
 
 
 def test_prolog_spec_admits_everything(rt):
@@ -320,6 +335,7 @@ def test_arity_mismatch_is_error(rt):
     with pytest.raises(LogicError) as err:
         k.send_value(box, "width", [1, 2])
     assert bridge_kind(err.value) == "type_mismatch"
+    k.release(box)
 
 
 # -- lifetime --------------------------------------------------------------------------

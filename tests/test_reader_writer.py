@@ -117,6 +117,37 @@ def test_tokenizer_error_ends_the_consult(rt):
     assert "unterminated" in report.errors[0][1]
 
 
+@pytest.mark.parametrize("text, char", [("a(²)", "²"), ("X = 1²", "²"), ("f(€)", "€")],
+                         ids=["superscript_argument", "superscript_after_digit", "euro"])
+def test_a_character_no_token_starts_is_a_reader_error(rt, text, char):
+    # a superscript digit is a digit to `str.isdigit` but no decimal digit
+    report = rt.consult_text(text + ".")
+    assert (report.clauses, len(report.errors)) == (0, 1)
+    assert f"unexpected character {char!r}" in report.errors[0][1]
+    with pytest.raises(ReaderError, match=f"unexpected character {char!r}"):
+        rt.once(text)
+
+
+def test_a_superscript_digit_continues_an_atom():
+    assert t("x²") is Atom("x²")
+    assert term_text(t("f(x², 2)")) == "f(x², 2)"
+
+
+def test_an_unterminated_block_comment_is_incomplete():
+    with pytest.raises(ReaderError, match="unterminated block comment") as err:
+        list(read_terms("p(1).\n/* open\nq(2)."))
+    assert err.value.incomplete and err.value.line == 2
+
+
+def test_quoted_atom_escapes():
+    # a doubled quote is one quote, and a backslash before a newline
+    # continues the atom on the next line
+    assert t("'it''s'") is Atom("it's")
+    terms = list(read_terms("p('ab\\\ncd').\nq."))
+    assert terms[0][0].args[0] is Atom("abcd")
+    assert [line for _term, _vm, line in terms] == [1, 3]
+
+
 def test_incomplete_input_flagged():
     with pytest.raises(ReaderError) as err:
         parse_term("f(a, ")
