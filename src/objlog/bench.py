@@ -91,8 +91,6 @@ def run_benchmarks(rt, iterations: int = 20_000, batches: int = 5,
         raise RuntimeError(f"bench program failed to load: {report.errors}")
 
     area = rt.bridge.new_from_spec(Struct("area", (0, 0, 10, 10)))
-    if rt.kernel.find_class("bench") is None:
-        raise RuntimeError("bench class missing")
     bench_obj = rt.bridge.new_from_spec(Atom("bench"))
     objs = {"area": area, "bench": bench_obj}
 

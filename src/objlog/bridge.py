@@ -11,8 +11,10 @@ primitives, everything else travels inside an opaque wrapper, see
 `hostdata`); and where the type admits an object, an `@N` term resolves
 to its object and a compound argument creates a fresh instance of the
 class named by its functor, held transiently for the duration of the
-call.  Results convert the other way; converting the same object twice
-yields the same `@N`.
+call.  new/2 and a compound argument hand their terms to
+`Kernel.instantiate` with `term_to_value` as the check, so each argument
+is converted and checked once.  Results convert the other way;
+converting the same object twice yields the same `@N`.
 
 send/2..8, send_class/3 and get/3..9 share one message parser and one
 dispatch function, `Bridge._dispatch`, which decides each call's path.
@@ -193,22 +195,12 @@ class Bridge:
     def instantiate_from_struct(self, t: Struct) -> KObject:
         """A compound argument: instantiate the class named by its functor,
         with one transient hold on the current call's ledger."""
-        obj = self.make_instance(t.name, t.args)
+        kernel = self.rt.kernel
+        obj = kernel.instantiate(kernel.find_class(t.name), t.args, self.term_to_value)
         if obj is None:
             raise _ConvFail()
         self.rt.hostdata.register_transient(obj)
         return obj
-
-    def make_instance(self, class_name: str, arg_terms):
-        """Create an instance from term arguments; the caller owns the
-        creation hold.  None when initialise fails."""
-        kernel = self.rt.kernel
-        cls = kernel.find_class(class_name)
-        if cls is None:
-            raise bridge_error("unknown_class", Atom(class_name))
-        init = kernel.resolve_method(cls, "initialise", "send")
-        vals = kernel.check_each(init, arg_terms, class_name, self.term_to_value)
-        return kernel.instantiate(cls, vals)
 
     # -- conversion: kernel -> logic ----------------------------------------
 
@@ -388,7 +380,8 @@ class Bridge:
         kernel = self.rt.kernel
         with self.rt.hostdata.bridge_call():
             try:
-                obj = self.make_instance(cname, arg_terms)
+                obj = kernel.instantiate(kernel.find_class(cname), arg_terms,
+                                         self.term_to_value)
             except _ConvFail:
                 return None
             if obj is None:

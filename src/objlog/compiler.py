@@ -338,4 +338,4 @@ class ClassCompiler:
         vn = Var()
         names = [row[0].name for row in self.rt.engine.findall_bindings(
             Struct("pce_class", (vn, Var())), (vn,), "pce_principal")]
-        return [cls for cls in map(self.rt.kernel.find_class, names) if cls is not None]
+        return [self.realize_class(name) for name in names]

@@ -19,8 +19,11 @@ from logic code to a logic-side
 method runs in the calling machine and never reaches them.  The bridge
 runs the goal in a nested solve and opens no host-data scope of its own:
 each crossing inside the solve opens its own, and a get's result converts
-in the caller's scope.  An unknown class is realized by
-`ClassCompiler.realize_class`.  Instances are reference counted: the count
+in the caller's scope.  Every object is made by `instantiate`: it
+resolves `initialise` once and checks the arguments once, under the
+class's name, before it allocates.  `find_class` realizes a class from
+its facts (`ClassCompiler.realize_class`) and is the one place an unknown
+class is a ball.  Instances are reference counted: the count
 covers incoming slot references, explicit locks and transient bridge
 holds, and an object whose count falls to zero with no locks is
 destroyed, releasing its own references in turn.
@@ -303,11 +306,7 @@ class Kernel:
                      factory=None) -> KClass:
         if name in self.classes:
             raise permission_error("redefine_class", Atom(name))
-        super_ = None
-        if super_name is not None:
-            super_ = self.find_class(super_name)
-            if super_ is None:
-                raise bridge_error("unknown_class", Atom(super_name))
+        super_ = None if super_name is None else self.find_class(super_name)
         cls = KClass(name, super_)
         if factory is not None:
             cls.factory = factory
@@ -316,10 +315,14 @@ class Kernel:
         self.classes[name] = cls
         return cls
 
-    def find_class(self, name: str) -> Optional[KClass]:
+    def find_class(self, name: str) -> KClass:
+        """The class `name`, realized from its facts if need be; else an
+        `unknown_class` ball."""
         cls = self.classes.get(name)
         if cls is None:
             cls = self.rt.compiler.realize_class(name)
+            if cls is None:
+                raise bridge_error("unknown_class", Atom(name))
         return cls
 
     def define_slot(self, kclass: KClass, sdef: SlotDef) -> None:
@@ -392,13 +395,17 @@ class Kernel:
         self.created_total += 1
         return obj
 
-    def instantiate(self, kclass: KClass, values) -> Optional[KObject]:
+    def instantiate(self, kclass: KClass, args, check=None) -> Optional[KObject]:
         """Create an instance holding one creation reference; None on
-        initialise failure (the partial object is destroyed)."""
+        initialise failure (the partial object is destroyed).  `check` is
+        `check_each`'s: `type_check_value` by default, the bridge's term
+        conversion for arguments written in logic."""
+        init = self.resolve_method(kclass, "initialise", "send")
+        vals = self.check_each(init, args, kclass.name, check or self.type_check_value)
         obj = self.allocate(kclass)
         self.retain(obj)
         try:
-            ok = self.send_value(obj, "initialise", list(values))
+            ok = self.invoke_send(obj, init, vals)
         except BaseException:
             if not obj.freed:
                 self.destroy(obj)
@@ -482,8 +489,6 @@ class Kernel:
                      kind: str) -> KMethod:
         """Resolve a method starting at a named ancestor class (super calls)."""
         start = self.find_class(class_name)
-        if start is None:
-            raise bridge_error("unknown_class", Atom(class_name))
         if not obj.kclass.is_a(class_name):
             raise bridge_error("type_mismatch",
                                Struct("not_an_ancestor",

@@ -62,6 +62,12 @@ class ChainObject(KObject):
     def extra_refs(self):
         return tuple(v for v in self.elements if isinstance(v, KObject))
 
+    def append(self, kernel, v) -> None:
+        """Store `v` last, retaining it while stored when it is an object."""
+        self.elements.append(v)
+        if isinstance(v, KObject):
+            kernel.retain(v)
+
     def on_destroy(self, kernel) -> None:
         self.elements = []
 
@@ -177,15 +183,11 @@ def install(rt) -> None:
 
     def chain_init(rt, obj, vals):
         for v in vals:
-            obj.elements.append(v)
-            if isinstance(v, KObject):
-                kernel.retain(v)
+            obj.append(kernel, v)
         return True
 
     def chain_append(rt, obj, vals):
-        obj.elements.append(vals[0])
-        if isinstance(vals[0], KObject):
-            kernel.retain(vals[0])
+        obj.append(kernel, vals[0])
         return True
 
     def chain_clear(rt, obj, vals):
@@ -216,14 +218,11 @@ def install(rt) -> None:
         g = vals[0]
         contents = obj.slots["contents"]
         if g not in contents.elements:
-            contents.elements.append(g)
-            kernel.retain(g)
+            contents.append(kernel, g)
         if len(vals) > 1:
             kernel.slot_set(g, "position", vals[1])
         else:
-            pt = kernel.instantiate(kernel.find_class("point"), [0, 0])
-            kernel.slot_set(g, "position", pt)
-            kernel.release(pt)
+            new_owned(g, "position", "point", [0, 0])
         return True
 
     native(picture, "initialise", (), fn=picture_init)
@@ -242,9 +241,7 @@ def install(rt) -> None:
         return True
 
     def node_son(rt, obj, vals):
-        sons = obj.slots["sons"]
-        sons.elements.append(vals[0])
-        kernel.retain(vals[0])
+        obj.slots["sons"].append(kernel, vals[0])
         return True
 
     native(node, "initialise", (InstanceOf("text"),), fn=node_init)

@@ -8,7 +8,8 @@ from objlog.bridge import Bridge
 from objlog.engine import Machine
 from objlog.errors import LogicError
 from objlog.hostdata import HostData
-from objlog.kernel import PROLOG_T, InstanceOf, Kernel, KMethod, LogicImpl, NativeImpl
+from objlog.kernel import (PROLOG_T, InstanceOf, Kernel, KMethod, KObject, LogicImpl,
+                           NativeImpl)
 from objlog.reader import parse_term
 from objlog.runtime import Runtime
 from objlog.terms import (Atom, ObjRef, TermStore, Var, is_variant, resolve_copy,
@@ -67,6 +68,9 @@ def test_new_bound_reference_is_error(rt):
 
 def test_new_unknown_class(rt):
     assert err_kind(rt, "new(_X, no_such_class(1))") == "unknown_class"
+    with pytest.raises(LogicError) as err:
+        rt.kernel.find_class("no_such")
+    assert term_text(err.value.term) == "bridge_error(unknown_class, no_such)"
 
 
 def test_new_var_spec_is_error(rt):
@@ -441,6 +445,9 @@ PINNED_BALLS = [
      "bridge_error(type_mismatch, context(width, 1, int, {C}))"),
     ("true", "new(_, box(1, 2, 3))", "bridge_error(type_mismatch, arity(box, 2, 3))"),
     ("true", "new(_, box(a, 1))", "bridge_error(type_mismatch, context(box, 1, int, a))"),
+    # the event the pump makes is checked as new/2 checks: the ball names its class
+    ("true", "pump_event(@nil, area_enter, a, 0)",
+     "bridge_error(type_mismatch, context(event, 2, int, a))"),
     ("new(C, chain)", "send(C, append(_))",
      "bridge_error(instantiation, context(append, 1))"),
 ]
@@ -851,6 +858,34 @@ def test_scopes_and_frames_of_each_crossing(rt, monkeypatch, case, scopes, frame
         assert rt.once(case.format(**{k: f"@{v.oid}" for k, v in objs.items()})) is not None
     assert counts.get("open_scope", 0) == counts.get("close_scope", 0) == scopes
     assert counts.get("open_frame", 0) == frames
+
+
+@pytest.mark.parametrize("setup, call, made, checks", [
+    ("true", "new(_, box(10, 20))", "box", [(10, "box"), (20, "box")]),
+    ("new(B, box(10, 20))", "send({B}, fill_pattern, colour(red))", "colour",
+     [(Atom("red"), "colour"), ("colour", "fill_pattern")]),
+], ids=["new", "compound_argument"])
+def test_each_creation_resolves_initialise_once_and_checks_each_argument_once(
+        rt, monkeypatch, setup, call, made, checks):
+    # (value, or the class of an object value; the selector the ball would name)
+    refs = {k: term_text(v) for k, v in once(rt, setup).items()}
+    resolved, checked = [], []
+    resolve_method, type_check_value = Kernel.resolve_method, Kernel.type_check_value
+
+    def resolving(k, kclass, selector, kind):
+        if selector == "initialise":
+            resolved.append(kclass.name)
+        return resolve_method(k, kclass, selector, kind)
+
+    def checking(k, v, spec, selector="?", *rest):
+        checked.append((v.kclass.name if isinstance(v, KObject) else v, selector))
+        return type_check_value(k, v, spec, selector, *rest)
+
+    monkeypatch.setattr(Kernel, "resolve_method", resolving)
+    monkeypatch.setattr(Kernel, "type_check_value", checking)
+    assert rt.once(call.format(**refs)) is not None
+    assert resolved == [made]
+    assert checked == checks
 
 
 @pytest.mark.parametrize("call", [

@@ -417,6 +417,16 @@ def test_initialise_failure_leaves_nothing(rt):
     assert k.live_count == before
 
 
+def test_a_creation_type_error_names_the_class_and_allocates_nothing(rt):
+    # the ball new/2 raises on the same arguments, and no object is made to be destroyed
+    k = rt.kernel
+    made = k.created_total
+    with pytest.raises(LogicError) as err:
+        k.instantiate(k.find_class("box"), [Atom("a"), 2])
+    assert term_text(err.value.term) == "bridge_error(type_mismatch, context(box, 1, int, a))"
+    assert k.created_total == made
+
+
 def test_destroy_cascades_through_slots(rt):
     k = rt.kernel
     holder = k.instantiate(k.find_class("box"), [5, 5])
