@@ -66,13 +66,15 @@ tuple that the clause or goal holds.  Generated source is written from the
 key alone, that is from slot numbers, arities and kind tags, so no term
 text is ever pasted into it.  Functions live in an LRU cache of
 SHAPE_CACHE shapes; a clause or goal keeps its function after the cache
-drops it.  The interpreters stay for what is not generated, so that the
-source of one function stays small: a compound nested deeper than
-MAX_DEPTH (a 10 000-deep head would give a function as deep), which the
-generated code hands to `engine.match_args` or `instantiate`; and a head
-or a goal's arguments of more than MAX_NODES nodes (a head of arity 10 000
-took 0.8 s to generate), matched by `engine.match_head` or built by
-`instantiate`.  Each is decided from the program when it is compiled.
+drops it.  A head or a goal's arguments of at most MAX_NODES nodes are
+generated whole, however deep they nest; bigger ones (a head of arity
+10 000 took 0.8 s to generate) are interpreted whole, matched by
+`engine.match_head` or built by `instantiate`, so the source of one
+function stays small.  That is decided from the program when it is
+compiled, by a count that stops one node past the bound.  A matcher only
+matches: on failure it returns False and leaves the trail as it is, for
+the backtracking that follows to undo, as the WAM's failing `get`
+instructions do (Aït-Kaci 1991, §5).
 
 A predicate's clause switch (`select_switch`), the function that picks the
 clauses a call tries, is generated the same way: its key is the state of
@@ -204,23 +206,20 @@ def instantiate(prog: tuple, vs: list) -> tuple:
 
 # -- generated code ------------------------------------------------------------
 
-# A compound sub-program nested deeper than MAX_DEPTH (a head or goal
-# argument is at depth 1) stays interpreted, and so does a head or a goal's
-# arguments of more than MAX_NODES nodes (slots, constants and compounds);
-# an expression of more than MAX_NODES nodes stays a builtin call.
-MAX_DEPTH = 5
+# A head or a goal's arguments of more than MAX_NODES nodes (slots,
+# constants and compounds) stay interpreted, and an expression of more
+# than MAX_NODES nodes stays a builtin call.
 MAX_NODES = 64
 # The generated functions kept, least recently used dropped first.
 SHAPE_CACHE = 512
 
 
-def _shape(p, depth: int, consts: list):
-    """The shape key of term program `p` at nesting `depth`: the program
-    with each constant moved to `consts`, in the order the generated code
-    reads it, and a kind tag left in its place.  A compound becomes the
-    tuple of its arguments' keys (its functor name is a constant); one too
-    deep to generate becomes "deep", with the one-argument program that
-    `engine.match_args` and `instantiate` run as its constant."""
+def _shape(p, consts: list):
+    """The shape key of term program `p`: the program with each constant
+    moved to `consts`, in the order the generated code reads it, and a kind
+    tag left in its place.  A compound becomes the tuple of its arguments'
+    keys (its functor name is a constant).  It recurses once per level, so
+    it runs only on programs that `_term_code` has found within MAX_NODES."""
     tp = type(p)
     if tp is int:
         return p
@@ -228,20 +227,29 @@ def _shape(p, depth: int, consts: list):
         if len(p) == 1:
             consts.append(p[0])
             return "int"
-        if depth > MAX_DEPTH:
-            consts.append(("", p))
-            return "deep"
         consts.append(p[0])
-        return tuple([_shape(s, depth + 1, consts) for s in p[1:]])
+        return tuple([_shape(s, consts) for s in p[1:]])
     consts.append(p)  # an atom, a float, a ground compound or an object reference
     return "const"
 
 
-def _nodes(shape) -> int:
-    """The number of nodes of a term program of shape `shape`."""
-    if type(shape) is not tuple:
-        return 1
-    return 1 + sum(map(_nodes, shape))
+def _term_code(kind: str, prog: tuple) -> Optional[tuple]:
+    """The generated function of `kind` ("head" or "build") for the argument
+    programs `prog[1:]` and its constants, or None when they have more than
+    MAX_NODES nodes.  The nodes are counted first, with no recursion and no
+    further than one past the bound."""
+    todo = list(prog[1:])
+    n = 0
+    while todo:
+        n += 1
+        if n > MAX_NODES:
+            return None
+        p = todo.pop()
+        if type(p) is tuple:
+            todo.extend(p[1:])
+    consts: list = []
+    key = (kind, *[_shape(p, consts) for p in prog[1:]])
+    return _generated(key), tuple(consts)
 
 
 def _expr_shape(p, consts: list) -> Optional[tuple]:
@@ -290,7 +298,6 @@ class _Source:
         self.k = 0            # the index of the next constant
         self.n = 0            # temporaries made
         self.held: set = set()  # slots held in a local `s<i>` as well as in `vs`
-        self.dirty = False    # a binding may be on the trail since the mark
         self.uses: set = set()  # header names the body reads
 
     def line(self, ind: int, text: str) -> None:
@@ -307,26 +314,19 @@ class _Source:
     def slot(self, i: int) -> str:
         return f"s{i}" if i in self.held else f"vs[{i}]"
 
-    def fail(self, ind: int) -> None:
-        if self.dirty:
-            self.uses.add("mark")
-            self.line(ind, "trail.undo_to(mark)")
-        self.line(ind, "return False")
-
-    def test(self, ind: int, cond: str) -> None:
-        """Fail unless `cond`; anything it binds it leaves bound."""
-        self.line(ind, f"if not {cond}:")
-        self.fail(ind + 1)
-        self.dirty = True
+    def fail_if(self, ind: int, cond: str) -> None:
+        self.line(ind, f"if {cond}:")
+        self.line(ind + 1, "return False")
 
     def match(self, s, x: str, ind: int) -> None:
         """Match the term in local `x` against the program of shape `s`, as
-        the loop of `engine.match_args` does."""
+        the loop of `engine.match_args` does.  A failure returns False and
+        leaves what it bound to the backtracking that follows."""
         uses = self.uses
         uses.update(("trail", "occurs"))
         if type(s) is int:
             if s >= 0:
-                self.test(ind, f"unify({x}, {self.slot(s)}, trail, occurs)")
+                self.fail_if(ind, f"not unify({x}, {self.slot(s)}, trail, occurs)")
                 return
             # under --trace a goal variable is bound to a fresh one, as a
             # copied head would bind it, so trace lines name variables alike
@@ -336,37 +336,29 @@ class _Source:
             self.line(ind + 1, f"bind({x}, Var(), trail)")
             self.line(ind, f"s{~s} = vs[{~s}] = {x}")
             self.held.add(~s)
-            self.dirty = True
         elif s == "int":
-            self.test(ind, f"unify({x}, {self.const()}, trail, occurs)")
+            self.fail_if(ind, f"not unify({x}, {self.const()}, trail, occurs)")
         elif s == "const":
             c = self.const()
-            self.test(ind, f"({x} is {c} or unify({x}, {c}, trail, occurs))")
-        elif s == "deep":
-            uses.add("tracing")
-            self.dirty = True
-            self.test(ind, f"match_args({self.const()}, ({x},), vs, trail, occurs, tracing)")
+            self.fail_if(ind, f"not ({x} is {c} or unify({x}, {c}, trail, occurs))")
         else:  # a compound: read mode against a compound, write mode against a variable
-            k0, dirty = self.k, self.dirty
+            k0 = self.k
             name = self.const()
             self.line(ind, f"{x} = deref({x})")
             self.line(ind, f"if type({x}) is Struct:")
-            self.line(ind + 1, f"if {x}.name is not {name} or len({x}.args) != {len(s)}:")
-            self.fail(ind + 2)
+            self.fail_if(ind + 1, f"{x}.name is not {name} or len({x}.args) != {len(s)}")
             subs = [self.temp("c") for _ in s]
             self.line(ind + 1, f"{', '.join(subs)}, = {x}.args")
             for sub, t in zip(s, subs):
                 self.match(sub, t, ind + 1)
-            self.k, self.dirty = k0, dirty  # write mode reads the same constants
+            self.k = k0  # write mode reads the same constants
             self.line(ind, f"elif type({x}) is Var:")
             t = self.temp("t")
             self.line(ind + 1, f"{t} = {self.build(s, ind + 1)}")
-            self.line(ind + 1, f"if occurs and occurs_in({x}, {t}):")
-            self.fail(ind + 2)
+            self.fail_if(ind + 1, f"occurs and occurs_in({x}, {t})")
             self.line(ind + 1, f"bind({x}, {t}, trail)")
             self.line(ind, "else:")
-            self.fail(ind + 1)
-            self.dirty = True
+            self.line(ind + 1, "return False")
 
     def build(self, s, ind: int) -> str:
         """An expression for the term of shape `s`, built as `instantiate`
@@ -380,8 +372,6 @@ class _Source:
             return f"s{~s}"
         if s == "int" or s == "const":
             return self.const()
-        if s == "deep":
-            return f"instantiate({self.const()}, vs)[0]"
         name = self.const()
         parts = [self.build(sub, ind) for sub in s]
         return f"new_struct({name}, ({', '.join(parts)},))"
@@ -417,7 +407,7 @@ class _Source:
 
 
 _HEADER = (("trail", "trail = engine.trail"), ("occurs", "occurs = engine.occurs_check"),
-           ("tracing", "tracing = engine.trace"), ("mark", "mark = len(trail.entries)"))
+           ("tracing", "tracing = engine.trace"))
 
 
 def _source(key: tuple) -> str:
@@ -497,7 +487,7 @@ generated_kinds: Counter = Counter()
 
 # The names the source of every function but a head matcher reads.
 _GLOBALS = {"Var": Var, "Struct": Struct, "deref": deref, "new_struct": new_struct,
-            "instantiate": instantiate, "eval_arith": eval_arith}
+            "eval_arith": eval_arith}
 
 
 @lru_cache(maxsize=SHAPE_CACHE)
@@ -540,12 +530,10 @@ def head_matcher(hcode: tuple):
     """The generated matcher of head program `hcode` and its constants, or
     None when the head has more than MAX_NODES nodes.
     `match(args, vs, engine, consts)` matches the goal's arguments into
-    frame `vs`; on failure it undoes the trail to where it started."""
-    consts: list = []
-    shapes = [_shape(p, 1, consts) for p in hcode[1:]]
-    if sum(map(_nodes, shapes)) > MAX_NODES:
-        return None
-    return _generated(("head", *shapes)), tuple(consts)
+    frame `vs`.  On failure it returns False and leaves the trail as it is:
+    the backtracking that follows undoes what it bound, to the mark of the
+    choice point, frame or protected query it returns to."""
+    return _term_code("head", hcode)
 
 
 def _instantiate(vs, K):
@@ -556,11 +544,7 @@ def arg_builder(prog: tuple):
     """The builder of compound program `prog` and its constants:
     `build(vs, consts)` is `instantiate(prog, vs)`.  Generated, unless the
     arguments have more than MAX_NODES nodes."""
-    consts: list = []
-    shapes = [_shape(p, 1, consts) for p in prog[1:]]
-    if sum(map(_nodes, shapes)) > MAX_NODES:
-        return _instantiate, (prog,)
-    return _generated(("build", *shapes)), tuple(consts)
+    return _term_code("build", prog) or (_instantiate, (prog,))
 
 
 def guard_code(code: tuple) -> Optional[tuple]:

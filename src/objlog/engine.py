@@ -10,9 +10,14 @@ argument (read mode) or is built from the frame and bound to an unbound
 goal argument (write mode).  A body goal's arguments come from its
 generated builder and arithmetic from generated code as well.  The
 matchers run in this module's namespace and look up `unify` here as they
-run, so a wrapper installed on `engine.unify` sees every call; `match_args`
-is the interpreter they hand a too-deep sub-program to, and `match_head`
-matches a head too big to generate with it.
+run, so a wrapper installed on `engine.unify` sees every call.  A head of
+more than `clausecode.MAX_NODES` nodes is matched by `match_head`, which
+runs the interpreter `match_args`; any other is generated whole.  A
+matcher that fails returns False and leaves the trail as it is: the
+machine backtracks next, and the choice point, frame or protected query
+it goes back to undoes the try's bindings to its own mark, as the WAM's
+failing `get` instructions leave the trail to the choice point (Aït-Kaci
+1991, §5).
 
 A clause whose body opens with arithmetic tests and `is/2` into new
 variables runs them as its guard inside the try, right after the head
@@ -615,8 +620,6 @@ class Machine:
                     err = exc
             trail.undo_to(cp.mark)
             caught = unify(cp.catcher, err.term, trail, engine.occurs_check)
-            if not caught:
-                trail.undo_to(cp.mark)
             self._pop_frame()
             self.cont = cp.cont
             if caught:
@@ -872,23 +875,19 @@ class Machine:
 def match_head(args: tuple, vs: list, engine: "Engine", K: tuple) -> bool:
     """The matcher of a head too big to generate: its one constant is the
     head program, which `match_args` runs."""
-    trail = engine.trail
-    mark = len(trail.entries)
-    if match_args(K[0], args, vs, trail, engine.occurs_check, engine.trace):
-        return True
-    trail.undo_to(mark)
-    return False
+    return match_args(K[0], args, vs, engine.trail, engine.occurs_check, engine.trace)
 
 
 def match_args(prog: tuple, terms: tuple, vs: list, trail: Trail, occurs: bool,
                tracing: bool) -> bool:
     """Run the argument programs `prog[1:]` of a head against `terms`, into
-    frame `vs`; on failure the caller undoes the trail.  This is the
-    interpreter: `match_head` runs it for a head too big to generate, and a
-    generated matcher calls it for a sub-program nested too deep.  Generated
-    matchers run in this module's namespace, so every name their code reads
-    (`unify`, `bind`, `deref`, `occurs_in`, `Var`, `Struct`, `new_struct`,
-    `instantiate` and this function) is defined or imported here."""
+    frame `vs`.  On failure it returns False and leaves what it bound to
+    the backtracking that follows, as a generated matcher does.  This is
+    the interpreter: `match_head` runs it for a head too big to generate,
+    and the generated matchers do what it does, step for step.  They run
+    in this module's namespace, so every name their code reads (`unify`,
+    `bind`, `deref`, `occurs_in`, `Var`, `Struct` and `new_struct`) is
+    defined or imported here."""
     i = 1
     n = len(prog)
     stack = None

@@ -5,8 +5,9 @@ table: `:-`, `,`, `;`, `->`, arithmetic and comparison operators, the
 namespace qualifier `:`, the class-definition operators `:->`, `:<-` and
 `::`, and the declaration prefixes `dynamic`, `discontiguous` and
 `multifile` (`:- dynamic c/2.`).  Object references are written `@N` for
-numbered objects and `@name` for well-known ones, and double-quoted text
-reads as an atom (there is no separate string type).
+numbered objects and `@name` for well-known ones (a quoted `'@'` is an
+atom), and double-quoted text reads as an atom (there is no separate
+string type).
 """
 
 from __future__ import annotations
@@ -293,7 +294,7 @@ class _Parser:
                 self.next()
                 args = self.parse_args()
                 return Struct(name, args), 0
-            if name == "@":
+            if name == "@" and tok.end == tok.start + 1:  # `@` itself, not `'@'`
                 return self.parse_objref(), 0
             if name in PREFIX_OPS and self.starts_term(nxt):
                 prec, typ = PREFIX_OPS[name]

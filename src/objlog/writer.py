@@ -17,9 +17,11 @@ def atom_text(name: str, quoted: bool = True) -> str:
         return name
     if name and name[0] in _PLAIN_FIRST and all(c == "_" or c.isalnum() for c in name):
         return name
-    if name and all(c in _SYMBOLIC for c in name):
+    # `.` alone ends a clause, `@` prefixes a reference and `/*` opens a comment
+    if name and all(c in _SYMBOLIC for c in name) and name not in (".", "@") \
+            and not name.startswith("/*"):
         return name
-    if name in ("[]", "!", ";", "{}"):
+    if name in ("[]", "!", ";"):
         return name
     escaped = name.replace("\\", "\\\\").replace("'", "\\'")
     return f"'{escaped}'"
@@ -78,11 +80,12 @@ def term_text(t, quoted: bool = True) -> str:
             right = operand(t.args[1], rmax)
             if t.name == ",":
                 sep = ", "
-            elif t.name in _GLUED and right[:1] not in _SYMBOLIC:
+            elif t.name in _GLUED and left[-1:] not in _SYMBOLIC \
+                    and right[:1] not in _SYMBOLIC:
                 sep = t.name
             else:
-                # glued to a leading symbol char, `-` would read as part of
-                # one token (`1--1`, `1+- a`), so it gets spaces
+                # glued to a symbol char on either side, `-` would read as
+                # part of one token (`1--1`, `1+- a`, `\-a`), so it gets spaces
                 sep = f" {t.name} "
             body = f"{left}{sep}{right}"
             return f"({body})" if prec > maxp else body
@@ -93,7 +96,9 @@ def term_text(t, quoted: bool = True) -> str:
             body = f"{t.name} {operand(t.args[0], prec if typ == 'fy' else prec - 1)}"
             return f"({body})" if prec > maxp else body
         args = ", ".join(w(a, 999) for a in t.args)
-        return f"{atom_text(t.name, quoted)}({args})"
+        # bare, `[](` would read as the empty list followed by a bracket
+        name = "'[]'" if t.name == "[]" and quoted else atom_text(t.name, quoted)
+        return f"{name}({args})"
 
     def w_list(t) -> str:
         parts = []

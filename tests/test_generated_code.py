@@ -1,7 +1,7 @@
 """Generated clause code: head matchers and goal-argument builders checked
 against the interpreters they replace, and arithmetic against
-`eval_arith`, at and past their bounds; the shape cache; and what the
-per-layer tracer relies on."""
+`eval_arith`, at and past their bounds; backtracking undoing a failed
+head match; the shape cache; and what the per-layer tracer relies on."""
 
 import functools
 import importlib.util
@@ -22,7 +22,6 @@ from objlog.clausecode import (
     BUILTIN,
     COMPARE,
     IS,
-    MAX_DEPTH,
     MAX_NODES,
     SHAPE_CACHE,
     arg_builder,
@@ -33,8 +32,9 @@ from objlog.clausecode import (
 from objlog.engine import Clause, Engine, Machine, match_args
 from objlog.errors import CyclicTermError, LogicError
 from objlog.reader import parse_term
-from objlog.terms import Atom, ObjRef, Struct, Trail, Var, deref, is_variant, mk_list, \
-    resolve_copy
+from objlog.runtime import Runtime
+from objlog.terms import Atom, ObjRef, Struct, Trail, Var, bind, deref, is_variant, \
+    mk_list, resolve_copy
 from objlog.writer import term_text
 
 
@@ -87,6 +87,9 @@ def same(a, b):
 HEAD_VARS = ("X", "Y", "Z")
 GOAL_VARS = ("A", "B")
 
+# the longest chain of f/1 the strategies draw
+CHAIN = 7
+
 _constant = st.sampled_from([("atom", "a"), ("atom", "b"), ("atom", "[]"), ("int", 0),
                              ("int", 1), ("float", 1.0), ("float", 0.5), ("ref", 1)])
 
@@ -98,8 +101,8 @@ def _terms(names):
     tree = st.recursive(leaf, lambda sub: st.one_of(
         st.tuples(st.just("f"), sub), st.tuples(st.just("g"), sub),
         st.tuples(st.just("g"), sub, sub)), max_leaves=4)
-    # a chain of f/1 around a term, from none to past the depth bound
-    return st.one_of(tree, st.tuples(st.just("chain"), st.integers(0, MAX_DEPTH + 2), tree))
+    # a chain of f/1 around a term, deeper than the trees get
+    return st.one_of(tree, st.tuples(st.just("chain"), st.integers(0, CHAIN), tree))
 
 
 def build(sym, env):
@@ -158,17 +161,14 @@ def _compare_matchers(head, goal, occurs_check, tracing):
             ok = engine_mod.match_head(args, vs, eng, (hcode,))
         else:
             ok = match_args(hcode, args, vs, trail, occurs_check, tracing)
-            if not ok:
-                trail.undo_to(0)
         outcomes.append((ok, len(trail.entries), snapshot(*args, *vs) if ok else None))
     ok, recorded, got = outcomes[0]
     for other in outcomes[1:]:
-        # the same bindings, recorded alike; after a failure, none
+        # the same bindings, recorded alike: a failure leaves on the trail
+        # what it bound, for the backtracking that follows to undo
         assert other[:2] == (ok, recorded)
         if ok:
             assert same(got, other[2])
-        else:
-            assert recorded == 0
     return ok
 
 
@@ -186,7 +186,7 @@ X, Y, A, B = (("var", v) for v in "XYAB")
     ([X, ("f", X)], [A, A], (False, True)),  # write mode meets the goal variable
     ([("f", X), X], [A, A], (False, True)),  # a later occurrence does
     ([X, ("g", Y, ("f", X))], [("f", A), ("g", B, A)], (False, True)),
-    ([("chain", MAX_DEPTH + 1, X), X], [A, A], (False, True)),  # in the interpreter
+    ([("chain", 6, X), X], [A, A], (False, True)),  # six deep, generated whole
     ([("g", X, X), ("f", Y)], [("g", A, ("f", A)), B], (False, True)),
 ])
 @pytest.mark.parametrize("tracing", [False, True])
@@ -356,44 +356,79 @@ def test_a_lone_and_a_leading_arithmetic_goal_share_one_function(rt):
 # -- the bounds ---------------------------------------------------------------------------------
 
 
-def _deep_key(hcode):
-    return "deep" in repr(clausecode._shape(hcode[1], 1, []))
-
-
-@pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH + 1])
-def test_head_at_and_past_the_depth_bound(rt, depth):
+def _chain_head(rt, depth):
+    """Assert `chain(f(...f(X)...)) :- X = end`, with `depth` f/1 compounds
+    around X, and check that its head matches in read mode all the way
+    down and in write mode from the top and from part way down.  Returns
+    the clause."""
     x = Var("X")
-    head = Struct("d", (nest(depth, x), x))
-    hcode, _ = head_program(head.args)
-    assert _deep_key(hcode) == (depth > MAX_DEPTH)
-    rt.engine.assert_term(head)
+    rt.engine.assert_term(Struct(":-", (Struct("chain", (nest(depth, x),)),
+                                        Struct("=", (x, Atom("end"))))))
+    clause = rt.engine.entry("user", "chain", 1).clauses[0]
     # read mode all the way down
     got = Var("G")
-    assert rt.engine.solve_once(Struct("d", (nest(depth, Atom("end")), got)))
+    assert rt.engine.solve_once(Struct("chain", (nest(depth, got),)))
     assert deref(got) is Atom("end")
     # write mode from the top, and from part way down
     for top in (0, 1, depth - 1):
         hole = Var("H")
-        tail = Var("T")
-        assert rt.engine.solve_once(Struct("d", (nest(top, hole), tail)))
-        assert is_variant(resolve_copy(Struct("p", (hole, tail))),
-                          resolve_copy(Struct("p", (nest(depth - top, tail), tail))))
+        assert rt.engine.solve_once(Struct("chain", (nest(top, hole),)))
+        assert is_variant(resolve_copy(hole), nest(depth - top, Atom("end")))
     # a wrong functor at the innermost level fails and leaves nothing bound
     y = Var("Y")
-    assert not rt.engine.solve_once(Struct("d", (nest(depth - 1, Struct("g", (y,))), y)))
+    assert not rt.engine.solve_once(Struct("chain", (nest(depth - 1, Struct("g", (y,))),)))
     assert deref(y) is y
+    return clause
 
 
-@pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH + 1])
+@pytest.mark.parametrize("depth", [5, 6])
+def test_head_at_and_past_the_depth_bound(rt, depth):
+    # generated code used to hand a compound nested past depth 5 to the
+    # interpreter; now a head that fits MAX_NODES is generated whole
+    assert _chain_head(rt, depth).match is not engine_mod.match_head
+
+
+@pytest.mark.parametrize("depth", [5, 6])
 def test_goal_argument_at_and_past_the_depth_bound(rt, depth):
     # p(X, Y) is the innermost compound, at `depth`
     term = "f(" * (depth - 1) + "p(X, Y)" + ")" * (depth - 1)
     rt.consult_text(f"arg_depth(R) :- X = v, Y = w, R = {term}.")
     goal = rt.engine.entry("user", "arg_depth", 1).clauses[0].code[-1]
-    # the last constant is p's name, or the program of p kept to interpret
-    assert (type(goal.args[-1]) is tuple) == (depth > MAX_DEPTH)
+    # generated whole: the constants are functor names, and no program
+    # is kept to interpret
+    assert goal.get is not clausecode._instantiate
+    assert goal.args == ("f",) * (depth - 1) + ("p",)
     assert solutions(rt, "arg_depth(R)") == [
         {"R": "f(" * (depth - 1) + "p(v, w)" + ")" * (depth - 1)}]
+
+
+def _heads_and_builders():
+    return clausecode.generated_kinds["head"], clausecode.generated_kinds["build"]
+
+
+def test_head_chain_at_the_node_bound(rt):
+    # the deepest head that fits: MAX_NODES - 1 compounds around a variable
+    clausecode._generated.cache_clear()
+    before = _heads_and_builders()
+    assert _chain_head(rt, MAX_NODES - 1).match is not engine_mod.match_head
+    assert _heads_and_builders() == (before[0] + 1, before[1] + 1)
+
+
+def test_goal_argument_chain_at_the_node_bound(rt):
+    # the deepest goal argument that fits, built and then read all the way
+    # down by the deepest head that fits
+    clausecode._generated.cache_clear()
+    _chain_head(rt, MAX_NODES - 1)
+    before = _heads_and_builders()
+    rt.consult_text(f"chain_goal(X) :- chain({'f(' * (MAX_NODES - 1)}X{')' * (MAX_NODES - 1)}).")
+    assert _heads_and_builders() == (before[0] + 1, before[1] + 1)
+    goal = rt.engine.entry("user", "chain_goal", 1).clauses[0].code[0]
+    assert goal.get is not clausecode._instantiate
+    x = Var("X")
+    built, = goal.get([x], goal.args)
+    assert is_variant(built, nest(MAX_NODES - 1, x))
+    assert solutions(rt, "chain_goal(A)") == [{"A": "end"}]
+    assert solutions(rt, "chain_goal(a)") == []
 
 
 @pytest.mark.parametrize("arity", [MAX_NODES, MAX_NODES + 1])
@@ -439,6 +474,54 @@ def test_expression_at_and_past_the_length_bound(rt, length):
     assert term_text(err.value.term) == "instantiation_error(arithmetic)"
 
 
+# -- backtracking undoes a failed try ---------------------------------------------------------
+
+
+def _trying(rt, pad):
+    """Consult `t(x, 1). t(Y, 2).` and `r(Y, 2). r(x, 1).` with no clause
+    indexing, so a call tries each clause, and `u(x, 1).`; each head has
+    `pad` more void arguments, none to be generated and MAX_NODES to be
+    matched by `match_head`.  Returns the text that pads a goal alike."""
+    rt.engine.indexing = False
+    voids = ", _" * pad
+    rt.consult_text(f"t(x, 1{voids}). t(Y, 2{voids}).\n"
+                    f"r(Y, 2{voids}). r(x, 1{voids}).\n"
+                    f"u(x, 1{voids}).\n")
+    for name in "tru":
+        for clause in rt.engine.entry("user", name, 2 + pad).clauses:
+            assert (clause.match is engine_mod.match_head) == (pad > 0)
+    return voids
+
+
+@pytest.mark.parametrize("pad", [0, MAX_NODES])
+def test_backtracking_undoes_a_failed_try(rt, pad):
+    voids = _trying(rt, pad)
+    # t(x, 1) binds A to x, then fails on 1: its clause choice point undoes it
+    assert solutions(rt, f"t(A, 2{voids})") == [{"A": "A"}]
+    # r(x, 1) is the last clause, tried with no choice point of its own: the
+    # disjunction's undoes it
+    assert solutions(rt, f"(r(A, 3{voids}) ; B = A)") == [{"A": "A", "B": "A"}]
+
+
+@pytest.mark.parametrize("pad", [0, MAX_NODES])
+def test_a_protected_query_undoes_a_failed_try(rt, pad):
+    voids = _trying(rt, pad)
+    trail = rt.engine.trail
+    trail.guards += 1  # an outer guard keeps the entries, so the mark shows
+    try:
+        z = Var("Z")
+        bind(z, Atom("z"), trail)
+        mark = len(trail.entries)
+        for text in (f"t(A, 3{voids})", f"r(A, 3{voids})", f"u(A, 2{voids})"):
+            goal, names = parse_term(text)
+            assert list(rt.engine.solve(goal, protect=True)) == []
+            assert len(trail.entries) == mark
+            assert type(deref(names["A"])) is Var
+    finally:
+        trail.undo_to(0)
+        trail.release()
+
+
 # -- the shape cache ------------------------------------------------------------------------------
 
 
@@ -479,13 +562,13 @@ def test_python_text_names_match_and_generate_nothing(rt, name):
     assert generated_count() == before
     hcode, _ = head_program(rt.engine.entry("user", "odd", 3).clauses[0].head.args)
     # the key the source is written from holds slots, arities and kind tags only
-    todo = [clausecode._shape(p, 1, []) for p in hcode[1:]]
+    todo = [clausecode._shape(p, []) for p in hcode[1:]]
     while todo:
         k = todo.pop()
         if type(k) is tuple:
             todo.extend(k)
         else:
-            assert type(k) is int or k in ("int", "const", "deep")
+            assert type(k) is int or k in ("int", "const")
     # write mode, read mode, a wrong constant, and a call built by a body goal
     a, b = Var("A"), Var("B")
     assert rt.engine.solve_once(Struct("odd", (a, b, 1)))
@@ -545,6 +628,36 @@ def test_solver_benchmark_generates_few_switches(rt):
     assert len(solutions(rt, "queens(8, Qs)")) == 92
     # one switch source per state tuple met, shared by every predicate in it
     assert generated_count(("select",)) - before == SOLVER_SWITCHES
+
+
+# -- what generated code names ------------------------------------------------------------------
+
+
+def test_generated_heads_and_builders_only_match_and_build(monkeypatch):
+    # every head and builder shape of the prelude, the packaged programs and
+    # the benchmark's programs: none hands a part to an interpreter, and
+    # none reads or undoes the trail, which backtracking alone undoes
+    sources = []
+    source = clausecode._source
+
+    def recording(key):
+        text = source(key)
+        if key[0] in ("head", "build"):
+            sources.append(text)
+        return text
+
+    monkeypatch.setattr(clausecode, "_source", recording)
+    clausecode._generated.cache_clear()
+    rt = Runtime(out=io.StringIO())  # made here, so the prelude's shapes are recorded
+    for name in ("my_box", "my_node", "bench"):
+        assert rt.consult_program(name).ok
+    programs = Path(__file__).resolve().parent.parent / "perfbench" / "programs"
+    for name in ("solver.pl", "callshape.pl"):
+        assert rt.consult_text((programs / name).read_text()).ok
+    assert len(sources) > 20
+    for text in sources:
+        for word in ("match_args", "instantiate", "undo_to", "trail.entries"):
+            assert word not in text, text
 
 
 # -- what the per-layer tracer relies on -------------------------------------------------------

@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 
 from objlog.errors import ReaderError
-from objlog.reader import parse_term, read_terms
-from objlog.terms import Atom, ObjRef, structural_eq
+from objlog.reader import SYMBOL_CHARS, parse_term, read_terms
+from objlog.terms import Atom, ObjRef, Struct, structural_eq
 from objlog.writer import term_text
 
 
@@ -203,14 +205,56 @@ def test_writer_roundtrip():
     ("(;)/2", "(;)/2"),
     ("(mod)+1", "(mod)+1"),
     ("f(-, [+])", "f(-, [+])"),
+    ("'\\\\' - a", "\\ - a"),
+    ("a - '\\\\'", "a - \\"),
+    ("'.' - a", "'.'-a"),
+    ("f('.', '{}', '@', '/*', '/**')", "f('.', '{}', '@', '/*', '/**')"),
+    ("'[]'(a)", "'[]'(a)"),
+    ("f([], '[]')", "f([], [])"),
+    ("a = '@'", "a = '@'"),
+    ("f('@', @1, @a)", "f('@', @1, @a)"),
 ])
 def test_writer_output_reads_back(text, shown):
-    # a glued `-` or `+` next to a symbol char, or before a number, would
-    # read back as another token or as a negative number; an operator atom
-    # as an operand is bracketed, as `(-)-a`, and left bare as an argument
+    # a glued `-` or `+` with a symbol char on either side, or before a
+    # number, would read back as another token or as a negative number; an
+    # operator atom as an operand is bracketed, as `(-)-a`, and left bare
+    # as an argument; `.`, `{}`, `@` and a symbol atom that opens a comment
+    # are quoted, and so is the name of a compound `[]`
     term = t(text)
     assert term_text(term) == shown
     assert structural_eq(t(shown), term)
+
+
+_ATOM_CHARS = sorted(SYMBOL_CHARS) + list("()[]{},|!;%") + ["a", "A", "_", "0", "'", '"',
+                                                           " ", "\n"]
+_PLACES = {
+    "alone": lambda a: a,
+    "argument": lambda a: Struct("f", (a,)),
+    "left of -": lambda a: Struct("-", (a, Atom("a"))),
+    "right of -": lambda a: Struct("-", (Atom("a"), a)),
+    "under prefix -": lambda a: Struct("-", (a,)),
+    "binary functor": lambda a: Struct(a.name, (Atom("a"), Atom("b"))),
+}
+
+
+@pytest.mark.parametrize("place", list(_PLACES))
+def test_every_short_atom_reads_back(place):
+    # every atom of up to two characters, from the symbol characters, the
+    # solo and punctuation characters, a letter of each case, `_`, a digit,
+    # both quotes and layout
+    make = _PLACES[place]
+    wrong = []
+    for n in (0, 1, 2):
+        for chars in itertools.product(_ATOM_CHARS, repeat=n):
+            term = make(Atom("".join(chars)))
+            text = term_text(term)
+            try:
+                back = t(text)
+            except ReaderError:
+                back = None
+            if back is None or not structural_eq(back, term):
+                wrong.append(text)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("op", ["dynamic", "discontiguous", "multifile"])
