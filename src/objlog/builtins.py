@@ -3,6 +3,7 @@ clause store updates and catch/3.  Bridge predicates live in `bridge`."""
 
 from __future__ import annotations
 
+import math
 import operator
 
 from .balls import (
@@ -131,6 +132,49 @@ def _mod(a, b):
     return a % b
 
 
+def _bits(*vals):
+    """Check the operands of a bitwise functor (ISO/IEC 13211-1, 9.4)."""
+    for v in vals:
+        if type(v) is not int:
+            raise type_error("integer", v)
+
+
+def _and(a, b):
+    _bits(a, b)
+    return a & b
+
+
+def _or(a, b):
+    _bits(a, b)
+    return a | b
+
+
+def _complement(a):
+    _bits(a)
+    return ~a
+
+
+def _sign(a):
+    s = (a > 0) - (a < 0)
+    return s if type(a) is int else float(s)
+
+
+def _float(a):
+    try:
+        return float(a)
+    except OverflowError:  # an integer past the float range
+        raise evaluation_error("float_overflow") from None
+
+
+def _truncate(a):
+    # ISO/IEC 13211-1 9.1.1 takes a float to an integer
+    if type(a) is not float:
+        raise type_error("float", a)
+    if not math.isfinite(a):
+        raise evaluation_error("undefined")
+    return math.trunc(a)
+
+
 # The evaluable functors by (name, arity): the one place their semantics
 # are written, for `eval_arith` and for the functions `clausecode`
 # generates for clause-body arithmetic.
@@ -146,6 +190,12 @@ ARITH_OPS = {(op.name, op.arity): op for op in (
     ArithOp("-", 1, operator.neg),
     ArithOp("+", 1, operator.pos),
     ArithOp("abs", 1, abs),
+    ArithOp("/\\", 2, _and),
+    ArithOp("\\/", 2, _or),
+    ArithOp("\\", 1, _complement),
+    ArithOp("sign", 1, _sign),
+    ArithOp("float", 1, _float),
+    ArithOp("truncate", 1, _truncate),
 )}
 
 

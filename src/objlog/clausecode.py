@@ -58,8 +58,21 @@ the argument program of a body goal a builder, and arithmetic a guard or
 an evaluator.  A matcher or a builder is a straight-line function that
 does what the interpreter (`engine.match_args`, `instantiate`) does, step
 for step, so bindings, trail entries, `unify` calls and error balls are
-the same; arithmetic raises the balls `eval_arith` raises.  A
-function is generated per shape, not per clause: the shape key is the
+the same; arithmetic raises the balls `eval_arith` raises.  Generated
+code dereferences in a `while type(x) is Var` loop, makes a compound as
+`t = new(Struct)` and sets its name and arguments, and binds as
+`trail.record(x); x.ref = t`, so `Trail.record` stays the one rule of
+what is trailed.  The calls it makes are `unify` (looked up in
+`objlog.engine` as it runs), `occurs_in`, `eval_arith`, `Var()` and
+`trail.record`, and `deref` and `bind` only under `if tracing`.  A head
+matches each compound once, as the WAM does under its read/write mode
+(Aït-Kaci 1991, §2.3): a compound that holds no compound has a read
+branch, for a goal compound, and a write branch, which builds it from
+the frame for an unbound variable; one that holds a compound sets a mode
+flag and runs its arguments once under it, in write mode making a fresh
+variable or reading a slot or a constant, then builds itself and binds
+the variable it met.  So a head's source grows linearly with its nodes.
+A function is generated per shape, not per clause: the shape key is the
 program with each constant (an atom, a number, a functor name, a ground
 term) replaced by a kind tag, and the constants reach the function as a
 tuple that the clause or goal holds.  Generated source is written from the
@@ -291,7 +304,8 @@ def _expr_shape(p, consts: list) -> Optional[tuple]:
 
 class _Source:
     """The source of one generated function, written from a shape key alone:
-    slot numbers, arities and kind tags.  Constants are read as `K[j]`."""
+    slot numbers, arities and kind tags.  Constants are read as `K[j]`.  It
+    dereferences, builds and binds in line (see the module docstring)."""
 
     def __init__(self):
         self.lines: list = []
@@ -318,6 +332,45 @@ class _Source:
         self.line(ind, f"if {cond}:")
         self.line(ind + 1, "return False")
 
+    def deref(self, x: str, ind: int) -> None:
+        self.line(ind, f"while type({x}) is Var and {x}.ref is not None:")
+        self.line(ind + 1, f"{x} = {x}.ref")
+
+    def new(self, name: str, parts: list, ind: int) -> str:
+        """A local holding a new compound `name(parts...)`."""
+        t = self.temp("t")
+        self.line(ind, f"{t} = new(Struct)")
+        self.line(ind, f"{t}.name = {name}")
+        self.line(ind, f"{t}.args = ({', '.join(parts)},)")
+        return t
+
+    def bind(self, x: str, t: str, ind: int) -> None:
+        """Bind the unbound variable in `x` to the compound in `t`, as
+        `engine.match_args` binds it in write mode."""
+        self.fail_if(ind, f"occurs and occurs_in({x}, {t})")
+        self.line(ind, f"trail.record({x})")
+        self.line(ind, f"{x}.ref = {t}")
+
+    def first(self, i: int, x: str, ind: int) -> None:
+        """Store the goal's term in `x` in slot `i`, met first here."""
+        # under --trace a goal variable is bound to a fresh one, as a
+        # copied head would bind it, so trace lines name variables alike
+        self.uses.add("tracing")
+        self.line(ind, "if tracing:")
+        self.line(ind + 1, f"if type(deref({x})) is Var:")
+        self.line(ind + 2, f"{x} = deref({x})")
+        self.line(ind + 2, f"bind({x}, Var(), trail)")
+        self.line(ind, f"s{i} = vs[{i}] = {x}")
+        self.held.add(i)
+
+    def head(self, s, x: str, name: str, ind: int) -> list:
+        """The test that the compound in `x` is `name` of the arity of
+        shape `s`, and locals holding its arguments."""
+        subs = [self.temp("c") for _ in s]
+        self.fail_if(ind, f"{x}.name is not {name} or len({x}.args) != {len(s)}")
+        self.line(ind, f"{', '.join(subs)}, = {x}.args")
+        return subs
+
     def match(self, s, x: str, ind: int) -> None:
         """Match the term in local `x` against the program of shape `s`, as
         the loop of `engine.match_args` does.  A failure returns False and
@@ -327,38 +380,88 @@ class _Source:
         if type(s) is int:
             if s >= 0:
                 self.fail_if(ind, f"not unify({x}, {self.slot(s)}, trail, occurs)")
-                return
-            # under --trace a goal variable is bound to a fresh one, as a
-            # copied head would bind it, so trace lines name variables alike
-            uses.add("tracing")
-            self.line(ind, f"if tracing and type(deref({x})) is Var:")
-            self.line(ind + 1, f"{x} = deref({x})")
-            self.line(ind + 1, f"bind({x}, Var(), trail)")
-            self.line(ind, f"s{~s} = vs[{~s}] = {x}")
-            self.held.add(~s)
+            else:
+                self.first(~s, x, ind)
         elif s == "int":
             self.fail_if(ind, f"not unify({x}, {self.const()}, trail, occurs)")
         elif s == "const":
             c = self.const()
             self.fail_if(ind, f"not ({x} is {c} or unify({x}, {c}, trail, occurs))")
-        else:  # a compound: read mode against a compound, write mode against a variable
+        elif any(type(sub) is tuple for sub in s):
+            self.node(s, x, None, ind)
+        else:  # no compound inside: a read branch and a write branch
+            self.deref(x, ind)
             k0 = self.k
             name = self.const()
-            self.line(ind, f"{x} = deref({x})")
             self.line(ind, f"if type({x}) is Struct:")
-            self.fail_if(ind + 1, f"{x}.name is not {name} or len({x}.args) != {len(s)}")
-            subs = [self.temp("c") for _ in s]
-            self.line(ind + 1, f"{', '.join(subs)}, = {x}.args")
-            for sub, t in zip(s, subs):
-                self.match(sub, t, ind + 1)
+            for sub, c in zip(s, self.head(s, x, name, ind + 1)):
+                self.match(sub, c, ind + 1)
             self.k = k0  # write mode reads the same constants
             self.line(ind, f"elif type({x}) is Var:")
-            t = self.temp("t")
-            self.line(ind + 1, f"{t} = {self.build(s, ind + 1)}")
-            self.fail_if(ind + 1, f"occurs and occurs_in({x}, {t})")
-            self.line(ind + 1, f"bind({x}, {t}, trail)")
+            self.bind(x, self.build(s, ind + 1), ind + 1)
             self.line(ind, "else:")
             self.line(ind + 1, "return False")
+
+    def node(self, s, x: str, w: Optional[str], ind: int) -> str:
+        """Match the term in local `x` against the compound of shape `s`,
+        which holds a compound, once: its arguments run under a mode flag
+        of its own, which is true (write mode) when `x` is an unbound
+        variable or the flag `w` of the compound around it is true, as WAM
+        code runs under its mode register (Aït-Kaci 1991, §2.3).  In write
+        mode the compound is then built and, unless `w` is true, bound to
+        `x`; the local that holds it."""
+        m = self.temp("m")
+        inner = ind
+        if w is not None:
+            self.line(ind, f"if {w}:")
+            self.line(ind + 1, f"{m} = True")
+            self.line(ind, "else:")
+            inner += 1
+        self.deref(x, inner)
+        name = self.const()
+        self.line(inner, f"if type({x}) is Struct:")
+        subs = self.head(s, x, name, inner + 1)
+        self.line(inner + 1, f"{m} = False")
+        self.line(inner, f"elif type({x}) is Var:")
+        self.line(inner + 1, f"{m} = True")
+        self.line(inner, "else:")
+        self.line(inner + 1, "return False")
+        parts = [self.arg(sub, c, m, ind) for sub, c in zip(s, subs)]
+        self.line(ind, f"if {m}:")
+        t = self.new(name, parts, ind + 1)
+        if w is not None:
+            self.line(ind + 1, f"if not {w}:")
+        self.bind(x, t, inner + 1)
+        return t
+
+    def arg(self, s, c: str, w: str, ind: int) -> str:
+        """Match argument `c` of a compound against shape `s` under the
+        compound's mode flag `w`: in read mode (w false) as `match` does,
+        in write mode making the argument from the frame.  The expression
+        of the argument in write mode."""
+        if type(s) is int:
+            if s >= 0:
+                self.fail_if(ind, f"not {w} and not unify({c}, {self.slot(s)}, trail, occurs)")
+                return self.slot(s)
+            self.line(ind, f"if {w}:")
+            self.line(ind + 1, f"s{~s} = vs[{~s}] = Var()")
+            self.line(ind, "else:")
+            self.first(~s, c, ind + 1)
+            return f"s{~s}"
+        if s == "int" or s == "const":
+            k = self.const()
+            test = f"{c} is {k} or " if s == "const" else ""
+            self.fail_if(ind, f"not ({w} or {test}unify({c}, {k}, trail, occurs))")
+            return k
+        if any(type(sub) is tuple for sub in s):
+            return self.node(s, c, w, ind)
+        k0 = self.k
+        self.line(ind, f"if {w}:")
+        t = self.build(s, ind + 1)
+        self.k = k0  # read mode reads the same constants
+        self.line(ind, "else:")
+        self.match(s, c, ind + 1)
+        return t
 
     def build(self, s, ind: int) -> str:
         """An expression for the term of shape `s`, built as `instantiate`
@@ -373,8 +476,7 @@ class _Source:
         if s == "int" or s == "const":
             return self.const()
         name = self.const()
-        parts = [self.build(sub, ind) for sub in s]
-        return f"new_struct({name}, ({', '.join(parts)},))"
+        return self.new(name, [self.build(sub, ind) for sub in s], ind)
 
     def expr(self, shape: tuple) -> str:
         """Statements computing the expression of shape `shape` in postfix
@@ -387,8 +489,7 @@ class _Source:
             if type(e) is int:
                 t = self.temp("x")
                 self.line(1, f"{t} = vs[{e}]")
-                self.line(1, f"if type({t}) is Var:")
-                self.line(2, f"{t} = deref({t})")
+                self.deref(t, 1)
                 self.line(1, f"if type({t}) is not int and type({t}) is not float:")
                 self.line(2, f"{t} = eval_arith({t})")
                 stack.append(t)
@@ -485,9 +586,10 @@ def _select_source(states: tuple) -> str:
 # ("head", "build", "guards", "value", "select").
 generated_kinds: Counter = Counter()
 
-# The names the source of every function but a head matcher reads.
-_GLOBALS = {"Var": Var, "Struct": Struct, "deref": deref, "new_struct": new_struct,
-            "eval_arith": eval_arith}
+# The names the source of every function but a head matcher reads; a head
+# matcher reads these from `objlog.engine`, with `unify`, `occurs_in`, and
+# `deref` and `bind` under trace.
+_GLOBALS = {"Var": Var, "Struct": Struct, "new": object.__new__, "eval_arith": eval_arith}
 
 
 @lru_cache(maxsize=SHAPE_CACHE)

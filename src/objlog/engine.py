@@ -7,10 +7,13 @@ the goal's argument in its frame slot (no variable is made and nothing is
 trailed), a later occurrence unifies with it, a constant is tested or
 bound, and a compound either matches the goal's structure argument by
 argument (read mode) or is built from the frame and bound to an unbound
-goal argument (write mode).  A body goal's arguments come from its
-generated builder and arithmetic from generated code as well.  The
-matchers run in this module's namespace and look up `unify` here as they
-run, so a wrapper installed on `engine.unify` sees every call.  A head of
+goal argument (write mode).  Each compound is matched once, under a mode
+flag when it holds a compound, and the matcher dereferences, builds and
+binds in line, trailing through `Trail.record` (see `clausecode`).  A
+body goal's arguments come from its generated builder and arithmetic
+from generated code as well.  The matchers run in this module's
+namespace and look up `unify` here as they run, so a wrapper installed
+on `engine.unify` sees every call; `new` is defined here for them.  A head of
 more than `clausecode.MAX_NODES` nodes is matched by `match_head`, which
 runs the interpreter `match_args`; any other is generated whole.  A
 matcher that fails returns False and leaves the trail as it is: the
@@ -141,6 +144,10 @@ from .terms import (
     unify,
 )
 from .writer import term_text
+
+# A generated head matcher makes a compound as `t = new(Struct)` and sets
+# its name and arguments.
+new = object.__new__
 
 
 class PushGoal:
@@ -886,8 +893,8 @@ def match_args(prog: tuple, terms: tuple, vs: list, trail: Trail, occurs: bool,
     the interpreter: `match_head` runs it for a head too big to generate,
     and the generated matchers do what it does, step for step.  They run
     in this module's namespace, so every name their code reads (`unify`,
-    `bind`, `deref`, `occurs_in`, `Var`, `Struct` and `new_struct`) is
-    defined or imported here."""
+    `bind`, `deref`, `occurs_in`, `Var`, `Struct` and `new`) is defined or
+    imported here."""
     i = 1
     n = len(prog)
     stack = None

@@ -29,6 +29,7 @@ PREFIX_OPS = {
     "\\+": (900, "fy"),
     "-": (200, "fy"),
     "+": (200, "fy"),
+    "\\": (200, "fy"),
 }
 
 INFIX_OPS = {

@@ -389,6 +389,18 @@ def test_trace_of_guarded_clauses_prints_each_guard_goal(tmp_path, capsys):
     ("by_zero(X)", "X is 1 / 0", "evaluation_error(zero_divisor)"),
     ("checks", "3 is 1 + 2, 1 + 1 =:= 2.0", [{}]),
     ("held(Y)", "X = 1 + 2, Y is X", [{"Y": "3"}]),
+    # the ISO evaluables of 9.1 and 9.4 past the four operations
+    ("bits(X)", "X is 6 /\\ 3 + (6 \\/ 3) * 10 + \\ 5 * 100", [{"X": "-528"}]),
+    ("signs(X, Y, Z)", "X is sign(-3), Y is sign(2.5), Z is sign(0)",
+     [{"X": "-1", "Y": "1.0", "Z": "0"}]),
+    ("floats(X, Y)", "X is float(3), Y is float(-0.5)", [{"X": "3.0", "Y": "-0.5"}]),
+    ("truncs(X, Y)", "X is truncate(-2.5), Y is truncate(2.5)", [{"X": "-2", "Y": "2"}]),
+    ("float_and(X)", "X is 1.0 /\\ 3", "type_error(integer, 1.0)"),
+    ("float_or(X)", "X is 3 \\/ 0.5", "type_error(integer, 0.5)"),
+    ("float_not(X)", "X is \\ 2.0", "type_error(integer, 2.0)"),
+    ("huge(X)", f"X is float({10 ** 400})", "evaluation_error(float_overflow)"),
+    ("int_trunc(X)", "X is truncate(3)", "type_error(float, 3)"),
+    ("inf_trunc(X)", "X is truncate(1.0e308 * 10)", "evaluation_error(undefined)"),
 ])
 def test_compiled_arithmetic_answers_as_the_query_does(rt, head, body, expected):
     # the clause body's arithmetic runs generated code, and the same goals

@@ -144,7 +144,11 @@ def _goal_like(data, sym):
 # -- matcher against matcher ---------------------------------------------------------------
 
 
-def _compare_matchers(head, goal, occurs_check, tracing):
+def _compare_matchers(head, goal, occurs_check, tracing, guards=None):
+    """Run the three matchers of `head` on `goal`, each on fresh terms, and
+    check they agree.  With `guards` None the trail records every binding;
+    else it is the engine's own conditional trail with that many guards
+    taken, so with none it records nothing."""
     outcomes = []
     for side in ("generated", "interpreted", "match_head"):
         names: dict = {}
@@ -152,6 +156,9 @@ def _compare_matchers(head, goal, occurs_check, tracing):
         env: dict = {}
         args = tuple(build(g, env) for g in goal)
         eng = new_engine(occurs_check, tracing)
+        if guards is not None:
+            eng.trail = Trail(conditional=True)
+            eng.trail.guards += guards
         trail = eng.trail
         vs = [None] * len(slots)
         if side == "generated":
@@ -163,6 +170,8 @@ def _compare_matchers(head, goal, occurs_check, tracing):
             ok = match_args(hcode, args, vs, trail, occurs_check, tracing)
         outcomes.append((ok, len(trail.entries), snapshot(*args, *vs) if ok else None))
     ok, recorded, got = outcomes[0]
+    if guards == 0:
+        assert recorded == 0
     for other in outcomes[1:]:
         # the same bindings, recorded alike: a failure leaves on the trail
         # what it bound, for the backtracking that follows to undo
@@ -177,6 +186,17 @@ def _compare_matchers(head, goal, occurs_check, tracing):
        st.booleans(), st.booleans())
 def test_generated_matcher_matches_the_interpreter(head, data, occurs_check, tracing):
     _compare_matchers(head, [_goal_like(data, a) for a in head], occurs_check, tracing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_terms(HEAD_VARS), min_size=1, max_size=3), st.data(),
+       st.booleans(), st.booleans(), st.sampled_from([0, 1]))
+def test_generated_matcher_matches_the_interpreter_under_the_engines_trail(
+        head, data, occurs_check, tracing, guards):
+    # the trail records only under a guard: with none, no matcher records
+    # a binding; with one, they record the same bindings
+    _compare_matchers(head, [_goal_like(data, a) for a in head], occurs_check, tracing,
+                      guards)
 
 
 X, Y, A, B = (("var", v) for v in "XYAB")
@@ -633,17 +653,40 @@ def test_solver_benchmark_generates_few_switches(rt):
 # -- what generated code names ------------------------------------------------------------------
 
 
+def _outside_tracing(text, word):
+    """The lines of generated source `text` that hold `word` and are not
+    inside an `if tracing:` branch."""
+    lines = []
+    opened = []  # the indentation of each enclosing `if tracing:`
+    for line in text.splitlines():
+        ind = len(line) - len(line.lstrip())
+        while opened and ind <= opened[-1]:
+            opened.pop()
+        if line.strip() == "if tracing:":
+            opened.append(ind)
+        elif word in line and not opened:
+            lines.append(line)
+    return lines
+
+
+def test_outside_tracing_sees_a_call_past_its_branch():
+    text = "    if tracing:\n        x = deref(x)\n    y = deref(y)\n"
+    assert _outside_tracing(text, "deref(") == ["    y = deref(y)"]
+
+
 def test_generated_heads_and_builders_only_match_and_build(monkeypatch):
-    # every head and builder shape of the prelude, the packaged programs and
-    # the benchmark's programs: none hands a part to an interpreter, and
-    # none reads or undoes the trail, which backtracking alone undoes
+    # every head, builder, guard and value shape of the prelude, the
+    # packaged programs and the benchmark's programs: none hands a part to
+    # an interpreter, none reads or undoes the trail, which backtracking
+    # alone undoes, and each dereferences, builds and binds in line, with
+    # `deref` and `bind` only where a traced head names variables
     sources = []
     source = clausecode._source
 
     def recording(key):
         text = source(key)
-        if key[0] in ("head", "build"):
-            sources.append(text)
+        if key[0] in ("head", "build", "guards", "value"):
+            sources.append((key[0], text))
         return text
 
     monkeypatch.setattr(clausecode, "_source", recording)
@@ -654,10 +697,30 @@ def test_generated_heads_and_builders_only_match_and_build(monkeypatch):
     programs = Path(__file__).resolve().parent.parent / "perfbench" / "programs"
     for name in ("solver.pl", "callshape.pl"):
         assert rt.consult_text((programs / name).read_text()).ok
+    assert rt.consult_text("succ_of(X, Y) :- Y is X + 1.").ok  # an is/2 into a head variable
+    assert {kind for kind, _ in sources} == {"head", "build", "guards", "value"}
     assert len(sources) > 20
-    for text in sources:
-        for word in ("match_args", "instantiate", "undo_to", "trail.entries"):
+    for _, text in sources:
+        for word in ("match_args", "instantiate", "undo_to", "trail.entries", "new_struct("):
             assert word not in text, text
+        for word in ("deref(", "bind("):
+            assert _outside_tracing(text, word) == [], text
+
+
+def _head_source(depth):
+    """The source of the matcher of head `d(f(...f(X)...), X)`, with `depth`
+    f/1 compounds."""
+    x = Var("X")
+    hcode, _ = head_program([nest(depth, x), x])
+    return clausecode._source(("head", *[clausecode._shape(p, []) for p in hcode[1:]]))
+
+
+def test_head_source_grows_linearly_with_its_nodes():
+    # each compound is written once: under a mode flag when it holds a
+    # compound, so no level repeats the build of the levels below it
+    deep = MAX_NODES - 2
+    assert deep + 2 == MAX_NODES  # the deepest such head generated whole
+    assert len(_head_source(deep)) / deep <= 1.5 * len(_head_source(5)) / 5
 
 
 # -- what the per-layer tracer relies on -------------------------------------------------------

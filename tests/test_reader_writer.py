@@ -206,13 +206,16 @@ def test_writer_roundtrip():
     ("(mod)+1", "(mod)+1"),
     ("f(-, [+])", "f(-, [+])"),
     ("'\\\\' - a", "\\ - a"),
-    ("a - '\\\\'", "a - \\"),
+    ("a - '\\\\'", "a-(\\)"),
     ("'.' - a", "'.'-a"),
     ("f('.', '{}', '@', '/*', '/**')", "f('.', '{}', '@', '/*', '/**')"),
     ("'[]'(a)", "'[]'(a)"),
     ("f([], '[]')", "f([], [])"),
     ("a = '@'", "a = '@'"),
     ("f('@', @1, @a)", "f('@', @1, @a)"),
+    ("(\\) - a", "(\\)-a"),
+    ("\\ 5", "\\ 5"),
+    ("a /\\ b", "a /\\ b"),
 ])
 def test_writer_output_reads_back(text, shown):
     # a glued `-` or `+` with a symbol char on either side, or before a
