@@ -66,12 +66,14 @@ what is trailed.  The calls it makes are `unify` (looked up in
 `objlog.engine` as it runs), `occurs_in`, `eval_arith`, `Var()` and
 `trail.record`, and `deref` and `bind` only under `if tracing`.  A head
 matches each compound once, as the WAM does under its read/write mode
-(Aït-Kaci 1991, §2.3): a compound that holds no compound has a read
-branch, for a goal compound, and a write branch, which builds it from
-the frame for an unbound variable; one that holds a compound sets a mode
-flag and runs its arguments once under it, in write mode making a fresh
-variable or reading a slot or a constant, then builds itself and binds
-the variable it met.  So a head's source grows linearly with its nodes.
+(Aït-Kaci 1991, §2.3): the compound sets a mode flag of its own, true
+when it meets an unbound variable or its parent is in write mode, and
+runs its arguments once under it, one test of the flag for each run of
+arguments that hold no compound: in read mode they match the goal
+compound's arguments, in write mode they make a fresh variable or read a
+slot or a constant.  In write mode the compound then builds itself and
+binds the variable it met.  So a head's source grows linearly with its
+nodes.
 A function is generated per shape, not per clause: the shape key is the
 program with each constant (an atom, a number, a functor name, a ground
 term) replaced by a kind tag, and the constants reach the function as a
@@ -219,6 +221,10 @@ def instantiate(prog: tuple, vs: list) -> tuple:
 
 # -- generated code ------------------------------------------------------------
 
+# Generated code makes a compound as `t = new(Struct)` and sets its name
+# and arguments; `objlog.engine` imports it for the head matchers.
+new = object.__new__
+
 # A head or a goal's arguments of more than MAX_NODES nodes (slots,
 # constants and compounds) stay interpreted, and an expression of more
 # than MAX_NODES nodes stays a builtin call.
@@ -363,14 +369,6 @@ class _Source:
         self.line(ind, f"s{i} = vs[{i}] = {x}")
         self.held.add(i)
 
-    def head(self, s, x: str, name: str, ind: int) -> list:
-        """The test that the compound in `x` is `name` of the arity of
-        shape `s`, and locals holding its arguments."""
-        subs = [self.temp("c") for _ in s]
-        self.fail_if(ind, f"{x}.name is not {name} or len({x}.args) != {len(s)}")
-        self.line(ind, f"{', '.join(subs)}, = {x}.args")
-        return subs
-
     def match(self, s, x: str, ind: int) -> None:
         """Match the term in local `x` against the program of shape `s`, as
         the loop of `engine.match_args` does.  A failure returns False and
@@ -387,29 +385,19 @@ class _Source:
         elif s == "const":
             c = self.const()
             self.fail_if(ind, f"not ({x} is {c} or unify({x}, {c}, trail, occurs))")
-        elif any(type(sub) is tuple for sub in s):
+        else:
             self.node(s, x, None, ind)
-        else:  # no compound inside: a read branch and a write branch
-            self.deref(x, ind)
-            k0 = self.k
-            name = self.const()
-            self.line(ind, f"if type({x}) is Struct:")
-            for sub, c in zip(s, self.head(s, x, name, ind + 1)):
-                self.match(sub, c, ind + 1)
-            self.k = k0  # write mode reads the same constants
-            self.line(ind, f"elif type({x}) is Var:")
-            self.bind(x, self.build(s, ind + 1), ind + 1)
-            self.line(ind, "else:")
-            self.line(ind + 1, "return False")
 
     def node(self, s, x: str, w: Optional[str], ind: int) -> str:
-        """Match the term in local `x` against the compound of shape `s`,
-        which holds a compound, once: its arguments run under a mode flag
-        of its own, which is true (write mode) when `x` is an unbound
-        variable or the flag `w` of the compound around it is true, as WAM
-        code runs under its mode register (Aït-Kaci 1991, §2.3).  In write
-        mode the compound is then built and, unless `w` is true, bound to
-        `x`; the local that holds it."""
+        """Match the term in local `x` against the compound of shape `s`
+        once: its arguments run under a mode flag of its own, which is true
+        (write mode) when `x` is an unbound variable or the flag `w` of the
+        compound around it is true, as WAM code runs under its mode register
+        (Aït-Kaci 1991, §2.3).  Each run of arguments that hold no compound
+        tests the flag once: in write mode it makes them from the frame, in
+        read mode it matches them as `match` does.  In write mode the
+        compound is then built and, unless `w` is true, bound to `x`; the
+        local that holds it."""
         m = self.temp("m")
         inner = ind
         if w is not None:
@@ -420,52 +408,47 @@ class _Source:
         self.deref(x, inner)
         name = self.const()
         self.line(inner, f"if type({x}) is Struct:")
-        subs = self.head(s, x, name, inner + 1)
+        subs = [self.temp("c") for _ in s]
+        self.fail_if(inner + 1, f"{x}.name is not {name} or len({x}.args) != {len(s)}")
+        self.line(inner + 1, f"{', '.join(subs)}, = {x}.args")
         self.line(inner + 1, f"{m} = False")
         self.line(inner, f"elif type({x}) is Var:")
         self.line(inner + 1, f"{m} = True")
         self.line(inner, "else:")
         self.line(inner + 1, "return False")
-        parts = [self.arg(sub, c, m, ind) for sub, c in zip(s, subs)]
-        self.line(ind, f"if {m}:")
-        t = self.new(name, parts, ind + 1)
-        if w is not None:
-            self.line(ind + 1, f"if not {w}:")
-        self.bind(x, t, inner + 1)
-        return t
-
-    def arg(self, s, c: str, w: str, ind: int) -> str:
-        """Match argument `c` of a compound against shape `s` under the
-        compound's mode flag `w`: in read mode (w false) as `match` does,
-        in write mode making the argument from the frame.  The expression
-        of the argument in write mode."""
-        if type(s) is int:
-            if s >= 0:
-                self.fail_if(ind, f"not {w} and not unify({c}, {self.slot(s)}, trail, occurs)")
-                return self.slot(s)
-            self.line(ind, f"if {w}:")
-            self.line(ind + 1, f"s{~s} = vs[{~s}] = Var()")
-            self.line(ind, "else:")
-            self.first(~s, c, ind + 1)
-            return f"s{~s}"
-        if s == "int" or s == "const":
-            k = self.const()
-            test = f"{c} is {k} or " if s == "const" else ""
-            self.fail_if(ind, f"not ({w} or {test}unify({c}, {k}, trail, occurs))")
-            return k
-        if any(type(sub) is tuple for sub in s):
-            return self.node(s, c, w, ind)
-        k0 = self.k
-        self.line(ind, f"if {w}:")
-        t = self.build(s, ind + 1)
-        self.k = k0  # read mode reads the same constants
-        self.line(ind, "else:")
-        self.match(s, c, ind + 1)
-        return t
+        parts: list = []
+        i = 0
+        while True:
+            j = i
+            while j < len(s) and type(s[j]) is not tuple:
+                j += 1
+            # s[i:j] holds no compound; the last run, empty when the last
+            # argument is a compound, also builds the compound
+            last = j == len(s)
+            k0 = self.k
+            self.line(ind, f"if {m}:")
+            n = len(self.lines)
+            parts += [self.build(sub, ind + 1) for sub in s[i:j]]
+            if last:
+                t = self.new(name, parts, ind + 1)
+                if w is not None:
+                    self.line(ind + 1, f"if not {w}:")
+                self.bind(x, t, inner + 1)
+            elif len(self.lines) == n:
+                self.line(ind + 1, "pass")
+            if i < j:
+                self.k = k0  # read mode reads the same constants
+                self.line(ind, "else:")
+                for sub, c in zip(s[i:j], subs[i:j]):
+                    self.match(sub, c, ind + 1)
+            if last:
+                return t
+            parts.append(self.node(s[j], subs[j], m, ind))
+            i = j + 1
 
     def build(self, s, ind: int) -> str:
         """An expression for the term of shape `s`, built as `instantiate`
-        builds it; a first occurrence gets its variable in a statement
+        builds it (a builder's arguments); a first occurrence gets its variable in a statement
         first."""
         if type(s) is int:
             if s >= 0:
@@ -589,7 +572,7 @@ generated_kinds: Counter = Counter()
 # The names the source of every function but a head matcher reads; a head
 # matcher reads these from `objlog.engine`, with `unify`, `occurs_in`, and
 # `deref` and `bind` under trace.
-_GLOBALS = {"Var": Var, "Struct": Struct, "new": object.__new__, "eval_arith": eval_arith}
+_GLOBALS = {"Var": Var, "Struct": Struct, "new": new, "eval_arith": eval_arith}
 
 
 @lru_cache(maxsize=SHAPE_CACHE)

@@ -8,12 +8,12 @@ trailed), a later occurrence unifies with it, a constant is tested or
 bound, and a compound either matches the goal's structure argument by
 argument (read mode) or is built from the frame and bound to an unbound
 goal argument (write mode).  Each compound is matched once, under a mode
-flag when it holds a compound, and the matcher dereferences, builds and
-binds in line, trailing through `Trail.record` (see `clausecode`).  A
-body goal's arguments come from its generated builder and arithmetic
-from generated code as well.  The matchers run in this module's
-namespace and look up `unify` here as they run, so a wrapper installed
-on `engine.unify` sees every call; `new` is defined here for them.  A head of
+flag of its own, and the matcher dereferences, builds and binds in line,
+trailing through `Trail.record` (see `clausecode`).  A body goal's
+arguments come from its generated builder and arithmetic from generated
+code as well.  The matchers run in this module's namespace and look up
+`unify` here as they run, so a wrapper installed on `engine.unify` sees
+every call; this module imports `new` from `clausecode` for them.  A head of
 more than `clausecode.MAX_NODES` nodes is matched by `match_head`, which
 runs the interpreter `match_args`; any other is generated whole.  A
 matcher that fails returns False and leaves the trail as it is: the
@@ -122,6 +122,7 @@ from .clausecode import (
     instantiate,
     is_control,
     late_goal,
+    new,  # read here by the generated head matchers too
     new_struct,
     program,
     resolve_qualifiers,
@@ -144,10 +145,6 @@ from .terms import (
     unify,
 )
 from .writer import term_text
-
-# A generated head matcher makes a compound as `t = new(Struct)` and sets
-# its name and arguments.
-new = object.__new__
 
 
 class PushGoal:
@@ -938,7 +935,9 @@ def match_args(prog: tuple, terms: tuple, vs: list, trail: Trail, occurs: bool,
                     n = len(p)
                     continue
             elif type(a) is Var:  # write mode
-                s = new_struct(p[0], instantiate(p, vs))
+                s = new(Struct)
+                s.name = p[0]
+                s.args = instantiate(p, vs)
                 if not (occurs and occurs_in(a, s)):
                     bind(a, s, trail)
                     continue

@@ -716,8 +716,8 @@ def _head_source(depth):
 
 
 def test_head_source_grows_linearly_with_its_nodes():
-    # each compound is written once: under a mode flag when it holds a
-    # compound, so no level repeats the build of the levels below it
+    # each compound is written once, under a mode flag of its own, so no
+    # level repeats the build of the levels below it
     deep = MAX_NODES - 2
     assert deep + 2 == MAX_NODES  # the deepest such head generated whole
     assert len(_head_source(deep)) / deep <= 1.5 * len(_head_source(5)) / 5
