@@ -16,8 +16,21 @@ call.  new/2 and a compound argument hand their terms to
 is converted and checked once.  Results convert the other way;
 converting the same object twice yields the same `@N`.
 
-send/2..8, send_class/3 and get/3..9 share one message parser and one
-dispatch function, `Bridge._dispatch`, which decides each call's path.
+send/2..8, send_class/3 and get/3..9 find their target with one
+resolver, `Bridge._resolve`, and run it through one dispatch function,
+`Bridge._dispatch`, which decides each call's path.  The resolver takes
+the common case in one step, with no helper call: it dereferences the
+message and the receiver in line, reads a live `@N` object from the
+kernel's instance table and its method from the kernel's memo
+(`Kernel.resolved`).  Any other case goes to the code that handles it,
+so every ball keeps its text and its order (message before receiver):
+an unbound, non-atomic or spread
+message to the message branches, a well-known, freed, stale, unbound or
+non-reference receiver to `deref_obj`, and a first lookup or an unknown
+selector to `Kernel.method_of`, which fills the memo.  send_class/3
+shares the message part only; its method lookup starts at the class it
+names (`Kernel.resolve_from`).
+
 Methods implemented by logic clauses are dispatched through
 `pce_principal:send_implementation/3` (or `get_implementation/4`), keyed by
 the indexable method-id atom.  The call's arguments are the method-id
@@ -146,27 +159,58 @@ class Bridge:
         raise bridge_error("type_mismatch",
                            Struct("context", (Atom(context), Atom("object_reference"), t)))
 
-    @staticmethod
-    def parse_message(what: str, terms) -> tuple:
-        """The message of a `what` call (send, send_class or get) from the
-        terms after its receiver and before a get's result: one `sel(A...)`
-        or `sel` term, or a selector atom and spread arguments.  Returns
-        (selector, argument terms).  An unbound selector or message is an
-        instantiation ball in either form."""
-        t = deref(terms[0])
+    def _resolve(self, kind: str, terms, receiver, ancestor: str = None) -> tuple:
+        """(object, method, argument terms) of a send or get from logic.
+        `terms` are the terms after the receiver and before a get's result:
+        one `sel(A...)` or `sel` message, or a selector atom and spread
+        arguments.  The common case is taken here in one step: a message
+        atom or compound, a receiver `@N` naming a live object, and a
+        method the kernel's memo (`Kernel.resolved`) holds for the object's
+        class.  Every other case goes to the code that handles it, so each
+        ball comes as before: the message's first (unbound, it is an
+        instantiation ball in either form), then the receiver's
+        (`deref_obj`), then the method's (`Kernel.method_of`, whose lookup
+        fills the memo).  send_class/3 passes its receiver already fetched
+        and the class it names as `ancestor`, where its lookup starts."""
+        t = terms[0]
+        while type(t) is Var:
+            r = t.ref
+            if r is None:
+                break
+            t = r
         tt = type(t)
+        if (tt is Atom or tt is Struct) and len(terms) == 1:
+            o = receiver
+            while type(o) is Var:
+                r = o.ref
+                if r is None:
+                    break
+                o = r
+            if type(o) is ObjRef:
+                kernel = self.rt.kernel
+                obj = kernel.objects.get(o.ref)
+                if obj is not None:
+                    method = kernel.resolved.get((obj.kclass, t.name, kind))
+                    if method is not None:
+                        return obj, method, (t.args if tt is Struct else ())
         if tt is Var:
             raise bridge_error("instantiation", Atom("message"))
         if len(terms) > 1:
             if tt is not Atom:
                 raise bridge_error("type_mismatch",
-                                   Struct("context", (Atom(what), Atom("selector"), t)))
-            return t.name, terms[1:]
-        if tt is Atom:
-            return t.name, ()
-        if tt is Struct:
-            return t.name, t.args
-        raise bridge_error("type_mismatch", Struct("context", (Atom("message"), t)))
+                                   Struct("context", (Atom(kind), Atom("selector"), t)))
+            selector, arg_terms = t.name, terms[1:]
+        elif tt is Atom:
+            selector, arg_terms = t.name, ()
+        elif tt is Struct:
+            selector, arg_terms = t.name, t.args
+        else:
+            raise bridge_error("type_mismatch", Struct("context", (Atom("message"), t)))
+        kernel = self.rt.kernel
+        if ancestor is not None:
+            return receiver, kernel.resolve_from(receiver, ancestor, selector, kind), arg_terms
+        obj = self.deref_obj(receiver, selector)
+        return obj, kernel.method_of(obj, selector, kind), arg_terms
 
     # -- conversion: logic -> kernel ----------------------------------------
 
@@ -340,10 +384,8 @@ class Bridge:
         return m.call_once(entry, args, step)
 
     def _bi_send(self, m, args, ns):
-        selector, arg_terms = self.parse_message("send", args[1:])
-        obj = self.deref_obj(args[0], selector)
-        return self._dispatch(m, obj, self.rt.kernel.method_of(obj, selector, "send"),
-                              arg_terms)
+        obj, method, arg_terms = self._resolve("send", args[1:], args[0])
+        return self._dispatch(m, obj, method, arg_terms)
 
     def _bi_send_class(self, m, args, ns):
         obj = self.deref_obj(args[0], "send_class")
@@ -353,15 +395,12 @@ class Bridge:
         if type(cname) is not Atom:
             raise bridge_error("type_mismatch",
                                Struct("context", (Atom("send_class"), cname)))
-        selector, arg_terms = self.parse_message("send_class", args[2:])
-        method = self.rt.kernel.resolve_from(obj, cname.name, selector, "send")
+        _, method, arg_terms = self._resolve("send", args[2:], obj, cname.name)
         return self._dispatch(m, obj, method, arg_terms)
 
     def _bi_get(self, m, args, ns):
-        selector, arg_terms = self.parse_message("get", args[1:-1])
-        obj = self.deref_obj(args[0], selector)
-        return self._dispatch(m, obj, self.rt.kernel.method_of(obj, selector, "get"),
-                              arg_terms, args[-1])
+        obj, method, arg_terms = self._resolve("get", args[1:-1], args[0])
+        return self._dispatch(m, obj, method, arg_terms, args[-1])
 
     def new_from_spec(self, spec: Term):
         """The object-creation core of new/2: returns the object (locked, so

@@ -1,19 +1,23 @@
-"""The core builtin predicates: unification, arithmetic, type tests, I/O,
-clause store updates and catch/3.  Bridge predicates live in `bridge`."""
+"""The core builtin predicates: unification, the standard order of terms,
+arithmetic, type tests, I/O, clause store updates and catch/3.  Bridge
+predicates live in `bridge`."""
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
 from .balls import (
+    domain_error,
     evaluation_error,
     instantiation_error,
     representation_error,
     type_error,
 )
 from .errors import CyclicTermError
-from .terms import Atom, Struct, Var, deref, resolve_copy, structural_eq, unify
+from .terms import (NIL, Atom, ObjRef, Struct, Var, deref, mk_list, resolve_copy,
+                    structural_eq, unify)
 from .writer import term_text
 
 
@@ -24,6 +28,13 @@ def install(engine) -> None:
     reg("\\=", 2, _not_unify2)
     reg("==", 2, lambda m, a, ns: structural_eq(a[0], a[1]))
     reg("\\==", 2, lambda m, a, ns: not structural_eq(a[0], a[1]))
+
+    reg("compare", 3, _compare3)
+    for name, test in (("@<", operator.lt), ("@>", operator.gt),
+                       ("@=<", operator.le), ("@>=", operator.ge)):
+        reg(name, 2, lambda m, a, ns, test=test: test(compare_terms(a[0], a[1]), 0))
+    reg("msort", 2, _msort)
+    reg("sort", 2, _sort)
 
     reg("var", 1, lambda m, a, ns: type(deref(a[0])) is Var)
     reg("nonvar", 1, lambda m, a, ns: type(deref(a[0])) is not Var)
@@ -90,6 +101,134 @@ def copy_acyclic(t):
 
 def _copy_term(m, args, ns):
     return unify(copy_acyclic(args[0]), args[1], m.engine.trail, m.engine.occurs_check)
+
+
+# -- the standard order of terms ------------------------------------------
+
+# order class of each kind of term (ISO/IEC 13211-1 7.2); a reference
+# orders as the compound `@(N)`
+_RANK = {Var: 0, int: 1, float: 1, Atom: 2, Struct: 3, ObjRef: 3}
+_CLOSE = object()  # on the stack: the arguments of a pair of compounds end
+
+
+def _name_args(t):
+    """The name and arguments a compound orders by; a reference `@N` or
+    `@name` orders as `@(N)`, the form XPCE writes it in."""
+    if type(t) is ObjRef:
+        r = t.ref
+        return "@", (Atom(r) if type(r) is str else r,)
+    return t.name, t.args
+
+
+def compare_terms(a, b) -> int:
+    """-1, 0 or 1 as `a` comes before, with or after `b` in the standard
+    order of terms: variables (in an order fixed while they live: here
+    their address), then numbers by value, a float before an int of equal
+    value, then atoms by code points, then compounds by arity, then name,
+    then arguments from left to right.  A reference comes just before the
+    compound `@(N)` it orders as, so only `==` terms compare equal.  An
+    explicit stack, so deep terms do not use the Python stack; a cyclic
+    term (possible only with the occurs check off) is a representation
+    error, found when the walk meets a compound inside itself."""
+    stack = [(a, b)]
+    xpath: set = set()  # the compounds of each side whose arguments are open
+    ypath: set = set()
+    while stack:
+        x, y = stack.pop()
+        if x is _CLOSE:
+            ix, iy, tie = y
+            if tie:
+                return tie
+            xpath.discard(ix)
+            ypath.discard(iy)
+            continue
+        x = deref(x)
+        y = deref(y)
+        tx = type(x)
+        ty = type(y)
+        rx = _RANK[tx]
+        ry = _RANK[ty]
+        if rx != ry:
+            return -1 if rx < ry else 1
+        if rx == 0:
+            if x is not y:
+                return -1 if id(x) < id(y) else 1
+        elif rx == 1:
+            if x != y:
+                return -1 if x < y else 1
+            if tx is not ty:
+                return -1 if tx is float else 1
+        elif rx == 2:
+            if x is not y:
+                return -1 if x.name < y.name else 1
+        else:
+            xname, xargs = _name_args(x)
+            yname, yargs = _name_args(y)
+            if len(xargs) != len(yargs):
+                return -1 if len(xargs) < len(yargs) else 1
+            if xname != yname:
+                return -1 if xname < yname else 1
+            ix = id(x)
+            iy = id(y)
+            if ix in xpath or iy in ypath:
+                raise representation_error("cyclic_term")
+            xpath.add(ix)
+            ypath.add(iy)
+            tie = 0 if tx is ty else -1 if tx is ObjRef else 1
+            stack.append((_CLOSE, (ix, iy, tie)))
+            stack.extend(zip(reversed(xargs), reversed(yargs)))
+    return 0
+
+
+_ORDERS = {-1: Atom("<"), 0: Atom("="), 1: Atom(">")}
+
+
+def _compare3(m, args, ns):
+    order = deref(args[0])
+    if type(order) is not Var:
+        if type(order) is not Atom:
+            raise type_error("atom", order)
+        if order not in _ORDERS.values():
+            raise domain_error("order", order)
+    return unify(order, _ORDERS[compare_terms(args[1], args[2])], m.engine.trail)
+
+
+def _list_of(t, what: str, partial: bool = False):
+    """The elements of list `t`.  A partial list is an instantiation error,
+    or with `partial` returns None; anything else that is no list is
+    `type_error(list, t)`, and a cyclic list a representation error."""
+    items = []
+    cells: set = set()
+    cell = deref(t)
+    while type(cell) is Struct and cell.name == "." and len(cell.args) == 2:
+        if id(cell) in cells:
+            raise representation_error("cyclic_term")
+        cells.add(id(cell))
+        items.append(cell.args[0])
+        cell = deref(cell.args[1])
+    if cell is NIL:
+        return items
+    if type(cell) is Var:
+        if partial:
+            return None
+        raise instantiation_error(what)
+    raise type_error("list", deref(t))
+
+
+def _sorted(m, args, what: str, unique: bool):
+    items = sorted(_list_of(args[0], what), key=functools.cmp_to_key(compare_terms))
+    _list_of(args[1], what, partial=True)  # the answer: a list or a partial one
+    if unique:
+        items = [x for i, x in enumerate(items) if i == 0 or compare_terms(items[i - 1], x)]
+    return unify(mk_list(items), args[1], m.engine.trail, m.engine.occurs_check)
+
+
+def _msort(m, args, ns):
+    return _sorted(m, args, "msort/2", False)
+
+
+def _sort(m, args, ns):
+    return _sorted(m, args, "sort/2", True)
 
 
 # -- arithmetic --------------------------------------------------------------

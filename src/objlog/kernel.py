@@ -4,9 +4,11 @@ Classes form a single-inheritance tree rooted at `object`.  Methods are
 first-class descriptions (selector, kind, argument types, implementation
 handle); implementations are native Python handlers, generated slot
 accessors, or identifiers of logic-side clauses.  `resolve_method`
-memoises each (class, selector, kind) it finds, so a send walks the
-class chain once per class table: `define_method`, which every slot and
-method definition goes through, empties the memo.  A miss is not kept.
+memoises each (class, selector, kind) it finds in `Kernel.resolved`, so
+a send walks the class chain once per class table: `define_method`,
+which every slot and method definition goes through, empties the memo.
+A miss is not kept.  Only these two write the memo; the bridge reads it
+to resolve a send or get from logic in one step.
 A Python `Exception` raised by a native handler reaches the caller as a
 `bridge_error(native_exception, context(Class, Selector, ExceptionName))`
 ball; a ball, a bug trap, a term-store error, a `RecursionError`,
@@ -263,9 +265,11 @@ class Kernel:
         # class -> tuple of its slot names, ancestors' first (`allocate`);
         # `define_slot` clears it, since a slot reaches every subclass
         self._layouts: dict = {}
-        # (class, selector, kind) -> method, filled by `resolve_method`;
-        # `define_method` clears it, since a method reaches every subclass
-        self._resolved: dict = {}
+        # (class, selector, kind) -> method, filled by `resolve_method` only;
+        # `define_method` alone clears it, since a method reaches every
+        # subclass.  Public for reading: a hit is the method a send or get
+        # of that class runs, and the bridge looks there first
+        self.resolved: dict = {}
         self.objects: dict = {}
         self._next_oid = 1
         self.live_count = 0
@@ -346,14 +350,14 @@ class Kernel:
                 "redefine_method",
                 Struct("/", (Atom(kclass.name), Atom(method.selector))))
         table[method.selector] = method
-        self._resolved.clear()
+        self.resolved.clear()
 
     def resolve_method(self, kclass: KClass, selector: str, kind: str) -> Optional[KMethod]:
         """The method a `kind` call of `selector` runs on an instance of
         `kclass`, or None.  Found methods are memoised until the next
         `define_method`; a miss is not, so it walks the chain each time."""
         key = (kclass, selector, kind)
-        m = self._resolved.get(key)
+        m = self.resolved.get(key)
         if m is not None:
             return m
         for c in kclass.chain():
@@ -365,7 +369,7 @@ class Kernel:
             if kind != "send" or not any(c.catch_all for c in kclass.chain()):
                 return None
             m = self._catch_all_method(selector)
-        self._resolved[key] = m
+        self.resolved[key] = m
         return m
 
     def _catch_all_method(self, selector: str) -> KMethod:

@@ -53,6 +53,10 @@ INFIX_OPS = {
     ">=": (700, "xfx"),
     "=:=": (700, "xfx"),
     "=\\=": (700, "xfx"),
+    "@<": (700, "xfx"),
+    "@>": (700, "xfx"),
+    "@=<": (700, "xfx"),
+    "@>=": (700, "xfx"),
     "+": (500, "yfx"),
     "-": (500, "yfx"),
     "/\\": (500, "yfx"),

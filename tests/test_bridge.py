@@ -910,6 +910,137 @@ def test_each_send_and_get_dispatches_once(rt, monkeypatch, call):
     assert counts == {"_dispatch": 1}
 
 
+PURE_CALLEE = """
+:- pce_begin_class(pure_callee, object).
+:- pce_pure_prolog(noarg).
+noarg(_O) :-> true.
+:- pce_end_class(pure_callee).
+"""
+
+
+@pytest.mark.parametrize("call", [
+    "send({area}, normalise)",
+    "send({area}, x(1))",
+    "send({o}, noarg)",
+    "send({pure}, noarg)",
+    "get({box}, width, W)",
+], ids=["native", "slot", "classic", "pure", "slot_get"])
+def test_a_warm_send_or_get_from_logic_resolves_in_one_step(rt, monkeypatch, call):
+    # once the kernel's memo holds the method, the resolver finds receiver,
+    # message and method itself: no helper that handles another case runs
+    rt.consult_text(CALLEE + PURE_CALLEE)
+    refs = {name: term_text(once(rt, f"new(O, {spec})")["O"]) for name, spec in [
+        ("area", "area(0, 0, 10, 10)"), ("o", "callee"), ("pure", "pure_callee"),
+        ("box", "box(10, 20)")]}
+    goal = call.format(**refs)
+    counts = {}
+    for owner, name in ((Bridge, "deref_obj"), (Kernel, "fetch"), (Kernel, "method_of"),
+                        (Kernel, "resolve_method")):
+        _counting(monkeypatch, owner, name, counts)
+    assert rt.once(goal) is not None
+    assert counts.get("method_of", 0) == 1  # the first lookup fills the memo
+    counts.clear()
+    assert rt.once(goal) is not None
+    assert counts == {}
+
+
+# a send or get of each form to a receiver that is no live `@N`, and the
+# ball by receiver: `{sel}` is the form's selector, or send_class for
+# send_class/3, and `{freed}` names a freed area
+FORMS = [("send({r}, normalise)", "normalise"), ("send({r}, x(1))", "x"),
+         ("send({r}, x, 1)", "x"), ("get({r}, x, _)", "x"), ("get({r}, x, 1, _)", "x"),
+         ("send_class({r}, area, x(1))", "send_class")]
+RECEIVER_BALLS = {
+    "_": "bridge_error(instantiation, {sel})",
+    "foo": "bridge_error(type_mismatch, context({sel}, object_reference, foo))",
+    "3": "bridge_error(type_mismatch, context({sel}, object_reference, 3))",
+    "{freed}": "bridge_error(freed_object, context({freed}, {sel}))",
+    "@999999": "bridge_error(stale_reference, context(@999999, {sel}))",
+}
+
+
+@pytest.mark.parametrize("goal, ball", [
+    (form.replace("{r}", r), ball.replace("{sel}", sel))
+    for r, ball in RECEIVER_BALLS.items() for form, sel in FORMS
+] + [
+    # the well-known objects are live: their class decides
+    ("send(@nil, normalise)", "bridge_error(unknown_method, context(constant, normalise))"),
+    ("send(@nil, x(1))", "bridge_error(unknown_method, context(constant, x))"),
+    ("send(@nil, x, 1)", "bridge_error(unknown_method, context(constant, x))"),
+    ("get(@nil, x, _)", "bridge_error(unknown_method, context(constant, x))"),
+    ("get(@nil, x, 1, _)", "bridge_error(unknown_method, context(constant, x))"),
+    ("send_class(@nil, area, x(1))",
+     "bridge_error(type_mismatch, not_an_ancestor(area, constant))"),
+    ("send(@prolog, normalise)", "existence_error(procedure, user:(normalise/0))"),
+    ("send(@prolog, x(1))", "existence_error(procedure, user:(x/1))"),
+    ("send(@prolog, x, 1)", "existence_error(procedure, user:(x/1))"),
+    ("get(@prolog, x, _)", "bridge_error(unknown_method, context(prolog, x))"),
+    ("get(@prolog, x, 1, _)", "bridge_error(unknown_method, context(prolog, x))"),
+    ("send_class(@prolog, area, x(1))",
+     "bridge_error(type_mismatch, not_an_ancestor(area, prolog))"),
+    # the message's ball comes before the receiver's
+    ("send(foo, _)", "bridge_error(instantiation, message)"),
+    ("send(_, 3)", "bridge_error(type_mismatch, context(message, 3))"),
+    ("get({freed}, 3, 1, _)", "bridge_error(type_mismatch, context(get, selector, 3))"),
+    ("send({live}, _)", "bridge_error(instantiation, message)"),
+    ("send({live}, 3)", "bridge_error(type_mismatch, context(message, 3))"),
+    ("send({live}, _, 1)", "bridge_error(instantiation, message)"),
+    ("send({live}, 3, 1)", "bridge_error(type_mismatch, context(send, selector, 3))"),
+    ("get({live}, _, _)", "bridge_error(instantiation, message)"),
+    ("get({live}, 3, _)", "bridge_error(type_mismatch, context(message, 3))"),
+    ("get({live}, 3, 1, _)", "bridge_error(type_mismatch, context(get, selector, 3))"),
+    ("send_class({live}, area, _)", "bridge_error(instantiation, message)"),
+    ("send_class({live}, area, 3)", "bridge_error(type_mismatch, context(message, 3))"),
+    # an unknown selector on a live object
+    ("send({live}, nosuch)", "bridge_error(unknown_method, context(area, nosuch))"),
+    ("send({live}, nosuch(1))", "bridge_error(unknown_method, context(area, nosuch))"),
+    ("get({live}, nosuch, _)", "bridge_error(unknown_method, context(area, nosuch))"),
+    ("send_class({live}, area, nosuch)",
+     "bridge_error(unknown_method, context(area, nosuch))"),
+])
+def test_each_ball_is_the_same_with_a_cold_and_a_warm_memo(rt, goal, ball):
+    # the first run meets a memo that holds nothing for `area` but its
+    # `initialise`; before the second, sends and a get from logic fill it
+    live = term_text(once(rt, "new(A, area(0, 0, 10, 10))")["A"])
+    freed = term_text(once(rt, "new(F, area(0, 0, 1, 1)), free(F)")["F"])
+    query = goal.format(live=live, freed=freed)
+    expected = ball.format(freed=freed)
+    area = rt.kernel.classes["area"]
+    assert (area, "x", "send") not in rt.kernel.resolved
+    assert err_text(rt, query) == expected
+    assert rt.call(f"send({live}, normalise), send({live}, x(1)), get({live}, x, _)")
+    assert (area, "x", "send") in rt.kernel.resolved
+    assert err_text(rt, query) == expected
+
+
+MEMO_CLASSES = """
+:- pce_begin_class(memo_base, object).
+m(_O) :-> writeln(base_m).
+v(_O, R) :<- R = base_v.
+:- pce_end_class(memo_base).
+:- pce_begin_class(memo_sub, memo_base).
+:- pce_end_class(memo_sub).
+"""
+
+
+def test_a_method_a_later_region_defines_reaches_the_next_call_from_logic(rt):
+    # the resolver reads the memo the kernel's definitions clear: a warm
+    # send and get run the inherited methods, then the subclass's own
+    rt.consult_text(MEMO_CLASSES)
+    ref = term_text(once(rt, "new(S, memo_sub)")["S"])
+    assert [once(rt, f"send({ref}, m), get({ref}, v, V)")["V"] for _ in range(2)] == \
+        [Atom("base_v")] * 2
+    report = rt.consult_text("""
+    :- pce_begin_class(memo_sub, memo_base).
+    m(_O) :-> writeln(sub_m).
+    v(_O, R) :<- R = sub_v.
+    :- pce_end_class(memo_sub).
+    """)
+    assert report.ok, report.errors
+    assert once(rt, f"send({ref}, m), get({ref}, v, V)")["V"] == Atom("sub_v")
+    assert rt.out.getvalue().split() == ["base_m", "base_m", "sub_m"]
+
+
 PAIRED = FAILER + """
 :- pce_begin_class(paired, object).
 pair(_O, _T:prolog, _N:int) :-> true.

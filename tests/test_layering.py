@@ -1,5 +1,5 @@
-"""Each job has one module: only the engine runs goals, and only the
-kernel makes objects.
+"""Each job has one module: only the engine runs goals, only the kernel
+makes objects, and only the kernel writes its method memo.
 
 `clausecode` compiles clause bodies into `Goal`s and `engine` is the one
 module that pushes them as continuation nodes.  Every other module hands
@@ -12,6 +12,11 @@ names `PushGoal`, the form a builtin would push goals in.
 `Kernel.instantiate` the one place `initialise` is resolved, so no other
 module builds `bridge_error("unknown_class", ...)` or resolves
 `initialise` itself.
+
+`Kernel.resolve_method` fills the method memo `Kernel.resolved` and
+`define_method` empties it; the bridge only reads it, so no other module
+assigns it, stores or deletes an item of it, or calls a method that
+changes it.
 """
 
 import ast
@@ -112,3 +117,56 @@ def test_the_creation_guard_sees_each_form():
                      "    raise bridge_error('unknown_method', Atom('initialise'))\n")
     assert creation_breaches(tree) == [("unknown_class", 2), ("unknown_class", 3),
                                        ("initialise", 4), ("initialise", 5)]
+
+
+MEMO_WRITES = {"clear", "pop", "popitem", "update", "setdefault"}
+
+
+def memo_breaches(tree: ast.Module) -> list:
+    """(what, line) for each write of an attribute `resolved`, the kernel's
+    method memo: an assignment to it, a store or delete of one of its
+    items, and a call of a method that changes a dict."""
+    def is_memo(node):
+        return isinstance(node, ast.Attribute) and node.attr == "resolved"
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+            for target in targets:
+                for part in ast.walk(target):
+                    if is_memo(part) and isinstance(part.ctx, (ast.Store, ast.Del)):
+                        found.append(("assign", node.lineno))
+                    elif isinstance(part, ast.Subscript) and is_memo(part.value):
+                        found.append(("item", node.lineno))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MEMO_WRITES and is_memo(node.func.value)):
+            found.append((node.func.attr, node.lineno))
+    return sorted(found, key=lambda f: (f[1], f[0]))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "kernel.py"],
+                         ids=lambda p: p.relative_to(SRC).as_posix())
+def test_only_the_kernel_writes_its_method_memo(path):
+    # `Kernel.resolve_method` fills the memo and `define_method` clears it;
+    # the bridge reads it, so a write elsewhere could serve a stale method
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    breaches = [f"{what} (line {line})" for what, line in memo_breaches(tree)]
+    assert breaches == [], f"{path.name} writes the method memo: {', '.join(breaches)}"
+
+
+def test_the_memo_guard_sees_each_write():
+    tree = ast.parse("def f(k, key, m):\n"
+                     "    k.resolved = {}\n"
+                     "    k.resolved[key] = m\n"
+                     "    k.resolved.clear()\n"
+                     "    k.resolved.pop(key)\n"
+                     "    k.resolved.update({key: m})\n"
+                     "    del k.resolved[key]\n"
+                     "    k.rt.kernel.resolved[key] += m\n"
+                     "    return k.resolved.get(key), k.resolved[key]\n")
+    assert memo_breaches(tree) == [("assign", 2), ("item", 3), ("clear", 4), ("pop", 5),
+                                   ("update", 6), ("item", 7), ("item", 8)]
+    # the kernel itself writes it
+    kernel = ast.parse((SRC / "kernel.py").read_text(encoding="utf-8"))
+    assert {what for what, _line in memo_breaches(kernel)} == {"assign", "item", "clear"}

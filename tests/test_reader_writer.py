@@ -216,6 +216,11 @@ def test_writer_roundtrip():
     ("(\\) - a", "(\\)-a"),
     ("\\ 5", "\\ 5"),
     ("a /\\ b", "a /\\ b"),
+    ("a @< b", "a @< b"),
+    ("@3 @>= @nil", "@3 @>= @nil"),
+    ("(a @=< b) @> c", "(a @=< b) @> c"),
+    ("a-(@<)", "a-(@<)"),
+    ("f(@<, @>=)", "f(@<, @>=)"),
 ])
 def test_writer_output_reads_back(text, shown):
     # a glued `-` or `+` with a symbol char on either side, or before a
