@@ -47,7 +47,7 @@ def install(engine) -> None:
     reg("callable", 1, lambda m, a, ns: type(deref(a[0])) in (Atom, Struct))
 
     reg("is", 2, _is2)
-    for name, _op, fn in _COMPARISONS:
+    for name, _sym, fn in _COMPARISONS:
         reg(name, 2, fn)
 
     reg("between", 3, _between)
@@ -246,6 +246,24 @@ class ArithOp:
         self.fn = fn
 
 
+def _finite(fn):
+    """Binary `fn` that raises `evaluation_error(float_overflow)` (ISO/IEC
+    13211-1 9.1.4) where it would make a float past the float range: an
+    inf or a NaN, or Python's OverflowError for an int too large to mix
+    with a float.  Clause-body arithmetic makes the same check in line."""
+    def checked(a, b):
+        try:
+            x = fn(a, b)
+        except OverflowError:
+            raise evaluation_error("float_overflow") from None
+        if type(x) is float and not math.isfinite(x):
+            raise evaluation_error("float_overflow")
+        return x
+
+    return checked
+
+
+@_finite
 def _divide(a, b):
     if b == 0:
         raise evaluation_error("zero_divisor")
@@ -318,9 +336,9 @@ def _truncate(a):
 # are written, for `eval_arith` and for the functions `clausecode`
 # generates for clause-body arithmetic.
 ARITH_OPS = {(op.name, op.arity): op for op in (
-    ArithOp("+", 2, operator.add),
-    ArithOp("-", 2, operator.sub),
-    ArithOp("*", 2, operator.mul),
+    ArithOp("+", 2, _finite(operator.add)),
+    ArithOp("-", 2, _finite(operator.sub)),
+    ArithOp("*", 2, _finite(operator.mul)),
     ArithOp("/", 2, _divide),
     ArithOp("//", 2, _int_divide),
     ArithOp("mod", 2, _mod),
@@ -401,15 +419,16 @@ def _cmp(op):
     return fn
 
 
-# The comparison builtins: name, comparison, registered function.
-_COMPARISONS = tuple((name, op, _cmp(op)) for name, op in (
-    ("<", operator.lt), (">", operator.gt), ("=<", operator.le),
-    (">=", operator.ge), ("=:=", operator.eq), ("=\\=", operator.ne)))
+# The comparison builtins: name, Python operator, registered function.
+_COMPARISONS = tuple((name, sym, _cmp(op)) for name, sym, op in (
+    ("<", "<", operator.lt), (">", ">", operator.gt), ("=<", "<=", operator.le),
+    (">=", ">=", operator.ge), ("=:=", "==", operator.eq), ("=\\=", "!=", operator.ne)))
 
 # The arithmetic builtins by their registered function, with what
 # `clausecode` compiles a clause-body call of one into: None for is/2, else
-# its comparison.
-ARITH_BUILTINS = {_is2: None, **{fn: op for _name, op, fn in _COMPARISONS}}
+# the Python operator of its comparison, which generated code writes in
+# line.
+ARITH_BUILTINS = {_is2: None, **{fn: sym for _name, sym, fn in _COMPARISONS}}
 
 
 def _between(m, args, ns):

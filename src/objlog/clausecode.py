@@ -32,16 +32,25 @@ code outside the clauses hands the machine a goal term to solve
 A clause-body `is/2` or comparison (`<` `>` `=<` `>=` `=:=` `=\\=`) compiles
 to generated code over frame slots, so a call builds no term and nothing
 recurses: one walk of each expression's term program gives its postfix
-shape and its constants (`_expr_shape`).  An `is/2` at the top level of a
-body (outside `;`, `->`, `\\+` and `once`) whose left side is a variable
-first met there, and not in its expression, writes the number straight
-into that variable's slot: no variable is made, bound or trailed.  Only
-the goals after it read that slot, and backtracking to a point before it
-runs it again.  An expression with a part that is not evaluable as written
-(an atom, an unknown functor), or with more than MAX_NODES nodes (a
-100 000-node sum would take seconds to compile), stays a builtin call, and
-`eval_arith` evaluates it when the goal runs, as it does a run-time
-`is/2`.
+shape and its constants (`_expr_shape`).  The comparison, binary `+` `-`
+`*` and unary `-` `+` are Python's own operators in the generated source,
+with no call, as compilers that keep the WAM model compile arithmetic
+(Van Roy, "Can Logic Programming Execute as Fast as Imperative
+Programming?", 1990); every other evaluable calls its `ARITH_OPS`
+function.  A float that `+` `-` `*` makes is checked against the float
+range in line, and an int too large to mix with a float is caught, so
+each raises `evaluation_error(float_overflow)` as `ARITH_OPS` does.  A
+function reads each slot once, at its first use, with one type test when
+it holds an int, and every later step reuses the number.  An `is/2` at
+the top level of a body (outside `;`, `->`, `\\+` and `once`) whose left
+side is a variable first met there, and not in its expression, writes the
+number straight into that variable's slot: no variable is made, bound or
+trailed.  Only the goals after it read that slot, and backtracking to a
+point before it runs it again.  An expression with a part that is not
+evaluable as written (an atom, an unknown functor), or with more than
+MAX_NODES nodes (a 100 000-node sum would take seconds to compile), stays
+a builtin call, and `eval_arith` evaluates it when the goal runs, as it
+does a run-time `is/2`.
 
 The leading run of a clause body's comparisons and new-variable `is/2`
 goals is its guard (`guard_code`): it runs as one function right after the
@@ -58,12 +67,13 @@ the argument program of a body goal a builder, and arithmetic a guard or
 an evaluator.  A matcher or a builder is a straight-line function that
 does what the interpreter (`engine.match_args`, `instantiate`) does, step
 for step, so bindings, trail entries, `unify` calls and error balls are
-the same; arithmetic raises the balls `eval_arith` raises.  Generated
-code dereferences in a `while type(x) is Var` loop, makes a compound as
-`t = new(Struct)` and sets its name and arguments, and binds as
-`trail.record(x); x.ref = t`, so `Trail.record` stays the one rule of
-what is trailed.  The calls it makes are `unify` (looked up in
-`objlog.engine` as it runs), `occurs_in`, `eval_arith`, `Var()` and
+the same; arithmetic gives the values and raises the balls `eval_arith`
+gives and raises.  Generated code dereferences in a `while type(x) is
+Var` loop, makes a compound as `t = new(Struct)` and sets its name and
+arguments, and binds as `trail.record(x); x.ref = t`, so `Trail.record`
+stays the one rule of what is trailed.  The calls it makes are `unify`
+(looked up in `objlog.engine` as it runs), `occurs_in`, `eval_arith`, the
+`ARITH_OPS` functions that do not run in line, `Var()` and
 `trail.record`, and `deref` and `bind` only under `if tracing`.  A head
 matches each compound once, as the WAM does under its read/write mode
 (Aït-Kaci 1991, §2.3): the compound sets a mode flag of its own, true
@@ -99,11 +109,12 @@ holds it.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from functools import lru_cache
 from typing import Optional
 
-from .balls import domain_error, instantiation_error, type_error
+from .balls import domain_error, evaluation_error, instantiation_error, type_error
 from .builtins import ARITH_BUILTINS, ARITH_OPS, ArithOp, eval_arith
 from .terms import TRUE, Atom, Struct, Term, Var, deref
 
@@ -229,6 +240,9 @@ new = object.__new__
 # constants and compounds) stay interpreted, and an expression of more
 # than MAX_NODES nodes stays a builtin call.
 MAX_NODES = 64
+# The largest finite float, which generated arithmetic checks a float it
+# makes against.
+_FMAX = sys.float_info.max
 # The generated functions kept, least recently used dropped first.
 SHAPE_CACHE = 512
 
@@ -271,14 +285,22 @@ def _term_code(kind: str, prog: tuple) -> Optional[tuple]:
     return _generated(key), tuple(consts)
 
 
+# The evaluables generated code writes as Python's own operators, by name
+# and arity, with their tag in a shape key: a binary one's tag is its
+# Python operator.  Any other evaluable is a call of its `ARITH_OPS`
+# function.
+_IN_LINE = {("+", 2): "+", ("-", 2): "-", ("*", 2): "*", ("-", 1): "neg", ("+", 1): "pos"}
+
+
 def _expr_shape(p, consts: list) -> Optional[tuple]:
     """The shape key of the expression of term program `p`, in postfix
-    order: an int i, the number in slot i; "num", a number; "op2" or "op1",
-    an evaluable functor applied to the values its arity takes off the
-    stack.  Each number and each functor's function goes to `consts`, in
-    the order the generated code reads them.  None when a part is not
-    evaluable as written (an atom, an unknown functor) or the expression
-    has more than MAX_NODES nodes."""
+    order: an int i, the number in slot i; "num", a number; "+", "-", "*",
+    "neg" or "pos", that evaluable in line; "op2" or "op1", a call of any
+    other evaluable's function on the values its arity takes off the stack.
+    Each number and each called function goes to `consts`, in the order
+    the generated code reads them.  None when a part is not evaluable as
+    written (an atom, an unknown functor) or the expression has more than
+    MAX_NODES nodes."""
     out: list = []
     todo = [p]
     while todo:
@@ -287,8 +309,11 @@ def _expr_shape(p, consts: list) -> Optional[tuple]:
         if tp is int:
             out.append(p)
         elif tp is ArithOp:  # an operator, after its arguments
-            consts.append(p.fn)
-            out.append("op2" if p.arity == 2 else "op1")
+            tag = _IN_LINE.get((p.name, p.arity))
+            if tag is None:
+                consts.append(p.fn)
+                tag = "op2" if p.arity == 2 else "op1"
+            out.append(tag)
         elif tp is float or (tp is tuple and len(p) == 1):  # a number
             consts.append(p if tp is float else p[0])
             out.append("num")
@@ -318,6 +343,8 @@ class _Source:
         self.k = 0            # the index of the next constant
         self.n = 0            # temporaries made
         self.held: set = set()  # slots held in a local `s<i>` as well as in `vs`
+        self.nums: dict = {}    # slot -> the local holding its number
+        self.overflows = False  # whether an inline operation may raise OverflowError
         self.uses: set = set()  # header names the body reads
 
     def line(self, ind: int, text: str) -> None:
@@ -461,31 +488,52 @@ class _Source:
         name = self.const()
         return self.new(name, [self.build(sub, ind) for sub in s], ind)
 
+    def number(self, i: int) -> str:
+        """The local that holds the number in slot `i`.  The first call
+        reads the slot: an int costs one type test, anything else is
+        dereferenced, and what is then not a number goes to `eval_arith`,
+        which evaluates a compound and raises the ball an unbound variable
+        or an atom calls for.  Later calls reuse the local: nothing an
+        arithmetic function runs binds a variable, so the slot's value
+        stays the same, and a slot that fails to evaluate raises at its
+        first read, before any later goal runs."""
+        x = self.nums.get(i)
+        if x is None:
+            x = self.nums[i] = f"n{i}"
+            self.line(1, f"{x} = vs[{i}]")
+            self.line(1, f"if type({x}) is not int:")
+            self.deref(x, 2)
+            self.line(2, f"if type({x}) is not int and type({x}) is not float:")
+            self.line(3, f"{x} = eval_arith({x})")
+        return x
+
     def expr(self, shape: tuple) -> str:
         """Statements computing the expression of shape `shape` in postfix
-        order, as `eval_arith` evaluates it; the local that holds the
-        value.  A slot that holds anything but a number goes to
-        `eval_arith`, which evaluates a compound and raises the ball an
-        unbound variable or an atom calls for."""
+        order, as `eval_arith` evaluates it; the local or constant that
+        holds the value.  `+`, `-` and `*` are Python's own, followed by
+        the float range check of `builtins._finite` made in line: a float
+        result past the range is `evaluation_error(float_overflow)`, as is
+        the OverflowError the function catches (see `_source`)."""
         stack = []
         for e in shape:
             if type(e) is int:
-                t = self.temp("x")
-                self.line(1, f"{t} = vs[{e}]")
-                self.deref(t, 1)
-                self.line(1, f"if type({t}) is not int and type({t}) is not float:")
-                self.line(2, f"{t} = eval_arith({t})")
-                stack.append(t)
+                stack.append(self.number(e))
             elif e == "num":
                 stack.append(self.const())
             else:
-                fn = self.const()
                 t = self.temp("x")
-                if e == "op2":
-                    b = stack.pop()
-                    self.line(1, f"{t} = {fn}({stack.pop()}, {b})")
+                if e == "op2" or e == "op1":
+                    fn = self.const()
+                    args = [stack.pop()] if e == "op1" else [stack.pop(-2), stack.pop()]
+                    self.line(1, f"{t} = {fn}({', '.join(args)})")
+                elif e == "neg" or e == "pos":
+                    self.line(1, f"{t} = {'-' if e == 'neg' else '+'}{stack.pop()}")
                 else:
-                    self.line(1, f"{t} = {fn}({stack.pop()})")
+                    b = stack.pop()
+                    self.line(1, f"{t} = {stack.pop()} {e} {b}")
+                    self.line(1, f"if type({t}) is float and not {-_FMAX!r} <= {t} <= {_FMAX!r}:")
+                    self.line(2, 'raise evaluation_error("float_overflow")')
+                    self.overflows = True
                 stack.append(t)
         return stack[0]
 
@@ -509,20 +557,27 @@ def _source(key: tuple) -> str:
         parts = [g.build(s, 1) for s in key[1:]]
         body = f"return ({', '.join(parts)},)"
         return "\n".join(["def build(vs, K):", *g.lines, "    " + body + "\n"])
-    if kind == "guards":
-        for step in key[1:]:
-            if step[0] == "compare":
-                fn = g.const()
-                a, b = g.expr(step[1]), g.expr(step[2])
-                g.line(1, f"if not {fn}({a}, {b}):")
-                g.line(2, "return False")
-            else:
-                g.line(1, f"vs[{step[1]}] = {g.expr(step[2])}")
-        return "\n".join(["def guards(vs, K):", *g.lines, "    return True\n"])
     if kind == "select":
         return _select_source(key[1:])
-    body = f"return {g.expr(key[1])}"  # "value": an is/2's number
-    return "\n".join(["def evaluate(vs, K):", *g.lines, "    " + body + "\n"])
+    if kind == "guards":
+        defn = "def guards(vs, K):"
+        for step in key[1:]:
+            if step[0] == "compare":
+                a, b = g.expr(step[1]), g.expr(step[2])
+                g.fail_if(1, f"not {a} {step[3]} {b}")
+            else:
+                x = g.nums[step[1]] = g.expr(step[2])
+                g.line(1, f"vs[{step[1]}] = {x}")
+        g.line(1, "return True")
+    else:  # "value": an is/2's number
+        defn = "def evaluate(vs, K):"
+        g.line(1, f"return {g.expr(key[1])}")
+    body = g.lines
+    if g.overflows:  # an int too large to mix with a float; costs nothing when none is
+        body = ["    try:", *["    " + line for line in body],
+                "    except OverflowError:",
+                '        raise evaluation_error("float_overflow") from None']
+    return "\n".join([defn, *body]) + "\n"
 
 
 def _select_source(states: tuple) -> str:
@@ -572,7 +627,8 @@ generated_kinds: Counter = Counter()
 # The names the source of every function but a head matcher reads; a head
 # matcher reads these from `objlog.engine`, with `unify`, `occurs_in`, and
 # `deref` and `bind` under trace.
-_GLOBALS = {"Var": Var, "Struct": Struct, "new": new, "eval_arith": eval_arith}
+_GLOBALS = {"Var": Var, "Struct": Struct, "new": new, "eval_arith": eval_arith,
+            "evaluation_error": evaluation_error}
 
 
 @lru_cache(maxsize=SHAPE_CACHE)
@@ -639,7 +695,10 @@ def guard_code(code: tuple) -> Optional[tuple]:
     `guards(vs, consts)` runs the goals of the run in order, as their own
     functions run them: it returns False at the first comparison that
     fails, writes each `SET`'s value into its slot, and raises the balls
-    they raise.  Its key joins the steps the goals hold, and its constants
+    they raise.  It reads each slot once, at the first goal that uses it,
+    and a `SET`'s slot is the local it wrote, so the goals after the first
+    pay no second read (see `_Source.number`).  Comparisons and `+ - *`
+    run in line.  Its key joins the steps the goals hold, and its constants
     theirs, so no expression is walked again."""
     steps: list = []
     consts: list = []
@@ -675,9 +734,13 @@ class Goal:
     sub-bodies in `a`, `b` and `c`.  An arithmetic goal (see `arith_goal`)
     has its generated function in `get` and the function's constants in
     `args`, and in `prog` the program of the whole goal, built only for the
-    trace.  A `COMPARE` or `SET` goal runs the guard function of a run of
-    one, which returns the goal's truth, and keeps that run's step in `key`
-    for `guard_code`; an `IS` goal's function returns the number, and
+    trace.  The constants are the numbers and the functions of evaluables
+    not run in line (see `_expr_shape`); a comparison's operator is in its
+    key, not its constants.  A `COMPARE` or `SET` goal runs the guard
+    function of a run of one, which returns the goal's truth, and keeps
+    that run's step in `key` (`("compare", left, right, operator)` or
+    `("set", slot, expression)`) for `guard_code`; an `IS` goal's function
+    returns the number, and
     `key` is the slot of its left side (None when that side is not a
     variable)."""
 
@@ -737,21 +800,22 @@ def arg_goal(op: int, t: Term, ns: str, slots: Optional[dict], fresh) -> Goal:
 
 def arith_goal(t: Struct, ns: str, compare, slots: dict, fresh: list, top: bool
                ) -> Optional[Goal]:
-    """A clause-body is/2 (`compare` None) or comparison compiled to
-    generated code, or None when an expression is not evaluable as written
-    or has more than MAX_NODES nodes.  `top` says the goal is at the top
-    level of the body."""
+    """A clause-body is/2 (`compare` None) or comparison (`compare` its
+    Python operator, from `ARITH_BUILTINS`) compiled to generated code, or
+    None when an expression is not evaluable as written or has more than
+    MAX_NODES nodes.  `top` says the goal is at the top level of the
+    body."""
     left, right = t.args
     if compare is not None:
         lp = program(left, slots, fresh)
         rp = program(right, slots, fresh)
-        consts = [compare]
+        consts = []
         a = _expr_shape(lp, consts)
         b = _expr_shape(rp, consts)
         if a is None or b is None:
             return None
         g = Goal(COMPARE, ns, t.name)
-        g.key = ("compare", a, b)
+        g.key = ("compare", a, b, compare)
     else:
         rp = program(right, slots, fresh)
         consts = []

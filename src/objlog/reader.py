@@ -12,6 +12,7 @@ string type).
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional
 
 from .errors import ReaderError
@@ -173,7 +174,10 @@ def _scan_number(text, i, line):
                 i += 1
     raw = text[start:i]
     if is_float:
-        return i, Token("float", float(raw), line, start, i)
+        value = float(raw)
+        if math.isinf(value):  # so no inf enters a term from source text
+            raise ReaderError(f"float {raw} is past the float range", line)
+        return i, Token("float", value, line, start, i)
     return i, Token("int", int(raw), line, start, i)
 
 

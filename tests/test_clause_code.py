@@ -400,7 +400,14 @@ def test_trace_of_guarded_clauses_prints_each_guard_goal(tmp_path, capsys):
     ("float_not(X)", "X is \\ 2.0", "type_error(integer, 2.0)"),
     ("huge(X)", f"X is float({10 ** 400})", "evaluation_error(float_overflow)"),
     ("int_trunc(X)", "X is truncate(3)", "type_error(float, 3)"),
-    ("inf_trunc(X)", "X is truncate(1.0e308 * 10)", "evaluation_error(undefined)"),
+    ("inf_trunc(X)", "X is truncate(1.0e308 * 10)", "evaluation_error(float_overflow)"),
+    # a float past the float range is made by none of + - * / (ISO/IEC 13211-1 9.1.4)
+    ("over_add(X)", "X is 1.0e308 + 1.0e308", "evaluation_error(float_overflow)"),
+    ("over_sub(X)", "Y = 1.0e308, X is -Y - Y", "evaluation_error(float_overflow)"),
+    ("over_div(X)", "X is 1.0e308 / 0.5", "evaluation_error(float_overflow)"),
+    ("huge_mix(X)", f"C = {10 ** 400}, X is C + 0.5", "evaluation_error(float_overflow)"),
+    ("huge_div(X)", f"C = {10 ** 400}, X is C / 3", "evaluation_error(float_overflow)"),
+    ("huge_ok(X)", f"C = {10 ** 400}, X is C * 0 + 0.5", [{"X": "0.5"}]),
 ])
 def test_compiled_arithmetic_answers_as_the_query_does(rt, head, body, expected):
     # the clause body's arithmetic runs generated code, and the same goals
@@ -417,6 +424,22 @@ def test_compiled_arithmetic_answers_as_the_query_does(rt, head, body, expected)
 
     assert answers(head) == expected
     assert answers(body) == expected
+
+
+def test_a_float_overflow_in_a_clause_body_is_a_ball_catch_catches(rt):
+    # an int too large to mix with a float made Python's OverflowError,
+    # which no catch/3 caught
+    rt.consult_text("mix(C, Y) :- Y is C + 0.5. div(C, Y) :- Y is C / 3.")
+    for name in ("mix", "div"):
+        assert solutions(rt, f"catch({name}({10 ** 400}, _), E, true)") == [
+            {"E": "evaluation_error(float_overflow)"}]
+
+
+def test_truncate_of_a_float_from_outside_the_range_is_undefined():
+    # no arithmetic makes an inf now, but a host value can be one
+    with pytest.raises(LogicError) as err:
+        _builtins.eval_arith(Struct("truncate", (float("inf"),)))
+    assert term_text(err.value.term) == "evaluation_error(undefined)"
 
 
 def test_new_is_variable_gets_no_fresh_variable(rt):

@@ -249,15 +249,28 @@ def test_generated_builder_matches_instantiate(parts, data, first_occurrences):
 # -- arithmetic against eval_arith ------------------------------------------------------------
 
 _OPS = sorted(ARITH_OPS)
-_expr = st.recursive(
-    st.one_of(st.sampled_from([("slot", 0), ("slot", 1), ("slot", 2)]),
-              st.sampled_from([("num", 0), ("num", 1), ("num", 2), ("num", -3), ("num", 0.5),
-                               ("num", 2.0)])),
-    lambda sub: st.one_of(
-        st.tuples(st.just("op1"), st.sampled_from([k for k in _OPS if k[1] == 1]), sub),
-        st.tuples(st.just("op2"), st.sampled_from([k for k in _OPS if k[1] == 2]), sub, sub)),
-    max_leaves=20)
-_value = st.sampled_from(["unbound", "atom", "expr", "bound", 0, 1, -2, 3, 0.5, 2.0])
+_HUGE = 10 ** 400  # an int past the float range, so mixing it with a float overflows
+
+
+def _expr_over(nslots):
+    """Symbolic expressions over slots 0 .. nslots - 1."""
+    return st.recursive(
+        st.one_of(st.sampled_from([("slot", i) for i in range(nslots)]),
+                  st.sampled_from([("num", 0), ("num", 1), ("num", 2), ("num", -3),
+                                   ("num", 0.5), ("num", 2.0), ("num", 1.0e308),
+                                   ("num", _HUGE)])),
+        lambda sub: st.one_of(
+            st.tuples(st.just("op1"), st.sampled_from([k for k in _OPS if k[1] == 1]), sub),
+            st.tuples(st.just("op2"), st.sampled_from([k for k in _OPS if k[1] == 2]), sub,
+                      sub)),
+        max_leaves=20)
+
+
+_expr = _expr_over(3)
+_value = st.sampled_from(["unbound", "atom", "expr", "bound", 0, 1, -2, 3, 0.5, 2.0, 1.0e308,
+                          _HUGE])
+_COMPARE = st.sampled_from([("<", operator.lt), (">", operator.gt), ("=<", operator.le),
+                            (">=", operator.ge), ("=:=", operator.eq), ("=\\=", operator.ne)])
 
 
 def _expr_term(sym, leaves):
@@ -309,8 +322,7 @@ def _outcome(fn):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_expr, _expr, st.lists(_value, min_size=3, max_size=3),
-       st.sampled_from([None, ("<", operator.lt), ("=:=", operator.eq), (">=", operator.ge)]))
+@given(_expr, _expr, st.lists(_value, min_size=3, max_size=3), st.one_of(st.none(), _COMPARE))
 def test_generated_arithmetic_matches_eval_arith(left, right, values, compare):
     # the goal of `ev(S0, S1, S2, R) :- R is Left` or `ev(S0, S1, S2) :-
     # Left < Right`, its own function run on a frame where the head put
@@ -342,12 +354,68 @@ def test_generated_arithmetic_matches_eval_arith(left, right, values, compare):
     assert type(got[-1]) is type(expected[-1]) and got == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(_expr, _expr, _expr, _expr_over(4), _expr_over(4), st.lists(_value, min_size=3, max_size=3),
+       _COMPARE, _COMPARE)
+def test_generated_guard_matches_eval_arith_goal_by_goal(l1, r1, e, l2, r2, values, c1, c2):
+    # the guard of `ev(S0, S1, S2) :- L1 c1 R1, Z is E, L2 c2 R2`, whose
+    # goals read the same slots and the last Z too, run as one function that
+    # reads each slot once, against eval_arith run goal by goal: the first
+    # ball, or the first comparison that fails, ends the run
+    head_vars = [Var(f"S{i}") for i in range(3)]
+    z = Var("Z")
+    leaves = [*head_vars, z]
+
+    def cmp(c, left, right):
+        return Struct(c[0], (_expr_term(left, leaves), _expr_term(right, leaves)))
+
+    body = Struct(",", (cmp(c1, l1, r1), Struct(",", (Struct("is", (z, _expr_term(e, leaves))),
+                                                       cmp(c2, l2, r2)))))
+    clause = Clause(Struct("ev", tuple(head_vars)), body, "user", _builtin_table())
+    run, consts, length = clause.guard
+    assert length == len(clause.code) == 3
+    vs = _frame(values) + [None] * (clause.nvars - 3)
+
+    def goal_by_goal():
+        frame = vs[:3]
+        if not c1[1](eval_arith(_expr_term(l1, frame)), eval_arith(_expr_term(r1, frame))):
+            return False
+        frame.append(eval_arith(_expr_term(e, frame)))
+        if not c2[1](eval_arith(_expr_term(l2, frame)), eval_arith(_expr_term(r2, frame))):
+            return False
+        return "true", frame[3]
+
+    expected = _outcome(goal_by_goal)
+    got = _outcome(lambda: run(vs, consts) and ("true", vs[3]))
+    assert got == expected
+    if got[0] == "value" and got[1]:
+        assert type(got[1][1]) is type(expected[1][1])
+
+
 def test_expression_compiles_to_its_postfix_shape_and_constants():
-    t, _ = parse_term("X - Y * 2 + abs(Z)")
+    # + - * and unary - run in line, tagged by their operator; abs stays a
+    # call of its function, which goes to the constants with the number
+    t, _ = parse_term("X - Y * 2 + abs(-Z)")
     consts: list = []
     shape = clausecode._expr_shape(program(t, {}, []), consts)
-    assert shape == (0, 1, "num", "op2", "op2", 2, "op1", "op2")
-    assert consts == [2, *(ARITH_OPS[k].fn for k in [("*", 2), ("-", 2), ("abs", 1), ("+", 2)])]
+    assert shape == (0, 1, "num", "*", "-", 2, "neg", "op1", "+")
+    assert consts == [2, ARITH_OPS[("abs", 1)].fn]
+
+
+def test_solver_guard_reads_each_slot_once_and_calls_no_operator(rt):
+    # no_attack(Q, [Q1|Qs], D) :- Q =\= Q1 + D, Q =\= Q1 - D, D1 is D + 1, ...
+    solver = Path(__file__).resolve().parent.parent / "perfbench" / "programs" / "solver.pl"
+    assert rt.consult_text(solver.read_text()).ok
+    clause = rt.engine.entry("user", "no_attack", 3).clauses[1]
+    run, consts, length = clause.guard
+    key = ("guards", *[g.key for g in clause.code[:length]])
+    assert [step[0] for step in key[1:]] == ["compare", "compare", "set"]
+    text = clausecode._source(key)
+    for slot in (0, 1, 3):
+        assert text.count(f"= vs[{slot}]") == 1, text
+    assert text.count("vs[") == 4  # the three reads and the write of D1
+    assert consts == (1,)  # D + 1's number, and no function
+    assert "K[0]" in text and "K[0](" not in text and "K[1]" not in text
 
 
 def test_a_lone_and_a_leading_arithmetic_goal_share_one_function(rt):

@@ -130,6 +130,14 @@ def test_a_character_no_token_starts_is_a_reader_error(rt, text, char):
         rt.once(text)
 
 
+@pytest.mark.parametrize("text", ["X = 1.0e400", "X = -1.0e400", "X = 2e999"])
+def test_a_float_past_the_float_range_is_a_reader_error(text):
+    # no inf enters a term from source text; a float that underflows reads as 0.0
+    with pytest.raises(ReaderError, match="past the float range"):
+        parse_term(text)
+    assert parse_term("X = 1.0e-400")[0].args[1] == 0.0
+
+
 def test_a_superscript_digit_continues_an_atom():
     assert t("x²") is Atom("x²")
     assert term_text(t("f(x², 2)")) == "f(x², 2)"
